@@ -42,8 +42,6 @@ _BINOM_PY = [[math.comb(l, k) for k in range(BLOCK + 1)] for l in range(BLOCK + 
 
 _FEW_LANES = 32  # below this, per-lane python decode beats the vectorised loop
 
-_HUGE = U64(1) << U64(63)  # sentinel "never taken" threshold for inactive lanes
-
 # byte-granular select helpers
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 _BYTE_SELECT = np.full((256, 8), 8, dtype=np.int64)
@@ -181,61 +179,30 @@ def _decode_words(codes: np.ndarray, classes: np.ndarray,
 
 def _scan_blocks(codes: np.ndarray, classes: np.ndarray, blens: np.ndarray,
                  upto: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode combinadic blocks far enough to answer prefix questions.
+    """Decode at most ``_FEW_LANES`` combinadic blocks far enough to answer
+    prefix questions.
 
     Returns (ones among the first ``upto`` bits, bit value at position
     ``upto``) per lane; the bit output is meaningful only when upto < blen.
     """
-    if codes.size <= _FEW_LANES:
-        up = np.broadcast_to(np.asarray(upto, dtype=np.int64), codes.shape)
-        acc = np.empty(codes.shape, dtype=np.int64)
-        bit = np.empty(codes.shape, dtype=np.int64)
-        for i in range(codes.size):
-            acc[i], bit[i] = _scan_block_py(int(codes[i]), int(classes[i]),
-                                            int(blens[i]), int(up[i]))
-        return acc, bit
-    val = codes.astype(U64, copy=True)
-    k = classes.astype(np.int64, copy=True)
-    acc = np.zeros(val.shape, dtype=np.int64)
-    bit_at = np.zeros(val.shape, dtype=np.int64)
-    top = int(blens.max()) if blens.size else 0
-    for j in range(top):
-        l = blens - 1 - j
-        active = l >= 0
-        t = np.where(active, _BINOM[np.maximum(l, 0), k], _HUGE)
-        one = val >= t
-        val = np.where(one, val - t, val)
-        k = k - one
-        acc += one & (j < upto)
-        bit_at = np.where(j == upto, one.astype(np.int64), bit_at)
-    return acc, bit_at
+    up = np.broadcast_to(np.asarray(upto, dtype=np.int64), codes.shape)
+    acc = np.empty(codes.shape, dtype=np.int64)
+    bit = np.empty(codes.shape, dtype=np.int64)
+    for i in range(codes.size):
+        acc[i], bit[i] = _scan_block_py(int(codes[i]), int(classes[i]),
+                                        int(blens[i]), int(up[i]))
+    return acc, bit
 
 
 def _select_in_code(codes: np.ndarray, classes: np.ndarray, blens: np.ndarray,
                     r: np.ndarray, polarity: int) -> np.ndarray:
-    """Position (0-based, in-block) of the r-th one (or zero) of each block."""
-    if codes.size <= _FEW_LANES:
-        rr = np.broadcast_to(np.asarray(r, dtype=np.int64), codes.shape)
-        pos = np.empty(codes.shape, dtype=np.int64)
-        for i in range(codes.size):
-            pos[i] = _select_in_code_py(int(codes[i]), int(classes[i]),
-                                        int(blens[i]), int(rr[i]), polarity)
-        return pos
-    val = codes.astype(U64, copy=True)
-    k = classes.astype(np.int64, copy=True)
-    acc = np.zeros(val.shape, dtype=np.int64)
-    pos = np.full(val.shape, -1, dtype=np.int64)
-    top = int(blens.max()) if blens.size else 0
-    for j in range(top):
-        l = blens - 1 - j
-        active = l >= 0
-        t = np.where(active, _BINOM[np.maximum(l, 0), k], _HUGE)
-        one = val >= t
-        val = np.where(one, val - t, val)
-        k = k - one
-        hit = (one if polarity == 1 else (~one & active)).astype(np.int64)
-        acc += hit
-        pos = np.where((pos < 0) & (hit == 1) & (acc == r), j, pos)
+    """Position (0-based, in-block) of the r-th one (or zero) of each of at
+    most ``_FEW_LANES`` blocks."""
+    rr = np.broadcast_to(np.asarray(r, dtype=np.int64), codes.shape)
+    pos = np.empty(codes.shape, dtype=np.int64)
+    for i in range(codes.size):
+        pos[i] = _select_in_code_py(int(codes[i]), int(classes[i]),
+                                    int(blens[i]), int(rr[i]), polarity)
     return pos
 
 

@@ -372,6 +372,16 @@ def cmd_bench(args) -> int:
         print(
             f"op=out_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}"
         )
+        t0 = time.perf_counter_ns()
+        g.degree_in_batch(vs)
+        print(f"op=degree_in_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
+        nin = int(keep.sum())
+        t0 = time.perf_counter_ns()
+        g.in_neighbour_batch(vs[keep], jj)
+        print(
+            f"op=in_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // max(nin, 1)} "
+            f"queries={nin}"
+        )
     return 0
 
 

@@ -98,10 +98,10 @@ class CompressedGraph:
     def in_neighbour(self, v: int, i: int) -> int:
         """i-th incoming edge: tree children first, then string occurrences."""
         self._check_vertex(v)
-        kids = self.tree.children(v)
-        if i >= 1 and i <= len(kids):
-            return kids[i - 1]
-        j = i - len(kids)
+        deg = self.tree.tree_degree(v)
+        if 1 <= i <= deg:
+            return self.tree.child(v, i)
+        j = i - deg
         if i < 1 or j > self.targets.occ(v):
             raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}")
         pos = self.targets.select(v, j)            # 1-based position
@@ -122,40 +122,15 @@ class CompressedGraph:
 
     # ---- adjacency ---------------------------------------------------------
 
-    def _in_block(self, v: int, sym: int) -> bool:
-        if v == 0 or self.m == 1:
-            return False
-        lo, hi = self._slice(v)
-        return self.targets.rank(sym, hi) > self.targets.rank(sym, lo)
-
     def adjacent(self, u: int, v: int) -> bool:
         """True when at least one edge joins u and v."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return False
-        if u and self.tree.parent(u) == v:
-            return True
-        if v and self.tree.parent(v) == u:
-            return True
-        return self._in_block(u, v) or self._in_block(v, u)
+        return self.multiplicity(u, v) > 0
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges joining u and v."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if u == v:
-            return 0
-        cnt = 0
-        if u and self.tree.parent(u) == v:
-            cnt += 1
-        if v and self.tree.parent(v) == u:
-            cnt += 1
-        for a, b in ((u, v), (v, u)):
-            if a and self.m > 1:
-                lo, hi = self._slice(a)
-                cnt += self.targets.rank(b, hi) - self.targets.rank(b, lo)
-        return cnt
+        return int(self.multiplicity_batch([u], [v])[0])
 
     # ---- batch wrappers ----------------------------------------------------
 
@@ -190,7 +165,7 @@ class CompressedGraph:
     def in_neighbour_batch(self, vs, idx) -> np.ndarray:
         """Vectorised ``in_neighbour``: tree children first, then string hits.
 
-        Children lists are fetched once per distinct queried vertex; the
+        Tree lanes take their child from one batched i-th-child walk; the
         string lanes go through one batched select.
         """
         arr = np.asarray(vs, dtype=np.int64)
@@ -201,20 +176,11 @@ class CompressedGraph:
             return np.zeros(0, dtype=np.int64)
         if arr.min() < 0 or arr.max() > self.n or ii.min() < 1:
             raise OutOfRangeError("query out of range")
-        uniq, inv = np.unique(arr, return_inverse=True)
         out = np.empty(arr.size, dtype=np.int64)
-        if uniq.size > max(self.tree.n_nodes // 8, 32):
-            counts, starts, grouped = self.tree.child_layout()
-            dt = counts[arr]
-            from_tree = ii <= dt
-            ft = np.flatnonzero(from_tree)
-            out[ft] = grouped[starts[arr[ft]] + ii[ft] - 1]
-        else:
-            kids = self.tree.children_batch(uniq)
-            dt = np.array([len(k) for k in kids], dtype=np.int64)[inv]
-            from_tree = ii <= dt
-            for k in np.flatnonzero(from_tree):
-                out[k] = kids[inv[k]][ii[k] - 1]
+        dt = self.tree.degree_batch(arr)
+        from_tree = ii <= dt
+        if from_tree.any():
+            out[from_tree] = self.tree.child_batch(arr[from_tree], ii[from_tree])
         rest = ~from_tree
         if rest.any():
             j = ii[rest] - dt[rest]
@@ -249,18 +215,11 @@ class CompressedGraph:
             return np.zeros(0, dtype=np.int64)
         if min(ua.min(), va.min()) < 0 or max(ua.max(), va.max()) > self.n:
             raise OutOfRangeError("vertex out of range")
-        pu = np.full(ua.size, -1, dtype=np.int64)
-        pv = np.full(va.size, -1, dtype=np.int64)
-        if (ua >= 1).any():
-            pu[ua >= 1] = self.tree.parent_batch(ua[ua >= 1])
-        if (va >= 1).any():
-            pv[va >= 1] = self.tree.parent_batch(va[va >= 1])
-        cnt = (
-            (pu == va).astype(np.int64)
-            + (pv == ua).astype(np.int64)
-            + self._block_counts(ua, va)
-            + self._block_counts(va, ua)
-        )
+        k = ua.size
+        both = np.concatenate([ua, va])
+        par = self.tree.parent_batch(both)             # -1 for the seed
+        blocks = self._block_counts(both, np.concatenate([va, ua]))
+        cnt = (par[:k] == va).astype(np.int64) + (par[k:] == ua) + blocks[:k] + blocks[k:]
         cnt[ua == va] = 0
         return cnt
 

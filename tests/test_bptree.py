@@ -165,3 +165,115 @@ def test_navigation_matches_reference(data):
     seed = data.draw(st.integers(min_value=0, max_value=2**16))
     rng = np.random.default_rng(seed)
     check_tree(random_preorder_parents(rng, n))
+
+
+# ---- range min-max directory: shapes aimed at its levels ------------------
+# A leaf of the directory spans 1024 bits (512 nodes), a level-4 node 16
+# leaves; bytes, words and leaves are all crossed by the shapes below.
+
+def spread_root(n, span):
+    """Root children every ``span`` labels, each heading a path."""
+    par = np.arange(-1, n - 1)
+    par[1::span] = 0
+    return par
+
+
+def caterpillar(spine, legs, legs_last):
+    """A path of ``spine`` nodes with ``legs`` leaves on each; the leaves come
+    before the next spine node, or (``legs_last``) after the whole spine."""
+    if not legs_last:
+        par = []
+        for k in range(spine):
+            s = k * (legs + 1)
+            par += [s - legs - 1 if k else -1] + [s] * legs
+        return np.array(par, dtype=np.int64)
+    par = [-1] + list(range(spine - 1))
+    for s in range(spine - 1, -1, -1):
+        par += [s] * legs
+    return np.array(par, dtype=np.int64)
+
+
+def check_batches(par, sample=120, seed=0):
+    """Every node's parent, degree and children through the batch calls, and
+    a sample of scalar calls (and close positions) against batches of one."""
+    par = np.asarray(par, dtype=np.int64)
+    t = BPTree(par)
+    n = par.size
+    kids = reference_children(par)
+    deg = np.array([len(k) for k in kids], dtype=np.int64)
+    size = np.ones(n, dtype=np.int64)
+    for v in range(n - 1, 0, -1):
+        size[par[v]] += size[v]
+    v = np.arange(n)
+    assert np.array_equal(t.parents_array(), par)
+    assert np.array_equal(t.parent_batch(v), par)
+    assert np.array_equal(t.degree_batch(v), deg)
+    if n > 1:
+        cv = np.repeat(v, deg)
+        ci = np.arange(cv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+        assert np.array_equal(t.child_batch(cv, ci), np.concatenate([k for k in kids if k]))
+    with pytest.raises(OutOfRangeError):
+        t.child_batch(v, deg + 1)
+    opens = np.flatnonzero(t._bv.to_array())
+    rng = np.random.default_rng(seed)
+    picks = np.unique(np.concatenate([[0, n - 1, int(np.argmax(deg))],
+                                      rng.integers(0, n, sample)]))
+    for x in picks.tolist():
+        assert t.close_pos(x) == opens[x] + 2 * size[x]
+        assert t.subtree_size(x) == size[x]
+        assert t.parent(x) == t.parent_batch([x])[0] == par[x]
+        assert t.tree_degree(x) == t.degree_batch([x])[0] == deg[x]
+        assert t.children(x) == kids[x]
+        for i in ({1, int(deg[x])} if deg[x] else ()):
+            assert t.child(x, i) == t.child_batch([x], [i])[0] == kids[x][i - 1]
+    return t
+
+
+@pytest.mark.parametrize("n, span", [(6000, 37), (20000, 700)])
+def test_root_children_spread_over_many_leaves(n, span):
+    # the root's last child opens a dozen (or 39) leaves after the root; with
+    # span 700 some leaves hold no close of a root child, so a level-4 node
+    # may count only its leaves that reach its minimum
+    t = check_batches(spread_root(n, span))
+    assert t.tree_degree(0) == len(range(1, n, span))
+
+
+def test_path_deeper_than_a_leaf():
+    # depth 1500 > 512 nodes per leaf, then one more root child at the end
+    check_batches(np.array([-1] + list(range(1499)) + [0], dtype=np.int64))
+
+
+def test_star_wider_than_a_leaf():
+    t = check_batches(np.array([-1] + [0] * 2999, dtype=np.int64))
+    assert t.child(0, 2999) == 2999
+
+
+@pytest.mark.parametrize("legs_last", [False, True])
+def test_caterpillar(legs_last):
+    check_batches(caterpillar(700, 3, legs_last))
+
+
+@pytest.mark.parametrize("n", [32, 33, 511, 512, 513, 8191, 8192, 8193])
+def test_random_trees_straddling_directory_sizes(n):
+    check_batches(random_preorder_parents(np.random.default_rng(n), n), sample=40)
+
+
+def test_random_tree_with_two_inner_levels():
+    # 2^18 + 2 bits: 257 leaves under 17 level-4 nodes under 2 level-5 nodes
+    check_batches(random_preorder_parents(np.random.default_rng(3), 131073), sample=20)
+
+
+def test_rejects_parent_arrays_out_of_preorder():
+    with pytest.raises(ValueError):
+        BPTree([-1, 0, 0, 1])        # 3 is 1's child but 2 came between
+    with pytest.raises(ValueError):
+        BPTree([-1, 0, 1, 0, 2])     # 4 is 2's child but 3 closed 2's subtree
+
+
+def test_rejects_ill_formed_sequences():
+    from upag.bitvector import BitVector
+
+    for bits in ([1, 0, 0, 1, 1, 0], [1, 0, 1, 0], [0, 1], [1, 1, 0, 1]):
+        with pytest.raises(ValueError):
+            BPTree(_bv=BitVector(np.array(bits), mode="plain"))
+    assert BPTree(_bv=BitVector(np.array([1, 1, 0, 1, 0, 0]), mode="plain")).children(0) == [1, 2]

@@ -9,6 +9,9 @@ checked through the full generate/build/query pipeline.
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
 
 from upag.cli import main
@@ -213,6 +216,18 @@ def test_query_unknown_operation_is_a_usage_error(figure_files, capsys):
     capsys.readouterr()
 
 
+def test_query_ill_formed_tree_fails_cleanly(figure_files, tmp_path, capsys):
+    # balanced parentheses whose excess dips below zero: 1 0 0 1 1 0 ...
+    _, up = figure_files
+    body = bytearray(up.read_bytes()[:-4])
+    body[41:49] = struct.pack("<Q", 0b000111011001)
+    bad = tmp_path / "bad.upag"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    code, _, err = run(capsys, "query", "--in", str(bad), "deg", "1")
+    assert code == 2
+    assert err.startswith("error:") and "well-formed" in err
+
+
 def test_query_missing_file_fails(tmp_path, capsys):
     code, _, err = run(capsys, "query", "--in", str(tmp_path / "nope.upag"), "deg", "1")
     assert code == 2
@@ -305,6 +320,8 @@ def test_bench_times_every_operation(tmp_path, capsys):
         "op=adjacent",
         "op=adjacent_batch",
         "op=out_neighbour_batch",
+        "op=degree_in_batch",
+        "op=in_neighbour_batch",
     ]
     assert all("ns_per_query=" in ln for ln in text.splitlines())
 

@@ -129,6 +129,30 @@ def test_reject_inconsistent_vertex_count():
         serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
 
 
+TREE_WORD = 41  # header (24 bytes), then nbits, mode and nwords of the tree
+
+
+def with_tree_word(blob: bytes, word: int) -> bytes:
+    """``blob`` with its one parenthesis word replaced and the CRC redone."""
+    body = bytearray(blob[:-4])
+    assert body[TREE_WORD:TREE_WORD + 8] == struct.pack("<Q", 0xB7)  # ((()(()()))) 
+    body[TREE_WORD:TREE_WORD + 8] = struct.pack("<Q", word)
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+# balanced words of 12 bits (bit 0 first), each with six opens
+ILL_FORMED = {
+    "dips_below_zero": 0b000111011001,   # 1 0 0 1 1 0 1 1 1 0 0 0
+    "forest": 0b001100101101,            # 1 0 1 1 0 1 0 0 1 1 0 0
+}
+
+
+@pytest.mark.parametrize("word", ILL_FORMED.values(), ids=ILL_FORMED.keys())
+def test_reject_ill_formed_parentheses(word):
+    with pytest.raises(FormatError, match="well-formed"):
+        serialize.loads(with_tree_word(serialize.dumps(five_vertex_graph()), word))
+
+
 def test_dumps_rejects_other_types():
     with pytest.raises(TypeError):
         serialize.dumps(object())

@@ -184,12 +184,12 @@ def test_in_neighbour_batch_matches_scalar():
 
 
 def test_batches_match_scalar_per_vertex_regime():
-    # few distinct vertices on a large tree: the batch paths walk children
-    # per vertex instead of laying out the whole tree
+    # few distinct vertices on a large tree, among them the seed, the hub
+    # and tree leaves, each asked for several times
     g = CompressedGraph.from_dag(generate(3, 2000, seed=29))
     rng = np.random.default_rng(31)
     deg = g.degree_in_batch(np.arange(g.n_vertices))
-    kids, _, _ = g.tree.child_layout()
+    kids = np.bincount(g.tree.parents_array()[1:], minlength=g.n_vertices)
     hub = int(np.argmax(deg))
     leaves = rng.choice(np.flatnonzero(kids == 0), 20, replace=False)
     picks = np.unique(np.concatenate([[0, hub], leaves,
