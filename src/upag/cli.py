@@ -14,6 +14,7 @@ regular output is ``key=value`` tokens, one logical record per line.
 from __future__ import annotations
 
 import argparse
+import io
 import re
 import sys
 import time
@@ -21,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .construct import build, peel_relabel, reduce_string
+from .construct import build, peel_edges, reduce_string
 from .entropy import bounds_report, h0_per_symbol
 from .errors import FormatError, OutOfRangeError
-from .graph_model import Dag, ModelError, UndirectedMultigraph
+from .graph_model import Dag, ModelError
 from .oracle import NaiveGraph, naive_from_dag
 from .pa_gen import EXACT_CUTOFF, generate, log_prob
 from .serialize import load, save
@@ -39,10 +40,9 @@ HEADER_RE = re.compile(r"^# upag-el v1 M=(\d+) n=(\d+)\s*$")
 
 def write_edge_list(path, d: Dag) -> None:
     """Write an instance as a text edge list in arrival/draw order."""
-    lines = [f"# upag-el v1 M={d.m} n={d.n}"]
-    for t in range(1, d.n + 1):
-        lines.extend(f"{t} {int(v)}" for v in d.targets[t - 1])
-    Path(path).write_text("\n".join(lines) + "\n")
+    src = np.repeat(np.arange(1, d.n + 1), d.m).tolist()
+    body = "".join(map("{} {}\n".format, src, d.targets.ravel().tolist()))
+    Path(path).write_text(f"# upag-el v1 M={d.m} n={d.n}\n{body}")
 
 
 def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
@@ -56,26 +56,23 @@ def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     arriving k-th.
     """
     text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ModelError("empty edge-list file")
-    head = HEADER_RE.match(lines[0])
+    first, _, body = text.partition("\n")
+    head = HEADER_RE.match(first)
     if not head:
         raise ModelError("missing or malformed header (expected '# upag-el v1 M=<M> n=<n>')")
     m, n = int(head.group(1)), int(head.group(2))
-    body = [ln.strip() for ln in lines[1:] if ln.strip()]
-    if len(body) != n * m:
-        raise ModelError(f"expected {n * m} edge lines, found {len(body)}")
-    pairs = np.empty((n * m, 2), dtype=np.int64)
-    for k, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ModelError(f"line {k + 2}: expected 'src dst'")
+    pairs = np.zeros((0, 2), dtype=np.int64)
+    if body.strip():
         try:
-            pairs[k, 0] = int(parts[0])
-            pairs[k, 1] = int(parts[1])
-        except ValueError:
-            raise ModelError(f"line {k + 2}: non-integer vertex label") from None
+            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, OverflowError) as e:
+            raise ModelError(f"malformed edge line: {str(e).split(';')[0]}") from None
+        if pairs.shape[1] != 2:
+            raise ModelError("malformed edge line: expected 'src dst'")
+    if len(pairs) != n * m:
+        raise ModelError(f"expected {n * m} edge lines, found {len(pairs)}")
     if n == 0:
         return Dag(m, np.zeros((0, m), dtype=np.int64)), False, None
     if pairs.min() < 0 or pairs.max() > n:
@@ -83,12 +80,7 @@ def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     src, dst = pairs[:, 0], pairs[:, 1]
     if np.array_equal(src, np.repeat(np.arange(1, n + 1), m)) and bool((dst < src).all()):
         return Dag(m, dst.reshape(n, m).copy()), False, None
-    if (src == dst).any():
-        raise ModelError("self-loop in edge list")
-    g = UndirectedMultigraph(n + 1)
-    for u, v in pairs:
-        g.add_edge(int(u), int(v))
-    d, order = peel_relabel(g, m)
+    d, order = peel_edges(n + 1, src, dst, m)
     return d, True, order
 
 
@@ -114,32 +106,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _relabel_pairs(n: int, order: np.ndarray | None, to_stored: np.ndarray | None):
-    """(file label, stored label) rows, composing arrival inference and preorder."""
-    file_to_arrival = np.arange(n + 1, dtype=np.int64)
+def _relabel_text(n: int, order: np.ndarray | None, to_stored: np.ndarray | None) -> str:
+    """'file label, stored label' lines, composing arrival inference and preorder."""
+    new = np.arange(n + 1, dtype=np.int64)
     if order is not None:
-        file_to_arrival[order] = np.arange(n + 1, dtype=np.int64)
-    if to_stored is None:
-        return [(w, int(file_to_arrival[w])) for w in range(n + 1)]
-    return [(w, int(to_stored[file_to_arrival[w]])) for w in range(n + 1)]
+        new[order] = np.arange(n + 1, dtype=np.int64)
+    if to_stored is not None:
+        new = to_stored[new]
+    return "".join(map("{} {}\n".format, range(n + 1), new.tolist()))
 
 
 def cmd_build(args) -> int:
     d, inferred, order = read_edge_list(args.infile)
     if inferred:
         _warn_inferred()
+    to_stored = None
     if args.mode == "labelled":
         g = LabelledGraph.from_dag(d)
-        pairs = _relabel_pairs(d.n, order, None)
     else:
         built = build(d, tie=args.tie)
         g = CompressedGraph.from_build(built)
-        pairs = _relabel_pairs(d.n, order, built.relabel)
+        to_stored = built.relabel
     nbytes = save(args.out, g)
     if args.emit_relabel:
-        Path(args.emit_relabel).write_text(
-            "".join(f"{old} {new}\n" for old, new in pairs)
-        )
+        Path(args.emit_relabel).write_text(_relabel_text(d.n, order, to_stored))
     rep = g.space_report()
     print(f"out={args.out} bytes={nbytes} mode={args.mode} m={d.m} n={d.n}")
     print(

@@ -85,21 +85,9 @@ def build(d: Dag, tie: str | np.ndarray = "index") -> BuildResult:
     else:
         nontree_orig = np.zeros((0, max(m - 1, 0)), dtype=np.int64)
 
-    # preorder relabelling, children visited in ascending original order
-    children: list[list[int]] = [[] for _ in range(nv)]
-    for v in range(1, nv):
-        children[parents[v]].append(v)
-    relabel = np.empty(nv, dtype=np.int64)
+    relabel = _preorder(parents)
     inverse = np.empty(nv, dtype=np.int64)
-    stack = [0]
-    nxt = 0
-    while stack:
-        v = stack.pop()
-        relabel[v] = nxt
-        inverse[nxt] = v
-        nxt += 1
-        stack.extend(reversed(children[v]))
-    assert nxt == nv
+    inverse[relabel] = np.arange(nv, dtype=np.int64)
 
     tree_parents = np.full(nv, -1, dtype=np.int64)
     if n:
@@ -118,6 +106,43 @@ def build(d: Dag, tie: str | np.ndarray = "index") -> BuildResult:
         nontree=nontree,
         nontree_orig=nontree_orig.reshape(-1),
     )
+
+
+def _preorder(parents: np.ndarray) -> np.ndarray:
+    """Preorder rank of every vertex, children taken in ascending label order.
+
+    The preorder successor of v is its first child, else the next sibling
+    of its nearest ancestor-or-self that has one.  Children and siblings
+    come from one stable sort by parent; the ancestor, and then every
+    vertex's distance to the end of the successor list, come from pointer
+    jumping, so the number of numpy rounds is logarithmic in the depth and
+    the size rather than linear in the depth.
+    """
+    nv = parents.size
+    end = nv                                     # sentinel: no such vertex
+    up = np.where(parents >= 0, parents, end)
+    kids = np.argsort(up[1:], kind="stable") + 1  # by parent, then label
+    pk = up[kids]
+    first = np.diff(pk, prepend=-1) != 0
+    succ = np.full(nv + 1, end, dtype=np.int64)
+    succ[pk[first]] = kids[first]                # first child
+    sib = np.full(nv + 1, end, dtype=np.int64)
+    sib[kids[:-1][~first[1:]]] = kids[1:][~first[1:]]
+    hop = np.append(np.where(sib[:nv] != end, np.arange(nv), up), end)
+    live = np.flatnonzero((hop != end) & (sib[hop] == end))
+    while live.size:
+        hop[live] = hop[hop[live]]
+        live = live[(hop[live] != end) & (sib[hop[live]] == end)]
+    succ[:nv] = np.where(succ[:nv] != end, succ[:nv], sib[hop[:nv]])
+    dist = np.ones(nv + 1, dtype=np.int64)       # vertices from here to the end
+    dist[end] = 0
+    live = np.flatnonzero(succ != end)
+    while live.size:
+        to = succ[live]
+        dist[live] += dist[to]
+        succ[live] = succ[to]
+        live = live[succ[live] != end]
+    return nv - dist[:nv]
 
 
 def peel(g: UndirectedMultigraph, m: int) -> Dag:
@@ -165,15 +190,17 @@ def peel(g: UndirectedMultigraph, m: int) -> Dag:
     return Dag(m, blocks)
 
 
-def peel_relabel(g: UndirectedMultigraph, m: int,
-                 rng: np.random.Generator | None = None) -> tuple[Dag, np.ndarray]:
+def peel_edges(nv: int, us, vs, m: int,
+               rng: np.random.Generator | None = None) -> tuple[Dag, np.ndarray]:
     """Recover *an* attachment history of an arbitrarily-labelled multigraph.
 
-    Unlike :func:`peel`, the vertex labels need not equal arrival order.
-    Vertices of residual degree ``m`` are removed until only the seed pair
-    remains; removal order, reversed, is an arrival order consistent with
-    the graph.  Ties go to the lowest label, or to a uniform pick when
-    ``rng`` is given (used by :func:`peel_ambiguity`).
+    The graph has vertices ``0..nv-1`` and one undirected edge ``us[k]``-
+    ``vs[k]`` per row, parallel edges repeated.  Unlike :func:`peel`, the
+    vertex labels need not equal arrival order.  Vertices of residual
+    degree ``m`` are removed until only the seed pair remains; removal
+    order, reversed, is an arrival order consistent with the graph.  Ties
+    go to the lowest label, or to a uniform pick when ``rng`` is given
+    (used by :func:`peel_ambiguity`).
 
     Returns ``(dag, order)`` where ``order[k]`` is the original label of
     the vertex arriving k-th.  When several arrival orders exist, they all
@@ -182,55 +209,67 @@ def peel_relabel(g: UndirectedMultigraph, m: int,
     """
     if m < 1:
         raise ModelError("need m >= 1")
-    nv = g.n_vertices
     if nv == 0:
         raise ModelError("graph has no vertices")
     if nv == 1:
         return Dag(m, np.zeros((0, m), dtype=np.int64)), np.zeros(1, dtype=np.int64)
-    deg = np.array(g.degrees(), dtype=np.int64)
-    alive = np.ones(nv, dtype=bool)
+    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    if (us == vs).any():
+        raise ModelError("self-loop in edge list")
+    keys, mult = np.unique(np.minimum(us, vs) * nv + np.maximum(us, vs), return_counts=True)
+    lo, hi = np.divmod(keys, nv)
+    # adjacency in both directions, grouped by vertex
+    rows = np.concatenate([lo, hi])
+    by = np.argsort(rows, kind="stable")
+    nbr = np.concatenate([hi, lo])[by].tolist()
+    cnt = np.concatenate([mult, mult])[by].tolist()
+    start = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))]).tolist()
+    deg = np.bincount(np.concatenate([us, vs]), minlength=nv).tolist()
+    alive = [True] * nv
     removed: list[int] = []
-    raw_blocks: list[list[int]] = []
-    ready = [v for v in range(nv) if deg[v] == m]
-    heapq.heapify(ready)
-    while len(removed) < nv - 2:
+    ready = [v for v in range(nv) if deg[v] == m]    # ascending, so a heap
+    pop, push = heapq.heappop, heapq.heappush
+    for _ in range(nv - 2):
         v = -1
         if rng is None:
             while ready:
-                w = heapq.heappop(ready)
+                w = pop(ready)
                 if alive[w] and deg[w] == m:
                     v = w
                     break
         else:
             pool = [w for w in range(nv) if alive[w] and deg[w] == m]
             if pool:
-                v = int(pool[rng.integers(0, len(pool))])
+                v = pool[int(rng.integers(0, len(pool)))]
         if v < 0:
             raise ModelError("peeling stalled: graph was not grown by preferential attachment")
-        tgt: list[int] = []
-        for u, c in g.adj[v].items():
-            if alive[u]:
-                tgt.extend([u] * c)
-                deg[u] -= c
-                if rng is None and deg[u] == m:
-                    heapq.heappush(ready, u)
-        if len(tgt) != m:
-            raise ModelError(f"vertex {v} has {len(tgt)} residual edges, expected {m}")
         alive[v] = False
-        deg[v] = 0
         removed.append(v)
-        raw_blocks.append(tgt)
-    pair = np.flatnonzero(alive)
-    u0, u1 = int(pair[0]), int(pair[1])
-    if deg[u0] != m or deg[u1] != m or g.adj[u0].get(u1, 0) < m:
+        for u, c in zip(nbr[start[v]:start[v + 1]], cnt[start[v]:start[v + 1]]):
+            if alive[u]:
+                deg[u] -= c
+                if deg[u] == m and rng is None:
+                    push(ready, u)
+    # both residual degrees of the last two vertices count their joint edges
+    u0, u1 = (i for i, a in enumerate(alive) if a)
+    if deg[u0] != m:
         raise ModelError("peeling left no m-fold seed pair; not an attachment graph")
     order = np.array([u0, u1] + removed[::-1], dtype=np.int64)
     place = np.empty(nv, dtype=np.int64)
     place[order] = np.arange(nv)
-    blocks = np.zeros((nv - 1, m), dtype=np.int64)
-    for v, tgt in zip(removed, raw_blocks):
-        blocks[place[v] - 1] = sorted(place[t] for t in tgt)
-    return Dag(m, blocks), order
+    # every edge runs from its later-arriving end to the earlier one
+    a, b = place[lo], place[hi]
+    arcs = np.sort(np.repeat(np.maximum(a, b) * nv + np.minimum(a, b), mult))
+    return Dag(m, (arcs % nv).reshape(nv - 1, m)), order
+
+
+def peel_relabel(g: UndirectedMultigraph, m: int,
+                 rng: np.random.Generator | None = None) -> tuple[Dag, np.ndarray]:
+    """:func:`peel_edges` on an adjacency-counter multigraph."""
+    ms = g.edge_multiset()
+    ends = np.array(list(ms), dtype=np.int64).reshape(-1, 2)
+    k = np.fromiter(ms.values(), dtype=np.int64, count=len(ms))
+    return peel_edges(g.n_vertices, np.repeat(ends[:, 0], k), np.repeat(ends[:, 1], k), m, rng)
 
 
 def peel_ambiguity(g: UndirectedMultigraph, m: int, trials: int = 8,

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph_model import Dag, in_degrees
+from .graph_model import Dag, adjacency_string
 
 
 def counts_of(seq) -> Counter:
@@ -103,8 +103,7 @@ def degree_entropy(d: Dag, hp: bool = False) -> float:
     This is the zeroth-order code length of the instance's target string,
     whose symbol frequencies are the in-degrees.
     """
-    deg = in_degrees(d)
-    return h0_bits(Counter({v: int(c) for v, c in enumerate(deg) if c > 0}), hp=hp)
+    return h0_bits(adjacency_string(d), hp=hp)
 
 
 def label_permutation_bits(n: int) -> float:

@@ -23,42 +23,41 @@ from .graph_model import Dag
 EXACT_CUTOFF = 64  # largest n for which probabilities default to exact rationals
 
 
-def sample_targets(rng: np.random.Generator, endpoints: np.ndarray, m: int,
-                   reps: int = 1) -> np.ndarray:
-    """Draw ``reps`` independent target blocks from the endpoint pool.
-
-    Each of the ``m`` targets per block is an independent uniform pick from
-    ``endpoints``, which realises degree-proportional vertex selection.
-    """
-    idx = rng.integers(0, len(endpoints), size=(reps, m))
-    return endpoints[idx]
-
-
 def generate(m: int, n: int, seed=None, rng: np.random.Generator | None = None) -> Dag:
     """Sample an n-step instance with out-degree ``m`` per non-seed vertex.
 
     ``seed`` feeds ``numpy.random.default_rng`` (PCG64); pass ``rng`` instead
     to continue an existing stream.  Same seed, same instance.
+
+    The endpoint pool after step t is t blocks of 2m slots: the m targets of
+    the step, then m copies of its vertex.  Every draw is made up front
+    (Batagelj & Brandes, Phys. Rev. E 71, 2005), in one call that consumes
+    the stream exactly as one draw of m per step would; a draw that lands
+    on a target slot points at an earlier draw, and those pointers are
+    resolved by pointer jumping.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     if rng is None:
         rng = np.random.default_rng(seed)
-    targets = np.zeros((n, m), dtype=np.int64)
-    if n == 0:
-        return Dag(m, targets)
-    # endpoint pool; after step t it holds 2*t*m entries
-    pool = np.empty(2 * n * m, dtype=np.int64)
-    pool[0:m] = 0
-    pool[m:2 * m] = 1
-    fill = 2 * m
-    for t in range(2, n + 1):
-        block = sample_targets(rng, pool[:fill], m)[0]
-        targets[t - 1] = block
-        pool[fill:fill + m] = block
-        pool[fill + m:fill + 2 * m] = t
-        fill += 2 * m
-    return Dag(m, targets)
+    val = np.zeros(n * m, dtype=np.int64)    # draw k of vertex t at (t-1)*m + k
+    if n >= 2:
+        idx = rng.integers(0, np.repeat(2 * m * np.arange(1, n, dtype=np.int64), m))
+        blk, slot = np.divmod(idx, 2 * m)
+        ptr = np.full(n * m, -1, dtype=np.int64)   # -1: resolved
+        own = slot >= m
+        val[m:] = np.where(own, blk + 1, 0)
+        ptr[m:] = np.where(own, -1, blk * m + slot)
+        todo = np.flatnonzero(ptr >= 0)
+        while todo.size:
+            to = ptr[todo]
+            nxt = ptr[to]
+            done = nxt < 0
+            val[todo[done]] = val[to[done]]
+            ptr[todo[done]] = -1
+            todo = todo[~done]
+            ptr[todo] = nxt[~done]
+    return Dag(m, val.reshape(n, m))
 
 
 @dataclass
@@ -75,46 +74,62 @@ class LogProbResult:
 
 
 def log_prob(d: Dag, mode: str = "auto", exact_cutoff: int = EXACT_CUTOFF) -> LogProbResult:
-    """Surprisal of an instance, replaying the degree evolution step by step.
+    """Surprisal of an instance.
 
     Each step contributes a multinomial factor over its block's target
     multiset times the product of degree ratios at draw time.  ``mode`` is
-    ``"exact"`` (arbitrary-precision rational), ``"float"``, or ``"auto"``
-    (exact up to ``exact_cutoff`` steps).
+    ``"exact"`` (arbitrary-precision rational, replaying the degrees step
+    by step), ``"float"`` (all draws at once), or ``"auto"`` (exact up to
+    ``exact_cutoff`` steps).
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exact" if d.n <= exact_cutoff else "float"
+    if mode == "float":
+        return LogProbResult(bits=_float_bits(d), probability=None, mode="float")
     n, m = d.n, d.m
     deg = [0] * (n + 1)
     if n >= 1:
         deg[0] = m
         deg[1] = m
-    bits = 0.0
     pnum, pden = 1, 1
     for t in range(2, n + 1):
         counts = Counter(d.targets[t - 1].tolist())
-        pool = 2 * (t - 1) * m
-        mult = multinomial(m, counts.values())
-        if mode == "exact":
-            step_num = mult
-            for v, c in counts.items():
-                step_num *= deg[v] ** c
-            pnum *= step_num
-            pden *= pool ** m
-        else:
-            lg_pool = math.log2(pool)
-            bits += sum(c * (lg_pool - math.log2(deg[v])) for v, c in counts.items())
-            bits -= math.log2(mult)
+        step_num = multinomial(m, counts.values())
         for v, c in counts.items():
+            step_num *= deg[v] ** c
             deg[v] += c
+        pnum *= step_num
+        pden *= (2 * (t - 1) * m) ** m
         deg[t] = m
-    if mode == "exact":
-        prob = Fraction(pnum, pden)
-        bits = log2_fraction(prob.denominator, prob.numerator) if n >= 2 else 0.0
-        return LogProbResult(bits=bits, probability=prob, mode="exact")
-    return LogProbResult(bits=bits, probability=None, mode="float")
+    prob = Fraction(pnum, pden)
+    bits = log2_fraction(prob.denominator, prob.numerator) if n >= 2 else 0.0
+    return LogProbResult(bits=bits, probability=prob, mode="exact")
+
+
+def _float_bits(d: Dag) -> float:
+    """lg(1/P) in floating point, over all draws at once.
+
+    A target's degree when step t draws it is m plus its occurrences at
+    steps 2..t-1.  Sorting the draws by (target, step) puts those earlier
+    occurrences right before each run of equal draws, and a run's length
+    is that target's multiplicity inside its block.
+    """
+    n, m = d.n, d.m
+    if n < 2:
+        return 0.0
+    key = np.sort((d.targets[1:] * n + np.arange(n - 1)[:, None]).ravel())
+    run = np.flatnonzero(np.diff(key, prepend=-1))          # (target, step) run starts
+    c = np.diff(run, append=key.size)                       # multiplicity in its block
+    tgt = key[run] // n
+    first = np.flatnonzero(np.diff(tgt, prepend=-1))        # first run of each target
+    earlier = run - np.repeat(run[first], np.diff(first, append=run.size))
+    lg_fact = np.array([math.log2(math.factorial(k)) for k in range(m + 1)])
+    pools = m * np.log2(2.0 * m * np.arange(1, n)).sum()
+    draws = (c * np.log2(m + earlier)).sum()
+    mult = (n - 1) * lg_fact[m] - lg_fact[c].sum()
+    return float(pools - draws - mult)
 
 
 def entropy_gap(d: Dag, mode: str = "auto") -> dict:

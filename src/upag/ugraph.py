@@ -86,7 +86,7 @@ class CompressedGraph:
         if v == 0:
             return []
         lo, hi = self._slice(v)
-        rest = [self.targets.access(p) for p in range(lo + 1, hi + 1)]
+        rest = self.targets.access_batch(np.arange(lo + 1, hi + 1)).tolist()
         return [self.tree.parent(v)] + rest
 
     # ---- in side -----------------------------------------------------------
@@ -101,10 +101,10 @@ class CompressedGraph:
         deg = self.tree.tree_degree(v)
         if 1 <= i <= deg:
             return self.tree.child(v, i)
-        j = i - deg
-        if i < 1 or j > self.targets.occ(v):
-            raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}")
-        pos = self.targets.select(v, j)            # 1-based position
+        try:
+            pos = self.targets.select(v, i - deg)      # 1-based position
+        except OutOfRangeError:
+            raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}") from None
         return (pos - 1) // (self.m - 1) + 1
 
     def neighbours_in(self, v: int) -> list[int]:
@@ -183,13 +183,10 @@ class CompressedGraph:
             out[from_tree] = self.tree.child_batch(arr[from_tree], ii[from_tree])
         rest = ~from_tree
         if rest.any():
-            j = ii[rest] - dt[rest]
-            occ = self.targets.rank_batch(
-                arr[rest], np.full(int(rest.sum()), self.targets.length)
-            )
-            if (j > occ).any():
-                raise OutOfRangeError("in-edge index beyond in-degree")
-            pos = self.targets.select_batch(arr[rest], j)
+            try:
+                pos = self.targets.select_batch(arr[rest], ii[rest] - dt[rest])
+            except OutOfRangeError:
+                raise OutOfRangeError("in-edge index beyond in-degree") from None
             out[rest] = (pos - 1) // (self.m - 1) + 1
         return out
 
@@ -297,7 +294,7 @@ class LabelledGraph:
         self._check_vertex(v)
         if v == 0:
             return []
-        return [self.out_neighbour(v, i) for i in range(1, self.m + 1)]
+        return self.targets.access_batch(np.arange((v - 1) * self.m + 1, v * self.m + 1)).tolist()
 
     def degree_in(self, v: int) -> int:
         self._check_vertex(v)
@@ -305,9 +302,10 @@ class LabelledGraph:
 
     def in_neighbour(self, v: int, i: int) -> int:
         self._check_vertex(v)
-        if i < 1 or i > self.targets.occ(v):
-            raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}")
-        pos = self.targets.select(v, i)
+        try:
+            pos = self.targets.select(v, i)
+        except OutOfRangeError:
+            raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}") from None
         return (pos - 1) // self.m + 1
 
     def neighbours_in(self, v: int) -> list[int]:

@@ -146,15 +146,7 @@ class WaveletTree:
         if ks.size == 0:
             return ks.copy()
         codes, present = self._codes_of(cs)
-        occ = np.zeros(ks.shape, np.int64)
-        if present.any():
-            occ[present] = self._rank_codes(codes[present],
-                                            np.full(int(present.sum()), self.length))
-        if (ks < 1).any() or (ks > occ).any():
-            bad = int(np.argmax((ks < 1) | (ks > occ)))
-            raise OutOfRangeError(
-                f"symbol {int(cs[bad])} has only {int(occ[bad])} occurrences")
-        return self._select_codes(codes, ks)
+        return self._select_codes(codes, ks, present, cs)
 
     def _rank_codes(self, codes: np.ndarray, prefix: np.ndarray) -> np.ndarray:
         # node intervals depend on the code alone: walk them once per
@@ -175,27 +167,36 @@ class WaveletTree:
             s, e = np.where(bit == 0, s, s + z), np.where(bit == 0, s + z, e)
         return p
 
-    def _select_codes(self, codes: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        q = codes.size
-        s = np.zeros(q, dtype=np.int64)
-        e = np.full(q, self.length, dtype=np.int64)
-        s_stack = np.zeros((self.width, q), dtype=np.int64)
-        r1_stack = np.zeros((self.width, q), dtype=np.int64)
+    def _select_codes(self, codes: np.ndarray, ks: np.ndarray, present: np.ndarray,
+                      cs: np.ndarray) -> np.ndarray:
+        # the descent depends on the code alone: walk it once per distinct
+        # code; the leaf interval's length is the symbol's occurrence count
+        uc, inv = np.unique(codes, return_inverse=True)
+        u = uc.size
+        s = np.zeros(u, dtype=np.int64)
+        e = np.full(u, self.length, dtype=np.int64)
+        s_stack = np.zeros((self.width, u), dtype=np.int64)
+        r1_stack = np.zeros((self.width, u), dtype=np.int64)
         for lvl in range(self.width):
             bv = self._levels[lvl]
             r = bv.rank1_batch(np.concatenate([s, e]))
-            r1s, r1e = r[:q], r[q:]
+            r1s, r1e = r[:u], r[u:]
             z = (e - s) - (r1e - r1s)
             s_stack[lvl] = s
             r1_stack[lvl] = r1s
-            bit = (codes >> (self.width - 1 - lvl)) & 1
+            bit = (uc >> (self.width - 1 - lvl)) & 1
             s, e = np.where(bit == 0, s, s + z), np.where(bit == 0, s + z, e)
+        occ = np.where(present, (e - s)[inv], 0)
+        bad = (ks < 1) | (ks > occ)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
         p = ks.astype(np.int64, copy=True)  # 1-based inside the leaf
         for lvl in range(self.width - 1, -1, -1):
             bv = self._levels[lvl]
-            s_l, r1s = s_stack[lvl], r1_stack[lvl]
+            s_l, r1s = s_stack[lvl][inv], r1_stack[lvl][inv]
             bit = (codes >> (self.width - 1 - lvl)) & 1
-            g = np.empty(q, dtype=np.int64)
+            g = np.empty(codes.size, dtype=np.int64)
             m1 = bit == 1
             if m1.any():
                 g[m1] = bv.select1_batch(r1s[m1] + p[m1])

@@ -9,12 +9,16 @@ checked through the full generate/build/query pipeline.
 
 from __future__ import annotations
 
+import hashlib
 import struct
+import warnings
 import zlib
 
+import numpy as np
 import pytest
 
-from upag.cli import main
+from upag.cli import main, read_edge_list, write_edge_list
+from upag.pa_gen import generate
 
 FIGURE_EDGE_LIST = (
     "# upag-el v1 M=3 n=5\n"
@@ -367,3 +371,101 @@ def test_malformed_edge_list_is_a_usage_error(tmp_path, capsys, content):
     code, _, err = run(capsys, "stats", "--in", str(el))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1 0\n2\n",                                    # one token
+        "1 0 0\n2 0 1\n",                              # three tokens on every line
+        "1 0\n2 0 1\n",                                # three tokens on one line
+        "1 0\n2 1.5\n",                                # not an integer
+        "1 0\nx 0\n",
+        "1 0\n2 99999999999999999999\n",               # beyond int64
+        "1 0\n2 -1\n",                                 # negative label
+        "",                                            # header without a body
+        "\n\n  \n",
+    ],
+)
+def test_malformed_edge_body_fails_cleanly(tmp_path, capsys, body):
+    el = tmp_path / "bad.el"
+    el.write_text("# upag-el v1 M=1 n=2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # no numpy warning may escape
+        for cmd in (("stats", "--in", str(el)),
+                    ("build", "--in", str(el), "--out", str(tmp_path / "o.upag"))):
+            code, out, err = run(capsys, *cmd)
+            assert code == 2
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err and out == ""
+
+
+def test_edge_list_whitespace_variants_parse_alike(tmp_path):
+    d = generate(2, 30, seed=3)
+    canon = tmp_path / "canon.el"
+    write_edge_list(canon, d)
+    lines = canon.read_text().splitlines()
+    shuffled = [lines[0]] + [" ".join(ln.split()[::-1]) for ln in lines[:0:-1]]
+    for base in (lines, shuffled):
+        (tmp_path / "b.el").write_text("\n".join(base) + "\n")
+        want_d, want_inferred, want_order = read_edge_list(tmp_path / "b.el")
+        variants = [
+            "\r\n".join(base) + "\r\n",                                   # CRLF
+            "\n".join([base[0]] + [ln.replace(" ", "\t") for ln in base[1:]]) + "\n",
+            "\n".join([base[0], ""] + [ln + "\n  " for ln in base[1:]]),  # blank lines
+            "\n".join([base[0]] + ["  " + ln + "   " for ln in base[1:]]),  # no final newline
+        ]
+        for text in variants:
+            path = tmp_path / "v.el"
+            path.write_bytes(text.encode())
+            got_d, got_inferred, got_order = read_edge_list(path)
+            assert got_d == want_d and got_inferred == want_inferred
+            assert (got_order is None) == (want_order is None)
+            if want_order is not None:
+                assert np.array_equal(got_order, want_order)
+
+
+def test_empty_instance_round_trips(tmp_path, capsys):
+    el = tmp_path / "zero.el"
+    el.write_text("# upag-el v1 M=2 n=0\n")
+    d, inferred, order = read_edge_list(el)
+    assert d.n == 0 and d.m == 2 and not inferred and order is None
+    assert run(capsys, "build", "--in", str(el), "--out", str(tmp_path / "z.upag"))[0] == 0
+    assert run(capsys, "stats", "--in", str(el))[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes at a size that runs pointer chains and peeling
+# ---------------------------------------------------------------------------
+
+PINNED_SHA256 = {
+    "arrival.el": "12a8cee07b499768f91948630cf5c2b65bbc8349ee14ecc841300db535defff3",
+    "arrival.upag": "54b544fb148dea3e1d96d09409f3184e99f38fd45751b0be36f08ecdafb7c3c1",
+    "arrival.map": "403c557c17272487587bd08f1689657a41b4a053dea85304a971221ed6422646",
+    "shuffled.upag": "537768ac891c7b15381152c6831467cdb3e373d094c0d718f6e11364435f4b90",
+    "shuffled.map": "7a6f63d3a0b7fc77ee7b04eef50d775f6836505bcbe237c5adff52a29d7ebaa3",
+    "labelled.upag": "4db2bcc392a4c2397a041bce91fa8ca117a43403374239adb84d6e98b8cf9660",
+    "labelled.map": "a1e2fad60bfa7b3e6e9357bae639e6fc0b9b0bfea5719dfe7430cb279412ace2",
+}
+
+
+def test_pinned_bytes_m3_n16384(tmp_path, capsys):
+    m, n = 3, 2 ** 14
+    el = tmp_path / "arrival.el"
+    assert run(capsys, "generate", "--m", str(m), "--n", str(n), "--seed", "2026",
+               "--out", str(el))[0] == 0
+    # the same edges, shuffled by a fixed permutation, each written target first
+    d, _, _ = read_edge_list(el)
+    src, dst = np.repeat(np.arange(1, n + 1), m), d.targets.ravel()
+    p = np.random.default_rng(2026).permutation(src.size)
+    shuf = tmp_path / "shuffled.el"
+    shuf.write_text(f"# upag-el v1 M={m} n={n}\n"
+                    + "".join(f"{a} {b}\n" for a, b in zip(dst[p].tolist(), src[p].tolist())))
+    for name, infile, mode in (("arrival", el, "unlabelled"), ("shuffled", shuf, "unlabelled"),
+                               ("labelled", shuf, "labelled")):
+        code, _, _ = run(capsys, "build", "--in", str(infile), "--out",
+                         str(tmp_path / f"{name}.upag"), "--mode", mode,
+                         "--emit-relabel", str(tmp_path / f"{name}.map"))
+        assert code == 0
+    for name, want in PINNED_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
+from ingest_reference import multigraph, peel_relabel_counter, preorder_stack
 from upag.construct import (
     BuildResult,
+    _preorder,
     build,
     freq_rank,
     peel,
     peel_ambiguity,
+    peel_edges,
     peel_relabel,
     reduce_string,
 )
@@ -231,6 +234,26 @@ def test_build_invariants(m, n, seed):
         assert h0_per_symbol(b.nontree_orig) <= h0_per_symbol(adjacency_string(d)) + 1e-12
 
 
+def _random_tree(nv, rng, spread):
+    """Parents with parent[v] < v; small ``spread`` makes deep trees."""
+    v = np.arange(1, nv)
+    back = rng.integers(0, 1 << 30, nv - 1) % np.minimum(v, spread)
+    return np.concatenate([[-1], v - 1 - back])
+
+
+def test_preorder_matches_stack_reference():
+    rng = np.random.default_rng(31)
+    trees = [np.array([-1]), np.array([-1, 0]), np.arange(-1, 3000),  # a path
+             np.concatenate([[-1], np.zeros(2999, np.int64)]),          # a star
+             np.concatenate([[-1], np.arange(1000), np.zeros(5, np.int64),
+                             np.arange(1, 999)])]                         # mixed
+    trees += [_random_tree(nv, rng, spread) for nv in (3, 17, 500, 4097)
+              for spread in (1, 2, 5, 1 << 30)]
+    trees += [build(generate(m, 3000, seed=m)).parents for m in (1, 2, 3, 5)]
+    for parents in trees:
+        assert np.array_equal(_preorder(parents), preorder_stack(parents)), parents[:20]
+
+
 # ---------------------------------------------------------------------------
 # peeling a multigraph back into its history
 # ---------------------------------------------------------------------------
@@ -343,3 +366,52 @@ def test_peel_relabel_seed_pair_only():
     assert rec.n == 1 and order.tolist() == [0, 1]
     with pytest.raises(ModelError):
         peel_relabel(g, 2)
+
+
+def _shuffled_pairs(d, rng):
+    """The instance's edges with labels permuted, rows shuffled and each
+    edge's two ends in random order, as a shuffled edge-list file holds them."""
+    n, m = d.n, d.m
+    perm = np.concatenate(([0], 1 + rng.permutation(n))) if rng.integers(2) else \
+        rng.permutation(n + 1)
+    src = perm[np.repeat(np.arange(1, n + 1), m)]
+    dst = perm[d.targets.ravel()]
+    flip = rng.integers(0, 2, src.size).astype(bool)
+    pairs = np.stack([np.where(flip, dst, src), np.where(flip, src, dst)], axis=1)
+    return pairs[rng.permutation(len(pairs))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_peel_edges_matches_counter_reference(m):
+    rng = np.random.default_rng(400 + m)
+    for n in (1, 2, 3, 40, 2000):
+        d = generate(m, n, seed=int(rng.integers(1 << 30)))
+        pairs = _shuffled_pairs(d, rng)
+        want_d, want_order = peel_relabel_counter(multigraph(n + 1, pairs), m)
+        got_d, got_order = peel_edges(n + 1, pairs[:, 0], pairs[:, 1], m)
+        assert got_d == want_d
+        assert np.array_equal(got_order, want_order)
+        rel_d, rel_order = peel_relabel(multigraph(n + 1, pairs), m)
+        assert rel_d == want_d and np.array_equal(rel_order, want_order)
+
+
+@pytest.mark.parametrize(
+    "nv,edges,m",
+    [
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], 2),           # 4-cycle: stalls
+        (5, [(0, 1), (0, 1), (2, 3), (2, 3), (4, 0), (4, 1)], 2),  # two components
+        (3, [(0, 1), (0, 1), (1, 2)], 1),                    # last pair joined twice
+        (3, [(0, 1), (0, 1), (0, 1), (1, 2), (0, 2)], 2),    # last pair joined 3 times
+        (2, [(0, 1)], 2),                                    # seed pair too thin
+        (3, [(0, 1), (1, 2)], 2),                            # nothing has degree m
+        (3, [(1, 1), (0, 2)], 1),                            # self-loop
+    ],
+)
+def test_peel_edges_rejects_non_instances(nv, edges, m):
+    e = np.array(edges, dtype=np.int64)
+    with pytest.raises(ModelError):
+        peel_edges(nv, e[:, 0], e[:, 1], m)
+    if all(u != v for u, v in edges):
+        for peeler in (peel_relabel, peel_relabel_counter):
+            with pytest.raises(ModelError):
+                peeler(multigraph(nv, edges), m)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ingest_reference import float_bits_steps, generate_steps, sample_targets
 from upag.graph_model import Dag, adjacency_string, in_degrees
-from upag.pa_gen import generate, log_prob, sample_targets, entropy_gap
+from upag.pa_gen import generate, log_prob, entropy_gap
 
 
 def test_exact_probability_worked_example(dag4):
@@ -83,6 +84,37 @@ def test_generate_rng_stream_continuation():
     assert first != second  # stream advanced
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_generate_matches_step_reference(m):
+    # the one-call draw and the pointer resolution reproduce the per-step
+    # sampler exactly, and leave the stream where the per-step loop leaves it
+    for seed in (0, 7, 12345):
+        for n in (0, 1, 2, 3, 1000):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            d = generate(m, n, rng=fast)
+            assert d.targets.shape == (n, m)
+            assert np.array_equal(d.targets, generate_steps(m, n, slow)), (seed, n)
+            assert fast.bit_generator.state == slow.bit_generator.state, (seed, n)
+            assert np.array_equal(fast.integers(0, 1 << 40, 4), slow.integers(0, 1 << 40, 4))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_float_log_prob_matches_step_reference(m):
+    for seed in (1, 2):
+        d = generate(m, 5000, seed=seed)
+        want = float_bits_steps(d)
+        assert log_prob(d, mode="float").bits == pytest.approx(want, rel=1e-12)
+    # hand-made blocks with repeated targets inside a block
+    d = Dag(3, [[0, 0, 0], [1, 1, 0], [0, 0, 0], [2, 2, 2], [4, 1, 4], [1, 1, 1]])
+    assert log_prob(d, mode="float").bits == pytest.approx(float_bits_steps(d), rel=1e-12)
+    assert log_prob(d, mode="float").bits == pytest.approx(log_prob(d, mode="exact").bits,
+                                                           rel=1e-12)
+    # m! beyond the float range
+    d = generate(200, 30, seed=1)
+    assert log_prob(d, mode="float").bits == pytest.approx(log_prob(d, mode="exact").bits,
+                                                           rel=1e-12)
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(2, 24))
 @settings(max_examples=60, deadline=None)
 def test_float_agrees_with_exact(seed, m, n):
@@ -102,7 +134,9 @@ def test_auto_mode_switches_at_cutoff():
 
 @pytest.mark.parametrize("t", [2, 10, 100])
 def test_sampler_matches_degree_weights(t):
-    """Chi-squared goodness of fit of the draw path at several stages."""
+    """Chi-squared goodness of fit of the per-step reference draw at several
+    stages; ``test_generate_matches_step_reference`` carries it over to
+    ``generate``."""
     rng = np.random.default_rng(2026_08_19 + t)
     m = 3
     d = generate(m, t - 1, seed=99)

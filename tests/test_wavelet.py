@@ -148,3 +148,39 @@ def test_rank_batch_mixed_symbols(mode, rng):
     prefs[20:40] = values.size
     want = np.array([int((values[:p] == c).sum()) for c, p in zip(cs, prefs)])
     assert np.array_equal(wt.rank_batch(cs, prefs), want)
+
+
+def _select_reference(arr, cs, ks):
+    """Positions of the k-th occurrences, or the error for the first lane
+    whose k lies outside 1..occ."""
+    for c, k in zip(cs, ks):
+        occ = int((arr == c).sum())
+        if not 1 <= k <= occ:
+            return f"symbol {c} has only {occ} occurrences"
+    return np.array([np.flatnonzero(arr == c)[k - 1] + 1 for c, k in zip(cs, ks)])
+
+
+@pytest.mark.parametrize("mode", ["plain", "rrr"])
+@pytest.mark.parametrize("sigma,length", [(1, 9), (2, 50), (40, 700)])
+def test_select_batch_mixed_symbols_and_bounds(mode, sigma, length, rng):
+    # present and absent symbols in one call, k in {0, 1, occ, occ + 1}
+    arr = rng.integers(0, sigma, size=length)
+    arr[arr == sigma // 2] = 0                    # one symbol left absent
+    big = sigma + 3
+    wt = WaveletTree(arr, big, mode=mode)
+    syms = np.arange(big)
+    occ = np.bincount(arr, minlength=big)
+    for trial in range(40):
+        cs = rng.choice(syms, size=int(rng.integers(1, 30)))
+        pick = rng.integers(0, 4, cs.size)
+        ks = np.choose(pick, [np.zeros_like(cs), np.ones_like(cs), occ[cs], occ[cs] + 1])
+        if trial % 2:                             # half the calls are all in range
+            ok = (ks >= 1) & (ks <= occ[cs])
+            cs, ks = cs[ok], ks[ok]
+        want = _select_reference(arr, cs.tolist(), ks.tolist())
+        if isinstance(want, str):
+            with pytest.raises(OutOfRangeError) as err:
+                wt.select_batch(cs, ks)
+            assert str(err.value) == want
+        else:
+            assert np.array_equal(wt.select_batch(cs, ks), want)
