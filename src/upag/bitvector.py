@@ -2,7 +2,10 @@
 
 Both modes share a two-level rank directory: 64-bit blocks whose popcounts
 are kept as one byte each, and 2^10-bit superblocks holding cumulative
-ranks.  Select keeps sampled anchors every 2^12 occurrences per polarity.
+ranks.  Select needs nothing more: it binary-searches the superblock ranks
+(a large batch, a transient per-block prefix instead) and finishes inside
+one block.  There are no sampled select anchors, and a scalar select is a
+batch of one.
 
 ``plain`` stores the raw words.  ``rrr`` stores, per block, only the index
 of the block among all 64-bit words with the same popcount (combinadic
@@ -10,6 +13,16 @@ order).  The class byte then serves double duty as the rank directory and
 as the decoder's key, so the offset stream is the only entropy-sized part:
 block b costs exactly ceil(lg C(64, c_b)) payload bits (the final block,
 when shorter, costs ceil(lg C(len, c)) for its true length).
+
+An rrr query decodes whole blocks to words and answers with word
+arithmetic (popcount, select in a word).  ``_decode_words`` reads a block
+a byte at a time from fused per-step tables (``_fused_tables``): a lane is
+one uint64 key, and each of the eight steps is one ``searchsorted`` plus
+two gathers that advance the key and place the byte.  Batches of at least
+``_SORT_LANES`` blocks sort their keys before every step, since the search
+runs several times faster on sorted needles.  Queries of at most
+``_FEW_LANES`` lanes skip numpy and decode bit by bit on Python ints, which
+costs less than the numpy call overhead of a batch that small.
 """
 
 from __future__ import annotations
@@ -24,7 +37,6 @@ from .errors import OutOfRangeError
 
 BLOCK = 64            # bits per block
 SB_BLOCKS = 16        # blocks per superblock (2^10 bits)
-SELECT_EVERY = 4096   # occurrences between select anchors
 
 # C(l, k) for l, k in 0..64; C(64, 32) still fits in uint64
 _BINOM = np.zeros((BLOCK + 1, BLOCK + 1), dtype=U64)
@@ -41,6 +53,15 @@ _LEN64 = np.array([(math.comb(BLOCK, c) - 1).bit_length() for c in range(BLOCK +
 _BINOM_PY = [[math.comb(l, k) for k in range(BLOCK + 1)] for l in range(BLOCK + 1)]
 
 _FEW_LANES = 32  # below this, per-lane python decode beats the vectorised loop
+
+# From this many blocks up, ``_decode_words`` sorts its keys before every
+# step.  Below it the sorts cost more than they save (crossover between 96
+# and 128 blocks on a 2-core Xeon with numpy 2.4); above it the sorted
+# search wins 1.4x at 512 blocks and 2.3x at 8192.  Large batch queries
+# (a rank over thousands of lanes, a whole-graph check) decode hundreds to
+# thousands of distinct blocks per call and take the sorted route; scalar
+# queries decode a handful.
+_SORT_LANES = 128
 
 # byte-granular select helpers
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
@@ -117,64 +138,103 @@ def _select_in_code_py(code: int, k: int, blen: int, r: int, polarity: int) -> i
 
 
 @functools.cache
-def _byte_tables() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Byte-at-a-time decode tables, one per suffix length L = 64, 56, ..., 8.
+def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+    """Byte-at-a-time decode tables: (start_64, one step per L = 64, ..., 8).
 
     The combinadic order is lexicographic from block bit 0, so the class-k
     strings of length L whose first byte is b own one contiguous code range
     [base, base + C(L-8, k - popcount(b))).  Offsetting class k by
     start_L[k] = sum of C(L, k') over k' < k puts every class of one L into
-    a single sorted uint64 key array (the offsets sum to 2^L, so keys fit).
-    Each entry is (start_L, sorted keys start_L[k] + base, byte per key),
-    read-only.  Built on first use (about 10 ms), not at import.
+    a single sorted uint64 key space (the offsets sum to 2^L, so keys fit):
+    a block of class k and code c has key start_64[k] + c.
+
+    Entry j of a step is the range with the j-th smallest lower bound
+    ``lo[j]``; the step stores
+      keys[j]  = lo[j + 1]; lo[0] is always 0, so the entry holding a key
+                 is ``keys.searchsorted(key, "right")``,
+      delta[j] = start_{L-8}[k - popcount(b)] - lo[j], wrapping in uint64,
+                 which turns the key into the key of the remaining L - 8 bits,
+      bsh[j]   = b shifted to its byte of the decoded word.
+    Read-only, about 1.4 MiB, built on first decode (not at import).
     """
     b = np.arange(256)
     bit = (b[:, None] >> np.arange(8)[None, :]) & 1           # (256, 8)
     before = np.cumsum(bit, axis=1) - bit                      # ones below bit i
-    tables = []
+
+    def class_starts(L: int) -> np.ndarray:
+        start = np.zeros(L + 1, dtype=U64)
+        np.cumsum(_BINOM[L, :L], out=start[1:])
+        return start
+
+    steps = []
     for step in range(BLOCK // 8):
         L = BLOCK - 8 * step
         k = np.arange(L + 1)
         kr = np.clip(k[None, :, None] - before[:, None, :], 0, BLOCK)
         terms = _BINOM[(L - 1 - np.arange(8))[None, None, :], kr]
         base = np.where(bit[:, None, :] == 1, terms, U64(0)).sum(axis=2, dtype=U64)
-        start = np.zeros(L + 1, dtype=U64)
-        np.cumsum(_BINOM[L, :L], out=start[1:])
         rest = k[None, :] - _BYTE_POP[:, None]                  # ones after byte b
-        valid = (rest >= 0) & (rest <= L - 8)
-        bb, kk = np.nonzero(valid)
-        keys = start[kk] + base[bb, kk]
-        order = np.argsort(keys)
-        entry = (start, keys[order], bb[order].astype(U64))
+        bb, kk = np.nonzero((rest >= 0) & (rest <= L - 8))
+        lo = class_starts(L)[kk] + base[bb, kk]
+        order = np.argsort(lo)
+        lo, bb, kk = lo[order], bb[order], kk[order]
+        entry = (lo[1:].copy(), class_starts(L - 8)[kk - _BYTE_POP[bb]] - lo,
+                 bb.astype(U64) << U64(8 * step))
         for arr in entry:
             arr.flags.writeable = False
-        tables.append(entry)
-    return tuple(tables)
+        steps.append(entry)
+    start = class_starts(BLOCK)
+    start.flags.writeable = False
+    return start, tuple(steps)
+
+
+def _walk(key: np.ndarray, steps) -> np.ndarray:
+    """Run the eight decode steps on keys in lane order; returns the words."""
+    words = np.zeros(key.shape, dtype=U64)
+    for keys, delta, bsh in steps:
+        i = keys.searchsorted(key, "right")
+        key += delta[i]
+        words |= bsh[i]
+    return words
+
+
+def _walk_sorted(key: np.ndarray, steps) -> np.ndarray:
+    """``_walk`` with the keys sorted before every step.
+
+    ``searchsorted`` runs several times faster on sorted needles than on
+    random ones, which pays for a sort per step once a batch is large; the
+    lanes travel with their keys and are put back in order at the end.
+    """
+    words = np.zeros(key.shape, dtype=U64)
+    lane = np.arange(key.size)
+    for keys, delta, bsh in steps:
+        order = key.argsort()
+        key, words, lane = key[order], words[order], lane[order]
+        i = keys.searchsorted(key, "right")
+        key += delta[i]
+        words |= bsh[i]
+    out = np.empty_like(words)
+    out[lane] = words
+    return out
 
 
 def _decode_words(codes: np.ndarray, classes: np.ndarray,
                   blens: np.ndarray) -> np.ndarray:
     """Full combinadic decode of each block to a word (bit j = block bit j).
 
-    Eight table lookups per block, one byte each.  A block shorter than 64
-    bits decodes as a 64-bit block behind 64 - blen zeros (leading zeros
-    leave a combinadic code unchanged) and is then shifted down.
+    Eight steps of one ``searchsorted`` and two gathers per block, on the
+    tables of ``_fused_tables``.  A block shorter than 64 bits decodes as a
+    64-bit block behind 64 - blen zeros (leading zeros leave a combinadic
+    code unchanged) and is then shifted down.
 
     Large batches hit few distinct blocks (a level has far fewer blocks than
     a batch has lanes), so callers dedupe, decode each block once, and answer
     every lane with plain word arithmetic.
     """
-    val = codes.astype(U64)
-    k = classes.astype(np.int64)
-    words = np.zeros(codes.shape, dtype=U64)
-    for step, (start, keys, byte) in enumerate(_byte_tables()):
-        key = start[k] + val
-        idx = np.searchsorted(keys, key, side="right") - 1
-        b = byte[idx]
-        val = key - keys[idx]
-        k = k - _BYTE_POP[b]
-        words |= b << U64(8 * step)
-    return words >> (BLOCK - blens).astype(U64)
+    start, steps = _fused_tables()
+    key = start[classes] + codes.astype(U64)
+    walk = _walk_sorted if key.size >= _SORT_LANES else _walk
+    return walk(key, steps) >> (BLOCK - blens).astype(U64)
 
 
 def _scan_blocks(codes: np.ndarray, classes: np.ndarray, blens: np.ndarray,
@@ -308,8 +368,6 @@ class BitVector:
         csum = np.zeros(nb + 1, dtype=np.int64)
         np.cumsum(self._classes, out=csum[1:])
         self._sb_rank = csum[::SB_BLOCKS].astype(np.uint32)
-        self._samples1 = self._build_samples(1)
-        self._samples0 = self._build_samples(0)
 
     @classmethod
     def from_parts(cls, n: int, mode: str, *, words: np.ndarray | None = None,
@@ -342,13 +400,6 @@ class BitVector:
         return {"n": self.n, "mode": "rrr",
                 "classes": self._classes.astype(np.uint8),
                 "payload": self._payload_words}
-
-    def _build_samples(self, polarity: int) -> np.ndarray:
-        total = self.ones if polarity == 1 else self.n - self.ones
-        if total == 0:
-            return np.zeros(0, dtype=np.uint32)
-        ks = np.arange(1, total + 1, SELECT_EVERY, dtype=np.int64)
-        return self._select_batch(ks, polarity).astype(np.uint32)
 
     # -- internals (all positions 0-based) --------------------------------
 
@@ -442,9 +493,9 @@ class BitVector:
     def _select_batch(self, ks: np.ndarray, polarity: int) -> np.ndarray:
         """0-based position of the k-th occurrence of the polarity bit.
 
-        Large batches use a global binary search over superblock ranks; the
-        sampled anchors (kept for scalar queries) narrow the same search to
-        a constant-size window.
+        Large batches binary-search a transient per-block occurrence prefix;
+        smaller ones binary-search the superblock ranks and then scan the
+        16 class bytes of one superblock.
         """
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size == 0:
@@ -487,43 +538,6 @@ class BitVector:
                                     self._block_lengths(blk), rloc, polarity)
         return blk * BLOCK + inpos
 
-    def _select_scalar(self, k: int, polarity: int) -> int:
-        """Anchor-assisted scalar select (0-based result)."""
-        samples = self._samples1 if polarity == 1 else self._samples0
-        occ_before = self._occ_before_superblocks(polarity)
-        j = (k - 1) >> 12
-        lo = int(samples[j]) >> 10
-        if j + 1 < samples.size:
-            hi = min((int(samples[j + 1]) >> 10) + 2, occ_before.size)
-        else:
-            hi = occ_before.size
-        sb = lo + int(np.searchsorted(occ_before[lo:hi], k, side="left")) - 1
-        sb = max(sb, 0)
-        ks = np.array([k - occ_before[sb]], dtype=np.int64)
-        # reuse the batched block scan inside the one superblock
-        cols = sb * SB_BLOCKS + np.arange(SB_BLOCKS)
-        valid = cols < self._nblocks
-        csel = np.minimum(cols, self._nblocks - 1)
-        blen = np.where(csel == self._nblocks - 1, self._last_len, BLOCK)
-        occ = self._classes[csel] if polarity == 1 else blen - self._classes[csel]
-        occ = np.where(valid, occ, 0)
-        cum = np.cumsum(occ)
-        off = int(np.argmax(cum >= ks[0]))
-        blk = np.array([sb * SB_BLOCKS + off], dtype=np.int64)
-        rloc = ks - (cum[off - 1] if off > 0 else 0)
-        if self.mode == "plain":
-            w = self._words[blk]
-            if polarity == 0:
-                lens = self._block_lengths(blk)
-                full = np.where(lens == BLOCK, ~U64(0),
-                                (U64(1) << (lens & 63).astype(U64)) - U64(1))
-                w = ~w & full
-            inpos = _select_in_word(w, rloc)
-        else:
-            inpos = _select_in_code(self._read_codes(blk), self._classes[blk],
-                                    self._block_lengths(blk), rloc, polarity)
-        return int(blk[0]) * BLOCK + int(inpos[0])
-
     # -- public 1-based API ----------------------------------------------
 
     def access(self, i: int) -> int:
@@ -558,13 +572,13 @@ class BitVector:
     def select1(self, k: int) -> int:
         if not 1 <= k <= self.ones:
             raise OutOfRangeError(f"select1 argument must lie in 1..{self.ones}")
-        return self._select_scalar(k, 1) + 1
+        return int(self._select_batch(np.array([k]), 1)[0]) + 1
 
     def select0(self, k: int) -> int:
         zeros = self.n - self.ones
         if not 1 <= k <= zeros:
             raise OutOfRangeError(f"select0 argument must lie in 1..{zeros}")
-        return self._select_scalar(k, 0) + 1
+        return int(self._select_batch(np.array([k]), 0)[0]) + 1
 
     def select1_batch(self, k) -> np.ndarray:
         arr = np.asarray(k, dtype=np.int64)
@@ -593,7 +607,6 @@ class BitVector:
         """Bit-level accounting of payload vs. navigation directories."""
         nb = self._nblocks
         directory = 8 * nb + 32 * self._sb_rank.size
-        directory += 32 * (self._samples1.size + self._samples0.size)
         if self.mode == "plain":
             payload = self.n
         else:

@@ -107,10 +107,14 @@ def degree_entropy(d: Dag, hp: bool = False) -> float:
 
 
 def label_permutation_bits(n: int) -> float:
-    """lg(n!) — the label-ordering information in a labelled instance."""
+    """lg(n!) — the label-ordering information in a labelled instance.
+
+    Taken from lgamma, not from n! itself, which would cost a big-integer
+    factorial (over a second at n = 2^18).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return log2_int(math.factorial(n)) if n > 1 else 0.0
+    return math.lgamma(n + 1) / math.log(2) if n > 1 else 0.0
 
 
 def bounds_report(d: Dag, hp: bool = False, prob_mode: str = "auto") -> dict:

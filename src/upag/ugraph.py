@@ -250,7 +250,6 @@ class CompressedGraph:
             "directory_bits": directory,
             "metadata_bits": metadata,
             "total_bits": payload + directory + metadata,
-            "entropy_bound_bits": self.target_entropy_bits() + 2 * w["sigma_eff"],
             "worstcase_budget_bits": worstcase_budget_bits(self.n, self.m),
         }
 

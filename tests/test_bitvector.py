@@ -1,10 +1,18 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rrr_reference import decode_block
 
+import upag
+from upag import bitvector
 from upag.bitvector import BitVector
 from upag.errors import OutOfRangeError
 
@@ -72,11 +80,10 @@ def test_runs_and_blocky_patterns(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_select_beyond_anchor_spacing(mode, rng):
-    # more than 2^12 occurrences of each polarity to exercise the anchors
+    # more than 2^12 occurrences of each polarity (the spacing select anchors
+    # once had), spread over many superblocks
     bits = (rng.random(3 * 4096 * 2) < 0.5).astype(np.uint8)
-    bv = check_against_reference(bits, mode)
-    assert bv._samples1.size >= 2
-    assert bv._samples0.size >= 2
+    check_against_reference(bits, mode)
 
 
 @given(data=st.data())
@@ -217,3 +224,135 @@ def test_rrr_batch_decode_matches_plain(tail):
         assert np.array_equal(rrr.select1_batch(ones), plain.select1_batch(ones))
         assert np.array_equal(rrr.select0_batch(zeros), np.flatnonzero(bits == 0) + 1)
         assert np.array_equal(rrr.select0_batch(zeros), plain.select0_batch(zeros))
+
+
+# ---------------------------------------------------------------------------
+# the rrr block decoder against the bit-serial reference
+# ---------------------------------------------------------------------------
+
+SORT = bitvector._SORT_LANES
+
+
+def _codes_of_classes(blen: int, seed: int) -> list[tuple[int, int]]:
+    """(code, class) pairs: every class at codes 0, 1, C-2, C-1 and two random."""
+    rnd = random.Random(seed)
+    cases = []
+    for k in range(blen + 1):
+        c = math.comb(blen, k)
+        codes = {0, 1, c - 2, c - 1, rnd.randrange(c), rnd.randrange(c)}
+        cases += [(code, k) for code in sorted(codes) if 0 <= code < c]
+    return cases
+
+
+def _decode_in_chunks(cases, blen: int, chunk: int | None) -> np.ndarray:
+    codes = np.array([code for code, _ in cases], dtype=np.uint64)
+    classes = np.array([k for _, k in cases], dtype=np.int64)
+    blens = np.full(len(cases), blen, dtype=np.int64)
+    step = chunk or len(cases)
+    return np.concatenate([
+        bitvector._decode_words(codes[i:i + step], classes[i:i + step], blens[i:i + step])
+        for i in range(0, len(cases), step)
+    ])
+
+
+def _expected_words(cases, blen: int) -> np.ndarray:
+    return np.array([decode_block(code, k, blen) for code, k in cases], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("chunk", [1, SORT - 1, SORT, None])
+def test_decode_every_class(chunk):
+    cases = _codes_of_classes(64, seed=1)
+    assert len(cases) > SORT
+    got = _decode_in_chunks(cases, 64, chunk)
+    assert np.array_equal(got, _expected_words(cases, 64))
+
+
+@pytest.mark.parametrize("chunk", [SORT - 1, None])
+def test_decode_every_partial_length(chunk):
+    for blen in range(1, 64):
+        cases = _codes_of_classes(blen, seed=blen)
+        got = _decode_in_chunks(cases, blen, chunk)
+        assert np.array_equal(got, _expected_words(cases, blen)), blen
+
+
+@pytest.mark.parametrize("size", [1, SORT - 1, SORT, SORT + 1, 4 * SORT])
+def test_decode_batch_sizes_with_repeats(size):
+    pool = _codes_of_classes(64, seed=2)[::7]            # blocks of every class range
+    pick = np.random.default_rng(size).integers(0, len(pool), size)   # with repeats
+    cases = [pool[i] for i in pick]
+    got = _decode_in_chunks(cases, 64, None)
+    assert np.array_equal(got, _expected_words(cases, 64))
+
+
+def test_sort_threshold(monkeypatch):
+    sorted_sizes = []
+    walk_sorted = bitvector._walk_sorted
+
+    def spy(key, steps):
+        sorted_sizes.append(key.size)
+        return walk_sorted(key, steps)
+
+    monkeypatch.setattr(bitvector, "_walk_sorted", spy)
+    cases = _codes_of_classes(64, seed=3)
+    for size in (1, SORT - 1, SORT, SORT + 1):
+        _decode_in_chunks(cases[:size], 64, None)
+    assert sorted_sizes == [SORT, SORT + 1]
+
+
+def _blocky_bits(nblocks: int, tail: int, rng) -> np.ndarray:
+    """Blocks of random density, each holding at least one 1 and one 0."""
+    dens = rng.uniform(0.02, 0.98, nblocks)
+    bits = (rng.random((nblocks, 64)) < dens[:, None]).astype(np.uint8)
+    bits[:, 0], bits[:, 1] = 1, 0
+    return bits.ravel()[:64 * (nblocks - 1) + tail]
+
+
+@pytest.mark.parametrize("distinct", [SORT - 1, SORT, SORT + 1, "all"])
+def test_rrr_queries_both_sides_of_sort_threshold(distinct, monkeypatch):
+    # every query below has more lanes than _FEW_LANES, so it decodes
+    # through _decode_words, which sees exactly `distinct` blocks; the
+    # "all" case also repeats every block several times
+    rng = np.random.default_rng(SORT)
+    bits = _blocky_bits(SORT + 40, tail=37, rng=rng)
+    bv = BitVector(bits, mode="rrr")
+    nb = bv._nblocks
+    blocks = np.arange(nb) if distinct == "all" else np.sort(rng.choice(nb, distinct, replace=False))
+    lanes = 3 * nb if distinct == "all" else max(2 * blocks.size, bitvector._FEW_LANES + 1)
+    blk = np.concatenate([blocks, rng.choice(blocks, lanes - blocks.size)])
+    blen = np.where(blk == nb - 1, 37, 64)
+    pos = blk * 64 + rng.integers(0, blen)              # 0-based, inside the block
+
+    decoded = []
+    decode = bitvector._decode_words
+
+    def spy(codes, classes, blens):
+        decoded.append(codes.size)
+        return decode(codes, classes, blens)
+
+    monkeypatch.setattr(bitvector, "_decode_words", spy)
+    rank = np.concatenate([[0], np.cumsum(bits)])
+    assert np.array_equal(bv.rank1_batch(pos), rank[pos])
+    assert np.array_equal(bv.access_batch(pos + 1), bits[pos])
+    ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+    in_blocks1 = np.isin(ones >> 6, blk)
+    in_blocks0 = np.isin(zeros >> 6, blk)
+    k1 = rng.choice(np.flatnonzero(in_blocks1), lanes) + 1
+    k0 = rng.choice(np.flatnonzero(in_blocks0), lanes) + 1
+    k1[:blocks.size] = np.searchsorted(ones >> 6, blocks) + 1   # first one of each block
+    k0[:blocks.size] = np.searchsorted(zeros >> 6, blocks) + 1
+    assert np.array_equal(bv.select1_batch(k1), ones[k1 - 1] + 1)
+    assert np.array_equal(bv.select0_batch(k0), zeros[k0 - 1] + 1)
+    assert decoded == [blocks.size] * 4
+
+
+def test_import_builds_no_decode_table():
+    code = ("import numpy as np, upag, upag.bitvector as b\n"
+            "before = b._fused_tables.cache_info().currsize\n"
+            "b.BitVector([1, 0] * 100, mode='rrr').rank1_batch(np.arange(201))\n"
+            "print(before, b._fused_tables.cache_info().currsize)\n")
+    src = str(Path(upag.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "1"]

@@ -60,7 +60,7 @@ def test_space_report_shape(g5):
     assert rep["total_bits"] == (
         rep["payload_bits"] + rep["directory_bits"] + rep["metadata_bits"]
     )
-    assert rep["entropy_bound_bits"] > 0
+    assert g5.target_entropy_bits() + 2 * rep["sigma_eff"] > 0
 
 
 def test_target_entropy_matches_direct(g5, dag5):
