@@ -18,9 +18,9 @@ An rrr query decodes whole blocks to words and answers with word
 arithmetic (popcount, select in a word).  ``_decode_words`` reads a block
 a byte at a time from fused per-step tables (``_fused_tables``): a lane is
 one uint64 key, and each of the eight steps is one ``searchsorted`` plus
-two gathers that advance the key and place the byte.  Batches of at least
-``_SORT_LANES`` blocks sort their keys before every step, since the search
-runs several times faster on sorted needles.  Queries of at most
+two gathers that advance the key and place the byte.  The keys are sorted
+before every step, since the search runs several times faster on sorted
+needles.  Queries of at most
 ``_FEW_LANES`` lanes skip numpy and decode bit by bit on Python ints, which
 costs less than the numpy call overhead of a batch that small.
 """
@@ -53,15 +53,6 @@ _LEN64 = np.array([(math.comb(BLOCK, c) - 1).bit_length() for c in range(BLOCK +
 _BINOM_PY = [[math.comb(l, k) for k in range(BLOCK + 1)] for l in range(BLOCK + 1)]
 
 _FEW_LANES = 32  # below this, per-lane python decode beats the vectorised loop
-
-# From this many blocks up, ``_decode_words`` sorts its keys before every
-# step.  Below it the sorts cost more than they save (crossover between 96
-# and 128 blocks on a 2-core Xeon with numpy 2.4); above it the sorted
-# search wins 1.4x at 512 blocks and 2.3x at 8192.  Large batch queries
-# (a rank over thousands of lanes, a whole-graph check) decode hundreds to
-# thousands of distinct blocks per call and take the sorted route; scalar
-# queries decode a handful.
-_SORT_LANES = 128
 
 # byte-granular select helpers
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
@@ -188,23 +179,28 @@ def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.
     return start, tuple(steps)
 
 
-def _walk(key: np.ndarray, steps) -> np.ndarray:
-    """Run the eight decode steps on keys in lane order; returns the words."""
-    words = np.zeros(key.shape, dtype=U64)
-    for keys, delta, bsh in steps:
-        i = keys.searchsorted(key, "right")
-        key += delta[i]
-        words |= bsh[i]
-    return words
+def _decode_words(codes: np.ndarray, classes: np.ndarray,
+                  blens: np.ndarray) -> np.ndarray:
+    """Full combinadic decode of each block to a word (bit j = block bit j).
 
+    Eight steps of one ``searchsorted`` and two gathers per block, on the
+    tables of ``_fused_tables``.  A block shorter than 64 bits decodes as a
+    64-bit block behind 64 - blen zeros (leading zeros leave a combinadic
+    code unchanged) and is then shifted down.
 
-def _walk_sorted(key: np.ndarray, steps) -> np.ndarray:
-    """``_walk`` with the keys sorted before every step.
+    The keys are sorted before every step: ``searchsorted`` runs several
+    times faster on sorted needles (2.3x over a step at 8,192 blocks), and
+    the lanes travel with their keys and are put back in order at the end.
+    Below about 100 blocks the sorts cost 15-20 us a call more than they
+    save, but such calls are rare: in the perfbench workloads they add up
+    to about 0.1% of the run time, so one route serves every size.
 
-    ``searchsorted`` runs several times faster on sorted needles than on
-    random ones, which pays for a sort per step once a batch is large; the
-    lanes travel with their keys and are put back in order at the end.
+    Large batches hit few distinct blocks (a level has far fewer blocks than
+    a batch has lanes), so callers dedupe, decode each block once, and answer
+    every lane with plain word arithmetic.
     """
+    start, steps = _fused_tables()
+    key = start[classes] + codes.astype(U64)
     words = np.zeros(key.shape, dtype=U64)
     lane = np.arange(key.size)
     for keys, delta, bsh in steps:
@@ -215,26 +211,7 @@ def _walk_sorted(key: np.ndarray, steps) -> np.ndarray:
         words |= bsh[i]
     out = np.empty_like(words)
     out[lane] = words
-    return out
-
-
-def _decode_words(codes: np.ndarray, classes: np.ndarray,
-                  blens: np.ndarray) -> np.ndarray:
-    """Full combinadic decode of each block to a word (bit j = block bit j).
-
-    Eight steps of one ``searchsorted`` and two gathers per block, on the
-    tables of ``_fused_tables``.  A block shorter than 64 bits decodes as a
-    64-bit block behind 64 - blen zeros (leading zeros leave a combinadic
-    code unchanged) and is then shifted down.
-
-    Large batches hit few distinct blocks (a level has far fewer blocks than
-    a batch has lanes), so callers dedupe, decode each block once, and answer
-    every lane with plain word arithmetic.
-    """
-    start, steps = _fused_tables()
-    key = start[classes] + codes.astype(U64)
-    walk = _walk_sorted if key.size >= _SORT_LANES else _walk
-    return walk(key, steps) >> (BLOCK - blens).astype(U64)
+    return out >> (BLOCK - blens).astype(U64)
 
 
 def _scan_blocks(codes: np.ndarray, classes: np.ndarray, blens: np.ndarray,
