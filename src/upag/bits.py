@@ -10,6 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 U64 = np.uint64
+# 0-d array constants: numpy combines two arrays faster than an array and a
+# scalar, which matters on the few-lane field reads of scalar queries
+_ALL = ~np.array(0, dtype=U64)
+_ONE = np.array(1, dtype=U64)
+_WORD_BITS = np.array(64, dtype=U64)
+_WORD_LOG = np.array(6, dtype=U64)
+_WORD_MASK = np.array(63, dtype=U64)
 
 
 def pack_bits(bits) -> np.ndarray:
@@ -59,15 +66,16 @@ def pack_fields(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int
 
 
 def read_fields(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Gather variable-width fields (<= 63 bits) from a packed stream."""
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if words.size == 0:
-        return np.zeros(starts.shape, dtype=U64)
-    last = words.size - 1
-    w0 = words[np.minimum(starts >> 6, last)]
-    sh = (starts & 63).astype(U64)
-    w1 = words[np.minimum((starts >> 6) + 1, last)]
-    val = (w0 >> sh) | np.where(sh == U64(0), U64(0), w1 << ((U64(64) - sh) & U64(63)))
-    mask = (U64(1) << lengths.astype(U64)) - U64(1)
-    return val & mask
+    """Gather variable-width fields (<= 63 bits) from a packed stream.
+
+    Each field reads the word holding its start and the word after it, so a
+    stream read up to its end needs two zero words of padding (a zero-width
+    field may start just past the last word).
+    """
+    starts = np.asarray(starts, dtype=U64)
+    idx = starts >> _WORD_LOG
+    sh = starts & _WORD_MASK
+    # a shift by 64 yields 0 in numpy, so a word-aligned field takes nothing
+    # from the next word
+    val = (words[idx] >> sh) | (words[idx + _ONE] << (_WORD_BITS - sh))
+    return val & ~(_ALL << np.asarray(lengths, dtype=U64))

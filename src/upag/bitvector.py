@@ -1,28 +1,41 @@
 """Bitvectors with rank/select in two storage modes.
 
 Both modes share a two-level rank directory: 64-bit blocks whose popcounts
-are kept as one byte each, and 2^10-bit superblocks holding cumulative
-ranks.  Select needs nothing more: it binary-searches the superblock ranks
-(a large batch, a transient per-block prefix instead) and finishes inside
-one block.  There are no sampled select anchors, and a scalar select is a
-batch of one.
+(classes) are kept as one byte each, and 2^10-bit superblocks holding the
+rank at their start.  There are no sampled select anchors.
 
 ``plain`` stores the raw words.  ``rrr`` stores, per block, only the index
 of the block among all 64-bit words with the same popcount (combinadic
 order).  The class byte then serves double duty as the rank directory and
 as the decoder's key, so the offset stream is the only entropy-sized part:
 block b costs exactly ceil(lg C(64, c_b)) payload bits (the final block,
-when shorter, costs ceil(lg C(len, c)) for its true length).
+when shorter, costs ceil(lg C(len, c)) for its true length).  An rrr
+superblock also keeps the payload offset at its start.
 
-An rrr query decodes whole blocks to words and answers with word
-arithmetic (popcount, select in a word).  ``_decode_words`` reads a block
-a byte at a time from fused per-step tables (``_fused_tables``): a lane is
-one uint64 key, and each of the eight steps is one ``searchsorted`` plus
-two gathers that advance the key and place the byte.  The keys are sorted
-before every step, since the search runs several times faster on sorted
-needles.  Queries of at most
-``_FEW_LANES`` lanes skip numpy and decode bit by bit on Python ints, which
-costs less than the numpy call overhead of a batch that small.
+Every query is one block fetch, ``BitVector._fetch``, and then word
+arithmetic.  For each lane's block the fetch returns the ones before the
+block and the block's word, stored (plain) or decoded (rrr): rank is a
+masked popcount of it, access a shift, and select finds the block from the
+superblock ranks and the class bytes, fetches it and selects in the word.
+The fetch dedupes blocks, so a call reads and decodes each distinct block
+once, and it holds the only two choices that depend on batch size, each a
+cost test on what the batch touches (their crossovers were measured):
+
+* a batch with at least 1/16 as many lanes as blocks marks its blocks in a
+  table and takes rank bases and payload starts from one transient prefix
+  over all blocks, O(blocks) = O(16 * lanes); a smaller batch sorts its
+  blocks and adds at most 15 entries of each block's superblock to the
+  superblock's sample;
+* ``_decode_words`` reads a block a byte at a time from the tables of
+  ``_fused_tables`` (a lane is one uint64 key; a step is one
+  ``searchsorted`` and one gather) and its last 16 bits from one direct
+  table.  From ``_SORT_BLOCKS`` distinct blocks up it sorts the keys before
+  every step, since the search runs several times faster on sorted
+  needles; below that the sorts cost more than they save.
+
+In memory each block keeps one packed uint64 (class, payload width and, for
+a short last block, its missing length) rebuilt from the class bytes on
+load: it holds nothing the file does not.
 """
 
 from __future__ import annotations
@@ -48,14 +61,27 @@ for _l in range(BLOCK + 1):
 _LEN64 = np.array([(math.comb(BLOCK, c) - 1).bit_length() for c in range(BLOCK + 1)],
                   dtype=np.int64)
 
-# the same table as plain ints: single-block decodes run ~100x faster outside
-# numpy (no per-iteration array overhead), so scalar queries take this route
-_BINOM_PY = [[math.comb(l, k) for k in range(BLOCK + 1)] for l in range(BLOCK + 1)]
-
-_FEW_LANES = 32  # below this, per-lane python decode beats the vectorised loop
+# The packed per-block entry: class in the low half, payload width above it,
+# 64 - block length in the top six bits.  An exclusive prefix sum of entries
+# is (ones before, payload bits before): both stay below 2^32, and only the
+# last block, which no such prefix includes, has a length field.
+# Constants of the query paths are 0-d arrays: numpy combines two arrays
+# faster than an array and a scalar, and most calls carry a few lanes.
+_LOW = np.array(0xFFFFFFFF, dtype=U64)
+_WIDTH = np.array(0x3F, dtype=U64)
+_HALF = np.array(32, dtype=U64)
+_TAIL = np.array(58, dtype=U64)
+_ALL = ~np.array(0, dtype=U64)
+_BIT = np.array(1, dtype=U64)
+_BLOCK_LOG = np.array(6)        # position >> 6 = block
+_SB_LOG = np.array(4)           # block >> 4 = superblock
+_SB_MASK = np.array(SB_BLOCKS - 1)
+_SORT_BLOCKS = 192    # decode calls of this many blocks sort their keys (measured crossover)
+# _BEFORE[c]: ones at the entries of a superblock that precede entry c
+_BEFORE = np.tri(SB_BLOCKS, k=-1, dtype=U64)
 
 # byte-granular select helpers
-_BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _BYTE_SELECT = np.full((256, 8), 8, dtype=np.int64)
 for _b in range(256):
     _r = 0
@@ -82,55 +108,15 @@ def _encode_blocks(bitmat: np.ndarray, blen: int) -> np.ndarray:
     return val
 
 
-def _scan_block_py(code: int, k: int, blen: int, upto: int) -> tuple[int, int]:
-    """One-lane ``_scan_blocks`` on plain ints; stops once position ``upto``
-    is decoded or the ones run out (the rest of the block is then zeros)."""
-    binom = _BINOM_PY
-    acc = 0
-    for j in range(blen):
-        if k == 0:
-            break
-        t = binom[blen - 1 - j][k]
-        one = code >= t
-        if one:
-            code -= t
-            k -= 1
-        if j >= upto:
-            return acc, (1 if one else 0)
-        if one:
-            acc += 1
-    return acc, 0
-
-
-def _select_in_code_py(code: int, k: int, blen: int, r: int, polarity: int) -> int:
-    """One-lane ``_select_in_code`` on plain ints.  Once the tail becomes
-    constant (no ones left, or nothing but ones) the answer is arithmetic."""
-    if r <= 0:
-        return -1
-    binom = _BINOM_PY
-    acc = 0
-    for j in range(blen):
-        rem = blen - j
-        if k == 0 or k == rem:
-            if (k > 0) == (polarity == 1):
-                p = j + (r - acc) - 1
-                return p if p < blen else -1
-            return -1
-        t = binom[rem - 1][k]
-        one = code >= t
-        if one:
-            code -= t
-            k -= 1
-        if one == (polarity == 1):
-            acc += 1
-            if acc == r:
-                return j
-    return -1
+_TAIL_BITS = 16       # the decode reads the last 16 bits of a block from one table
 
 
 @functools.cache
-def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
-    """Byte-at-a-time decode tables: (start_64, one step per L = 64, ..., 8).
+def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...],
+                             np.ndarray, np.ndarray, np.ndarray]:
+    """Decode tables: (start_64, one byte step per L = 64, 56, ..., 24, the
+    bytes of every step's entries, each step's offset into them, the table
+    of the last 16 bits).
 
     The combinadic order is lexicographic from block bit 0, so the class-k
     strings of length L whose first byte is b own one contiguous code range
@@ -145,8 +131,10 @@ def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.
                  is ``keys.searchsorted(key, "right")``,
       delta[j] = start_{L-8}[k - popcount(b)] - lo[j], wrapping in uint64,
                  which turns the key into the key of the remaining L - 8 bits,
-      bsh[j]   = b shifted to its byte of the decoded word.
-    Read-only, about 1.4 MiB, built on first decode (not at import).
+    and byte b of entry j sits at ``offsets[step] + j`` of the byte table.
+    Once 16 bits remain, the key space is 2^16 wide and ``tail[key]`` is
+    the 16-bit string itself.  Read-only, about 1.05 MiB, built on first
+    decode (not at import).
     """
     b = np.arange(256)
     bit = (b[:, None] >> np.arange(8)[None, :]) & 1           # (256, 8)
@@ -157,7 +145,7 @@ def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.
         np.cumsum(_BINOM[L, :L], out=start[1:])
         return start
 
-    steps = []
+    steps, byte_runs = [], []
     for step in range(BLOCK // 8):
         L = BLOCK - 8 * step
         k = np.arange(L + 1)
@@ -169,91 +157,80 @@ def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.
         lo = class_starts(L)[kk] + base[bb, kk]
         order = np.argsort(lo)
         lo, bb, kk = lo[order], bb[order], kk[order]
-        entry = (lo[1:].copy(), class_starts(L - 8)[kk - _BYTE_POP[bb]] - lo,
-                 bb.astype(U64) << U64(8 * step))
-        for arr in entry:
-            arr.flags.writeable = False
-        steps.append(entry)
-    start = class_starts(BLOCK)
-    start.flags.writeable = False
-    return start, tuple(steps)
+        steps.append((lo[1:].copy(), class_starts(L - 8)[kk - _BYTE_POP[bb]] - lo))
+        byte_runs.append(bb.astype(np.uint8))
+    # the last two steps, run once on every 16-bit key, give the tail table
+    head = (BLOCK - _TAIL_BITS) // 8
+    key = np.arange(1 << _TAIL_BITS, dtype=U64)
+    tail = np.zeros(key.size, dtype="<u2")
+    for shift, (keys, delta), byts in zip((0, 8), steps[head:], byte_runs[head:]):
+        i = keys.searchsorted(key, "right")
+        key += delta[i]
+        tail |= byts[i].astype("<u2") << shift
+    steps, byte_runs = steps[:head], byte_runs[:head]
+    offsets = np.cumsum([0] + [r.size for r in byte_runs[:-1]])
+    tables = [class_starts(BLOCK), np.concatenate(byte_runs), offsets, tail]
+    for arr in tables + [a for st in steps for a in st]:
+        arr.flags.writeable = False
+    return tables[0], tuple(steps), tables[1], tables[2], tables[3]
 
 
 def _decode_words(codes: np.ndarray, classes: np.ndarray,
-                  blens: np.ndarray) -> np.ndarray:
+                  pads: np.ndarray) -> np.ndarray:
     """Full combinadic decode of each block to a word (bit j = block bit j).
 
-    Eight steps of one ``searchsorted`` and two gathers per block, on the
-    tables of ``_fused_tables``.  A block shorter than 64 bits decodes as a
-    64-bit block behind 64 - blen zeros (leading zeros leave a combinadic
-    code unchanged) and is then shifted down.
+    Six byte steps of one ``searchsorted`` and one gather per block, on the
+    tables of ``_fused_tables``, then one gather for the last 16 bits.  Each
+    step's entry index is kept, and one gather at the end turns the six
+    indices of a block into its bytes.  A block shorter than 64 bits decodes
+    as a 64-bit block behind ``pads`` = 64 - length zeros (leading zeros
+    leave a combinadic code unchanged) and is then shifted down.
 
-    The keys are sorted before every step: ``searchsorted`` runs several
-    times faster on sorted needles (2.3x over a step at 8,192 blocks), and
-    the lanes travel with their keys and are put back in order at the end.
-    Below about 100 blocks the sorts cost 15-20 us a call more than they
-    save, but such calls are rare: in the perfbench workloads they add up
-    to about 0.1% of the run time, so one route serves every size.
-
-    Large batches hit few distinct blocks (a level has far fewer blocks than
-    a batch has lanes), so callers dedupe, decode each block once, and answer
-    every lane with plain word arithmetic.
+    From ``_SORT_BLOCKS`` blocks up the keys are sorted before every step:
+    ``searchsorted`` runs several times faster on sorted needles (2.3x over
+    a step at 8,192 blocks), and the lanes travel with their keys.  Smaller
+    calls search unsorted needles, where the sorts would cost more than
+    they save.  Callers dedupe, so a block is decoded once per call.
     """
-    start, steps = _fused_tables()
-    key = start[classes] + codes.astype(U64)
-    words = np.zeros(key.shape, dtype=U64)
-    lane = np.arange(key.size)
-    for keys, delta, bsh in steps:
-        order = key.argsort()
-        key, words, lane = key[order], words[order], lane[order]
+    start, steps, byte_table, offsets, tail = _fused_tables()
+    key = start[classes] + codes.astype(U64, copy=False)
+    picks = np.empty((len(steps), key.size), dtype=np.intp)
+    lane = np.arange(key.size) if key.size >= _SORT_BLOCKS else slice(None)
+    for step, (keys, delta) in enumerate(steps):
+        if key.size >= _SORT_BLOCKS:
+            order = key.argsort()
+            key, lane = key[order], lane[order]
         i = keys.searchsorted(key, "right")
         key += delta[i]
-        words |= bsh[i]
-    out = np.empty_like(words)
-    out[lane] = words
-    return out >> (BLOCK - blens).astype(U64)
+        picks[step, lane] = i
+    picks += offsets[:, None]
+    word = np.empty((key.size, BLOCK // 8), dtype=np.uint8)
+    word[:, :len(steps)] = byte_table[picks].T
+    word[lane, len(steps):] = tail[key].view(np.uint8).reshape(-1, _TAIL_BITS // 8)
+    return word.view(np.dtype("<u8")).reshape(-1) >> pads.astype(U64, copy=False)
 
 
-def _scan_blocks(codes: np.ndarray, classes: np.ndarray, blens: np.ndarray,
-                 upto: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode at most ``_FEW_LANES`` combinadic blocks far enough to answer
-    prefix questions.
-
-    Returns (ones among the first ``upto`` bits, bit value at position
-    ``upto``) per lane; the bit output is meaningful only when upto < blen.
-    """
-    up = np.broadcast_to(np.asarray(upto, dtype=np.int64), codes.shape)
-    acc = np.empty(codes.shape, dtype=np.int64)
-    bit = np.empty(codes.shape, dtype=np.int64)
-    for i in range(codes.size):
-        acc[i], bit[i] = _scan_block_py(int(codes[i]), int(classes[i]),
-                                        int(blens[i]), int(up[i]))
-    return acc, bit
-
-
-def _select_in_code(codes: np.ndarray, classes: np.ndarray, blens: np.ndarray,
-                    r: np.ndarray, polarity: int) -> np.ndarray:
-    """Position (0-based, in-block) of the r-th one (or zero) of each of at
-    most ``_FEW_LANES`` blocks."""
-    rr = np.broadcast_to(np.asarray(r, dtype=np.int64), codes.shape)
-    pos = np.empty(codes.shape, dtype=np.int64)
-    for i in range(codes.size):
-        pos[i] = _select_in_code_py(int(codes[i]), int(classes[i]),
-                                    int(blens[i]), int(rr[i]), polarity)
-    return pos
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``a``, and the index of each lane's value."""
+    order = a.argsort()
+    s = a[order]
+    head = np.empty(s.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    inv = np.empty(s.size, dtype=np.intp)
+    inv[order] = head.cumsum() - 1
+    return s[head], inv
 
 
 def _select_in_word(words: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Position of the r-th (1-based) set bit in each word; vectorised."""
-    lanes = words[:, None] >> (U64(8) * np.arange(8, dtype=U64))[None, :]
-    lanes = (lanes & U64(0xFF)).astype(np.int64)
-    cum = np.cumsum(_BYTE_POP[lanes], axis=1)
-    byte_idx = np.argmax(cum >= r[:, None], axis=1)
-    before = np.take_along_axis(cum, np.maximum(byte_idx - 1, 0)[:, None], 1)[:, 0]
-    before = np.where(byte_idx > 0, before, 0)
-    within = r - before
-    byte_val = np.take_along_axis(lanes, byte_idx[:, None], 1)[:, 0]
-    return 8 * byte_idx + _BYTE_SELECT[byte_val, np.maximum(within - 1, 0)]
+    """Position of the r-th (1-based) set bit in each word."""
+    byt = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    pop = _BYTE_POP[byt]
+    cum = pop.cumsum(axis=1, dtype=np.uint8)
+    j = (cum < r[:, None]).sum(axis=1)          # bytes wholly before the r-th one
+    lane = np.arange(j.size)
+    within = r - cum[lane, j] + pop[lane, j]
+    return 8 * j + _BYTE_SELECT[byt[lane, j], within - 1]
 
 
 class BitVector:
@@ -277,74 +254,72 @@ class BitVector:
         if self.n >= 1 << 32:
             raise ValueError("bitvectors beyond 2^32 bits are not supported")
         words = pack_bits(b)
-        classes = popcount(words).astype(np.int64)
-        self._assemble(words, classes, payload=None)
+        self._assemble(words, popcount(words).astype(np.int64), payload=None)
 
     # -- construction ----------------------------------------------------
 
-    def _assemble(self, words: np.ndarray, classes: np.ndarray,
+    def _assemble(self, words: np.ndarray | None, classes: np.ndarray,
                   payload: np.ndarray | None) -> None:
         """Install parts and build every directory.
 
-        ``payload=None`` with rrr mode means: encode offsets from ``words``.
+        ``payload=None`` with rrr mode means: encode offsets from ``words``;
+        a given payload is checked to hold a valid code for every block.
         """
         n = self.n
-        nb = words.size if words is not None else classes.size
+        nb = classes.size
         if nb != (n + 63) // 64:
             raise ValueError("block count does not match bit length")
         self._nblocks = nb
-        self._last_len = n - 64 * (nb - 1) if nb else 0
-        self._classes = classes.astype(np.int64)
-        if self._classes.size:
-            blens_chk = np.full(nb, BLOCK, dtype=np.int64)
-            blens_chk[-1] = self._last_len
-            if self._classes.min() < 0 or np.any(self._classes > blens_chk):
-                raise ValueError("class byte out of range")
-        self.ones = int(self._classes.sum())
+        last = max(nb - 1, 0)
+        last_len = n - BLOCK * last
+        blens = np.full(nb, BLOCK, dtype=np.int64)
+        blens[-1:] = last_len
+        if nb and (classes.min() < 0 or np.any(classes > blens)):
+            raise ValueError("class byte out of range")
+        self.ones = int(classes.sum())
+        meta = np.zeros(-(-max(nb, 1) // SB_BLOCKS) * SB_BLOCKS, dtype=U64)
+        meta[:nb] = classes
         if self.mode == "plain":
-            self._words = words
+            self._words = words if nb else np.zeros(1, dtype=U64)
             self._payload_words = None
-            self._paylens = None
             self._payload_bits = None
-            self._sb_pay = None
         else:
-            partial = nb and self._last_len < BLOCK
-            self._partial_tab = _partial_lengths(self._last_len) if partial else None
-            paylens = _LEN64[self._classes] if nb else np.zeros(0, np.int64)
-            if partial:
-                paylens = paylens.copy()
-                paylens[-1] = self._partial_tab[self._classes[-1]]
-            if payload is None:
-                if nb:
-                    bitmat = unpack_bits(words, 64 * nb).reshape(nb, 64)
-                    if partial:
-                        offsets = np.concatenate([
-                            _encode_blocks(bitmat[:-1], BLOCK),
-                            _encode_blocks(bitmat[-1:, :self._last_len], self._last_len),
-                        ])
-                    else:
-                        offsets = _encode_blocks(bitmat, BLOCK)
-                else:
-                    offsets = np.zeros(0, dtype=U64)
-                payload, total = pack_fields(offsets, paylens)
-            else:
+            paylens = _LEN64[classes]
+            if last_len < BLOCK:
+                paylens[-1:] = _partial_lengths(last_len)[classes[-1:]]
+            loaded = payload is not None
+            if loaded:
                 total = int(paylens.sum())
                 if payload.size != max((total + 63) // 64, 1) and not (total == 0 and payload.size <= 1):
                     raise ValueError("payload word count does not match classes")
-            if payload.size == 0:
-                payload = np.zeros(1, dtype=U64)
+            else:
+                bitmat = unpack_bits(words, BLOCK * nb).reshape(nb, BLOCK)
+                offsets = np.concatenate([_encode_blocks(bitmat[:last], BLOCK),
+                                          _encode_blocks(bitmat[last:, :last_len], last_len)])
+                payload, total = pack_fields(offsets, paylens)
             if total >= 1 << 32:
                 raise ValueError("offset stream beyond 2^32 bits is not supported")
-            self._words = None
-            self._payload_words = payload.astype(U64, copy=False)
-            self._paylens = paylens
+            # two zero words past the end: a field read never leaves the array
+            self._payload_words = np.concatenate([payload.astype(U64, copy=False),
+                                                  np.zeros(2, U64)])
             self._payload_bits = total
-            csp = np.zeros(nb + 1, dtype=np.int64)
-            np.cumsum(paylens, out=csp[1:])
-            self._sb_pay = csp[::SB_BLOCKS].astype(np.uint32)
-        csum = np.zeros(nb + 1, dtype=np.int64)
-        np.cumsum(self._classes, out=csum[1:])
-        self._sb_rank = csum[::SB_BLOCKS].astype(np.uint32)
+            if loaded:
+                codes = read_fields(self._payload_words, np.cumsum(paylens) - paylens, paylens)
+                if np.any(codes >= _BINOM[blens, classes]):
+                    raise ValueError("block code out of range for its class")
+            meta[:nb] |= paylens.astype(U64) << _HALF
+        csum = np.zeros(meta.size + 1, dtype=U64)
+        np.cumsum(meta, out=csum[1:])
+        self._sb = csum[:nb + 1:SB_BLOCKS]
+        if nb:
+            meta[last] |= U64(BLOCK - last_len) << _TAIL
+        self._meta = meta
+        self._rows = meta.reshape(-1, SB_BLOCKS)
+        self._last_blk = np.array(last)
+        # occurrences of 0 and of 1 before each superblock, for select
+        ones = (self._sb & _LOW).astype(np.int64)
+        self._sb_occ = np.stack([np.minimum(BLOCK * SB_BLOCKS * np.arange(ones.size), n) - ones,
+                                 ones])
 
     @classmethod
     def from_parts(cls, n: int, mode: str, *, words: np.ndarray | None = None,
@@ -363,175 +338,120 @@ class BitVector:
                 words[-1] &= (U64(1) << U64(self.n % 64)) - U64(1)
             self._assemble(words, popcount(words).astype(np.int64), payload=None)
         elif mode == "rrr":
-            if classes is None or payload is None or classes.size != nb:
+            if classes is None or payload is None or np.size(classes) != nb:
                 raise ValueError("rrr mode needs classes and payload")
-            self._assemble(None, classes.astype(np.int64), payload=payload)
+            self._assemble(None, np.asarray(classes, dtype=np.int64),
+                           payload=np.asarray(payload, dtype=U64))
         else:
             raise ValueError(f"unknown bitvector mode {mode!r}")
         return self
 
     def to_parts(self) -> dict:
         """Serializable pieces (directories are always rebuilt on load)."""
+        nb = self._nblocks
         if self.mode == "plain":
-            return {"n": self.n, "mode": "plain", "words": self._words}
+            return {"n": self.n, "mode": "plain", "words": self._words[:nb]}
+        npay = max((self._payload_bits + 63) // 64, 1)
         return {"n": self.n, "mode": "rrr",
-                "classes": self._classes.astype(np.uint8),
-                "payload": self._payload_words}
+                "classes": (self._meta[:nb] & _LOW).astype(np.uint8),
+                "payload": self._payload_words[:npay]}
 
     # -- internals (all positions 0-based) --------------------------------
 
-    def _block_lengths(self, blk: np.ndarray) -> np.ndarray:
-        out = np.full(blk.shape, BLOCK, dtype=np.int64)
-        if self._nblocks:
-            out[blk == self._nblocks - 1] = self._last_len
-        return out
+    def _fetch(self, blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ones before each lane's block, and the block's word (bit j is
+        block bit j; bits past a short last block read 0).
 
-    def _window_sum(self, arr: np.ndarray, sb: np.ndarray, blk: np.ndarray) -> np.ndarray:
-        """Sum arr[16*sb : blk] per lane (at most 16 entries each)."""
-        if self._nblocks == 0:
-            return np.zeros(blk.shape, dtype=np.int64)
-        cols = sb[:, None] * SB_BLOCKS + np.arange(SB_BLOCKS)[None, :]
-        valid = cols < blk[:, None]
-        vals = arr[np.minimum(cols, self._nblocks - 1)]
-        return np.where(valid, vals, 0).sum(axis=1)
-
-    def _read_codes(self, blk: np.ndarray) -> np.ndarray:
-        """Combinadic code of each requested block (rrr mode)."""
-        if blk.size > _FEW_LANES and blk.size * 16 >= self._nblocks:
-            # one transient prefix sum beats per-lane window sums here
-            cum = np.concatenate([[0], np.cumsum(self._paylens)])
-            start = cum[blk]
-        else:
-            sb = blk >> 4
-            start = (self._sb_pay[sb].astype(np.int64)
-                     + self._window_sum(self._paylens, sb, blk))
-        return read_fields(self._payload_words, start, self._paylens[blk])
-
-    def _words_of_blocks(self, blk: np.ndarray) -> np.ndarray:
-        """Decoded words of the requested blocks (rrr), shared across repeats."""
-        seen = np.zeros(self._nblocks, dtype=bool)
-        seen[blk] = True
-        uniq = np.flatnonzero(seen)
-        remap = np.empty(self._nblocks, dtype=np.int64)
-        remap[uniq] = np.arange(uniq.size)
-        words = _decode_words(self._read_codes(uniq), self._classes[uniq],
-                              self._block_lengths(uniq))
-        return words[remap[blk]]
-
-    def _rank1_positions(self, pos: np.ndarray) -> np.ndarray:
-        """Ones among the first ``pos`` bits, pos in 0..n."""
-        pos = np.asarray(pos, dtype=np.int64)
-        if pos.size == 0 or self._nblocks == 0:
-            return np.zeros(pos.shape, dtype=np.int64)
-        blk = pos >> 6
-        if pos.size > _FEW_LANES and pos.size * 16 >= self._nblocks:
-            cum = np.concatenate([[0], np.cumsum(self._classes)])
-            base = cum[blk]
-        else:
-            sb = blk >> 4
-            base = (self._sb_rank[sb].astype(np.int64)
-                    + self._window_sum(self._classes, sb, blk))
-        rem = pos & 63
-        if not (rem > 0).any():
-            return base
-        bsel = np.minimum(blk, self._nblocks - 1)
-        if self.mode == "plain":
-            masked = self._words[bsel] & ((U64(1) << rem.astype(U64)) - U64(1))
-            part = popcount(masked).astype(np.int64)
-        elif bsel.size > _FEW_LANES:
-            masked = self._words_of_blocks(bsel) & ((U64(1) << rem.astype(U64)) - U64(1))
-            part = popcount(masked).astype(np.int64)
-        else:
-            part, _ = _scan_blocks(self._read_codes(bsel), self._classes[bsel],
-                                   self._block_lengths(bsel), rem)
-        return base + np.where(rem > 0, part, 0)
-
-    def _access_positions(self, pos: np.ndarray) -> np.ndarray:
-        pos = np.asarray(pos, dtype=np.int64)
-        if pos.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        blk = pos >> 6
-        rem = pos & 63
-        if self.mode == "plain":
-            return ((self._words[blk] >> rem.astype(U64)) & U64(1)).astype(np.int64)
-        if blk.size > _FEW_LANES:
-            w = self._words_of_blocks(blk)
-            return ((w >> rem.astype(U64)) & U64(1)).astype(np.int64)
-        _, bit = _scan_blocks(self._read_codes(blk), self._classes[blk],
-                              self._block_lengths(blk), rem)
-        return bit
-
-    def _occ_before_superblocks(self, polarity: int) -> np.ndarray:
-        nsb = self._sb_rank.size
-        bitpos = np.minimum(1024 * np.arange(nsb, dtype=np.int64), self.n)
-        ones = self._sb_rank.astype(np.int64)
-        return ones if polarity == 1 else bitpos - ones
-
-    def _select_batch(self, ks: np.ndarray, polarity: int) -> np.ndarray:
-        """0-based position of the k-th occurrence of the polarity bit.
-
-        Large batches binary-search a transient per-block occurrence prefix;
-        smaller ones binary-search the superblock ranks and then scan the
-        16 class bytes of one superblock.
+        Reads and decodes each distinct block once.  A batch of at least
+        1/16 as many lanes as blocks works on whole-block arrays: a table
+        marks the blocks it touches, and one transient prefix over all
+        blocks gives rank bases and payload starts, O(blocks) = O(16 *
+        lanes).  A smaller batch sorts its blocks to dedupe them and sums
+        at most 15 entries of each one's superblock, O(lanes * log(lanes)
+        + 16 * distinct blocks).
         """
-        ks = np.asarray(ks, dtype=np.int64)
-        if ks.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if ks.size > _FEW_LANES and ks.size * 16 >= self._nblocks:
-            # transient per-block occurrence prefix; binary-search all lanes
-            blens = np.full(self._nblocks, BLOCK, dtype=np.int64)
-            blens[-1] = self._last_len
-            occ = self._classes if polarity == 1 else blens - self._classes
-            cum = np.cumsum(occ)
-            blk = np.searchsorted(cum, ks, side="left")
-            rloc = ks - np.where(blk > 0, cum[np.maximum(blk - 1, 0)], 0)
+        meta = self._meta
+        if blk.size * SB_BLOCKS >= self._nblocks:
+            seen = np.zeros(meta.size, dtype=bool)
+            seen[blk] = True
+            u = np.flatnonzero(seen)
+            at = (seen.cumsum() - 1)[blk]
+            m = meta[u]
+            pre = meta.cumsum()[u] - m
         else:
-            occ_before = self._occ_before_superblocks(polarity)
-            sbidx = np.searchsorted(occ_before, ks, side="left") - 1
-            sbidx = np.maximum(sbidx, 0)
-            # narrow to the block inside the superblock
-            cols = sbidx[:, None] * SB_BLOCKS + np.arange(SB_BLOCKS)[None, :]
-            valid = cols < self._nblocks
-            csel = np.minimum(cols, self._nblocks - 1)
-            blen = np.where(csel == self._nblocks - 1, self._last_len, BLOCK)
-            occ = self._classes[csel] if polarity == 1 else blen - self._classes[csel]
-            occ = np.where(valid, occ, 0)
-            cum = np.cumsum(occ, axis=1)
-            r0 = ks - occ_before[sbidx]
-            off = np.argmax(cum >= r0[:, None], axis=1)
-            blk = sbidx * SB_BLOCKS + off
-            before = np.take_along_axis(cum, np.maximum(off - 1, 0)[:, None], 1)[:, 0]
-            rloc = r0 - np.where(off > 0, before, 0)
-        if self.mode == "plain" or blk.size > _FEW_LANES:
-            w = self._words[blk] if self.mode == "plain" else self._words_of_blocks(blk)
-            if polarity == 0:
-                lens = self._block_lengths(blk)
-                full = np.where(lens == BLOCK, ~U64(0),
-                                (U64(1) << (lens & 63).astype(U64)) - U64(1))
-                w = ~w & full
-            inpos = _select_in_word(w, rloc)
+            u, at = _distinct(blk)
+            m = meta[u]
+            sb = u >> _SB_LOG
+            pre = self._sb[sb] + np.vecdot(self._rows[sb], _BEFORE[u & _SB_MASK])
+        if self.mode == "plain":
+            words = self._words[u]
         else:
-            inpos = _select_in_code(self._read_codes(blk), self._classes[blk],
-                                    self._block_lengths(blk), rloc, polarity)
-        return blk * BLOCK + inpos
+            codes = read_fields(self._payload_words, pre >> _HALF, m >> _HALF & _WIDTH)
+            words = _decode_words(codes, m & _LOW, m >> _TAIL)
+        return (pre & _LOW).astype(np.int64)[at], words[at]
+
+    def _rank_word(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ones among the first ``pos`` bits, pos in 0..n, with the word of
+        the block holding ``pos`` and the offset of ``pos`` in it (64 for
+        pos == n at the end of a full block)."""
+        blk = np.minimum(pos >> _BLOCK_LOG, self._last_blk)
+        base, w = self._fetch(blk)
+        rem = (pos - (blk << _BLOCK_LOG)).astype(U64)
+        return base + popcount(w & ~(_ALL << rem)), w, rem
+
+    def _rank1(self, pos: np.ndarray) -> np.ndarray:
+        return self._rank_word(pos)[0]
+
+    def _rank_bit(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ones among the first ``pos`` bits and the bit at ``pos`` (0 at
+        pos == n, as a bool), pos in 0..n; one fetch for both."""
+        rank, w, rem = self._rank_word(pos)
+        return rank, ((w >> rem) & _BIT).astype(bool)
+
+    def _select(self, ks: np.ndarray, polarity: int) -> np.ndarray:
+        """0-based position of the k-th (1-based) occurrence of the bit
+        ``polarity``, k in 1..count.
+
+        A search of the superblock ranks finds each lane's superblock; one
+        search of the per-block running counts over just the distinct
+        superblocks hit (a monotone run, since they are sorted) finds the
+        block; the fetched word finishes.
+        """
+        sb_occ = self._sb_occ[polarity]
+        hit = np.zeros(sb_occ.size, dtype=bool)
+        hit[sb_occ.searchsorted(ks) - 1] = True
+        sb = np.flatnonzero(hit)
+        occ = (self._rows[sb] & _LOW).astype(np.int64)
+        if polarity == 0:
+            # counting a short last block, and the padding after it, as full
+            # blocks moves no answer: the k-th zero lies before the end
+            occ = BLOCK - occ
+        ends = (occ.cumsum(axis=1) + sb_occ[sb][:, None]).ravel()
+        at = ends.searchsorted(ks)
+        blk = (sb[at >> _SB_LOG] << _SB_LOG) + (at & _SB_MASK)
+        base, w = self._fetch(blk)
+        start = blk << _BLOCK_LOG
+        if polarity == 0:
+            base, w = start - base, ~w
+        return start + _select_in_word(w, ks - base)
 
     # -- public 1-based API ----------------------------------------------
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"access index must lie in 1..{self.n}")
-        return int(self._access_positions(np.array([i - 1]))[0])
+        return int(self._rank_bit(np.array([i - 1]))[1][0])
 
     def access_batch(self, i) -> np.ndarray:
         arr = np.asarray(i, dtype=np.int64)
         if arr.size and (arr.min() < 1 or arr.max() > self.n):
             raise OutOfRangeError(f"access index must lie in 1..{self.n}")
-        return self._access_positions(arr - 1)
+        return self._rank_bit(arr - 1)[1].astype(np.int64)
 
     def rank1(self, i: int) -> int:
         if not 0 <= i <= self.n:
             raise OutOfRangeError(f"rank index must lie in 0..{self.n}")
-        return int(self._rank1_positions(np.array([i]))[0])
+        return int(self._rank1(np.array([i]))[0])
 
     def rank0(self, i: int) -> int:
         return i - self.rank1(i)
@@ -540,55 +460,61 @@ class BitVector:
         arr = np.asarray(i, dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() > self.n):
             raise OutOfRangeError(f"rank index must lie in 0..{self.n}")
-        return self._rank1_positions(arr)
+        return self._rank1(arr)
 
     def rank0_batch(self, i) -> np.ndarray:
         arr = np.asarray(i, dtype=np.int64)
         return arr - self.rank1_batch(arr)
 
+    def rank1_bit(self, i) -> tuple[np.ndarray, np.ndarray]:
+        """(rank1(i), access(i + 1)) per lane, i in 0..n-1, from one fetch."""
+        arr = np.asarray(i, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
+            raise OutOfRangeError(f"rank1_bit index must lie in 0..{self.n - 1}")
+        rank, bit = self._rank_bit(arr)
+        return rank, bit.astype(np.int64)
+
     def select1(self, k: int) -> int:
         if not 1 <= k <= self.ones:
             raise OutOfRangeError(f"select1 argument must lie in 1..{self.ones}")
-        return int(self._select_batch(np.array([k]), 1)[0]) + 1
+        return int(self._select(np.array([k]), 1)[0]) + 1
 
     def select0(self, k: int) -> int:
         zeros = self.n - self.ones
         if not 1 <= k <= zeros:
             raise OutOfRangeError(f"select0 argument must lie in 1..{zeros}")
-        return int(self._select_batch(np.array([k]), 0)[0]) + 1
+        return int(self._select(np.array([k]), 0)[0]) + 1
 
     def select1_batch(self, k) -> np.ndarray:
         arr = np.asarray(k, dtype=np.int64)
         if arr.size and (arr.min() < 1 or arr.max() > self.ones):
             raise OutOfRangeError(f"select1 argument must lie in 1..{self.ones}")
-        return self._select_batch(arr, 1) + 1
+        return self._select(arr, 1) + 1
 
     def select0_batch(self, k) -> np.ndarray:
         arr = np.asarray(k, dtype=np.int64)
         zeros = self.n - self.ones
         if arr.size and (arr.min() < 1 or arr.max() > zeros):
             raise OutOfRangeError(f"select0 argument must lie in 1..{zeros}")
-        return self._select_batch(arr, 0) + 1
+        return self._select(arr, 0) + 1
 
     def to_array(self) -> np.ndarray:
         """Materialise the raw bits (testing/debug aid)."""
-        if self.n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        if self.mode == "plain":
-            return unpack_bits(self._words, self.n)
-        return self._access_positions(np.arange(self.n)).astype(np.uint8)
+        return self._rank_bit(np.arange(self.n))[1].astype(np.uint8)
 
     # -- accounting --------------------------------------------------------
 
     def space_report(self) -> dict:
-        """Bit-level accounting of payload vs. navigation directories."""
+        """Bit-level accounting of payload vs. navigation directories: a
+        class byte per block and, per superblock, a 32-bit rank (and a
+        32-bit payload offset in rrr mode)."""
         nb = self._nblocks
-        directory = 8 * nb + 32 * self._sb_rank.size
+        directory = 8 * nb + 32 * self._sb.size
         if self.mode == "plain":
             payload = self.n
         else:
             payload = int(self._payload_bits)
-            directory += 32 * self._sb_pay.size
+            directory += 32 * self._sb.size
         return {
             "n": self.n,
             "mode": self.mode,

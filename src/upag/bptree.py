@@ -184,7 +184,8 @@ class BPTree:
 
     def _base(self, leaf: np.ndarray) -> np.ndarray:
         """Excess before the first bit of each leaf."""
-        return 2 * self._bv._sb_rank[leaf].astype(np.int64) - (leaf << _LEAF_LOG)
+        ones = (self._bv._sb[leaf] & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        return 2 * ones - (leaf << _LEAF_LOG)
 
     def _profile(self, leaf: np.ndarray):
         """Byte and word summaries of the distinct leaves in ``leaf``.

@@ -373,7 +373,39 @@ def cmd_bench(args) -> int:
             f"op=in_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // max(nin, 1)} "
             f"queries={nin}"
         )
+        if g.targets.width:
+            _bench_layers(g, rng, q)
     return 0
+
+
+def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> None:
+    """One-lane latency of each layer under the graph queries: one level of
+    the string index, the tree's parenthesis bitvector, the string index
+    and the tree."""
+    wt, tree = g.targets, g.tree
+    level, paren = wt._levels[wt.width // 2], tree._bv
+    pos = rng.integers(1, wt.length + 1, q)
+    syms = wt.access_batch(pos)
+    nth = wt.rank_batch(syms, pos)          # pos holds occurrence nth of its symbol
+    rows = [
+        ("level_rank1", level.rank1, [rng.integers(0, level.n + 1, q)]),
+        ("level_select1", level.select1, [rng.integers(1, level.ones + 1, q)]),
+        ("level_access", level.access, [rng.integers(1, level.n + 1, q)]),
+        ("paren_select1", paren.select1, [rng.integers(1, paren.ones + 1, q)]),
+        ("wt_access", wt.access, [rng.integers(1, wt.length + 1, q)]),
+        ("wt_rank", wt.rank, [syms, rng.integers(0, wt.length + 1, q)]),
+        ("wt_select", wt.select, [syms, nth]),
+        ("tree_parent", tree.parent, [rng.integers(1, g.n + 1, q)]),
+        ("tree_degree", tree.tree_degree, [rng.integers(0, g.n + 1, q)]),
+    ]
+    for name, fn, args in rows:
+        calls = list(zip(*(a.tolist() for a in args)))
+        t0 = time.perf_counter_ns()
+        for a in calls:
+            fn(*a)
+        per = (time.perf_counter_ns() - t0) // len(calls)
+        mode = f" mode={level.mode}" if name.startswith("level_") else ""
+        print(f"op={name} ns_per_query={per} queries={len(calls)}{mode}")
 
 
 def cmd_lfc(args) -> int:

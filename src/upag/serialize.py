@@ -69,8 +69,7 @@ class _Writer:
     def raw(self, b):
         self.buf.write(b)
 
-    def bitvector(self, bv: BitVector):
-        parts = bv.to_parts()
+    def bitvector(self, parts: dict):
         self.u64(parts["n"])
         if parts["mode"] == "plain":
             self.u8(0)
@@ -90,11 +89,9 @@ class _Writer:
         parts = wt.to_parts()
         self.u64(parts["sigma"])
         self.u64(parts["length"])
-        levels = parts["levels"]
-        self.u8(len(levels))
-        self.bitvector(BitVector.from_parts(**parts["presence"]))
-        for lvl in levels:
-            self.bitvector(BitVector.from_parts(**lvl))
+        self.u8(len(parts["levels"]))
+        for bv_parts in [parts["presence"]] + parts["levels"]:
+            self.bitvector(bv_parts)
 
 
 class _Reader:
@@ -147,12 +144,7 @@ class _Reader:
         presence = self.bitvector()
         levels = [self.bitvector() for _ in range(width)]
         return WaveletTree.from_parts(
-            {
-                "sigma": sigma,
-                "length": length,
-                "presence": presence.to_parts(),
-                "levels": [lvl.to_parts() for lvl in levels],
-            }
+            {"sigma": sigma, "length": length, "presence": presence, "levels": levels}
         )
 
 
@@ -168,7 +160,7 @@ def dumps(g: CompressedGraph | LabelledGraph) -> bytes:
     w.u64(g.m)
     w.u64(g.n)
     if has_tree:
-        w.bitvector(g.tree._bv)
+        w.bitvector(g.tree._bv.to_parts())
     w.wavelet(g.targets)
     body = w.buf.getvalue()
     return body + struct.pack("<I", zlib.crc32(body))

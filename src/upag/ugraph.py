@@ -109,13 +109,8 @@ class CompressedGraph:
 
     def neighbours_in(self, v: int) -> list[int]:
         self._check_vertex(v)
-        kids = self.tree.children(v)
-        occ = self.targets.occ(v)
-        if occ == 0:
-            return kids
-        pos = self.targets.select_batch(np.full(occ, v), np.arange(1, occ + 1))
-        src = (pos - 1) // (self.m - 1) + 1
-        return kids + src.astype(np.int64).tolist()
+        src = (self.targets.positions(v) - 1) // max(self.m - 1, 1) + 1
+        return self.tree.children(v) + src.tolist()
 
     def degree_total(self, v: int) -> int:
         return self.degree_in(v) + self.degree_out(v)
@@ -309,11 +304,7 @@ class LabelledGraph:
 
     def neighbours_in(self, v: int) -> list[int]:
         self._check_vertex(v)
-        occ = self.targets.occ(v)
-        if occ == 0:
-            return []
-        pos = self.targets.select_batch(np.full(occ, v), np.arange(1, occ + 1))
-        return ((pos - 1) // self.m + 1).astype(np.int64).tolist()
+        return ((self.targets.positions(v) - 1) // self.m + 1).tolist()
 
     def degree_total(self, v: int) -> int:
         return self.degree_in(v) + self.degree_out(v)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitvector import BitVector
+from .bitvector import BitVector, _distinct
 from .errors import OutOfRangeError
 
 
@@ -64,19 +64,24 @@ class WaveletTree:
 
     @classmethod
     def from_parts(cls, parts: dict) -> "WaveletTree":
+        """Reassemble from ``to_parts`` output; the presence map and the
+        levels may also be given as built bitvectors."""
         return cls(_parts=parts)
 
     def _init_from_parts(self, parts: dict) -> None:
+        def built(p):
+            return p if isinstance(p, BitVector) else BitVector.from_parts(**p)
+
         self.sigma = int(parts["sigma"])
         self.length = int(parts["length"])
-        self._presence = BitVector.from_parts(**parts["presence"])
+        self._presence = built(parts["presence"])
         if self._presence.n != self.sigma:
             raise ValueError("presence bitvector does not span the alphabet")
         self.sigma_eff = int(self._presence.ones)
         self.width = (self.sigma_eff - 1).bit_length() if self.sigma_eff >= 2 else 0
         if len(parts["levels"]) != self.width:
             raise ValueError("level count does not match the effective alphabet")
-        self._levels = [BitVector.from_parts(**p) for p in parts["levels"]]
+        self._levels = [built(p) for p in parts["levels"]]
         for lvl in self._levels:
             if lvl.n != self.length:
                 raise ValueError("level length does not match the sequence")
@@ -87,17 +92,21 @@ class WaveletTree:
     # -- dense-code mapping ---------------------------------------------------
 
     def _codes_of(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dense code, present?) per symbol; codes of absent symbols read 0."""
+        """(dense code, present?) per symbol, from one presence fetch: a
+        present symbol's code is the number of present symbols below it.
+        An absent symbol gets a code too, whose answers callers discard."""
         if cs.size and (cs.min() < 0 or cs.max() >= self.sigma):
             raise OutOfRangeError(f"symbol must lie in 0..{self.sigma - 1}")
-        if self.length == 0:
-            return np.zeros(cs.shape, np.int64), np.zeros(cs.shape, bool)
-        present = self._presence.access_batch(cs + 1) == 1
-        codes = self._presence.rank1_batch(cs + 1) - 1
-        return np.maximum(codes, 0), present
+        return self._presence._rank_bit(cs)
 
     def _symbols_of(self, codes: np.ndarray) -> np.ndarray:
-        return self._presence.select1_batch(codes + 1) - 1
+        return self._presence._select(codes + 1, 1)
+
+    def _level_bits(self, codes: np.ndarray) -> np.ndarray:
+        """(width, codes) boolean matrix: row l holds the code bit that level
+        l reads, i.e. whether the code goes to the ones' child there."""
+        shifts = np.arange(self.width - 1, -1, -1)
+        return ((codes[None, :] >> shifts[:, None]) & 1).astype(bool)
 
     # -- batch queries (1-based, like the scalar API) ---------------------------
 
@@ -112,16 +121,15 @@ class WaveletTree:
         s = np.zeros(q, dtype=np.int64)
         e = np.full(q, self.length, dtype=np.int64)
         code = np.zeros(q, dtype=np.int64)
-        for lvl in range(self.width):
-            bv = self._levels[lvl]
-            r = bv.rank1_batch(np.concatenate([s, e, s + idx, s + idx + 1]))
-            r1s, r1e, r1i, r1j = r[:q], r[q:2 * q], r[2 * q:3 * q], r[3 * q:]
-            z = (e - s) - (r1e - r1s)      # zeros inside the node
-            bit = r1j - r1i
-            zeros_before = idx - (r1i - r1s)
+        for bv in self._levels:
+            # node start, node end, and the position's rank and bit
+            r, b = bv._rank_bit(np.concatenate((s, e, s + idx)))
+            r1s, bit = r[:q], b[2 * q:]
+            mid = e - (r[q:2 * q] - r1s)   # the ones' child starts here
+            ones_before = r[2 * q:] - r1s
             code = (code << 1) | bit
-            idx = np.where(bit == 0, zeros_before, idx - zeros_before)
-            s, e = np.where(bit == 0, s, s + z), np.where(bit == 0, s + z, e)
+            idx = np.where(bit, ones_before, idx - ones_before)
+            s, e = np.where(bit, mid, s), np.where(bit, e, mid)
         return self._symbols_of(code)
 
     def rank_batch(self, c, i) -> np.ndarray:
@@ -146,65 +154,77 @@ class WaveletTree:
         if ks.size == 0:
             return ks.copy()
         codes, present = self._codes_of(cs)
-        return self._select_codes(codes, ks, present, cs)
-
-    def _rank_codes(self, codes: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-        # node intervals depend on the code alone: walk them once per
-        # distinct code, and only the prefix ends once per lane
-        uc, inv = np.unique(codes, return_inverse=True)
-        u = uc.size
-        s = np.zeros(u, dtype=np.int64)
-        e = np.full(u, self.length, dtype=np.int64)
-        p = prefix.astype(np.int64, copy=True)
-        for lvl in range(self.width):
-            bv = self._levels[lvl]
-            r = bv.rank1_batch(np.concatenate([s, e, s[inv] + p]))
-            r1s, r1e, r1p = r[:u], r[u:2 * u], r[2 * u:]
-            z = (e - s) - (r1e - r1s)
-            zeros_in_prefix = p - (r1p - r1s[inv])
-            bit = (uc >> (self.width - 1 - lvl)) & 1
-            p = np.where(bit[inv] == 0, zeros_in_prefix, p - zeros_in_prefix)
-            s, e = np.where(bit == 0, s, s + z), np.where(bit == 0, s + z, e)
-        return p
-
-    def _select_codes(self, codes: np.ndarray, ks: np.ndarray, present: np.ndarray,
-                      cs: np.ndarray) -> np.ndarray:
-        # the descent depends on the code alone: walk it once per distinct
-        # code; the leaf interval's length is the symbol's occurrence count
-        uc, inv = np.unique(codes, return_inverse=True)
-        u = uc.size
-        s = np.zeros(u, dtype=np.int64)
-        e = np.full(u, self.length, dtype=np.int64)
-        s_stack = np.zeros((self.width, u), dtype=np.int64)
-        r1_stack = np.zeros((self.width, u), dtype=np.int64)
-        for lvl in range(self.width):
-            bv = self._levels[lvl]
-            r = bv.rank1_batch(np.concatenate([s, e]))
-            r1s, r1e = r[:u], r[u:]
-            z = (e - s) - (r1e - r1s)
-            s_stack[lvl] = s
-            r1_stack[lvl] = r1s
-            bit = (uc >> (self.width - 1 - lvl)) & 1
-            s, e = np.where(bit == 0, s, s + z), np.where(bit == 0, s + z, e)
+        uc, inv = _distinct(codes)
+        starts, r1s, s, e = self._descend(uc)
         occ = np.where(present, (e - s)[inv], 0)
         bad = (ks < 1) | (ks > occ)
         if bad.any():
             k = int(np.argmax(bad))
             raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
-        p = ks.astype(np.int64, copy=True)  # 1-based inside the leaf
+        return self._ascend(uc, inv, ks, starts, r1s)
+
+    def positions(self, c: int) -> np.ndarray:
+        """1-based positions of every occurrence of symbol ``c``, ascending:
+        one descent to the symbol's leaf, whose length is its occurrence
+        count, and one ascent of all its occurrences."""
+        codes, present = self._codes_of(np.array([c], dtype=np.int64))
+        if not present[0]:
+            return np.zeros(0, dtype=np.int64)
+        starts, r1s, s, e = self._descend(codes)
+        occ = int(e[0] - s[0])
+        return self._ascend(codes, np.zeros(occ, dtype=np.intp), np.arange(1, occ + 1),
+                            starts, r1s)
+
+    def _rank_codes(self, codes: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+        # node intervals depend on the code alone: walk them once per
+        # distinct code, and only the prefix ends once per lane
+        uc, inv = _distinct(codes)
+        u = uc.size
+        s = np.zeros(u, dtype=np.int64)
+        e = np.full(u, self.length, dtype=np.int64)
+        p = prefix.copy()
+        for bv, bit in zip(self._levels, self._level_bits(uc)):
+            r = bv._rank1(np.concatenate((s, e, s[inv] + p)))
+            r1s = r[:u]
+            mid = e - (r[u:2 * u] - r1s)   # the ones' child starts here
+            ones_in_prefix = r[2 * u:] - r1s[inv]
+            p = np.where(bit[inv], ones_in_prefix, p - ones_in_prefix)
+            s, e = np.where(bit, mid, s), np.where(bit, e, mid)
+        return p
+
+    def _descend(self, uc: np.ndarray):
+        """Walk each code's root-to-leaf path.  Returns, per level, the node
+        start and the ones before it ((width, codes) matrices), and the leaf
+        interval [s, e) of each code."""
+        u = uc.size
+        s = np.zeros(u, dtype=np.int64)
+        e = np.full(u, self.length, dtype=np.int64)
+        starts = np.zeros((self.width, u), dtype=np.int64)
+        r1s = np.zeros((self.width, u), dtype=np.int64)
+        for lvl, (bv, bit) in enumerate(zip(self._levels, self._level_bits(uc))):
+            r = bv._rank1(np.concatenate((s, e)))
+            mid = e - (r[u:] - r[:u])      # the ones' child starts here
+            starts[lvl], r1s[lvl] = s, r[:u]
+            s, e = np.where(bit, mid, s), np.where(bit, e, mid)
+        return starts, r1s, s, e
+
+    def _ascend(self, uc: np.ndarray, inv: np.ndarray, ks: np.ndarray,
+                starts: np.ndarray, r1s: np.ndarray) -> np.ndarray:
+        """1-based position of the ks-th occurrence (1-based inside the leaf)
+        of code ``uc[inv]`` per lane, from the descent's per-level node
+        starts and ranks of the distinct codes ``uc``."""
+        p = ks.copy()
+        bits = self._level_bits(uc)
         for lvl in range(self.width - 1, -1, -1):
-            bv = self._levels[lvl]
-            s_l, r1s = s_stack[lvl][inv], r1_stack[lvl][inv]
-            bit = (codes >> (self.width - 1 - lvl)) & 1
-            g = np.empty(codes.size, dtype=np.int64)
-            m1 = bit == 1
+            bv, s_l, r1 = self._levels[lvl], starts[lvl][inv], r1s[lvl][inv]
+            m1 = bits[lvl][inv]
+            g = np.empty(p.size, dtype=np.int64)
             if m1.any():
-                g[m1] = bv.select1_batch(r1s[m1] + p[m1])
+                g[m1] = bv._select(r1[m1] + p[m1], 1)
             m0 = ~m1
             if m0.any():
-                r0s = s_l[m0] - r1s[m0]
-                g[m0] = bv.select0_batch(r0s + p[m0])
-            p = g - s_l
+                g[m0] = bv._select(s_l[m0] - r1[m0] + p[m0], 0)
+            p = g + 1 - s_l
         return p
 
     # -- scalar wrappers ----------------------------------------------------

@@ -244,10 +244,10 @@ def _codes_of_classes(blen: int, seed: int) -> list[tuple[int, int]]:
 def _decode_in_chunks(cases, blen: int, chunk: int | None) -> np.ndarray:
     codes = np.array([code for code, _ in cases], dtype=np.uint64)
     classes = np.array([k for _, k in cases], dtype=np.int64)
-    blens = np.full(len(cases), blen, dtype=np.int64)
+    pads = np.full(len(cases), 64 - blen, dtype=np.int64)
     step = chunk or len(cases)
     return np.concatenate([
-        bitvector._decode_words(codes[i:i + step], classes[i:i + step], blens[i:i + step])
+        bitvector._decode_words(codes[i:i + step], classes[i:i + step], pads[i:i + step])
         for i in range(0, len(cases), step)
     ])
 
@@ -290,15 +290,15 @@ def _blocky_bits(nblocks: int, tail: int, rng) -> np.ndarray:
 
 @pytest.mark.parametrize("distinct", [1, 40, 160, "all"])
 def test_rrr_queries_decode_each_block_once(distinct, monkeypatch):
-    # every query below has more lanes than _FEW_LANES, so it decodes
-    # through _decode_words, which sees exactly `distinct` blocks; the
-    # "all" case also repeats every block several times
+    # every query below has at least 33 lanes and decodes through
+    # _decode_words, which sees exactly `distinct` blocks; the "all" case
+    # also repeats every block several times
     rng = np.random.default_rng(128)
     bits = _blocky_bits(168, tail=37, rng=rng)
     bv = BitVector(bits, mode="rrr")
     nb = bv._nblocks
     blocks = np.arange(nb) if distinct == "all" else np.sort(rng.choice(nb, distinct, replace=False))
-    lanes = 3 * nb if distinct == "all" else max(2 * blocks.size, bitvector._FEW_LANES + 1)
+    lanes = 3 * nb if distinct == "all" else max(2 * blocks.size, 33)
     blk = np.concatenate([blocks, rng.choice(blocks, lanes - blocks.size)])
     blen = np.where(blk == nb - 1, 37, 64)
     pos = blk * 64 + rng.integers(0, blen)              # 0-based, inside the block
@@ -337,3 +337,188 @@ def test_import_builds_no_decode_table():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["0", "1"]
+
+
+# ---------------------------------------------------------------------------
+# the block fetch against the raw bits and the bit-serial reference
+# ---------------------------------------------------------------------------
+
+def _stored_codes(bv: BitVector) -> list[int]:
+    """Each block's combinadic code, read bit by bit from the rrr parts."""
+    parts = bv.to_parts()
+    stream = int.from_bytes(parts["payload"].astype("<u8").tobytes(), "little")
+    codes, at = [], 0
+    for b, k in enumerate(parts["classes"].tolist()):
+        blen = min(64, bv.n - 64 * b)
+        width = (math.comb(blen, k) - 1).bit_length()
+        codes.append((stream >> at) & ((1 << width) - 1))
+        at += width
+    return codes
+
+
+def _check_fetch(bits: np.ndarray, mode: str, blk: np.ndarray) -> None:
+    bv = BitVector(bits, mode=mode)
+    nb = bv._nblocks
+    padded = np.zeros(64 * nb, np.uint8)
+    padded[:bits.size] = bits
+    words = np.packbits(padded, bitorder="little").view("<u8")
+    before = np.concatenate([[0], np.cumsum(padded.reshape(nb, 64).sum(axis=1))])
+    base, got = bv._fetch(blk)
+    assert np.array_equal(base, before[blk])
+    assert np.array_equal(got, words[blk])
+    if mode == "rrr":
+        codes, classes = _stored_codes(bv), bv.to_parts()["classes"].tolist()
+        for b in np.unique(blk).tolist():
+            blen = min(64, bits.size - 64 * b)
+            assert decode_block(codes[b], classes[b], blen) == int(words[b])
+
+
+def _fetch_bits(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    bits = (rng.random(n) < rng.uniform(0.05, 0.95, n // 64 + 1).repeat(64)[:n]).astype(np.uint8)
+    return bits
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [64 * 16 * 12, 64 * 16 * 12 + 64 * 5 + 17, 64 * 33 + 1])
+def test_fetch_block_and_superblock_boundaries(mode, n):
+    bits = _fetch_bits(n, seed=n)
+    nb = (n + 63) // 64
+    edges = np.array([0, 1, 14, 15, 16, 17, 31, 32, 33, nb - 2, nb - 1])
+    _check_fetch(bits, mode, edges[edges < nb])
+    _check_fetch(bits, mode, np.arange(nb))                 # the whole-block route
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lanes", [1, 2, 3, 31, 32, 33])
+def test_fetch_lane_counts_with_repeats(mode, lanes):
+    n = 64 * 16 * 40 + 29                                   # 641 blocks, partial last
+    bits = _fetch_bits(n, seed=lanes)
+    nb = (n + 63) // 64
+    rng = np.random.default_rng(lanes)
+    pool = np.concatenate([rng.integers(0, nb, max(lanes // 3, 1)), [nb - 1, 15, 16]])
+    blk = rng.choice(pool, lanes)
+    _check_fetch(bits, mode, blk)
+    pos = np.minimum(blk * 64 + rng.integers(0, 65, lanes), n)
+    bv = BitVector(bits, mode=mode)
+    rank = np.concatenate([[0], np.cumsum(bits)])
+    assert np.array_equal(bv.rank1_batch(pos), rank[pos])
+    inside = np.minimum(pos, n - 1)
+    r, bit = bv.rank1_bit(inside)
+    assert np.array_equal(r, rank[inside]) and np.array_equal(bit, bits[inside])
+    ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+    k1 = np.searchsorted(ones, inside) + 1
+    k1 = np.minimum(k1, ones.size)
+    assert np.array_equal(bv.select1_batch(k1), ones[k1 - 1] + 1)
+    k0 = np.minimum(np.searchsorted(zeros, inside) + 1, zeros.size)
+    assert np.array_equal(bv.select0_batch(k0), zeros[k0 - 1] + 1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rank_at_end_of_a_full_superblock(mode):
+    # n % 1024 == 0: rank(n) reads the whole last block, which ends exactly
+    # where a new superblock would start
+    for n in (1024, 3 * 1024):
+        bits = _fetch_bits(n, seed=n)
+        bv = BitVector(bits, mode=mode)
+        assert bv.rank1(n) == int(bits.sum())
+        assert bv.rank0(n) == n - int(bits.sum())
+        pos = np.array([n, n - 1, n - 64, n - 63, 0])
+        assert np.array_equal(bv.rank1_batch(pos), [int(bits[:p].sum()) for p in pos])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_select0_inside_a_partial_last_block(mode):
+    # the last block has 23 bits, its zeros are the last ones in the vector
+    bits = np.ones(64 * 5 + 23, np.uint8)
+    bits[64 * 5 + np.array([0, 4, 5, 22])] = 0
+    bits[[3, 100]] = 0
+    bv = BitVector(bits, mode=mode)
+    zeros = np.flatnonzero(bits == 0) + 1
+    assert np.array_equal(bv.select0_batch(np.arange(1, zeros.size + 1)), zeros)
+    assert bv.select0(zeros.size) == bits.size
+    assert bv.select1(int(bits.sum())) == 64 * 5 + 22
+    with pytest.raises(OutOfRangeError):
+        bv.select0(zeros.size + 1)
+
+
+def test_one_lane_queries_decode_one_block(monkeypatch):
+    bits = _fetch_bits(64 * 16 * 20 + 9, seed=3)
+    bv = BitVector(bits, mode="rrr")
+    decoded = []
+    decode = bitvector._decode_words
+
+    def spy(codes, classes, pads):
+        decoded.append(codes.size)
+        return decode(codes, classes, pads)
+
+    monkeypatch.setattr(bitvector, "_decode_words", spy)
+    ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+    for query, want in ((lambda: bv.rank1(7000), int(bits[:7000].sum())),
+                        (lambda: bv.rank1(bits.size), int(bits.sum())),
+                        (lambda: bv.access(5000), int(bits[4999])),
+                        (lambda: bv.select1(900), int(ones[899]) + 1),
+                        (lambda: bv.select0(900), int(zeros[899]) + 1)):
+        decoded.clear()
+        assert query() == want
+        assert decoded == [1]
+
+
+def test_fetch_route_switches_at_a_sixteenth_of_the_blocks(monkeypatch):
+    bits = _fetch_bits(64 * 16 * 20, seed=4)                  # 320 blocks
+    sorted_calls = []
+    distinct = bitvector._distinct
+
+    def spy(a):
+        sorted_calls.append(a.size)
+        return distinct(a)
+
+    monkeypatch.setattr(bitvector, "_distinct", spy)
+    for mode in MODES:
+        for lanes, sorts in ((19, True), (20, False)):
+            sorted_calls.clear()
+            _check_fetch(bits, mode, np.arange(lanes) * 7)
+            assert sorted_calls == ([lanes] if sorts else [])
+
+
+def test_rank1_bit_bounds():
+    bv = BitVector([1, 0, 1], mode="rrr")
+    assert [a.tolist() for a in bv.rank1_bit([0, 1, 2])] == [[0, 1, 1], [1, 0, 1]]
+    with pytest.raises(OutOfRangeError):
+        bv.rank1_bit([3])
+    with pytest.raises(OutOfRangeError):
+        bv.rank1_bit([-1])
+
+
+# ---------------------------------------------------------------------------
+# rrr codes are validated on load
+# ---------------------------------------------------------------------------
+
+def test_out_of_range_code_is_rejected():
+    # C(64, 3) = 41,664 needs 16 bits; 65,535 fits the field but is no code
+    with pytest.raises(ValueError, match="code"):
+        BitVector.from_parts(64, "rrr", classes=[3], payload=[65535])
+    ok = BitVector.from_parts(64, "rrr", classes=[3], payload=[math.comb(64, 3) - 1])
+    assert ok.rank1(64) == 3 and int(ok.to_array().sum()) == 3
+
+
+def test_out_of_range_code_in_a_partial_block_is_rejected():
+    # the last block has 10 bits: C(10, 4) = 210 codes in an 8-bit field
+    bv = BitVector((np.arange(74) % 3 == 0).astype(np.uint8), mode="rrr")
+    parts = bv.to_parts()
+    assert parts["classes"].tolist()[-1] == 3
+    classes = parts["classes"].copy()
+    classes[-1] = 4
+    width0 = (math.comb(64, int(classes[0])) - 1).bit_length()
+    for code, ok in ((209, True), (210, False), (255, False)):
+        payload = parts["payload"].copy()
+        stream = int.from_bytes(payload.astype("<u8").tobytes(), "little")
+        stream = (stream & ((1 << width0) - 1)) | (code << width0)
+        need = (width0 + 8 + 63) // 64
+        payload = np.frombuffer(stream.to_bytes(8 * need, "little"), "<u8").astype(np.uint64)
+        if ok:
+            got = BitVector.from_parts(74, "rrr", classes=classes, payload=payload)
+            assert int(got.to_array()[64:].sum()) == 4
+        else:
+            with pytest.raises(ValueError, match="code"):
+                BitVector.from_parts(74, "rrr", classes=classes, payload=payload)

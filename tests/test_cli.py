@@ -232,6 +232,21 @@ def test_query_ill_formed_tree_fails_cleanly(figure_files, tmp_path, capsys):
     assert err.startswith("error:") and "well-formed" in err
 
 
+def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, capsys):
+    # the presence map's one block has class 4 of 6 bits: C(6, 4) = 15
+    # codes, so code 15 fits its 4-bit field but names no block
+    _, up = figure_files
+    body = bytearray(up.read_bytes()[:-4])
+    assert body[92:100] == struct.pack("<Q", 13)
+    body[92:100] = struct.pack("<Q", 15)
+    bad = tmp_path / "bad.upag"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    code, out, err = run(capsys, "query", "--in", str(bad), "deg", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "code out of range" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_query_missing_file_fails(tmp_path, capsys):
     code, _, err = run(capsys, "query", "--in", str(tmp_path / "nope.upag"), "deg", "1")
     assert code == 2
@@ -326,8 +341,20 @@ def test_bench_times_every_operation(tmp_path, capsys):
         "op=out_neighbour_batch",
         "op=degree_in_batch",
         "op=in_neighbour_batch",
+        "op=level_rank1",
+        "op=level_select1",
+        "op=level_access",
+        "op=paren_select1",
+        "op=wt_access",
+        "op=wt_rank",
+        "op=wt_select",
+        "op=tree_parent",
+        "op=tree_degree",
     ]
     assert all("ns_per_query=" in ln for ln in text.splitlines())
+    assert all(ln.endswith("queries=25") or ln.endswith("mode=rrr")
+               for ln in text.splitlines()[8:])
+    assert all("mode=rrr" in ln for ln in text.splitlines() if ln.startswith("op=level_"))
 
 
 # ---------------------------------------------------------------------------

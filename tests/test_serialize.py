@@ -153,6 +153,49 @@ def test_reject_ill_formed_parentheses(word):
         serialize.loads(with_tree_word(serialize.dumps(five_vertex_graph()), word))
 
 
+PRESENCE_PAYLOAD = 92  # the presence bitvector's one payload word: 6 bits of class 4
+
+
+def with_presence_code(blob: bytes, code: int) -> bytes:
+    """``blob`` with the presence block's code replaced and the CRC redone."""
+    body = bytearray(blob[:-4])
+    assert body[PRESENCE_PAYLOAD - 9:PRESENCE_PAYLOAD - 8] == b"\x04"      # its class byte
+    assert body[PRESENCE_PAYLOAD:PRESENCE_PAYLOAD + 8] == struct.pack("<Q", 13)
+    body[PRESENCE_PAYLOAD:PRESENCE_PAYLOAD + 8] = struct.pack("<Q", code)
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+def test_reject_out_of_range_block_code():
+    # C(6, 4) = 15 codes in a 4-bit field; code 15 would decode to a block
+    # whose ones disagree with its class byte
+    blob = serialize.dumps(five_vertex_graph())
+    g = serialize.loads(with_presence_code(blob, 14))
+    assert g.targets.sigma_eff == 4
+    with pytest.raises(FormatError, match="code out of range"):
+        serialize.loads(with_presence_code(blob, 15))
+
+
+def test_load_builds_each_bitvector_once(monkeypatch):
+    from upag.bitvector import BitVector
+
+    g = CompressedGraph.from_dag(generate(3, 300, seed=2))
+    blob = serialize.dumps(g)
+    built = []
+    assemble = BitVector._assemble
+
+    def spy(self, *args, **kwargs):
+        built.append(self.n)
+        return assemble(self, *args, **kwargs)
+
+    monkeypatch.setattr(BitVector, "_assemble", spy)
+    g2 = serialize.loads(blob)
+    # the tree, the presence map and one bitvector per level
+    assert len(built) == 2 + g2.targets.width
+    built.clear()
+    assert serialize.dumps(g2) == blob
+    assert built == []
+
+
 def test_dumps_rejects_other_types():
     with pytest.raises(TypeError):
         serialize.dumps(object())

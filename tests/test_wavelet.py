@@ -184,3 +184,21 @@ def test_select_batch_mixed_symbols_and_bounds(mode, sigma, length, rng):
             assert str(err.value) == want
         else:
             assert np.array_equal(wt.select_batch(cs, ks), want)
+
+
+@pytest.mark.parametrize("mode", ["plain", "rrr"])
+@pytest.mark.parametrize("sigma,length", [(1, 0), (1, 7), (2, 50), (9, 400), (300, 2000)])
+def test_positions_match_select(mode, sigma, length, rng):
+    values = rng.integers(0, sigma, size=length)
+    wt = WaveletTree(values, sigma, mode=mode)
+    for c in range(min(sigma, 12)):
+        want = np.flatnonzero(values == c) + 1
+        got = wt.positions(c)
+        assert np.array_equal(got, want), c
+        if want.size:
+            assert np.array_equal(got, wt.select_batch(np.full(want.size, c),
+                                                       np.arange(1, want.size + 1)))
+    with pytest.raises(OutOfRangeError):
+        wt.positions(sigma)
+    with pytest.raises(OutOfRangeError):
+        wt.positions(-1)
