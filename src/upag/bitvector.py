@@ -21,9 +21,9 @@ The fetch dedupes blocks, so a call reads and decodes each distinct block
 once, and it holds the only two choices that depend on batch size, each a
 cost test on what the batch touches (their crossovers were measured):
 
-* a batch with at least 1/16 as many lanes as blocks marks its blocks in a
+* a batch with at least 1/10 as many lanes as blocks marks its blocks in a
   table and takes rank bases and payload starts from one transient prefix
-  over all blocks, O(blocks) = O(16 * lanes); a smaller batch sorts its
+  over all blocks, O(blocks) = O(10 * lanes); a smaller batch sorts its
   blocks and adds at most 15 entries of each block's superblock to the
   superblock's sample;
 * ``_decode_words`` reads a block a byte at a time from the tables of
@@ -77,6 +77,7 @@ _BLOCK_LOG = np.array(6)        # position >> 6 = block
 _SB_LOG = np.array(4)           # block >> 4 = superblock
 _SB_MASK = np.array(SB_BLOCKS - 1)
 _SORT_BLOCKS = 192    # decode calls of this many blocks sort their keys (measured crossover)
+_WHOLE_SHARE = 10     # fetches of nblocks / 10 lanes or more take the whole-block route (ditto)
 # _BEFORE[c]: ones at the entries of a superblock that precede entry c
 _BEFORE = np.tri(SB_BLOCKS, k=-1, dtype=U64)
 
@@ -363,15 +364,15 @@ class BitVector:
         block bit j; bits past a short last block read 0).
 
         Reads and decodes each distinct block once.  A batch of at least
-        1/16 as many lanes as blocks works on whole-block arrays: a table
+        1/10 as many lanes as blocks works on whole-block arrays: a table
         marks the blocks it touches, and one transient prefix over all
-        blocks gives rank bases and payload starts, O(blocks) = O(16 *
+        blocks gives rank bases and payload starts, O(blocks) = O(10 *
         lanes).  A smaller batch sorts its blocks to dedupe them and sums
         at most 15 entries of each one's superblock, O(lanes * log(lanes)
         + 16 * distinct blocks).
         """
         meta = self._meta
-        if blk.size * SB_BLOCKS >= self._nblocks:
+        if blk.size * _WHOLE_SHARE >= self._nblocks:
             seen = np.zeros(meta.size, dtype=bool)
             seen[blk] = True
             u = np.flatnonzero(seen)
@@ -465,14 +466,6 @@ class BitVector:
     def rank0_batch(self, i) -> np.ndarray:
         arr = np.asarray(i, dtype=np.int64)
         return arr - self.rank1_batch(arr)
-
-    def rank1_bit(self, i) -> tuple[np.ndarray, np.ndarray]:
-        """(rank1(i), access(i + 1)) per lane, i in 0..n-1, from one fetch."""
-        arr = np.asarray(i, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-            raise OutOfRangeError(f"rank1_bit index must lie in 0..{self.n - 1}")
-        rank, bit = self._rank_bit(arr)
-        return rank, bit.astype(np.int64)
 
     def select1(self, k: int) -> int:
         if not 1 <= k <= self.ones:

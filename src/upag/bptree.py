@@ -184,8 +184,7 @@ class BPTree:
 
     def _base(self, leaf: np.ndarray) -> np.ndarray:
         """Excess before the first bit of each leaf."""
-        ones = (self._bv._sb[leaf] & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        return 2 * ones - (leaf << _LEAF_LOG)
+        return 2 * self._bv._sb_occ[1][leaf] - (leaf << _LEAF_LOG)
 
     def _profile(self, leaf: np.ndarray):
         """Byte and word summaries of the distinct leaves in ``leaf``.

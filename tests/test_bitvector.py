@@ -404,7 +404,7 @@ def test_fetch_lane_counts_with_repeats(mode, lanes):
     rank = np.concatenate([[0], np.cumsum(bits)])
     assert np.array_equal(bv.rank1_batch(pos), rank[pos])
     inside = np.minimum(pos, n - 1)
-    r, bit = bv.rank1_bit(inside)
+    r, bit = bv._rank_bit(inside)
     assert np.array_equal(r, rank[inside]) and np.array_equal(bit, bits[inside])
     ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
     k1 = np.searchsorted(ones, inside) + 1
@@ -464,7 +464,7 @@ def test_one_lane_queries_decode_one_block(monkeypatch):
         assert decoded == [1]
 
 
-def test_fetch_route_switches_at_a_sixteenth_of_the_blocks(monkeypatch):
+def test_fetch_route_switches_at_a_tenth_of_the_blocks(monkeypatch):
     bits = _fetch_bits(64 * 16 * 20, seed=4)                  # 320 blocks
     sorted_calls = []
     distinct = bitvector._distinct
@@ -475,19 +475,18 @@ def test_fetch_route_switches_at_a_sixteenth_of_the_blocks(monkeypatch):
 
     monkeypatch.setattr(bitvector, "_distinct", spy)
     for mode in MODES:
-        for lanes, sorts in ((19, True), (20, False)):
+        for lanes, sorts in ((31, True), (32, False)):
             sorted_calls.clear()
             _check_fetch(bits, mode, np.arange(lanes) * 7)
             assert sorted_calls == ([lanes] if sorts else [])
 
 
-def test_rank1_bit_bounds():
-    bv = BitVector([1, 0, 1], mode="rrr")
-    assert [a.tolist() for a in bv.rank1_bit([0, 1, 2])] == [[0, 1, 1], [1, 0, 1]]
-    with pytest.raises(OutOfRangeError):
-        bv.rank1_bit([3])
-    with pytest.raises(OutOfRangeError):
-        bv.rank1_bit([-1])
+@pytest.mark.parametrize("mode", MODES)
+def test_rank_bit_at_every_position(mode):
+    bits = np.array([1, 0, 1], np.uint8)
+    rank, bit = BitVector(bits, mode=mode)._rank_bit(np.arange(4))
+    assert rank.tolist() == [0, 1, 1, 2]
+    assert bit.tolist() == [True, False, True, False]      # pos == n reads 0
 
 
 # ---------------------------------------------------------------------------
