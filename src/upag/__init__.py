@@ -5,9 +5,8 @@ from .bptree import BPTree
 from .construct import (
     build,
     freq_rank,
-    peel,
     peel_ambiguity,
-    peel_relabel,
+    peel_edges,
     reduce_string,
 )
 from .entropy import bounds_report, degree_entropy, h0_bits, h0_per_symbol
@@ -15,10 +14,9 @@ from .errors import FormatError, OutOfRangeError
 from .graph_model import (
     Dag,
     ModelError,
-    UndirectedMultigraph,
     adjacency_string,
     in_degrees,
-    undirect,
+    undirected_degrees,
 )
 from .pa_gen import generate, log_prob, entropy_gap
 from .serialize import dumps, load, loads, save
@@ -34,7 +32,6 @@ __all__ = [
     "LabelledGraph",
     "ModelError",
     "OutOfRangeError",
-    "UndirectedMultigraph",
     "WaveletTree",
     "adjacency_string",
     "bounds_report",
@@ -49,11 +46,10 @@ __all__ = [
     "load",
     "loads",
     "log_prob",
-    "peel",
     "peel_ambiguity",
-    "peel_relabel",
+    "peel_edges",
     "reduce_string",
     "save",
     "entropy_gap",
-    "undirect",
+    "undirected_degrees",
 ]

@@ -26,7 +26,7 @@ from .construct import build, peel_edges, reduce_string
 from .entropy import bounds_report, h0_per_symbol
 from .errors import FormatError, OutOfRangeError
 from .graph_model import Dag, ModelError
-from .oracle import NaiveGraph, naive_from_dag
+from .oracle import selfcheck
 from .pa_gen import EXACT_CUTOFF, generate, log_prob
 from .serialize import load, save
 from .ugraph import CompressedGraph, LabelledGraph
@@ -63,6 +63,8 @@ def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     if not head:
         raise ModelError("missing or malformed header (expected '# upag-el v1 M=<M> n=<n>')")
     m, n = int(head.group(1)), int(head.group(2))
+    if m < 1:
+        raise ModelError("header M must be at least 1")
     pairs = np.zeros((0, 2), dtype=np.int64)
     if body.strip():
         try:
@@ -229,89 +231,18 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _selfcheck_compressed(g: CompressedGraph, d: Dag, rng: np.random.Generator, tie: str):
-    """Yield (description, got, want) triples; caller stops at first mismatch."""
-    built = build(d, tie=tie)
-    ref = NaiveGraph(built.m, built.n, built.tree_parents, built.nontree)
-    nv = d.n + 1
-    if g.m != d.m or g.n != d.n:
-        yield ("shape m/n", (g.m, g.n), (d.m, d.n))
-        return
-    verts = np.arange(nv) if nv <= 2001 else np.sort(rng.choice(nv, 2000, replace=False))
-    for v in verts:
-        v = int(v)
-        yield (f"deg_in v={v}", g.degree_in(v), ref.degree_in(v))
-        yield (f"deg_out v={v}", g.degree_out(v), ref.degree_out(v))
-        yield (f"nbrs_out v={v}", g.neighbours_out(v), ref.out_lists[v])
-        yield (f"nbrs_in v={v}", g.neighbours_in(v), ref.in_lists[v])
-    if nv <= 301:
-        us, vs = np.meshgrid(np.arange(nv), np.arange(nv), indexing="ij")
-        us, vs = us.ravel(), vs.ravel()
-    else:
-        us = rng.integers(0, nv, 10000)
-        vs = rng.integers(0, nv, 10000)
-    got = g.adjacent_batch(us, vs)
-    want = ref.mult[us, vs] > 0
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        k = int(bad[0])
-        yield (f"adjacent u={int(us[k])} v={int(vs[k])}", bool(got[k]), bool(want[k]))
-    else:
-        yield (f"adjacent batch x{us.size}", us.size, us.size)
-
-
-def _selfcheck_labelled(g: LabelledGraph, d: Dag, rng: np.random.Generator):
-    ref = naive_from_dag(d)
-    nv = d.n + 1
-    if g.m != d.m or g.n != d.n:
-        yield ("shape m/n", (g.m, g.n), (d.m, d.n))
-        return
-    verts = np.arange(nv) if nv <= 2001 else np.sort(rng.choice(nv, 2000, replace=False))
-    for v in verts:
-        v = int(v)
-        yield (f"deg_in v={v}", g.degree_in(v), ref.degree_in(v))
-        yield (f"nbrs_out v={v}", g.neighbours_out(v), ref.out_lists[v])
-        yield (f"nbrs_in v={v}", g.neighbours_in(v), ref.in_lists[v])
-    pairs = rng.integers(0, nv, (4000, 2))
-    for u, v in pairs:
-        u, v = int(u), int(v)
-        yield (f"adjacent u={u} v={v}", g.adjacent(u, v), ref.adjacent(u, v))
-
-
-def _run_suite(suite) -> tuple[int, str | None]:
-    """Consume a selfcheck generator; (queries verified, first mismatch or None)."""
-    checked = 0
-    for desc, got, want in suite:
-        if isinstance(got, (int, np.integer)) and desc.startswith("adjacent batch"):
-            checked += int(got)
-            continue
-        checked += 1
-        eq = got == want
-        if isinstance(eq, np.ndarray):
-            eq = bool(eq.all())
-        if not eq:
-            return checked, f"MISMATCH {desc} got={got} want={want}"
-    return checked, None
-
-
 def cmd_selfcheck(args) -> int:
     g = load(args.infile)
     d, inferred, _ = read_edge_list(args.against)
     if inferred:
         _warn_inferred()
-    if isinstance(g, LabelledGraph):
-        checked, bad = _run_suite(_selfcheck_labelled(g, d, np.random.default_rng(0)))
-        if bad:
-            print(bad)
-            return 1
-        print(f"OK ({checked} queries verified)")
-        return 0
     ties = ("index", "first-target") if args.tie == "auto" else (args.tie,)
     first_bad = None
-    for tie in ties:
-        checked, bad = _run_suite(_selfcheck_compressed(g, d, np.random.default_rng(0), tie))
+    for tie in ties:                     # without a scaffold, selfcheck ignores tie
+        checked, bad = selfcheck(g, d, tie, np.random.default_rng(0))
         if bad is None:
-            print(f"tie={tie}")
+            if g.tree is not None:
+                print(f"tie={tie}")
             print(f"OK ({checked} queries verified)")
             return 0
         if first_bad is None:
@@ -354,36 +285,33 @@ def cmd_bench(args) -> int:
         f"queries={int(keep.sum())}"
     )
     print(f"op=adjacent ns_per_query={clock(g.adjacent, zip(us, ws))} queries={q}")
-    if isinstance(g, CompressedGraph):
-        t0 = time.perf_counter_ns()
-        g.adjacent_batch(us, ws)
-        print(f"op=adjacent_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
-        t0 = time.perf_counter_ns()
-        g.out_neighbour_batch(vs, iis)
-        print(
-            f"op=out_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}"
-        )
-        t0 = time.perf_counter_ns()
-        g.degree_in_batch(vs)
-        print(f"op=degree_in_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
-        nin = int(keep.sum())
-        t0 = time.perf_counter_ns()
-        g.in_neighbour_batch(vs[keep], jj)
-        print(
-            f"op=in_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // max(nin, 1)} "
-            f"queries={nin}"
-        )
-        if g.targets.width:
-            _bench_layers(g, rng, q)
+    t0 = time.perf_counter_ns()
+    g.adjacent_batch(us, ws)
+    print(f"op=adjacent_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
+    t0 = time.perf_counter_ns()
+    g.out_neighbour_batch(vs, iis)
+    print(f"op=out_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
+    t0 = time.perf_counter_ns()
+    g.degree_in_batch(vs)
+    print(f"op=degree_in_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
+    nin = int(keep.sum())
+    t0 = time.perf_counter_ns()
+    g.in_neighbour_batch(vs[keep], jj)
+    print(
+        f"op=in_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // max(nin, 1)} "
+        f"queries={nin}"
+    )
+    if g.targets.width:
+        _bench_layers(g, rng, q)
     return 0
 
 
 def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> None:
     """One-lane latency of each layer under the graph queries: one level of
     the string index, the tree's parenthesis bitvector, the string index
-    and the tree."""
+    and the tree; the tree's rows only when the graph has a scaffold."""
     wt, tree = g.targets, g.tree
-    level, paren = wt._levels[wt.width // 2], tree._bv
+    level = wt._levels[wt.width // 2]
     pos = rng.integers(1, wt.length + 1, q)
     syms = wt.access_batch(pos)
     nth = wt.rank_batch(syms, pos)          # pos holds occurrence nth of its symbol
@@ -391,13 +319,20 @@ def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> None:
         ("level_rank1", level.rank1, [rng.integers(0, level.n + 1, q)]),
         ("level_select1", level.select1, [rng.integers(1, level.ones + 1, q)]),
         ("level_access", level.access, [rng.integers(1, level.n + 1, q)]),
-        ("paren_select1", paren.select1, [rng.integers(1, paren.ones + 1, q)]),
+    ]
+    if tree is not None:
+        rows.append(("paren_select1", tree._bv.select1,
+                     [rng.integers(1, tree._bv.ones + 1, q)]))
+    rows += [
         ("wt_access", wt.access, [rng.integers(1, wt.length + 1, q)]),
         ("wt_rank", wt.rank, [syms, rng.integers(0, wt.length + 1, q)]),
         ("wt_select", wt.select, [syms, nth]),
-        ("tree_parent", tree.parent, [rng.integers(1, g.n + 1, q)]),
-        ("tree_degree", tree.tree_degree, [rng.integers(0, g.n + 1, q)]),
     ]
+    if tree is not None:
+        rows += [
+            ("tree_parent", tree.parent, [rng.integers(1, g.n + 1, q)]),
+            ("tree_degree", tree.tree_degree, [rng.integers(0, g.n + 1, q)]),
+        ]
     for name, fn, args in rows:
         calls = list(zip(*(a.tolist() for a in args)))
         t0 = time.perf_counter_ns()
@@ -451,7 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("unlabelled", "labelled"),
         default="unlabelled",
-        help="unlabelled: scaffold tree + leftover string; labelled: full string",
+        help="one graph class either way; unlabelled: preorder names, a scaffold tree "
+        "and the leftover string; labelled: original names, no scaffold, the whole string",
     )
     b.add_argument(
         "--emit-relabel",

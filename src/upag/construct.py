@@ -6,8 +6,10 @@ into a flat string.  Deleting the rarest symbol from each block can only
 flatten the symbol distribution, so the leftover string compresses at
 least as well per character as the full target string.
 
-``peel`` inverts generation: it recovers the unique attachment history of
-an undirected multigraph, when one exists.
+``peel_edges`` inverts generation: from the edge arrays of an undirected
+multigraph under any labelling, it recovers an attachment history and the
+arrival order behind it.  The split feeds ``CompressedGraph`` with a
+scaffold; the form without one stores the target string as is.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_model import Dag, ModelError, UndirectedMultigraph, adjacency_string, in_degrees
+from .graph_model import Dag, ModelError, adjacency_string, in_degrees
 
 _FAR = np.iinfo(np.int64).max
 
@@ -145,58 +147,13 @@ def _preorder(parents: np.ndarray) -> np.ndarray:
     return nv - dist[:nv]
 
 
-def peel(g: UndirectedMultigraph, m: int) -> Dag:
-    """Recover the attachment history that generated ``g``.
-
-    Peels vertices whose residual degree is exactly ``m`` (lowest index
-    first); each peeled vertex's residual edges are its target block.  A
-    vertex is peelable only once all of its in-neighbours are gone, so
-    the recovered blocks do not depend on the peel order.
-    """
-    if m < 1:
-        raise ModelError("need m >= 1")
-    nv = g.n_vertices
-    if nv == 0:
-        raise ModelError("graph has no vertices")
-    deg = np.array(g.degrees(), dtype=np.int64)
-    blocks = np.zeros((nv - 1, m), dtype=np.int64)
-    alive = np.ones(nv, dtype=bool)
-    ready = [v for v in range(1, nv) if deg[v] == m]
-    heapq.heapify(ready)
-    peeled = 0
-    while ready:
-        v = heapq.heappop(ready)
-        if not alive[v] or deg[v] != m:
-            continue
-        tgt: list[int] = []
-        for u, c in g.adj[v].items():
-            if alive[u]:
-                tgt.extend([u] * c)
-                deg[u] -= c
-                if u != 0 and deg[u] == m:
-                    heapq.heappush(ready, u)
-        if len(tgt) != m:
-            raise ModelError(f"vertex {v} has {len(tgt)} residual edges, expected {m}")
-        if max(tgt) >= v:
-            raise ModelError(f"vertex {v} still points at a later vertex; not an attachment graph")
-        blocks[v - 1] = sorted(tgt)
-        alive[v] = False
-        deg[v] = 0
-        peeled += 1
-    if peeled != nv - 1:
-        raise ModelError("peeling stalled: graph was not grown by preferential attachment")
-    if deg[0] != 0:
-        raise ModelError("seed vertex kept edges after peeling")
-    return Dag(m, blocks)
-
-
 def peel_edges(nv: int, us, vs, m: int,
                rng: np.random.Generator | None = None) -> tuple[Dag, np.ndarray]:
     """Recover *an* attachment history of an arbitrarily-labelled multigraph.
 
     The graph has vertices ``0..nv-1`` and one undirected edge ``us[k]``-
-    ``vs[k]`` per row, parallel edges repeated.  Unlike :func:`peel`, the
-    vertex labels need not equal arrival order.  Vertices of residual
+    ``vs[k]`` per row, parallel edges repeated.  The vertex labels need not
+    equal arrival order.  Vertices of residual
     degree ``m`` are removed until only the seed pair remains; removal
     order, reversed, is an arrival order consistent with the graph.  Ties
     go to the lowest label, or to a uniform pick when ``rng`` is given
@@ -263,30 +220,20 @@ def peel_edges(nv: int, us, vs, m: int,
     return Dag(m, (arcs % nv).reshape(nv - 1, m)), order
 
 
-def peel_relabel(g: UndirectedMultigraph, m: int,
-                 rng: np.random.Generator | None = None) -> tuple[Dag, np.ndarray]:
-    """:func:`peel_edges` on an adjacency-counter multigraph."""
-    ms = g.edge_multiset()
-    ends = np.array(list(ms), dtype=np.int64).reshape(-1, 2)
-    k = np.fromiter(ms.values(), dtype=np.int64, count=len(ms))
-    return peel_edges(g.n_vertices, np.repeat(ends[:, 0], k), np.repeat(ends[:, 1], k), m, rng)
-
-
-def peel_ambiguity(g: UndirectedMultigraph, m: int, trials: int = 8,
-                   seed: int = 0) -> dict:
+def peel_ambiguity(nv: int, us, vs, m: int, trials: int = 8, seed: int = 0) -> dict:
     """Diagnostic: do randomized re-peels all recover the same history?
 
-    Re-runs :func:`peel_relabel` with random choices among the eligible
-    vertices and counts distinct recovered block matrices.  More than one
-    variant means the arrival order is not determined by the graph alone
-    (every variant is still an equally likely history when no block beyond
-    the seed's repeats a target).
+    Re-runs :func:`peel_edges` on the same edge arrays with random choices
+    among the eligible vertices and counts distinct recovered block
+    matrices.  More than one variant means the arrival order is not
+    determined by the graph alone (every variant is still an equally likely
+    history when no block beyond the seed's repeats a target).
     """
-    base, _ = peel_relabel(g, m)
+    base, _ = peel_edges(nv, us, vs, m)
     seen = {base.targets.tobytes()}
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        d, _ = peel_relabel(g, m, rng=rng)
+        d, _ = peel_edges(nv, us, vs, m, rng=rng)
         seen.add(d.targets.tobytes())
     return {"ambiguous": len(seen) > 1, "variants": len(seen), "trials": trials}
 

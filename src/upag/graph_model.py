@@ -1,15 +1,14 @@
-"""Containers for M-out-regular attachment DAGs and their undirected form.
+"""Containers for M-out-regular attachment DAGs.
 
 A directed instance is a sequence of target blocks: vertex ``t`` (labels are
 dense, vertex 0 is the seed) picks exactly ``m`` targets among the older
 vertices ``0..t-1``, in draw order.  Block 1 is forced: vertex 1 points at the
 seed ``m`` times.  The undirected view forgets orientation and the order
-inside each block, keeping edge multiplicities.
+inside each block, keeping edge multiplicities; ``undirected_degrees`` gives
+its degrees, and ``construct.peel_edges`` takes it as edge arrays.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -109,50 +108,3 @@ def has_parallel_beyond_seed(d: Dag) -> bool:
         return False
     rows = np.sort(d.targets[1:], axis=1)
     return bool(np.any(rows[:, 1:] == rows[:, :-1]))
-
-
-class UndirectedMultigraph:
-    """Adjacency-counter multigraph on vertices ``0..n_vertices-1``."""
-
-    __slots__ = ("n_vertices", "adj")
-
-    def __init__(self, n_vertices: int) -> None:
-        self.n_vertices = n_vertices
-        self.adj: list[Counter] = [Counter() for _ in range(n_vertices)]
-
-    def add_edge(self, u: int, v: int, k: int = 1) -> None:
-        if u == v:
-            raise ModelError("self-loops cannot arise in this model")
-        self.adj[u][v] += k
-        self.adj[v][u] += k
-
-    def degree(self, v: int) -> int:
-        return sum(self.adj[v].values())
-
-    def degrees(self) -> np.ndarray:
-        return np.array([self.degree(v) for v in range(self.n_vertices)], dtype=np.int64)
-
-    def edge_multiset(self) -> Counter:
-        """Counter of undirected edges keyed by (min(u,v), max(u,v))."""
-        out: Counter = Counter()
-        for u in range(self.n_vertices):
-            for v, k in self.adj[u].items():
-                if u < v:
-                    out[(u, v)] = k
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UndirectedMultigraph)
-            and self.n_vertices == other.n_vertices
-            and self.edge_multiset() == other.edge_multiset()
-        )
-
-
-def undirect(d: Dag) -> UndirectedMultigraph:
-    """Forget orientation and block order; multiplicities are preserved."""
-    g = UndirectedMultigraph(d.n + 1)
-    for t in range(1, d.n + 1):
-        for v, k in Counter(d.targets[t - 1].tolist()).items():
-            g.add_edge(t, int(v), k)
-    return g

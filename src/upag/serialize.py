@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     magic   4 bytes  b"UPAG"
     version u16      1
     flags   u16      bit 0: 1 = scaffold tree present (vertex-renamed form),
-                            0 = labelled form (no tree)
+                            0 = no scaffold (labelled form); either way the
+                            file holds one CompressedGraph
     m       u64
     n       u64
     [tree parenthesis bitvector blob]   only when flag bit 0 is set
@@ -29,6 +30,9 @@ A wavelet blob is:
 
 Rank/select directories are rebuilt on load; only payload travels.  The
 writer is deterministic: the same structure always yields the same bytes.
+The loader validates what it rebuilds (block codes, parentheses, wavelet
+codes below the effective alphabet) and raises ``FormatError`` on any
+inconsistency.
 """
 
 from __future__ import annotations
@@ -148,25 +152,24 @@ class _Reader:
         )
 
 
-def dumps(g: CompressedGraph | LabelledGraph) -> bytes:
-    """Serialize a compressed graph to bytes."""
+def dumps(g: CompressedGraph) -> bytes:
+    """Serialize a compressed graph, with or without a scaffold, to bytes."""
+    if not isinstance(g, CompressedGraph):
+        raise TypeError(f"cannot serialize {type(g).__name__}")
     w = _Writer()
     w.raw(MAGIC)
     w.u16(VERSION)
-    has_tree = isinstance(g, CompressedGraph)
-    if not has_tree and not isinstance(g, LabelledGraph):
-        raise TypeError(f"cannot serialize {type(g).__name__}")
-    w.u16(_FLAG_TREE if has_tree else 0)
+    w.u16(0 if g.tree is None else _FLAG_TREE)
     w.u64(g.m)
     w.u64(g.n)
-    if has_tree:
+    if g.tree is not None:
         w.bitvector(g.tree._bv.to_parts())
     w.wavelet(g.targets)
     body = w.buf.getvalue()
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def loads(data: bytes) -> CompressedGraph | LabelledGraph:
+def loads(data: bytes) -> CompressedGraph:
     """Parse bytes produced by :func:`dumps`."""
     if len(data) < 4 + 2 + 2 + 8 + 8 + 4:
         raise FormatError("file too short")
@@ -185,13 +188,9 @@ def loads(data: bytes) -> CompressedGraph | LabelledGraph:
     m = r.u64()
     n = r.u64()
     try:
-        if flags & _FLAG_TREE:
-            tree = BPTree(_bv=r.bitvector())
-            wt = r.wavelet()
-            g = CompressedGraph(m, n, tree, wt)
-        else:
-            wt = r.wavelet()
-            g = LabelledGraph(m, n, wt)
+        tree = BPTree(_bv=r.bitvector()) if flags & _FLAG_TREE else None
+        wt = r.wavelet()
+        g = LabelledGraph(m, n, wt) if tree is None else CompressedGraph(m, n, tree, wt)
     except FormatError:
         raise
     except (ValueError, OverflowError) as e:
@@ -201,7 +200,7 @@ def loads(data: bytes) -> CompressedGraph | LabelledGraph:
     return g
 
 
-def save(path, g: CompressedGraph | LabelledGraph) -> int:
+def save(path, g: CompressedGraph) -> int:
     """Write a graph to ``path``; returns the byte count."""
     blob = dumps(g)
     with open(path, "wb") as fh:
@@ -209,6 +208,6 @@ def save(path, g: CompressedGraph | LabelledGraph) -> int:
     return len(blob)
 
 
-def load(path) -> CompressedGraph | LabelledGraph:
+def load(path) -> CompressedGraph:
     with open(path, "rb") as fh:
         return loads(fh.read())

@@ -1,16 +1,22 @@
 """Compressed attachment graphs with navigational queries.
 
-Two representations share one query vocabulary:
+One class, ``CompressedGraph``, answers every query, with or without a
+scaffold tree:
 
-``CompressedGraph``
+with a scaffold
     The label-free form.  Vertices are renamed to preorder positions of
-    the scaffold tree, the tree costs two bits per vertex, and the
-    remaining targets sit in an entropy-compressed wavelet tree.  Asking
-    for neighbours never decompresses anything.
+    the scaffold tree, the tree costs two bits per vertex and holds each
+    vertex's first out-edge, and the remaining ``m - 1`` targets of every
+    vertex sit in an entropy-compressed wavelet tree.
 
-``LabelledGraph``
-    Keeps original vertex names and stores the full target string in a
-    wavelet tree.  Costs the label entropy on top of the structure.
+without a scaffold (``tree is None``)
+    The labelled form, built by ``LabelledGraph``.  Original vertex names
+    stay, and all ``m`` targets of every vertex sit in the wavelet tree.
+    Costs the label entropy on top of the structure.
+
+Either way, vertex v's out-block in the string holds ``w = m - lead``
+entries, where ``lead`` is 1 with a scaffold and 0 without.  Asking for
+neighbours never decompresses anything.
 
 Vertex 0 is the seed: out-degree 0, with every other vertex sending it
 at least the edges of the first attachment step.
@@ -24,17 +30,20 @@ from .bptree import BPTree
 from .construct import BuildResult, build
 from .entropy import h0_bits, worstcase_budget_bits
 from .errors import OutOfRangeError
-from .graph_model import Dag
+from .graph_model import Dag, adjacency_string
 from .wavelet import WaveletTree
 
 
 class CompressedGraph:
-    """Preorder-relabelled attachment graph: scaffold tree + leftover targets."""
+    """Attachment graph: optional scaffold tree + entropy-coded target string."""
 
-    def __init__(self, m: int, n: int, tree: BPTree, targets: WaveletTree):
-        if tree.n_nodes != n + 1:
+    def __init__(self, m: int, n: int, tree: BPTree | None, targets: WaveletTree):
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        if tree is not None and tree.n_nodes != n + 1:
             raise ValueError("tree size disagrees with vertex count")
-        if targets.length != n * max(m - 1, 0) or targets.sigma != n + 1:
+        self.lead = 0 if tree is None else 1
+        if targets.length != n * (m - self.lead) or targets.sigma != n + 1:
             raise ValueError("target string shape disagrees with (m, n)")
         self.m = m
         self.n = n
@@ -45,11 +54,11 @@ class CompressedGraph:
     def from_build(cls, built: BuildResult, mode: str = "rrr") -> "CompressedGraph":
         tree = BPTree(built.tree_parents)
         wt = WaveletTree(built.nontree, sigma=built.n + 1, mode=mode)
-        return cls(built.m, built.n, tree, wt)
+        return CompressedGraph(built.m, built.n, tree, wt)
 
     @classmethod
     def from_dag(cls, d: Dag, tie="index", mode: str = "rrr") -> "CompressedGraph":
-        return cls.from_build(build(d, tie), mode=mode)
+        return CompressedGraph.from_build(build(d, tie), mode=mode)
 
     # ---- helpers -----------------------------------------------------------
 
@@ -62,7 +71,7 @@ class CompressedGraph:
             raise OutOfRangeError(f"vertex must lie in 0..{self.n}")
 
     def _slice(self, v: int) -> tuple[int, int]:
-        w = self.m - 1
+        w = self.m - self.lead
         return (v - 1) * w, v * w
 
     # ---- out side ----------------------------------------------------------
@@ -72,14 +81,15 @@ class CompressedGraph:
         return 0 if v == 0 else self.m
 
     def out_neighbour(self, v: int, i: int) -> int:
-        """i-th outgoing edge of v (1-based); edge 1 is the tree parent."""
+        """i-th outgoing edge of v (1-based); with a scaffold, edge 1 is the
+        tree parent."""
         self._check_vertex(v)
         if v == 0 or not 1 <= i <= self.m:
             raise OutOfRangeError(f"vertex {v} has {self.degree_out(v)} outgoing edges")
-        if i == 1:
+        if i == 1 and self.tree is not None:
             return self.tree.parent(v)
         lo, _ = self._slice(v)
-        return self.targets.access(lo + i - 1)  # 1-based access
+        return self.targets.access(lo + i - self.lead)  # 1-based access
 
     def neighbours_out(self, v: int) -> list[int]:
         self._check_vertex(v)
@@ -87,30 +97,32 @@ class CompressedGraph:
             return []
         lo, hi = self._slice(v)
         rest = self.targets.access_batch(np.arange(lo + 1, hi + 1)).tolist()
-        return [self.tree.parent(v)] + rest
+        return rest if self.tree is None else [self.tree.parent(v)] + rest
 
     # ---- in side -----------------------------------------------------------
 
     def degree_in(self, v: int) -> int:
         self._check_vertex(v)
+        if self.tree is None:
+            return self.targets.occ(v)
         return self.tree.tree_degree(v) + self.targets.occ(v)
 
     def in_neighbour(self, v: int, i: int) -> int:
         """i-th incoming edge: tree children first, then string occurrences."""
         self._check_vertex(v)
-        deg = self.tree.tree_degree(v)
+        deg = 0 if self.tree is None else self.tree.tree_degree(v)
         if 1 <= i <= deg:
             return self.tree.child(v, i)
         try:
             pos = self.targets.select(v, i - deg)      # 1-based position
         except OutOfRangeError:
             raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}") from None
-        return (pos - 1) // (self.m - 1) + 1
+        return (pos - 1) // (self.m - self.lead) + 1
 
     def neighbours_in(self, v: int) -> list[int]:
         self._check_vertex(v)
-        src = (self.targets.positions(v) - 1) // max(self.m - 1, 1) + 1
-        return self.tree.children(v) + src.tolist()
+        src = (self.targets.positions(v) - 1) // max(self.m - self.lead, 1) + 1
+        return ([] if self.tree is None else self.tree.children(v)) + src.tolist()
 
     def degree_total(self, v: int) -> int:
         return self.degree_in(v) + self.degree_out(v)
@@ -129,13 +141,17 @@ class CompressedGraph:
 
     # ---- batch wrappers ----------------------------------------------------
 
+    def _tree_degrees(self, arr: np.ndarray) -> np.ndarray:
+        if self.tree is None:
+            return np.zeros(arr.shape, dtype=np.int64)
+        return self.tree.degree_batch(arr)
+
     def degree_in_batch(self, vs) -> np.ndarray:
         arr = np.asarray(vs, dtype=np.int64)
         if arr.size and (arr.min() < 0 or arr.max() > self.n):
             raise OutOfRangeError("vertex out of range")
         occ = self.targets.rank_batch(arr, np.full(arr.size, self.targets.length))
-        kids = self.tree.degree_batch(arr)
-        return kids + occ
+        return self._tree_degrees(arr) + occ
 
     def out_neighbour_batch(self, vs, idx) -> np.ndarray:
         arr = np.asarray(vs, dtype=np.int64)
@@ -147,13 +163,13 @@ class CompressedGraph:
         if arr.min() < 1 or arr.max() > self.n or ii.min() < 1 or ii.max() > self.m:
             raise OutOfRangeError("query out of range")
         out = np.empty(arr.size, dtype=np.int64)
-        first = ii == 1
+        first = (ii == 1) & (self.tree is not None)
         if first.any():
             out[first] = self.tree.parent_batch(arr[first])
         rest = ~first
         if rest.any():
-            w = self.m - 1
-            pos = (arr[rest] - 1) * w + ii[rest] - 1  # 1-based into targets
+            w = self.m - self.lead
+            pos = (arr[rest] - 1) * w + ii[rest] - self.lead  # 1-based into targets
             out[rest] = self.targets.access_batch(pos)
         return out
 
@@ -172,7 +188,7 @@ class CompressedGraph:
         if arr.min() < 0 or arr.max() > self.n or ii.min() < 1:
             raise OutOfRangeError("query out of range")
         out = np.empty(arr.size, dtype=np.int64)
-        dt = self.tree.degree_batch(arr)
+        dt = self._tree_degrees(arr)
         from_tree = ii <= dt
         if from_tree.any():
             out[from_tree] = self.tree.child_batch(arr[from_tree], ii[from_tree])
@@ -182,16 +198,16 @@ class CompressedGraph:
                 pos = self.targets.select_batch(arr[rest], ii[rest] - dt[rest])
             except OutOfRangeError:
                 raise OutOfRangeError("in-edge index beyond in-degree") from None
-            out[rest] = (pos - 1) // (self.m - 1) + 1
+            out[rest] = (pos - 1) // (self.m - self.lead) + 1
         return out
 
     def _block_counts(self, owners: np.ndarray, syms: np.ndarray) -> np.ndarray:
         """How often ``syms[k]`` occurs in the block of vertex ``owners[k]``."""
         cnt = np.zeros(owners.size, dtype=np.int64)
         live = owners >= 1
-        if self.m == 1 or not live.any():
+        w = self.m - self.lead
+        if w == 0 or not live.any():
             return cnt
-        w = self.m - 1
         lo = (owners[live] - 1) * w
         s = syms[live]
         r = self.targets.rank_batch(np.concatenate([s, s]), np.concatenate([lo + w, lo]))
@@ -209,9 +225,12 @@ class CompressedGraph:
             raise OutOfRangeError("vertex out of range")
         k = ua.size
         both = np.concatenate([ua, va])
-        par = self.tree.parent_batch(both)             # -1 for the seed
         blocks = self._block_counts(both, np.concatenate([va, ua]))
-        cnt = (par[:k] == va).astype(np.int64) + (par[k:] == ua) + blocks[:k] + blocks[k:]
+        cnt = blocks[:k] + blocks[k:]
+        if self.tree is not None:
+            par = self.tree.parent_batch(both)         # -1 for the seed
+            cnt += par[:k] == va
+            cnt += par[k:] == ua
         cnt[ua == va] = 0
         return cnt
 
@@ -221,14 +240,15 @@ class CompressedGraph:
     # ---- accounting ---------------------------------------------------------
 
     def target_entropy_bits(self) -> float:
-        """H0 of the stored non-tree target string, from occurrence counts."""
+        """H0 of the stored target string, from occurrence counts."""
         if self.targets.length == 0:
             return 0.0
         counts = self.targets.symbol_counts()
         return h0_bits(counts)
 
     def space_report(self) -> dict:
-        t = self.tree.space_report()
+        t = (self.tree.space_report() if self.tree is not None
+             else {"payload_bits": 0, "directory_bits": 0})
         w = self.targets.space_report()
         payload = t["payload_bits"] + w["payload_bits"]
         directory = t["directory_bits"] + w["directory_bits"]
@@ -249,88 +269,12 @@ class CompressedGraph:
         }
 
 
-class LabelledGraph:
-    """Attachment graph that keeps vertex names: one wavelet tree, no scaffold."""
+class LabelledGraph(CompressedGraph):
+    """The form without a scaffold: vertex names kept, every target in the string."""
 
     def __init__(self, m: int, n: int, targets: WaveletTree):
-        if targets.length != n * m or targets.sigma != n + 1:
-            raise ValueError("target string shape disagrees with (m, n)")
-        self.m = m
-        self.n = n
-        self.targets = targets
+        super().__init__(m, n, None, targets)
 
     @classmethod
     def from_dag(cls, d: Dag, mode: str = "rrr") -> "LabelledGraph":
-        from .graph_model import adjacency_string
-
-        wt = WaveletTree(adjacency_string(d), sigma=d.n + 1, mode=mode)
-        return cls(d.m, d.n, wt)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n + 1
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v <= self.n:
-            raise OutOfRangeError(f"vertex must lie in 0..{self.n}")
-
-    def degree_out(self, v: int) -> int:
-        self._check_vertex(v)
-        return 0 if v == 0 else self.m
-
-    def out_neighbour(self, v: int, i: int) -> int:
-        self._check_vertex(v)
-        if v == 0 or not 1 <= i <= self.m:
-            raise OutOfRangeError(f"vertex {v} has {self.degree_out(v)} outgoing edges")
-        return self.targets.access((v - 1) * self.m + i)
-
-    def neighbours_out(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        if v == 0:
-            return []
-        return self.targets.access_batch(np.arange((v - 1) * self.m + 1, v * self.m + 1)).tolist()
-
-    def degree_in(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.targets.occ(v)
-
-    def in_neighbour(self, v: int, i: int) -> int:
-        self._check_vertex(v)
-        try:
-            pos = self.targets.select(v, i)
-        except OutOfRangeError:
-            raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}") from None
-        return (pos - 1) // self.m + 1
-
-    def neighbours_in(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return ((self.targets.positions(v) - 1) // self.m + 1).tolist()
-
-    def degree_total(self, v: int) -> int:
-        return self.degree_in(v) + self.degree_out(v)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return False
-        for a, b in ((u, v), (v, u)):
-            if a:
-                lo = (a - 1) * self.m
-                if self.targets.rank(b, lo + self.m) > self.targets.rank(b, lo):
-                    return True
-        return False
-
-    def space_report(self) -> dict:
-        w = self.targets.space_report()
-        return {
-            "n": self.n,
-            "m": self.m,
-            "wt_payload_bits": w["payload_bits"],
-            "wt_directory_bits": w["directory_bits"],
-            "sigma_eff": w["sigma_eff"],
-            "payload_bits": w["payload_bits"],
-            "directory_bits": w["directory_bits"],
-            "metadata_bits": w["presence_bits"],
-            "total_bits": w["payload_bits"] + w["directory_bits"] + w["presence_bits"],
-        }
+        return cls(d.m, d.n, WaveletTree(adjacency_string(d), sigma=d.n + 1, mode=mode))

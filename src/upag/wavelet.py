@@ -85,9 +85,28 @@ class WaveletTree:
         for lvl in self._levels:
             if lvl.n != self.length:
                 raise ValueError("level length does not match the sequence")
+        if self._codes_beyond():
+            raise ValueError("the string stores codes beyond the effective alphabet")
         self.mode = parts.get(
             "mode", self._levels[0].mode if self._levels else self._presence.mode
         )
+
+    def _codes_beyond(self) -> int:
+        """Positions whose code is >= sigma_eff, from one descent along the
+        bits of sigma_eff: where its bit is 0, the node's ones child holds
+        larger codes; the leaf holds sigma_eff itself."""
+        if self.sigma_eff >> self.width:
+            return 0                   # every width-bit code is below sigma_eff
+        s, e, beyond = 0, self.length, 0
+        for lvl, bv in enumerate(self._levels):
+            r = bv._rank1(np.array([s, e], dtype=np.int64))
+            mid = e - int(r[1] - r[0])     # the ones' child starts here
+            if self.sigma_eff >> (self.width - 1 - lvl) & 1:
+                s = mid
+            else:
+                beyond += e - mid
+                e = mid
+        return beyond + e - s
 
     # -- dense-code mapping ---------------------------------------------------
 

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from upag.entropy import multinomial
-from upag.graph_model import Dag, ModelError, UndirectedMultigraph
+from upag.graph_model import Dag, ModelError
 
 
 def sample_targets(rng: np.random.Generator, endpoints: np.ndarray, m: int,
@@ -63,20 +63,40 @@ def float_bits_steps(d: Dag) -> float:
     return bits
 
 
-def multigraph(n_vertices: int, pairs) -> UndirectedMultigraph:
-    """Adjacency-counter multigraph with one edge per ``(u, v)`` row."""
-    g = UndirectedMultigraph(n_vertices)
+def multigraph(n_vertices: int, pairs) -> list[Counter]:
+    """Adjacency counters with one undirected edge per ``(u, v)`` row:
+    ``adj[u][v]`` is the number of edges joining u and v."""
+    adj: list[Counter] = [Counter() for _ in range(n_vertices)]
     for u, v in pairs:
-        g.add_edge(int(u), int(v))
-    return g
+        u, v = int(u), int(v)
+        if u == v:
+            raise ModelError("self-loops cannot arise in this model")
+        adj[u][v] += 1
+        adj[v][u] += 1
+    return adj
 
 
-def peel_relabel_counter(g: UndirectedMultigraph, m: int) -> tuple[Dag, np.ndarray]:
+def edge_multiset(adj: list[Counter]) -> Counter:
+    """Counter of undirected edges keyed by (min(u,v), max(u,v))."""
+    return Counter({(u, v): k for u, row in enumerate(adj) for v, k in row.items() if u < v})
+
+
+def dag_edges(d: Dag) -> np.ndarray:
+    """(n*m, 2) rows ``(source, target)`` of an instance, in block order."""
+    return np.column_stack([np.repeat(np.arange(1, d.n + 1), d.m), d.targets.ravel()])
+
+
+def same_multigraph(nv: int, pairs_a, pairs_b) -> bool:
+    """True when two edge lists on vertices 0..nv-1 hold the same multigraph."""
+    return edge_multiset(multigraph(nv, pairs_a)) == edge_multiset(multigraph(nv, pairs_b))
+
+
+def peel_relabel_counter(adj: list[Counter], m: int) -> tuple[Dag, np.ndarray]:
     """Lowest-label-first peeling over the adjacency counters."""
-    nv = g.n_vertices
+    nv = len(adj)
     if nv == 1:
         return Dag(m, np.zeros((0, m), dtype=np.int64)), np.zeros(1, dtype=np.int64)
-    deg = np.array(g.degrees(), dtype=np.int64)
+    deg = np.array([sum(row.values()) for row in adj], dtype=np.int64)
     alive = np.ones(nv, dtype=bool)
     removed: list[int] = []
     raw_blocks: list[list[int]] = []
@@ -92,7 +112,7 @@ def peel_relabel_counter(g: UndirectedMultigraph, m: int) -> tuple[Dag, np.ndarr
         if v < 0:
             raise ModelError("peeling stalled")
         tgt: list[int] = []
-        for u, c in g.adj[v].items():
+        for u, c in adj[v].items():
             if alive[u]:
                 tgt.extend([u] * c)
                 deg[u] -= c
@@ -103,7 +123,7 @@ def peel_relabel_counter(g: UndirectedMultigraph, m: int) -> tuple[Dag, np.ndarr
         removed.append(v)
         raw_blocks.append(tgt)
     u0, u1 = (int(x) for x in np.flatnonzero(alive))
-    if deg[u0] != m or deg[u1] != m or g.adj[u0].get(u1, 0) < m:
+    if deg[u0] != m or deg[u1] != m or adj[u0].get(u1, 0) < m:
         raise ModelError("no m-fold seed pair")
     order = np.array([u0, u1] + removed[::-1], dtype=np.int64)
     place = np.empty(nv, dtype=np.int64)

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from upag.cli import _run_suite, _selfcheck_compressed, _selfcheck_labelled
-from upag.construct import build, peel, reduce_string
+from ingest_reference import dag_edges, multigraph, peel_relabel_counter, same_multigraph
+from upag.construct import build, peel_edges, reduce_string
 from upag.entropy import degree_entropy, h0_bits, h0_per_symbol
 from upag.errors import OutOfRangeError
 from upag.graph_model import (
@@ -27,16 +27,11 @@ from upag.graph_model import (
     adjacency_string,
     has_parallel_beyond_seed,
     in_degrees,
-    undirect,
 )
-from upag.oracle import admissible_orders, random_mout_dag
+from upag.oracle import admissible_orders, random_mout_dag, selfcheck
 from upag.pa_gen import generate, log_prob
 from upag.serialize import load, save
 from upag.ugraph import CompressedGraph, LabelledGraph
-
-
-def _canonical(d: Dag) -> Dag:
-    return Dag(d.m, np.sort(d.targets, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +300,25 @@ def test_criterion_06_order_invariant_probability():
 
 def test_criterion_07_peel_round_trip():
     rng = np.random.default_rng(0xACC7)
+    simple = 0
     for m in (1, 2, 3, 5):
         for i in range(25):
             n = 2000 if i == 0 else int(rng.integers(1, 2001))
             d = generate(m, n, seed=int(rng.integers(0, 1 << 30)))
-            assert peel(undirect(d), m) == _canonical(d), f"m={m} n={n}"
-    print("criterion 7: PASS  100 instances recovered exactly (blocks as multisets)")
+            edges = dag_edges(d)
+            rec, order = peel_edges(n + 1, edges[:, 0], edges[:, 1], m)
+            want, want_order = peel_relabel_counter(multigraph(n + 1, edges), m)
+            assert rec == want and np.array_equal(order, want_order), f"m={m} n={n}"
+            assert same_multigraph(n + 1, order[dag_edges(rec)], edges), f"m={m} n={n}"
+            if not has_parallel_beyond_seed(d):
+                simple += 1
+                a, b = log_prob(rec), log_prob(d)
+                if a.mode == "exact":
+                    assert a.probability == b.probability, f"m={m} n={n}"
+                else:
+                    assert a.bits == pytest.approx(b.bits, rel=1e-9), f"m={m} n={n}"
+    print(f"criterion 7: PASS  100 instances peeled as the reference does, mapped back "
+          f"edge for edge; {simple} simple-beyond-seed histories equally likely")
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +388,15 @@ def test_criterion_10_serialization_round_trip(tmp_path):
     g = CompressedGraph.from_dag(d)
     p1, p2 = tmp_path / "a.upag", tmp_path / "b.upag"
     save(p1, g)
-    g2 = load(p1)
-    checked, bad = _run_suite(
-        _selfcheck_compressed(g2, d, np.random.default_rng(0), tie="index"))
+    checked, bad = selfcheck(load(p1), d, "index", np.random.default_rng(0))
     assert bad is None, bad
     assert checked > 0
 
-    lab = LabelledGraph.from_dag(d)
     pl = tmp_path / "l.upag"
-    save(pl, lab)
-    checked_l, bad_l = _run_suite(
-        _selfcheck_labelled(load(pl), d, np.random.default_rng(0)))
+    save(pl, LabelledGraph.from_dag(d))
+    checked_l, bad_l = selfcheck(load(pl), d, "index", np.random.default_rng(0))
     assert bad_l is None, bad_l
+    assert checked_l > 0
 
     d_again = generate(3, 300, seed=77)
     save(p2, CompressedGraph.from_dag(d_again))

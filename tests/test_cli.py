@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from upag.cli import main, read_edge_list, write_edge_list
+from upag.errors import FormatError
+from upag.graph_model import Dag, ModelError
 from upag.pa_gen import generate
+from upag.serialize import dumps, load
+from upag.ugraph import LabelledGraph
 
 FIGURE_EDGE_LIST = (
     "# upag-el v1 M=3 n=5\n"
@@ -247,6 +251,27 @@ def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, cap
     assert len(err.splitlines()) == 1
 
 
+def test_query_code_beyond_alphabet_fails_cleanly(tmp_path, capsys):
+    # a labelled file over symbols 0, 1, 2, 2 (sigma_eff = 3, two levels)
+    # whose second level stores code 3 at vertex 3's position: the CRC
+    # holds, but code 3 names no symbol
+    g = LabelledGraph.from_dag(Dag(1, [[0], [1], [2], [2]]), mode="plain")
+    assert [lvl.to_array().tolist() for lvl in g.targets._levels] == [[0, 0, 1, 1],
+                                                                      [0, 1, 0, 0]]
+    body = bytearray(dumps(g)[:-4])
+    level = struct.pack("<QBQQ", 4, 0, 1, 0b0010)   # nbits, plain, nwords, word
+    at = body.rindex(level)
+    body[at:at + len(level)] = struct.pack("<QBQQ", 4, 0, 1, 0b0110)
+    bad = tmp_path / "bad.upag"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    with pytest.raises(FormatError, match="beyond the effective alphabet"):
+        load(bad)
+    for op in (("outn", "3", "1"), ("nbrs", "2")):
+        code, out, err = run(capsys, "query", "--in", str(bad), *op)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_query_missing_file_fails(tmp_path, capsys):
     code, _, err = run(capsys, "query", "--in", str(tmp_path / "nope.upag"), "deg", "1")
     assert code == 2
@@ -291,13 +316,13 @@ def test_selfcheck_auto_detects_tie_break(figure_files, tmp_path, capsys):
     el, ft = figure_files
     code, text, _ = run(capsys, "selfcheck", "--in", str(ft), "--against", str(el))
     assert code == 0
-    assert text.splitlines() == ["tie=first-target", "OK (60 queries verified)"]
+    assert text.splitlines() == ["tie=first-target", "OK (72 queries verified)"]
 
     idx = tmp_path / "idx.upag"
     run(capsys, "build", "--in", str(el), "--out", str(idx))
     code, text, _ = run(capsys, "selfcheck", "--in", str(idx), "--against", str(el))
     assert code == 0
-    assert text.splitlines() == ["tie=index", "OK (60 queries verified)"]
+    assert text.splitlines() == ["tie=index", "OK (72 queries verified)"]
 
 
 def test_selfcheck_labelled_mode(figure_files, tmp_path, capsys):
@@ -357,6 +382,31 @@ def test_bench_times_every_operation(tmp_path, capsys):
     assert all("mode=rrr" in ln for ln in text.splitlines() if ln.startswith("op=level_"))
 
 
+def test_bench_labelled_prints_batch_rows_and_no_tree_rows(tmp_path, capsys):
+    el, up = tmp_path / "b.el", tmp_path / "b.upag"
+    run(capsys, "generate", "--m", "2", "--n", "30", "--seed", "5", "--out", str(el))
+    run(capsys, "build", "--in", str(el), "--out", str(up), "--mode", "labelled")
+    code, text, _ = run(capsys, "bench", "--in", str(up), "--queries", "25")
+    assert code == 0
+    ops = [ln.split()[0] for ln in text.splitlines()]
+    assert ops == [
+        "op=degree_in",
+        "op=out_neighbour",
+        "op=in_neighbour",
+        "op=adjacent",
+        "op=adjacent_batch",
+        "op=out_neighbour_batch",
+        "op=degree_in_batch",
+        "op=in_neighbour_batch",
+        "op=level_rank1",
+        "op=level_select1",
+        "op=level_access",
+        "op=wt_access",
+        "op=wt_rank",
+        "op=wt_select",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # lfc
 # ---------------------------------------------------------------------------
@@ -385,6 +435,7 @@ def test_lfc_rejects_block_size_not_dividing_length(capsys):
     "content",
     [
         "3 4\n1 0\n",                                  # missing header magic
+        "# upag-el v1 M=0 n=5\n",                      # no targets per vertex
         "# upag-el v1 M=3 n=4\n1 0\n",                 # wrong line count
         "# upag-el v1 M=1 n=2\n1 0\n2 9\n",            # label out of range
         "# upag-el v1 M=1 n=2\n1 0\n2 2\n",            # self-loop
@@ -395,6 +446,8 @@ def test_lfc_rejects_block_size_not_dividing_length(capsys):
 def test_malformed_edge_list_is_a_usage_error(tmp_path, capsys, content):
     el = tmp_path / "bad.el"
     el.write_text(content)
+    with pytest.raises(ModelError):
+        read_edge_list(el)
     code, _, err = run(capsys, "stats", "--in", str(el))
     assert code == 2
     assert err.startswith("error:")

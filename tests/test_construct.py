@@ -3,22 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collections import Counter
-
-from ingest_reference import multigraph, peel_relabel_counter, preorder_stack
+from ingest_reference import (
+    dag_edges,
+    multigraph,
+    peel_relabel_counter,
+    preorder_stack,
+    same_multigraph,
+)
 from upag.construct import (
     BuildResult,
     _preorder,
     build,
     freq_rank,
-    peel,
     peel_ambiguity,
     peel_edges,
-    peel_relabel,
     reduce_string,
 )
 from upag.entropy import h0_per_symbol
-from upag.graph_model import Dag, ModelError, UndirectedMultigraph, adjacency_string, undirect
+from upag.graph_model import Dag, ModelError, adjacency_string
 from upag.pa_gen import generate
 
 
@@ -258,14 +260,27 @@ def test_preorder_matches_stack_reference():
 # peeling a multigraph back into its history
 # ---------------------------------------------------------------------------
 
+def _peel_checked(nv: int, pairs, m: int) -> tuple[Dag, np.ndarray]:
+    """``peel_edges`` on edge rows, checked against the reference peeler and
+    mapped back through the arrival order onto the input multigraph."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    got, order = peel_edges(nv, pairs[:, 0], pairs[:, 1], m)
+    want, want_order = peel_relabel_counter(multigraph(nv, pairs), m)
+    assert got == want and np.array_equal(order, want_order)
+    assert same_multigraph(nv, order[dag_edges(got)], pairs)
+    return got, order
+
+
 def test_peel_recovers_dag5(dag5):
-    # peeling emits each block sorted, so compare canonical forms
-    canon = Dag(3, np.sort(dag5.targets, axis=1))
-    assert peel(undirect(dag5), 3) == canon
+    got, order = _peel_checked(6, dag_edges(dag5), 3)
+    assert got.targets.tolist() == [[0, 0, 0], [0, 0, 0], [1, 2, 2], [1, 3, 3], [0, 0, 0]]
+    assert order.tolist() == [1, 3, 2, 4, 5, 0]
 
 
 def test_peel_recovers_dag4(dag4):
-    assert peel(undirect(dag4), 3) == dag4  # dag4's blocks are already sorted
+    got, order = _peel_checked(5, dag_edges(dag4), 3)
+    assert got.targets.tolist() == [[0, 0, 0], [0, 1, 1], [0, 1, 2], [0, 0, 1]]
+    assert order.tolist() == [0, 1, 3, 4, 2]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -274,36 +289,34 @@ def test_peel_round_trip(m):
     for i in range(25):
         n = [1, 2, 3, 17, 64, 200, 1000, 2000][i % 8]
         d = generate(m, n, seed=rng_seed * 31 + i)
-        canon = Dag(m, np.sort(d.targets, axis=1))
-        assert peel(undirect(d), m) == canon
+        _peel_checked(n + 1, dag_edges(d), m)
 
 
 def test_peel_rejects_non_instance():
-    from upag.graph_model import UndirectedMultigraph
-
     # a 4-cycle: every vertex has degree 2, but peeling vertex 1 leaves a
     # triangle-ish remainder that stalls
-    g = UndirectedMultigraph(4)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(2, 3)
-    g.add_edge(3, 0)
-    with pytest.raises(ModelError):
-        peel(g, 2)
+    cycle = np.array([(0, 1), (1, 2), (2, 3), (3, 0)])
+    for peeler in (lambda: peel_edges(4, cycle[:, 0], cycle[:, 1], 2),
+                   lambda: peel_relabel_counter(multigraph(4, cycle), 2)):
+        with pytest.raises(ModelError):
+            peeler()
 
 
 def test_peel_rejects_wrong_m(dag5):
+    e = dag_edges(dag5)
+    for m in (2, 0):
+        with pytest.raises(ModelError):
+            peel_edges(6, e[:, 0], e[:, 1], m)
     with pytest.raises(ModelError):
-        peel(undirect(dag5), 2)
-    with pytest.raises(ModelError):
-        peel(undirect(dag5), 0)
+        peel_relabel_counter(multigraph(6, e), 2)
 
 
 def test_peel_empty_graph():
-    from upag.graph_model import UndirectedMultigraph
-
-    d = peel(UndirectedMultigraph(1), 3)
-    assert d.n == 0
+    d, order = peel_edges(1, [], [], 3)
+    assert d.n == 0 and order.tolist() == [0]
+    assert peel_relabel_counter(multigraph(1, []), 3)[0] == d
+    with pytest.raises(ModelError):
+        peel_edges(0, [], [], 3)
 
 
 def test_peel_relabel_recovers_shuffled_labels():
@@ -313,17 +326,7 @@ def test_peel_relabel_recovers_shuffled_labels():
     for m in (1, 2, 3):
         d = generate(m, 25, seed=int(rng.integers(1 << 30)))
         perm = np.concatenate(([0], 1 + rng.permutation(d.n)))
-        g = UndirectedMultigraph(d.n + 1)
-        for (u, v), k in undirect(d).edge_multiset().items():
-            g.add_edge(int(perm[u]), int(perm[v]), k)
-        rec, order = peel_relabel(g, m)
-        place = np.empty(d.n + 1, dtype=np.int64)
-        place[order] = np.arange(d.n + 1)
-        want = Counter()
-        for (u, v), k in g.edge_multiset().items():
-            a, b = sorted((int(place[u]), int(place[v])))
-            want[(a, b)] = k
-        assert undirect(rec).edge_multiset() == want
+        _peel_checked(d.n + 1, perm[dag_edges(d)], m)
 
 
 def test_peel_relabel_probability_invariant():
@@ -337,7 +340,8 @@ def test_peel_relabel_probability_invariant():
         if has_parallel_beyond_seed(d):
             continue
         checked += 1
-        rec, _ = peel_relabel(undirect(d), 2, rng=np.random.default_rng(seed))
+        e = dag_edges(d)
+        rec, _ = peel_edges(7, e[:, 0], e[:, 1], 2, rng=np.random.default_rng(seed))
         assert log_prob(rec).probability == log_prob(d).probability
     assert checked >= 3
 
@@ -345,27 +349,19 @@ def test_peel_relabel_probability_invariant():
 def test_peel_ambiguity_goldens():
     # a path of three vertices can be rooted at either end or at its centre:
     # two distinct block matrices, all equally likely
-    g = UndirectedMultigraph(3)
-    g.add_edge(1, 0)
-    g.add_edge(2, 1)
-    rep = peel_ambiguity(g, 1, trials=20, seed=0)
+    rep = peel_ambiguity(3, [1, 2], [0, 1], 1, trials=20, seed=0)
     assert rep["ambiguous"] and rep["variants"] == 2
 
     # two incomparable vertices with different shapes: several variants
-    g = UndirectedMultigraph(5)
-    for u, v in [(1, 0), (2, 1), (3, 1), (4, 2)]:
-        g.add_edge(u, v)
-    rep = peel_ambiguity(g, 1, trials=40, seed=1)
+    rep = peel_ambiguity(5, [1, 2, 3, 4], [0, 1, 1, 2], 1, trials=40, seed=1)
     assert rep["ambiguous"] and rep["variants"] >= 2
 
 
 def test_peel_relabel_seed_pair_only():
-    g = UndirectedMultigraph(2)
-    g.add_edge(0, 1, 3)
-    rec, order = peel_relabel(g, 3)
+    rec, order = peel_edges(2, [0, 0, 0], [1, 1, 1], 3)
     assert rec.n == 1 and order.tolist() == [0, 1]
     with pytest.raises(ModelError):
-        peel_relabel(g, 2)
+        peel_edges(2, [0, 0, 0], [1, 1, 1], 2)
 
 
 def _shuffled_pairs(d, rng):
@@ -391,8 +387,7 @@ def test_peel_edges_matches_counter_reference(m):
         got_d, got_order = peel_edges(n + 1, pairs[:, 0], pairs[:, 1], m)
         assert got_d == want_d
         assert np.array_equal(got_order, want_order)
-        rel_d, rel_order = peel_relabel(multigraph(n + 1, pairs), m)
-        assert rel_d == want_d and np.array_equal(rel_order, want_order)
+        assert same_multigraph(n + 1, got_order[dag_edges(got_d)], pairs)
 
 
 @pytest.mark.parametrize(
@@ -411,7 +406,5 @@ def test_peel_edges_rejects_non_instances(nv, edges, m):
     e = np.array(edges, dtype=np.int64)
     with pytest.raises(ModelError):
         peel_edges(nv, e[:, 0], e[:, 1], m)
-    if all(u != v for u, v in edges):
-        for peeler in (peel_relabel, peel_relabel_counter):
-            with pytest.raises(ModelError):
-                peeler(multigraph(nv, edges), m)
+    with pytest.raises(ModelError):
+        peel_relabel_counter(multigraph(nv, edges), m)

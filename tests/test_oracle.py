@@ -14,7 +14,9 @@ import pytest
 
 from upag.construct import build
 from upag.graph_model import Dag
-from upag.oracle import NaiveGraph, admissible_orders, naive_from_dag, random_mout_dag
+from upag.oracle import NaiveGraph, admissible_orders, random_mout_dag, selfcheck
+from upag.pa_gen import generate
+from upag.ugraph import CompressedGraph, LabelledGraph
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,8 @@ def test_identity_is_always_admissible_and_count_is_bounded(rng):
 # ---------------------------------------------------------------------------
 
 def test_naive_from_dag_matches_hand_counts(dag5):
-    ref = naive_from_dag(dag5)
+    # no tree parents: the whole target string, vertex names kept
+    ref = NaiveGraph(dag5.m, dag5.n, None, dag5.targets)
     assert [ref.degree_in(v) for v in range(6)] == [3, 6, 2, 2, 2, 0]
     assert [ref.degree_out(v) for v in range(6)] == [0, 3, 3, 3, 3, 3]
     assert ref.out_lists == [[], [0, 0, 0], [1, 1, 1], [1, 1, 1], [3, 2, 2], [3, 4, 4]]
@@ -75,7 +78,7 @@ def test_naive_from_dag_matches_hand_counts(dag5):
 
 def test_naive_structures_are_symmetric(rng):
     d = random_mout_dag(40, 3, rng)
-    ref = naive_from_dag(d)
+    ref = NaiveGraph(d.m, d.n, None, d.targets)
     assert np.array_equal(ref.mult, ref.mult.T)
     assert ref.mult.diagonal().sum() == 0
     assert sum(map(len, ref.in_lists)) == 3 * 40
@@ -90,7 +93,7 @@ def test_scaffold_naive_agrees_with_dag_naive(dag5):
     # relabelling is the identity, so the two references must coincide
     built = build(dag5, tie="first-target")
     scaffold = NaiveGraph(built.m, built.n, built.tree_parents, built.nontree)
-    direct = naive_from_dag(dag5)
+    direct = NaiveGraph(dag5.m, dag5.n, None, dag5.targets)
     assert np.array_equal(scaffold.mult, direct.mult)
     assert [sorted(a) == sorted(b) for a, b in zip(scaffold.out_lists, direct.out_lists)]
     assert [len(a) for a in scaffold.in_lists] == [len(b) for b in direct.in_lists]
@@ -103,6 +106,54 @@ def test_scaffold_in_lists_put_tree_children_first(dag5):
     # leftover-string occurrences in position order
     assert ref.in_lists[1][:2] == [2, 3]
     assert sorted(ref.in_lists[1]) == [2, 2, 2, 3, 3, 3]
+
+
+def test_multiplicity_batch_matches_the_matrix(rng):
+    d = random_mout_dag(30, 3, rng)
+    for ref in (NaiveGraph(d.m, d.n, None, d.targets),
+                NaiveGraph(d.m, d.n, build(d).tree_parents, build(d).nontree)):
+        us, vs = (a.ravel() for a in np.meshgrid(np.arange(31), np.arange(31)))
+        want = np.where(us == vs, 0, ref.mult[us, vs])
+        assert np.array_equal(ref.multiplicity_batch(us, vs), want)
+
+
+# ---------------------------------------------------------------------------
+# batch selfcheck, both forms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("form", [CompressedGraph.from_dag, LabelledGraph.from_dag],
+                         ids=["compressed", "labelled"])
+def test_selfcheck_counts_every_answer(form):
+    d = generate(2, 40, seed=3)
+    checked, bad = selfcheck(form(d), d, "index", np.random.default_rng(0))
+    # every in-degree, out-edge, in-edge and ordered pair
+    assert bad is None and checked == 41 + 2 * 80 + 41 * 41
+
+
+@pytest.mark.parametrize("form", [CompressedGraph.from_dag, LabelledGraph.from_dag],
+                         ids=["compressed", "labelled"])
+def test_selfcheck_samples_a_large_graph(form, monkeypatch):
+    # linear memory: the oracle's (n+1)^2 multiplicity matrix is never built
+    monkeypatch.setattr(NaiveGraph, "mult", property(lambda self: pytest.fail("matrix built")))
+    d = generate(2, 2500, seed=3)
+    checked, bad = selfcheck(form(d), d, "index", np.random.default_rng(0))
+    assert bad is None and checked > 2000 + 10000
+
+
+@pytest.mark.parametrize("form", [CompressedGraph.from_dag, LabelledGraph.from_dag],
+                         ids=["compressed", "labelled"])
+def test_selfcheck_reports_the_first_mismatch(form):
+    d = generate(2, 40, seed=3)
+    g = form(d)
+    _, bad = selfcheck(g, generate(2, 40, seed=4), "index", np.random.default_rng(0))
+    assert bad.startswith("MISMATCH ")
+    assert selfcheck(g, generate(2, 41, seed=3))[1].startswith("MISMATCH shape")
+    # one wrong in-edge answer is named by vertex and index
+    honest = g.in_neighbour_batch
+    g.in_neighbour_batch = lambda vs, ii: honest(vs, ii) + (np.arange(len(vs)) == 7)
+    checked, bad = selfcheck(g, d, "index", np.random.default_rng(0))
+    assert checked == 41 + 80 + 7
+    assert bad.startswith("MISMATCH in_neighbour v=") and " i=" in bad
 
 
 # ---------------------------------------------------------------------------

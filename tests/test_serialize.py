@@ -4,9 +4,11 @@ import zlib
 import numpy as np
 import pytest
 
+from test_ugraph import check_batches
 from upag import serialize
 from upag.errors import FormatError
 from upag.graph_model import Dag
+from upag.oracle import NaiveGraph
 from upag.pa_gen import generate
 from upag.ugraph import CompressedGraph, LabelledGraph
 
@@ -129,6 +131,17 @@ def test_reject_inconsistent_vertex_count():
         serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
 
 
+@pytest.mark.parametrize("form", [CompressedGraph, LabelledGraph])
+def test_reject_zero_m(form):
+    # with no non-seed vertex the string is empty for any m, so only the
+    # m >= 1 check stands between m = 0 and a graph of the wrong shape
+    blob = bytearray(serialize.dumps(form.from_dag(Dag(1, np.zeros((0, 1), dtype=np.int64)))))
+    blob[8:16] = struct.pack("<Q", 0)
+    body = bytes(blob[:-4])
+    with pytest.raises(FormatError, match="m must be at least 1"):
+        serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
+
+
 TREE_WORD = 41  # header (24 bytes), then nbits, mode and nwords of the tree
 
 
@@ -207,3 +220,42 @@ def test_empty_graph_roundtrip():
     g2 = serialize.loads(serialize.dumps(g))
     assert g2.n == 0
     assert g2.degree_in(0) == 0
+
+
+# ---------------------------------------------------------------------------
+# every single-bit flip and every truncation, with the CRC recomputed
+# ---------------------------------------------------------------------------
+
+def _sealed(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _agrees_with_own_arrays(g) -> None:
+    """The loaded graph's batch answers against an oracle built from the
+    tree parents and the string it decodes to."""
+    par = None if g.tree is None else g.tree.parents_array()
+    check_batches(g, NaiveGraph(g.m, g.n, par, g.targets.to_array()))
+
+
+@pytest.mark.parametrize("form", ["compressed", "labelled"])
+def test_every_bit_flip_and_truncation_fails_cleanly_or_agrees(form):
+    d = generate(2, 12, seed=0)
+    g = CompressedGraph.from_dag(d) if form == "compressed" else LabelledGraph.from_dag(d)
+    body = serialize.dumps(g)[:-4]
+    assert len(body) + 4 == {"compressed": 172, "labelled": 181}[form]
+    cases = [body[:cut] for cut in range(len(body))]
+    for bit in range(8 * len(body)):
+        flipped = bytearray(body)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        cases.append(bytes(flipped))
+    outcomes = {"format_error": 0, "agrees": 0}
+    for case in cases:
+        try:
+            g2 = serialize.loads(_sealed(case))
+        except FormatError:
+            outcomes["format_error"] += 1
+            continue
+        _agrees_with_own_arrays(g2)
+        outcomes["agrees"] += 1
+    assert sum(outcomes.values()) == 9 * len(body)
+    assert outcomes["agrees"] >= 1                  # the sweep reaches the queries

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from upag.construct import build
 from upag.errors import OutOfRangeError
-from upag.graph_model import adjacency_string, in_degrees, undirect
-from upag.oracle import NaiveGraph, naive_from_dag
+from upag.graph_model import adjacency_string, in_degrees, undirected_degrees
+from upag.oracle import NaiveGraph
 from upag.pa_gen import generate
 from upag.ugraph import CompressedGraph, LabelledGraph
 
@@ -74,6 +74,17 @@ def test_target_entropy_matches_direct(g5, dag5):
 # full query cross-check against the naive oracle
 # ---------------------------------------------------------------------------
 
+def check_batches(g, ref):
+    """The batch queries over every vertex, every out-edge and every in-edge."""
+    verts = np.arange(g.n + 1)
+    assert g.degree_in_batch(verts).tolist() == [ref.degree_in(v) for v in verts]
+    for lists, batch in ((ref.out_lists, g.out_neighbour_batch),
+                         (ref.in_lists, g.in_neighbour_batch)):
+        qv = np.repeat(verts, [len(x) for x in lists])
+        qi = np.concatenate([np.arange(1, len(x) + 1) for x in lists])
+        assert batch(qv, qi).tolist() == [t for x in lists for t in x]
+
+
 def exhaustive_check(g, ref):
     nv = g.n + 1
     for v in range(nv):
@@ -85,22 +96,20 @@ def exhaustive_check(g, ref):
             assert g.out_neighbour(v, i) == t
         for i, s in enumerate(ref.in_lists[v], start=1):
             assert g.in_neighbour(v, i) == s
-    # adjacency over every ordered pair, through the batch path
+    check_batches(g, ref)
+    # adjacency and multiplicity over every ordered pair
     us, vs = np.meshgrid(np.arange(nv), np.arange(nv))
     us, vs = us.ravel(), vs.ravel()
     want_adj = np.array([ref.adjacent(u, v) for u, v in zip(us, vs)])
-    if hasattr(g, "multiplicity_batch"):
-        got_mult = g.multiplicity_batch(us, vs)
-        want_mult = np.where(us == vs, 0, ref.mult[us, vs])
-        assert np.array_equal(got_mult, want_mult)
-        assert np.array_equal(g.adjacent_batch(us, vs), want_adj)
+    want_mult = np.where(us == vs, 0, ref.mult[us, vs])
+    assert np.array_equal(g.multiplicity_batch(us, vs), want_mult)
+    assert np.array_equal(g.adjacent_batch(us, vs), want_adj)
     # the scalar path on a modest random subsample
     rng = np.random.default_rng(nv)
     for k in rng.integers(0, us.size, size=min(60, us.size)):
         u, v = int(us[k]), int(vs[k])
         assert g.adjacent(u, v) == ref.adjacent(u, v)
-        if hasattr(g, "multiplicity"):
-            assert g.multiplicity(u, v) == (0 if u == v else ref.mult[u, v])
+        assert g.multiplicity(u, v) == want_mult[k]
 
 
 @pytest.mark.parametrize("mode", ["plain", "rrr"])
@@ -118,7 +127,8 @@ def test_compressed_matches_oracle(mode, m, n, seed):
 def test_labelled_matches_oracle(mode, m, n, seed):
     d = generate(m, n, seed=seed)
     g = LabelledGraph.from_dag(d, mode=mode)
-    ref = naive_from_dag(d)
+    assert g.tree is None
+    ref = NaiveGraph(m, n, None, d.targets)
     exhaustive_check(g, ref)
 
 
@@ -136,8 +146,7 @@ def test_edge_multiset_preserved_by_relabelling():
     d = generate(3, 120, seed=13)
     b = build(d)
     g = CompressedGraph.from_build(b)
-    orig = undirect(d)
-    undirected_orig = sorted(orig.degrees())
+    undirected_orig = sorted(undirected_degrees(d).tolist())
     undirected_new = sorted(
         g.degree_in(v) + g.degree_out(v) for v in range(121)
     )

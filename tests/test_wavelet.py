@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upag.bitvector import BitVector
 from upag.errors import OutOfRangeError
 from upag.wavelet import WaveletTree
 
@@ -202,3 +203,24 @@ def test_positions_match_select(mode, sigma, length, rng):
         wt.positions(sigma)
     with pytest.raises(OutOfRangeError):
         wt.positions(-1)
+
+
+@pytest.mark.parametrize("mode", ["plain", "rrr"])
+def test_codes_beyond_sigma_eff_are_counted_and_rejected(mode):
+    # all eight symbols present, so codes equal symbols; lowering sigma_eff
+    # inside the same width makes codes >= sigma_eff stray ones
+    vals = np.random.default_rng(5).integers(0, 8, 300)
+    vals[:8] = np.arange(8)
+    wt = WaveletTree(vals, sigma=8, mode=mode)
+    for s in (5, 6, 7, 8):
+        wt.sigma_eff = s
+        assert wt._codes_beyond() == int((vals >= s).sum())
+    parts = wt.to_parts()
+    parts["presence"] = BitVector([1, 1, 1, 1, 1, 0, 0, 0], mode="rrr").to_parts()
+    with pytest.raises(ValueError, match="beyond the effective alphabet"):
+        WaveletTree.from_parts(parts)
+    # no levels: a non-empty string needs a present symbol
+    empty = WaveletTree([], sigma=4, mode=mode).to_parts()
+    empty["length"] = 3
+    with pytest.raises(ValueError, match="beyond the effective alphabet"):
+        WaveletTree.from_parts(empty)
