@@ -4,8 +4,9 @@ Compressing a graph into a tree and a leftover string
 
 The compressor splits each vertex's target block: the rarest target becomes
 the vertex's parent in a scaffold tree, the rest go to a leftover string.
-The tree is stored as balanced parentheses, the string as a wavelet tree —
-and every navigation query runs on that compressed form directly.
+Vertices are renamed in BFS order of the tree, which is stored as a LOUDS
+(two bits per vertex), the string as a wavelet tree — and every navigation
+query runs on that compressed form directly.
 """
 
 import numpy as np

@@ -109,7 +109,8 @@ def cmd_generate(args) -> int:
 
 
 def _relabel_text(n: int, order: np.ndarray | None, to_stored: np.ndarray | None) -> str:
-    """'file label, stored label' lines, composing arrival inference and preorder."""
+    """'file label, stored label' lines, composing arrival inference and the
+    BFS relabelling."""
     new = np.arange(n + 1, dtype=np.int64)
     if order is not None:
         new[order] = np.arange(n + 1, dtype=np.int64)
@@ -308,8 +309,8 @@ def cmd_bench(args) -> int:
 
 def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> None:
     """One-lane latency of each layer under the graph queries: one level of
-    the string index, the tree's parenthesis bitvector, the string index
-    and the tree; the tree's rows only when the graph has a scaffold."""
+    the string index, the tree's LOUDS bitvector, the string index and the
+    tree; the tree's rows only when the graph has a scaffold."""
     wt, tree = g.targets, g.tree
     level = wt._levels[wt.width // 2]
     pos = rng.integers(1, wt.length + 1, q)
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("unlabelled", "labelled"),
         default="unlabelled",
-        help="one graph class either way; unlabelled: preorder names, a scaffold tree "
+        help="one graph class either way; unlabelled: BFS names, a LOUDS scaffold tree "
         "and the leftover string; labelled: original names, no scaffold, the whole string",
     )
     b.add_argument(

@@ -64,10 +64,10 @@ class BuildResult:
     n: int
     sigma: np.ndarray            # vertex -> frequency rank
     parents: np.ndarray          # original labels; parents[0] == -1
-    relabel: np.ndarray          # original label -> preorder label
-    inverse: np.ndarray          # preorder label -> original label
-    tree_parents: np.ndarray     # preorder labels; parent[j] < j
-    nontree: np.ndarray          # leftover targets, preorder labels, len n*(m-1)
+    relabel: np.ndarray          # original label -> BFS label
+    inverse: np.ndarray          # BFS label -> original label
+    tree_parents: np.ndarray     # BFS labels; parent[j] < j, non-decreasing
+    nontree: np.ndarray          # leftover targets, BFS labels, len n*(m-1)
     nontree_orig: np.ndarray     # same deletions, original labels and block order
 
 
@@ -87,7 +87,7 @@ def build(d: Dag, tie: str | np.ndarray = "index") -> BuildResult:
     else:
         nontree_orig = np.zeros((0, max(m - 1, 0)), dtype=np.int64)
 
-    relabel = _preorder(parents)
+    relabel = _bfs(parents)
     inverse = np.empty(nv, dtype=np.int64)
     inverse[relabel] = np.arange(nv, dtype=np.int64)
 
@@ -108,6 +108,32 @@ def build(d: Dag, tie: str | np.ndarray = "index") -> BuildResult:
         nontree=nontree,
         nontree_orig=nontree_orig.reshape(-1),
     )
+
+
+def _bfs(parents: np.ndarray) -> np.ndarray:
+    """BFS rank of every vertex, children taken in ascending label order.
+
+    In an ordered tree the vertices of one depth come in the same order in
+    preorder as in BFS, so the BFS rank sorts by depth, then by preorder.
+    """
+    order = np.lexsort((_preorder(parents), _depths(parents)))
+    rank = np.empty(parents.size, dtype=np.int64)
+    rank[order] = np.arange(parents.size, dtype=np.int64)
+    return rank
+
+
+def _depths(parents: np.ndarray) -> np.ndarray:
+    """Depth of every vertex (the root, ``parents == -1``, has 0), by
+    pointer doubling: O(log depth) numpy rounds."""
+    depth = (parents >= 0).astype(np.int64)
+    jump = parents.copy()
+    live = np.flatnonzero(jump >= 0)
+    while live.size:
+        to = jump[live]
+        depth[live] += depth[to]
+        jump[live] = jump[to]
+        live = live[jump[live] >= 0]
+    return depth
 
 
 def _preorder(parents: np.ndarray) -> np.ndarray:

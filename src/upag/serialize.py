@@ -3,13 +3,15 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"UPAG"
-    version u16      1
+    version u16      2
     flags   u16      bit 0: 1 = scaffold tree present (vertex-renamed form),
                             0 = no scaffold (labelled form); either way the
                             file holds one CompressedGraph
     m       u64
     n       u64
-    [tree parenthesis bitvector blob]   only when flag bit 0 is set
+    [tree LOUDS bitvector blob]   only when flag bit 0 is set: 2(n+1)
+                                  plain bits, a leading 1, then 1^deg 0
+                                  per vertex in BFS order
     [wavelet tree blob]
     crc32   u32      zlib crc32 of every preceding byte
 
@@ -30,9 +32,10 @@ A wavelet blob is:
 
 Rank/select directories are rebuilt on load; only payload travels.  The
 writer is deterministic: the same structure always yields the same bytes.
-The loader validates what it rebuilds (block codes, parentheses, wavelet
+The loader validates what it rebuilds (block codes, the LOUDS, wavelet
 codes below the effective alphabet) and raises ``FormatError`` on any
-inconsistency.
+inconsistency.  Version 1 stored the tree as balanced parentheses under
+preorder labels; such files are refused with a hint to rebuild them.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .ugraph import CompressedGraph, LabelledGraph
 from .wavelet import WaveletTree
 
 MAGIC = b"UPAG"
-VERSION = 1
+VERSION = 2
 _FLAG_TREE = 1
 
 
@@ -180,6 +183,8 @@ def loads(data: bytes) -> CompressedGraph:
     if r.take(4) != MAGIC:
         raise FormatError("bad magic: not a compressed-graph file")
     version = r.u16()
+    if version == 1:
+        raise FormatError("unsupported version 1: rebuild the .upag from its edge list")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     flags = r.u16()

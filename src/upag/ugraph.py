@@ -4,10 +4,10 @@ One class, ``CompressedGraph``, answers every query, with or without a
 scaffold tree:
 
 with a scaffold
-    The label-free form.  Vertices are renamed to preorder positions of
-    the scaffold tree, the tree costs two bits per vertex and holds each
-    vertex's first out-edge, and the remaining ``m - 1`` targets of every
-    vertex sit in an entropy-compressed wavelet tree.
+    The label-free form.  Vertices are renamed to BFS positions of the
+    scaffold tree, the tree is a LOUDS of two bits per vertex and holds
+    each vertex's first out-edge, and the remaining ``m - 1`` targets of
+    every vertex sit in an entropy-compressed wavelet tree.
 
 without a scaffold (``tree is None``)
     The labelled form, built by ``LabelledGraph``.  Original vertex names
@@ -120,6 +120,8 @@ class CompressedGraph:
         return (pos - 1) // (self.m - self.lead) + 1
 
     def neighbours_in(self, v: int) -> list[int]:
+        """Tree children (the label range [first, first + deg)), then the
+        sources of string occurrences."""
         self._check_vertex(v)
         src = (self.targets.positions(v) - 1) // max(self.m - self.lead, 1) + 1
         return ([] if self.tree is None else self.tree.children(v)) + src.tolist()
@@ -176,8 +178,9 @@ class CompressedGraph:
     def in_neighbour_batch(self, vs, idx) -> np.ndarray:
         """Vectorised ``in_neighbour``: tree children first, then string hits.
 
-        Tree lanes take their child from one batched i-th-child walk; the
-        string lanes go through one batched select.
+        Tree lanes take their child by label arithmetic (children have
+        consecutive BFS labels); the string lanes go through one batched
+        select.
         """
         arr = np.asarray(vs, dtype=np.int64)
         ii = np.asarray(idx, dtype=np.int64)

@@ -3,15 +3,16 @@
 These are the plain loops that the array code in ``pa_gen``, ``construct``
 and ``cli`` replaces: one draw per step for the generator, one step at a
 time for the float surprisal, an adjacency-counter multigraph for peeling
-and an explicit stack for the preorder.  The tests compare the array code
-against them; nothing in the package imports this module.
+an explicit stack for the preorder and a FIFO queue for the BFS order.  The
+tests compare the array code against them; nothing in the package imports
+this module.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
@@ -148,4 +149,21 @@ def preorder_stack(parents: np.ndarray) -> np.ndarray:
         rank[v] = nxt
         nxt += 1
         stack.extend(reversed(children[v]))
+    return rank
+
+
+def bfs_deque(parents: np.ndarray) -> np.ndarray:
+    """BFS rank of every vertex by a FIFO queue, children ascending."""
+    nv = parents.size
+    children: list[list[int]] = [[] for _ in range(nv)]
+    for v in range(1, nv):
+        children[parents[v]].append(v)
+    rank = np.empty(nv, dtype=np.int64)
+    queue = deque([0])
+    nxt = 0
+    while queue:
+        v = queue.popleft()
+        rank[v] = nxt
+        nxt += 1
+        queue.extend(children[v])
     return rank

@@ -1,15 +1,27 @@
+"""The LOUDS scaffold tree against a deque BFS reference.
+
+Trees are drawn under any labelling with parent[v] < v, relabelled into
+BFS order by ``ingest_reference.bfs_deque`` and stored; every node's
+parent, degree and children must then match the reference's children
+lists mapped through the same ranks.  A tree on N nodes is 2N bits, so the
+sizes below put the end of the sequence on and around the edges of a
+64-bit word (N = 32, 33), a 1024-bit superblock (N = 511..513), 16
+superblocks (N = 8191..8193) and 256 of them (N = 131,073).
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingest_reference import bfs_deque
+from upag.bitvector import BitVector
 from upag.bptree import BPTree
 from upag.errors import OutOfRangeError
 
 
 def random_preorder_parents(rng, n):
-    """Random preorder-labelled tree: parent of v is drawn from the rightmost
-    path so that labels stay in preorder."""
+    """Random tree whose parent of v is drawn from the rightmost path."""
     par = np.full(n, -1, dtype=np.int64)
     path = [0]
     for v in range(1, n):
@@ -20,38 +32,65 @@ def random_preorder_parents(rng, n):
     return par
 
 
-def reference_children(par):
-    n = len(par)
-    kids = [[] for _ in range(n)]
-    for v in range(1, n):
-        kids[par[v]].append(v)
-    return kids
+def random_recursive_parents(rng, n):
+    """Random recursive tree: the parent of v is uniform among 0..v-1."""
+    par = np.full(n, -1, dtype=np.int64)
+    par[1:] = rng.integers(0, 1 << 40, n - 1) % np.arange(1, n)
+    return par
 
 
-def check_tree(par):
+def bfs_reference(par):
+    """(parents, children lists) of the tree relabelled in BFS order by the
+    deque reference; children lists come from the original tree."""
     par = np.asarray(par, dtype=np.int64)
-    t = BPTree(par)
-    kids = reference_children(par)
-    assert t.n_nodes == par.size
-    subtree = np.ones(par.size, dtype=np.int64)
-    for v in range(par.size - 1, 0, -1):
-        subtree[par[v]] += subtree[v]
-    for v in range(par.size):
-        assert t.parent(v) == par[v]
-        assert t.children(v) == kids[v]
-        assert t.tree_degree(v) == len(kids[v])
-        assert t.is_leaf(v) == (len(kids[v]) == 0)
-        assert t.subtree_size(v) == subtree[v]
-        for i, c in enumerate(kids[v], start=1):
-            assert t.child(v, i) == c
-    assert np.array_equal(t.parents_array(), par)
+    rank = bfs_deque(par)
+    n = par.size
+    kids_orig = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids_orig[par[v]].append(v)
+    bpar = np.full(n, -1, dtype=np.int64)
+    bpar[rank[1:]] = rank[par[1:]]
+    kids = [[] for _ in range(n)]
+    for v in range(n):
+        kids[rank[v]] = [int(rank[c]) for c in kids_orig[v]]
+    return bpar, kids
+
+
+def check_tree(par, sample=120, seed=0):
+    """Every node's parent, degree and children through the batch calls, a
+    sample of scalar calls against them, and the space and parts."""
+    bpar, kids = bfs_reference(par)
+    t = BPTree(bpar)
+    n = bpar.size
+    deg = np.array([len(k) for k in kids], dtype=np.int64)
+    v = np.arange(n)
+    assert t.n_nodes == n
+    assert np.array_equal(t.parent_batch(v), bpar)
+    assert np.array_equal(t.degree_batch(v), deg)
+    assert np.array_equal(t.parents_array(), bpar)
+    if n > 1:
+        cv = np.repeat(v, deg)
+        ci = np.arange(cv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+        assert np.array_equal(t.child_batch(cv, ci), np.concatenate([k for k in kids if k]))
+    rng = np.random.default_rng(seed)
+    picks = np.unique(np.concatenate([[0, n - 1, int(np.argmax(deg))],
+                                      rng.integers(0, n, sample)]))
+    for x in picks.tolist():
+        assert t.parent(x) == bpar[x]
+        assert t.tree_degree(x) == deg[x]
+        assert t.children(x) == kids[x]
+        for i in ({1, int(deg[x])} if deg[x] else ()):
+            assert t.child(x, i) == kids[x][i - 1]
+        with pytest.raises(OutOfRangeError):
+            t.child(x, int(deg[x]) + 1)
+    assert t.space_report()["payload_bits"] == 2 * n == t._bv.n
     return t
 
 
 def test_single_node():
     t = check_tree([-1])
-    assert t.open_pos(0) == 1
-    assert t.close_pos(0) == 2
+    assert t._bv.to_array().tolist() == [1, 0]
+    assert t.children(0) == []
 
 
 def test_path_tree():
@@ -65,20 +104,16 @@ def test_star_tree():
 
 
 def test_known_small_tree():
-    #        0
-    #       / \
-    #      1   4
-    #     / \    \
-    #    2   3    5
-    par = [-1, 0, 1, 1, 0, 4]
-    t = check_tree(par)
-    # parens: ( ( ( ) ( ) ) ( ( ) ) )
-    expect = [1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0]
-    got = [t._bit(i) for i in range(12)]
-    assert got == expect
-    assert t.open_pos(4) == 8
-    assert t.close_pos(4) == 11
-    assert t.subtree_size(1) == 3
+    #        0              BFS labels:      0
+    #       / \                             / \
+    #      1   4                           1   2
+    #     / \    \                        / \   \
+    #    2   3    5                      3   4   5
+    t = check_tree([-1, 0, 1, 1, 0, 4])
+    # a leading 1, then 1^deg 0 per node: 1 | 110 110 10 0 0 0
+    assert t._bv.to_array().tolist() == [1, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0]
+    assert t.parents_array().tolist() == [-1, 0, 0, 1, 1, 2]
+    assert t.children(1) == [3, 4] and t.child(2, 1) == 5
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 65, 129, 500])
@@ -86,26 +121,25 @@ def test_known_small_tree():
 def test_random_trees(n, seed):
     rng = np.random.default_rng(seed * 1000 + n)
     check_tree(random_preorder_parents(rng, n))
+    check_tree(random_recursive_parents(rng, n))
 
 
 def test_deep_then_wide():
-    # a long spine whose tip carries many leaves: exercises both scan
-    # directions across multiple 64-bit blocks
+    # a long spine whose tip carries many leaves: the leaves' ones sit in
+    # one run at the far end of the sequence
     spine = 150
     leaves = 90
-    par = [-1] + list(range(spine - 1)) + [spine - 1] * leaves
-    t = check_tree(par)
+    t = check_tree([-1] + list(range(spine - 1)) + [spine - 1] * leaves)
     assert t.tree_degree(spine - 1) == leaves
 
 
 def test_block_boundary_parent():
-    # a deep first subtree pushes the second root child hundreds of bits
-    # past the root's open, so parent() must cross many blocks backwards
+    # a deep first subtree and one more root child: in BFS order the root's
+    # two children are 1 and 2, and the path below 1 runs across many words
     deep = 99
-    par = [-1] + list(range(deep)) + [0]
-    t = BPTree(np.array(par, dtype=np.int64))
-    assert t.parent(deep + 1) == 0
-    assert t.children(0) == [1, deep + 1]
+    t = check_tree([-1] + list(range(deep)) + [0])
+    assert t.children(0) == [1, 2]
+    assert t.parent(deep + 1) == deep
 
 
 def test_rejects_bad_parent_arrays():
@@ -114,7 +148,17 @@ def test_rejects_bad_parent_arrays():
     with pytest.raises(ValueError):
         BPTree([-1, 2, 1])   # parent must precede child
     with pytest.raises(ValueError):
+        BPTree([-1, -1])     # one root only
+    with pytest.raises(ValueError):
         BPTree(np.zeros((0,), dtype=np.int64))
+
+
+def test_rejects_parent_arrays_out_of_bfs_order():
+    with pytest.raises(ValueError, match="BFS"):
+        BPTree([-1, 0, 1, 0])        # 3 is the root's child but 2 came between
+    with pytest.raises(ValueError, match="BFS"):
+        BPTree([-1, 0, 0, 2, 1])     # 4's parent 1 comes before 3's parent 2
+    assert BPTree([-1, 0, 0, 1, 2]).parents_array().tolist() == [-1, 0, 0, 1, 2]
 
 
 def test_out_of_range_queries():
@@ -122,20 +166,29 @@ def test_out_of_range_queries():
     with pytest.raises(OutOfRangeError):
         t.parent(3)
     with pytest.raises(OutOfRangeError):
+        t.parent_batch([0, -1])
+    with pytest.raises(OutOfRangeError):
+        t.degree_batch([3])
+    with pytest.raises(OutOfRangeError):
         t.children(-1)
     with pytest.raises(OutOfRangeError):
         t.child(0, 3)
     with pytest.raises(OutOfRangeError):
+        t.child(0, 0)
+    with pytest.raises(OutOfRangeError):
         t.child(1, 1)
+    with pytest.raises(OutOfRangeError):
+        t.child_batch([0, 0, 2], [1, 2, 1])
+    assert t.child_batch([0, 0], [2, 1]).tolist() == [2, 1]
+    for batch in (t.parent_batch, t.degree_batch):
+        assert batch(np.zeros(0, np.int64)).size == 0
 
 
 def test_parts_roundtrip():
-    rng = np.random.default_rng(7)
-    par = random_preorder_parents(rng, 300)
-    t = BPTree(par)
+    t = check_tree(random_preorder_parents(np.random.default_rng(7), 300))
     t2 = BPTree.from_parts(t.to_parts())
     assert t2.n_nodes == t.n_nodes
-    assert np.array_equal(t2.parents_array(), par)
+    assert np.array_equal(t2.parents_array(), t.parents_array())
     assert t2.space_report() == t.space_report()
 
 
@@ -149,13 +202,14 @@ def test_space_payload_is_two_bits_per_node():
 
 
 def test_batch_helpers():
+    # repeated and unsorted lanes
     rng = np.random.default_rng(11)
-    par = random_preorder_parents(rng, 120)
-    t = BPTree(par)
+    bpar, kids = bfs_reference(random_recursive_parents(rng, 120))
+    t = BPTree(bpar)
     vs = rng.integers(0, 120, size=50)
-    assert np.array_equal(t.parent_batch(vs), par[vs])
-    degs = np.array([len(reference_children(par)[int(v)]) for v in vs])
-    assert np.array_equal(t.degree_batch(vs), degs)
+    assert np.array_equal(t.parent_batch(vs), bpar[vs])
+    assert np.array_equal(t.degree_batch(vs), [len(kids[v]) for v in vs])
+    assert np.array_equal(t.degree_batch(vs.reshape(5, 10)).ravel(), t.degree_batch(vs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,12 +218,12 @@ def test_navigation_matches_reference(data):
     n = data.draw(st.integers(min_value=1, max_value=80))
     seed = data.draw(st.integers(min_value=0, max_value=2**16))
     rng = np.random.default_rng(seed)
-    check_tree(random_preorder_parents(rng, n))
+    gen = data.draw(st.sampled_from([random_preorder_parents, random_recursive_parents]))
+    check_tree(gen(rng, n), sample=10)
 
 
-# ---- range min-max directory: shapes aimed at its levels ------------------
-# A leaf of the directory spans 1024 bits (512 nodes), a level-4 node 16
-# leaves; bytes, words and leaves are all crossed by the shapes below.
+# ---- shapes whose sequences cross words and superblocks --------------------
+# A superblock of the bitvector spans 1024 bits, 512 nodes.
 
 def spread_root(n, span):
     """Root children every ``span`` labels, each heading a path."""
@@ -193,87 +247,56 @@ def caterpillar(spine, legs, legs_last):
     return np.array(par, dtype=np.int64)
 
 
-def check_batches(par, sample=120, seed=0):
-    """Every node's parent, degree and children through the batch calls, and
-    a sample of scalar calls (and close positions) against batches of one."""
-    par = np.asarray(par, dtype=np.int64)
-    t = BPTree(par)
-    n = par.size
-    kids = reference_children(par)
-    deg = np.array([len(k) for k in kids], dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
-    for v in range(n - 1, 0, -1):
-        size[par[v]] += size[v]
-    v = np.arange(n)
-    assert np.array_equal(t.parents_array(), par)
-    assert np.array_equal(t.parent_batch(v), par)
-    assert np.array_equal(t.degree_batch(v), deg)
-    if n > 1:
-        cv = np.repeat(v, deg)
-        ci = np.arange(cv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
-        assert np.array_equal(t.child_batch(cv, ci), np.concatenate([k for k in kids if k]))
-    with pytest.raises(OutOfRangeError):
-        t.child_batch(v, deg + 1)
-    opens = np.flatnonzero(t._bv.to_array())
-    rng = np.random.default_rng(seed)
-    picks = np.unique(np.concatenate([[0, n - 1, int(np.argmax(deg))],
-                                      rng.integers(0, n, sample)]))
-    for x in picks.tolist():
-        assert t.close_pos(x) == opens[x] + 2 * size[x]
-        assert t.subtree_size(x) == size[x]
-        assert t.parent(x) == t.parent_batch([x])[0] == par[x]
-        assert t.tree_degree(x) == t.degree_batch([x])[0] == deg[x]
-        assert t.children(x) == kids[x]
-        for i in ({1, int(deg[x])} if deg[x] else ()):
-            assert t.child(x, i) == t.child_batch([x], [i])[0] == kids[x][i - 1]
-    return t
-
-
 @pytest.mark.parametrize("n, span", [(6000, 37), (20000, 700)])
 def test_root_children_spread_over_many_leaves(n, span):
-    # the root's last child opens a dozen (or 39) leaves after the root; with
-    # span 700 some leaves hold no close of a root child, so a level-4 node
-    # may count only its leaves that reach its minimum
-    t = check_batches(spread_root(n, span))
+    # the root's children come first in BFS order, then one long level of
+    # one node per path for each depth
+    t = check_tree(spread_root(n, span))
     assert t.tree_degree(0) == len(range(1, n, span))
 
 
 def test_path_deeper_than_a_leaf():
-    # depth 1500 > 512 nodes per leaf, then one more root child at the end
-    check_batches(np.array([-1] + list(range(1499)) + [0], dtype=np.int64))
+    # depth 1500 > 512 nodes per superblock, then one more root child
+    check_tree(np.array([-1] + list(range(1499)) + [0], dtype=np.int64))
 
 
 def test_star_wider_than_a_leaf():
-    t = check_batches(np.array([-1] + [0] * 2999, dtype=np.int64))
+    t = check_tree(np.array([-1] + [0] * 2999, dtype=np.int64))
     assert t.child(0, 2999) == 2999
 
 
 @pytest.mark.parametrize("legs_last", [False, True])
 def test_caterpillar(legs_last):
-    check_batches(caterpillar(700, 3, legs_last))
+    check_tree(caterpillar(700, 3, legs_last))
 
 
 @pytest.mark.parametrize("n", [32, 33, 511, 512, 513, 8191, 8192, 8193])
 def test_random_trees_straddling_directory_sizes(n):
-    check_batches(random_preorder_parents(np.random.default_rng(n), n), sample=40)
+    rng = np.random.default_rng(n)
+    check_tree(random_preorder_parents(rng, n), sample=40)
+    check_tree(random_recursive_parents(rng, n), sample=40)
 
 
 def test_random_tree_with_two_inner_levels():
-    # 2^18 + 2 bits: 257 leaves under 17 level-4 nodes under 2 level-5 nodes
-    check_batches(random_preorder_parents(np.random.default_rng(3), 131073), sample=20)
-
-
-def test_rejects_parent_arrays_out_of_preorder():
-    with pytest.raises(ValueError):
-        BPTree([-1, 0, 0, 1])        # 3 is 1's child but 2 came between
-    with pytest.raises(ValueError):
-        BPTree([-1, 0, 1, 0, 2])     # 4 is 2's child but 3 closed 2's subtree
+    # 2^18 + 2 bits: 257 superblocks, the last holding two bits
+    check_tree(random_recursive_parents(np.random.default_rng(3), 131073), sample=20)
 
 
 def test_rejects_ill_formed_sequences():
-    from upag.bitvector import BitVector
+    def louds(bits):
+        return BPTree(_bv=BitVector(np.array(bits), mode="plain"))
 
-    for bits in ([1, 0, 0, 1, 1, 0], [1, 0, 1, 0], [0, 1], [1, 1, 0, 1]):
-        with pytest.raises(ValueError):
-            BPTree(_bv=BitVector(np.array(bits), mode="plain"))
-    assert BPTree(_bv=BitVector(np.array([1, 1, 0, 1, 0, 0]), mode="plain")).children(0) == [1, 2]
+    for bits in ([0, 1],                  # final one
+                 [1, 0, 1, 0],            # node 1's one after node 0's zero
+                 [1, 1, 1, 0, 0],         # odd length
+                 [1, 1, 1, 0, 1, 0],      # four ones
+                 [1, 1, 1, 1, 0, 0],      # four ones, each before its zero
+                 [1, 1, 0, 0, 0, 0],      # two ones
+                 [1, 1, 0, 0, 1, 0],      # node 2's one after node 1's zero
+                 []):
+        with pytest.raises(ValueError, match="LOUDS"):
+            louds(bits)
+    assert louds([1, 1, 0, 1, 0, 0]).parents_array().tolist() == [-1, 0, 1]
+    with pytest.raises(ValueError):
+        BPTree(_bv=BitVector(np.array([1, 0]), mode="rrr"))
+    assert louds([1, 1, 1, 0, 0, 0]).children(0) == [1, 2]

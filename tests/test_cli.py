@@ -9,13 +9,19 @@ checked through the full generate/build/query pipeline.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import struct
+import tempfile
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upag.cli import main, read_edge_list, write_edge_list
 from upag.errors import FormatError
@@ -225,15 +231,29 @@ def test_query_unknown_operation_is_a_usage_error(figure_files, capsys):
 
 
 def test_query_ill_formed_tree_fails_cleanly(figure_files, tmp_path, capsys):
-    # balanced parentheses whose excess dips below zero: 1 0 0 1 1 0 ...
+    # a LOUDS whose node 1 comes after the zero that ends node 0:
+    # 1 0 1 1 1 0 0 1 1 0 0 0 in place of 1 1 0 1 1 0 0 1 1 0 0 0
     _, up = figure_files
     body = bytearray(up.read_bytes()[:-4])
-    body[41:49] = struct.pack("<Q", 0b000111011001)
+    assert body[41:49] == struct.pack("<Q", 0x19B)
+    body[41:49] = struct.pack("<Q", 0x19D)
     bad = tmp_path / "bad.upag"
     bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-    code, _, err = run(capsys, "query", "--in", str(bad), "deg", "1")
-    assert code == 2
+    code, out, err = run(capsys, "query", "--in", str(bad), "deg", "1")
+    assert code == 2 and out == ""
     assert err.startswith("error:") and "well-formed" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_query_v1_file_fails_with_rebuild_hint(figure_files, tmp_path, capsys):
+    from test_serialize import GOLDEN_V1_HEX
+
+    body = bytes.fromhex(GOLDEN_V1_HEX)
+    old = tmp_path / "v1.upag"
+    old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code, out, err = run(capsys, "query", "--in", str(old), "deg", "1")
+    assert code == 2 and out == ""
+    assert err == "error: unsupported version 1: rebuild the .upag from its edge list\n"
 
 
 def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, capsys):
@@ -480,6 +500,79 @@ def test_malformed_edge_body_fails_cleanly(tmp_path, capsys, body):
             assert "Traceback" not in err and out == ""
 
 
+def _quiet_main(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+BAD_HEADERS = ["", "upag-el v1 M=2 n=3", "# upag-el v2 M=2 n=3", "# upag-el v1 M=-1 n=3",
+               "# upag-el v1 M=2 n=x", "# upag-el v1 M=2 n=3 extra", "# upag-el v1 n=3 M=2",
+               "# upag-el v1 M=0 n=3", "# upag-el v1 M=2 n=99999999999999999999999"]
+BAD_LABELS = ["-1", "-9223372036854775809", "9223372036854775807", "99999999999999999999",
+              "1e3", "0x1", "1.0", "nan", "", "\u0663"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list file: a valid instance, shuffled and with its columns
+    swapped per line, then at most one damage: a bad header, an extra
+    column on one line, one column on every line, a bad, moved or
+    out-of-range label, or a dropped or repeated line."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    d = generate(m, n, seed=draw(st.integers(0, 2**16)))
+    rows = [[str(a), str(b)] for a, b in zip(np.repeat(np.arange(1, n + 1), m).tolist(),
+                                             d.targets.ravel().tolist())]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+        rows = [r[::-1] if draw(st.booleans()) else r for r in rows]
+    header = f"# upag-el v1 M={m} n={n}"
+    damage = draw(st.sampled_from(["none", "header", "column", "one_column", "label",
+                                   "range", "move", "drop", "repeat"]))
+    k = draw(st.integers(0, max(len(rows) - 1, 0)))
+    if damage == "header":
+        header = draw(st.sampled_from(BAD_HEADERS))
+    elif rows and damage == "column":
+        rows[k] = rows[k] + [draw(st.sampled_from(["0", "1", "x", "#"]))]
+    elif damage == "one_column":
+        rows = [r[:1] for r in rows]
+    elif rows and damage == "label":
+        rows[k][draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_LABELS))
+    elif rows and damage == "move":                 # in range, maybe no longer a PA graph
+        rows[k][draw(st.integers(0, 1))] = str(draw(st.integers(0, n)))
+    elif rows and damage == "range":
+        rows[k][draw(st.integers(0, 1))] = str(n + draw(st.integers(1, 2**40)))
+    elif rows and damage == "drop":
+        del rows[k]
+    elif rows and damage == "repeat":
+        rows.insert(k, list(rows[k]))
+    return header + "\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edge_list_texts())
+def test_fuzzed_edge_lists_fail_cleanly_or_selfcheck(text):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")              # no numpy warning may escape
+        el, up = Path(tmp) / "f.el", Path(tmp) / "f.upag"
+        el.write_text(text)
+        try:
+            read_edge_list(el)
+            parsed = True
+        except ModelError:
+            parsed = False
+        code, out, err = _quiet_main("build", "--in", str(el), "--out", str(up))
+        if not parsed:
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            return
+        assert code == 0, err
+        code, out, err = _quiet_main("selfcheck", "--in", str(up), "--against", str(el))
+        assert code == 0 and "OK" in out, out
+
+
 def test_edge_list_whitespace_variants_parse_alike(tmp_path):
     d = generate(2, 30, seed=3)
     canon = tmp_path / "canon.el"
@@ -520,11 +613,11 @@ def test_empty_instance_round_trips(tmp_path, capsys):
 
 PINNED_SHA256 = {
     "arrival.el": "12a8cee07b499768f91948630cf5c2b65bbc8349ee14ecc841300db535defff3",
-    "arrival.upag": "54b544fb148dea3e1d96d09409f3184e99f38fd45751b0be36f08ecdafb7c3c1",
-    "arrival.map": "403c557c17272487587bd08f1689657a41b4a053dea85304a971221ed6422646",
-    "shuffled.upag": "537768ac891c7b15381152c6831467cdb3e373d094c0d718f6e11364435f4b90",
-    "shuffled.map": "7a6f63d3a0b7fc77ee7b04eef50d775f6836505bcbe237c5adff52a29d7ebaa3",
-    "labelled.upag": "4db2bcc392a4c2397a041bce91fa8ca117a43403374239adb84d6e98b8cf9660",
+    "arrival.upag": "eebd73ae7c579bef992598f31ce99428cb7f2e8faa0ab2a628cb0c7955af79b8",
+    "arrival.map": "c8cf08befe8c6ffbb92a457b101b4df5da5f783826b77a45d9f65b208cfd106d",
+    "shuffled.upag": "9cd654afb783e8ef4c0bd86e216ae7deb15debedf84c7da52c8ee9223616b16d",
+    "shuffled.map": "06ddf1d46a4f94d90d9703a3c6238fc77cc0a6dc4584c957d23da14f61c5ae92",
+    "labelled.upag": "5a9759afe76ea75c2042aaa4f65c6df012bd62e54d5f37902f197d44b5df94e7",
     "labelled.map": "a1e2fad60bfa7b3e6e9357bae639e6fc0b9b0bfea5719dfe7430cb279412ace2",
 }
 

@@ -1,17 +1,22 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingest_reference import (
+    bfs_deque,
     dag_edges,
     multigraph,
     peel_relabel_counter,
     preorder_stack,
     same_multigraph,
 )
+from upag.bptree import BPTree
 from upag.construct import (
     BuildResult,
+    _bfs,
     _preorder,
     build,
     freq_rank,
@@ -160,10 +165,11 @@ def test_freq_rank_explicit_order(dag5):
 def test_build_default_tie(dag5):
     b = build(dag5)
     assert b.parents.tolist() == [-1, 0, 1, 1, 2, 3]
-    assert b.relabel.tolist() == [0, 1, 2, 4, 3, 5]
-    assert b.inverse.tolist() == [0, 1, 2, 4, 3, 5]
-    assert b.tree_parents.tolist() == [-1, 0, 1, 2, 1, 4]
-    assert b.nontree.tolist() == [0, 0, 1, 1, 4, 2, 1, 1, 3, 3]
+    # BFS order is the identity here (preorder would swap 3 and 4)
+    assert b.relabel.tolist() == [0, 1, 2, 3, 4, 5]
+    assert b.inverse.tolist() == [0, 1, 2, 3, 4, 5]
+    assert b.tree_parents.tolist() == [-1, 0, 1, 1, 2, 3]
+    assert b.nontree.tolist() == [0, 0, 1, 1, 1, 1, 3, 2, 4, 4]
     assert b.nontree_orig.tolist() == [0, 0, 1, 1, 1, 1, 3, 2, 4, 4]
 
 
@@ -216,11 +222,12 @@ def test_build_invariants(m, n, seed):
     d = generate(m, n, seed=seed)
     b = build(d)
     nv = n + 1
-    # relabel is a permutation with fixed point 0, tree is preorder-consistent
+    # relabel is a permutation with fixed point 0, tree is in BFS order
     assert np.array_equal(np.sort(b.relabel), np.arange(nv))
     assert b.relabel[0] == 0
     assert np.array_equal(b.relabel[b.inverse], np.arange(nv))
     assert np.all(b.tree_parents[1:] < np.arange(1, nv))
+    assert np.all(np.diff(b.tree_parents[1:]) >= 0)
     assert b.nontree.shape == (n * (m - 1),)
     # multiset of edges is preserved: parent edge + leftover block
     for j in range(1, nv):
@@ -254,6 +261,33 @@ def test_preorder_matches_stack_reference():
     trees += [build(generate(m, 3000, seed=m)).parents for m in (1, 2, 3, 5)]
     for parents in trees:
         assert np.array_equal(_preorder(parents), preorder_stack(parents)), parents[:20]
+
+
+def test_bfs_matches_deque_reference():
+    rng = np.random.default_rng(37)
+    trees = [np.array([-1]), np.array([-1, 0]), np.arange(-1, 3000),
+             np.concatenate([[-1], np.zeros(2999, np.int64)]),
+             np.concatenate([[-1], np.arange(1000), np.zeros(5, np.int64),
+                             np.arange(1, 999)])]
+    trees += [_random_tree(nv, rng, spread) for nv in (3, 17, 500, 4097)
+              for spread in (1, 2, 5, 1 << 30)]
+    trees += [build(generate(m, 3000, seed=s)).parents for m in (1, 2, 3, 5) for s in (m, 77)]
+    for parents in trees:
+        assert np.array_equal(_bfs(parents), bfs_deque(parents)), parents[:20]
+
+
+def test_bfs_of_a_deep_path_builds_fast():
+    # a path-shaped scaffold of depth 2^17: the relabelling must take
+    # O(log n) numpy rounds, not one per level
+    n = 2 ** 17
+    d = Dag(1, np.arange(n).reshape(n, 1))
+    t0 = time.perf_counter()
+    b = build(d)
+    tree = BPTree(b.tree_parents)
+    elapsed = time.perf_counter() - t0
+    assert np.array_equal(b.relabel, np.arange(n + 1))
+    assert tree.parent(n) == n - 1 and tree.children(n - 1) == [n]
+    assert elapsed < 1.0, elapsed
 
 
 # ---------------------------------------------------------------------------

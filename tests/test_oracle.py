@@ -88,7 +88,7 @@ def test_naive_structures_are_symmetric(rng):
 
 def test_scaffold_naive_agrees_with_dag_naive(dag5):
     # the scaffold split (tree parents + leftover string) must describe the
-    # same multigraph as the raw blocks once the preorder relabelling is
+    # same multigraph as the raw blocks once the BFS relabelling is
     # applied; for this instance under the first-target tie-break the
     # relabelling is the identity, so the two references must coincide
     built = build(dag5, tie="first-target")

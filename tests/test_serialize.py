@@ -15,6 +15,14 @@ from upag.ugraph import CompressedGraph, LabelledGraph
 # frozen bytes of the five-vertex worked example (first-target ranking);
 # any change here is a format break and must bump the version
 GOLDEN_HEX = (
+    "5550414702000100030000000000000005000000000000000c000000000000000001000000"
+    "000000009b0100000000000006000000000000000a00000000000000020600000000000000"
+    "0101000000000000000401000000000000000d000000000000000a00000000000000010100"
+    "00000000000004010000000000000000000000000000000a00000000000000010100000000"
+    "0000000601000000000000001600000000000000"
+)
+# the same graph in format v1 (balanced parentheses, preorder labels)
+GOLDEN_V1_HEX = (
     "5550414701000100030000000000000005000000000000000c000000000000000001000000"
     "00000000b70000000000000006000000000000000a00000000000000020600000000000000"
     "0101000000000000000401000000000000000d000000000000000a00000000000000010100"
@@ -32,6 +40,12 @@ def test_golden_blob_stable():
     blob = serialize.dumps(five_vertex_graph())
     body = bytes.fromhex(GOLDEN_HEX)
     assert blob == body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_reject_v1_file_with_rebuild_hint():
+    body = bytes.fromhex(GOLDEN_V1_HEX)
+    with pytest.raises(FormatError, match="unsupported version 1: rebuild the .upag from its edge list"):
+        serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_dumps_deterministic():
@@ -146,22 +160,23 @@ TREE_WORD = 41  # header (24 bytes), then nbits, mode and nwords of the tree
 
 
 def with_tree_word(blob: bytes, word: int) -> bytes:
-    """``blob`` with its one parenthesis word replaced and the CRC redone."""
+    """``blob`` with its one LOUDS word replaced and the CRC redone."""
     body = bytearray(blob[:-4])
-    assert body[TREE_WORD:TREE_WORD + 8] == struct.pack("<Q", 0xB7)  # ((()(()()))) 
+    assert body[TREE_WORD:TREE_WORD + 8] == struct.pack("<Q", 0x19B)  # 1 10 110 0 110 0 0
     body[TREE_WORD:TREE_WORD + 8] = struct.pack("<Q", word)
     return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
 
 
-# balanced words of 12 bits (bit 0 first), each with six opens
+# 12-bit words (bit 0 first) that are no LOUDS of a six-node tree
 ILL_FORMED = {
-    "dips_below_zero": 0b000111011001,   # 1 0 0 1 1 0 1 1 1 0 0 0
-    "forest": 0b001100101101,            # 1 0 1 1 0 1 0 0 1 1 0 0
+    "extra_one": 0x59B,            # 1 1 0 1 1 0 0 1 1 0 1 0: seven ones
+    "one_past_its_zero": 0x19D,    # 1 0 1 1 1 0 0 1 1 0 0 0: node 1 after node 0's zero
+    "final_one": 0x89B,            # 1 1 0 1 1 0 0 1 0 0 0 1: no closing zero
 }
 
 
 @pytest.mark.parametrize("word", ILL_FORMED.values(), ids=ILL_FORMED.keys())
-def test_reject_ill_formed_parentheses(word):
+def test_reject_ill_formed_louds(word):
     with pytest.raises(FormatError, match="well-formed"):
         serialize.loads(with_tree_word(serialize.dumps(five_vertex_graph()), word))
 

@@ -17,7 +17,7 @@ def g5(dag5):
 
 
 # ---------------------------------------------------------------------------
-# worked five-vertex goldens (preorder relabelling is the identity here)
+# worked five-vertex goldens (the BFS relabelling is the identity here)
 # ---------------------------------------------------------------------------
 
 def test_degrees_golden(g5):
