@@ -5,8 +5,9 @@ Compressing a graph into a tree and a leftover string
 The compressor splits each vertex's target block: the rarest target becomes
 the vertex's parent in a scaffold tree, the rest go to a leftover string.
 Vertices are renamed in BFS order of the tree, which is stored as a LOUDS
-(two bits per vertex), the string as a wavelet tree — and every navigation
-query runs on that compressed form directly.
+(two bits per vertex), the string as a wavelet matrix (one bitvector per
+code bit) — and every navigation query runs on that compressed form
+directly.
 """
 
 import numpy as np

@@ -130,14 +130,7 @@ class BPTree:
         z = np.concatenate([[0], np.flatnonzero(bits == 0)])
         return np.concatenate([[-1], np.repeat(np.arange(self.n_nodes), np.diff(z) - 1)])
 
-    # ---- serialization and accounting ---------------------------------------
-
-    def to_parts(self) -> dict:
-        return {"louds": self._bv.to_parts()}
-
-    @classmethod
-    def from_parts(cls, parts: dict) -> "BPTree":
-        return cls(_bv=BitVector.from_parts(**parts["louds"]))
+    # ---- accounting -----------------------------------------------------------
 
     def space_report(self) -> dict:
         return {

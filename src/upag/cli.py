@@ -322,7 +322,7 @@ def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> None:
         ("level_access", level.access, [rng.integers(1, level.n + 1, q)]),
     ]
     if tree is not None:
-        rows.append(("paren_select1", tree._bv.select1,
+        rows.append(("louds_select1", tree._bv.select1,
                      [rng.integers(1, tree._bv.ones + 1, q)]))
     rows += [
         ("wt_access", wt.access, [rng.integers(1, wt.length + 1, q)]),

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"UPAG"
-    version u16      2
+    version u16      3
     flags   u16      bit 0: 1 = scaffold tree present (vertex-renamed form),
                             0 = no scaffold (labelled form); either way the
                             file holds one CompressedGraph
@@ -12,7 +12,7 @@ Layout (all integers little-endian):
     [tree LOUDS bitvector blob]   only when flag bit 0 is set: 2(n+1)
                                   plain bits, a leading 1, then 1^deg 0
                                   per vertex in BFS order
-    [wavelet tree blob]
+    [wavelet matrix blob]
     crc32   u32      zlib crc32 of every preceding byte
 
 A bitvector blob is:
@@ -28,14 +28,21 @@ A wavelet blob is:
     length  u64
     width   u8
     presence bitvector blob
-    width * level bitvector blobs
+    width * level bitvector blobs, level 0 first
+
+Level l holds the l-th most significant bit of every dense code in the
+order of a wavelet matrix: level 0 in string order, and each next level
+in its predecessor's order stably partitioned by the bit just stored,
+zeros first.  A level's zero count is read off its bits on load.
 
 Rank/select directories are rebuilt on load; only payload travels.  The
 writer is deterministic: the same structure always yields the same bytes.
 The loader validates what it rebuilds (block codes, the LOUDS, wavelet
 codes below the effective alphabet) and raises ``FormatError`` on any
-inconsistency.  Version 1 stored the tree as balanced parentheses under
-preorder labels; such files are refused with a hint to rebuild them.
+inconsistency.  Older versions are refused with a hint to rebuild the
+file: version 1 stored the tree as balanced parentheses under preorder
+labels, and version 2 stored the string as a wavelet tree, each level
+ordered by the code prefix above it.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .ugraph import CompressedGraph, LabelledGraph
 from .wavelet import WaveletTree
 
 MAGIC = b"UPAG"
-VERSION = 2
+VERSION = 3
 _FLAG_TREE = 1
 
 
@@ -76,7 +83,8 @@ class _Writer:
     def raw(self, b):
         self.buf.write(b)
 
-    def bitvector(self, parts: dict):
+    def bitvector(self, bv: BitVector):
+        parts = bv.to_parts()
         self.u64(parts["n"])
         if parts["mode"] == "plain":
             self.u8(0)
@@ -93,12 +101,11 @@ class _Writer:
             self.raw(payload.astype("<u8").tobytes())
 
     def wavelet(self, wt: WaveletTree):
-        parts = wt.to_parts()
-        self.u64(parts["sigma"])
-        self.u64(parts["length"])
-        self.u8(len(parts["levels"]))
-        for bv_parts in [parts["presence"]] + parts["levels"]:
-            self.bitvector(bv_parts)
+        self.u64(wt.sigma)
+        self.u64(wt.length)
+        self.u8(wt.width)
+        for bv in [wt._presence] + wt._levels:
+            self.bitvector(bv)
 
 
 class _Reader:
@@ -150,9 +157,7 @@ class _Reader:
         width = self.u8()
         presence = self.bitvector()
         levels = [self.bitvector() for _ in range(width)]
-        return WaveletTree.from_parts(
-            {"sigma": sigma, "length": length, "presence": presence, "levels": levels}
-        )
+        return WaveletTree.from_levels(sigma, length, presence, levels)
 
 
 def dumps(g: CompressedGraph) -> bytes:
@@ -166,7 +171,7 @@ def dumps(g: CompressedGraph) -> bytes:
     w.u64(g.m)
     w.u64(g.n)
     if g.tree is not None:
-        w.bitvector(g.tree._bv.to_parts())
+        w.bitvector(g.tree._bv)
     w.wavelet(g.targets)
     body = w.buf.getvalue()
     return body + struct.pack("<I", zlib.crc32(body))
@@ -183,8 +188,8 @@ def loads(data: bytes) -> CompressedGraph:
     if r.take(4) != MAGIC:
         raise FormatError("bad magic: not a compressed-graph file")
     version = r.u16()
-    if version == 1:
-        raise FormatError("unsupported version 1: rebuild the .upag from its edge list")
+    if 1 <= version < VERSION:
+        raise FormatError(f"unsupported version {version}: rebuild the .upag from its edge list")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     flags = r.u16()

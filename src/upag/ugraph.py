@@ -7,11 +7,11 @@ with a scaffold
     The label-free form.  Vertices are renamed to BFS positions of the
     scaffold tree, the tree is a LOUDS of two bits per vertex and holds
     each vertex's first out-edge, and the remaining ``m - 1`` targets of
-    every vertex sit in an entropy-compressed wavelet tree.
+    every vertex sit in an entropy-compressed wavelet matrix.
 
 without a scaffold (``tree is None``)
     The labelled form, built by ``LabelledGraph``.  Original vertex names
-    stay, and all ``m`` targets of every vertex sit in the wavelet tree.
+    stay, and all ``m`` targets of every vertex sit in the wavelet matrix.
     Costs the label entropy on top of the structure.
 
 Either way, vertex v's out-block in the string holds ``w = m - lead``
@@ -51,14 +51,14 @@ class CompressedGraph:
         self.targets = targets
 
     @classmethod
-    def from_build(cls, built: BuildResult, mode: str = "rrr") -> "CompressedGraph":
+    def from_build(cls, built: BuildResult) -> "CompressedGraph":
         tree = BPTree(built.tree_parents)
-        wt = WaveletTree(built.nontree, sigma=built.n + 1, mode=mode)
+        wt = WaveletTree(built.nontree, sigma=built.n + 1)
         return CompressedGraph(built.m, built.n, tree, wt)
 
     @classmethod
-    def from_dag(cls, d: Dag, tie="index", mode: str = "rrr") -> "CompressedGraph":
-        return CompressedGraph.from_build(build(d, tie), mode=mode)
+    def from_dag(cls, d: Dag, tie="index") -> "CompressedGraph":
+        return CompressedGraph.from_build(build(d, tie))
 
     # ---- helpers -----------------------------------------------------------
 
@@ -83,13 +83,7 @@ class CompressedGraph:
     def out_neighbour(self, v: int, i: int) -> int:
         """i-th outgoing edge of v (1-based); with a scaffold, edge 1 is the
         tree parent."""
-        self._check_vertex(v)
-        if v == 0 or not 1 <= i <= self.m:
-            raise OutOfRangeError(f"vertex {v} has {self.degree_out(v)} outgoing edges")
-        if i == 1 and self.tree is not None:
-            return self.tree.parent(v)
-        lo, _ = self._slice(v)
-        return self.targets.access(lo + i - self.lead)  # 1-based access
+        return int(self.out_neighbour_batch([v], [i])[0])
 
     def neighbours_out(self, v: int) -> list[int]:
         self._check_vertex(v)
@@ -102,22 +96,11 @@ class CompressedGraph:
     # ---- in side -----------------------------------------------------------
 
     def degree_in(self, v: int) -> int:
-        self._check_vertex(v)
-        if self.tree is None:
-            return self.targets.occ(v)
-        return self.tree.tree_degree(v) + self.targets.occ(v)
+        return int(self.degree_in_batch([v])[0])
 
     def in_neighbour(self, v: int, i: int) -> int:
         """i-th incoming edge: tree children first, then string occurrences."""
-        self._check_vertex(v)
-        deg = 0 if self.tree is None else self.tree.tree_degree(v)
-        if 1 <= i <= deg:
-            return self.tree.child(v, i)
-        try:
-            pos = self.targets.select(v, i - deg)      # 1-based position
-        except OutOfRangeError:
-            raise OutOfRangeError(f"vertex {v} has in-degree {self.degree_in(v)}") from None
-        return (pos - 1) // (self.m - self.lead) + 1
+        return int(self.in_neighbour_batch([v], [i])[0])
 
     def neighbours_in(self, v: int) -> list[int]:
         """Tree children (the label range [first, first + deg)), then the
@@ -137,23 +120,21 @@ class CompressedGraph:
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges joining u and v."""
-        self._check_vertex(u)
-        self._check_vertex(v)
         return int(self.multiplicity_batch([u], [v])[0])
 
     # ---- batch wrappers ----------------------------------------------------
 
-    def _tree_degrees(self, arr: np.ndarray) -> np.ndarray:
-        if self.tree is None:
-            return np.zeros(arr.shape, dtype=np.int64)
-        return self.tree.degree_batch(arr)
+    def _check_vertices(self, arr: np.ndarray) -> None:
+        if arr.size and (arr.min() < 0 or arr.max() > self.n):
+            raise OutOfRangeError(f"vertex must lie in 0..{self.n}")
 
     def degree_in_batch(self, vs) -> np.ndarray:
         arr = np.asarray(vs, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() > self.n):
-            raise OutOfRangeError("vertex out of range")
+        self._check_vertices(arr)
         occ = self.targets.rank_batch(arr, np.full(arr.size, self.targets.length))
-        return self._tree_degrees(arr) + occ
+        if self.tree is None:
+            return occ
+        return self.tree.degree_batch(arr) + occ
 
     def out_neighbour_batch(self, vs, idx) -> np.ndarray:
         arr = np.asarray(vs, dtype=np.int64)
@@ -162,8 +143,10 @@ class CompressedGraph:
             raise ValueError("vertex and index arrays must match")
         if arr.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if arr.min() < 1 or arr.max() > self.n or ii.min() < 1 or ii.max() > self.m:
-            raise OutOfRangeError("query out of range")
+        self._check_vertices(arr)
+        if arr.min() < 1 or ii.min() < 1 or ii.max() > self.m:
+            raise OutOfRangeError(f"out-edge index must lie in 1..{self.m}, "
+                                  f"on vertices 1..{self.n}")
         out = np.empty(arr.size, dtype=np.int64)
         first = (ii == 1) & (self.tree is not None)
         if first.any():
@@ -178,9 +161,10 @@ class CompressedGraph:
     def in_neighbour_batch(self, vs, idx) -> np.ndarray:
         """Vectorised ``in_neighbour``: tree children first, then string hits.
 
-        Tree lanes take their child by label arithmetic (children have
-        consecutive BFS labels); the string lanes go through one batched
-        select.
+        One tree pass gives each lane's first child and tree degree; tree
+        lanes take their child by label arithmetic (children have
+        consecutive BFS labels), and the string lanes go through one
+        batched select.
         """
         arr = np.asarray(vs, dtype=np.int64)
         ii = np.asarray(idx, dtype=np.int64)
@@ -188,14 +172,15 @@ class CompressedGraph:
             raise ValueError("vertex and index arrays must match")
         if arr.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if arr.min() < 0 or arr.max() > self.n or ii.min() < 1:
-            raise OutOfRangeError("query out of range")
-        out = np.empty(arr.size, dtype=np.int64)
-        dt = self._tree_degrees(arr)
-        from_tree = ii <= dt
-        if from_tree.any():
-            out[from_tree] = self.tree.child_batch(arr[from_tree], ii[from_tree])
-        rest = ~from_tree
+        self._check_vertices(arr)
+        if ii.min() < 1:
+            raise OutOfRangeError("in-edge index must be at least 1")
+        if self.tree is None:
+            first = dt = np.zeros(arr.shape, dtype=np.int64)
+        else:
+            first, dt = self.tree._spans(arr)
+        out = first + ii - 1
+        rest = ii > dt
         if rest.any():
             try:
                 pos = self.targets.select_batch(arr[rest], ii[rest] - dt[rest])
@@ -224,10 +209,9 @@ class CompressedGraph:
             raise ValueError("vertex arrays must match")
         if ua.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if min(ua.min(), va.min()) < 0 or max(ua.max(), va.max()) > self.n:
-            raise OutOfRangeError("vertex out of range")
         k = ua.size
         both = np.concatenate([ua, va])
+        self._check_vertices(both)
         blocks = self._block_counts(both, np.concatenate([va, ua]))
         cnt = blocks[:k] + blocks[k:]
         if self.tree is not None:
@@ -279,5 +263,5 @@ class LabelledGraph(CompressedGraph):
         super().__init__(m, n, None, targets)
 
     @classmethod
-    def from_dag(cls, d: Dag, mode: str = "rrr") -> "LabelledGraph":
-        return cls(d.m, d.n, WaveletTree(adjacency_string(d), sigma=d.n + 1, mode=mode))
+    def from_dag(cls, d: Dag) -> "LabelledGraph":
+        return cls(d.m, d.n, WaveletTree(adjacency_string(d), sigma=d.n + 1))

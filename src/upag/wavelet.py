@@ -1,10 +1,21 @@
-"""Wavelet tree over an integer alphabet, stored as one bitvector per level.
+"""Wavelet matrix over an integer alphabet, stored as one bitvector per level.
 
-Levels use the nested-interval layout: the bits of level l are the l-th
-most significant code bits of the sequence, stably reordered by the code
-prefix above them, so every tree node occupies one contiguous interval and
-navigation needs nothing beyond rank/select on the levels — no per-node
-pointers or counts.
+Level l holds the l-th most significant code bit of the sequence as it
+stands at that level; the sequence of level l + 1 is level l's sequence
+stably partitioned into the codes whose bit was 0, then those whose bit
+was 1 (Claude, Navarro & Ordóñez, Information Systems 2015).  With z_l
+the zeros of level l, a position p of level l moves to
+
+    p' = z_l + rank1(p)   if its bit is 1,   p' = rank0(p)   otherwise,
+
+so navigation is one rank per level.  The codes sharing an l-bit prefix
+occupy one interval at level l, and the occurrences of one code keep
+their order down to its leaf interval.  Each z_l is read off its level on
+load; nothing but the level bits is stored.
+
+The class keeps the name ``WaveletTree``, the wavelet matrix being a
+layout of the same wavelet tree: the names of the string index's public
+methods are what callers and the benchmark's tracer key on.
 
 Symbols are first mapped through a presence bitvector to dense codes
 0..sigma_eff-1 (ordered by symbol), which keeps the level count at
@@ -19,12 +30,13 @@ from .bitvector import BitVector, _distinct
 from .errors import OutOfRangeError
 
 
+def _width(sigma_eff: int) -> int:
+    """Levels that codes 0..sigma_eff-1 need."""
+    return max(sigma_eff - 1, 0).bit_length()
+
+
 class WaveletTree:
-    def __init__(self, values=None, sigma: int = 1, mode: str = "rrr",
-                 _parts: dict | None = None):
-        if _parts is not None:
-            self._init_from_parts(_parts)
-            return
+    def __init__(self, values=None, sigma: int = 1):
         vals = np.asarray(values if values is not None else [], dtype=np.int64)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
@@ -32,81 +44,59 @@ class WaveletTree:
             raise ValueError("sigma must be >= 1")
         if vals.size and (vals.min() < 0 or vals.max() >= sigma):
             raise OutOfRangeError(f"symbols must lie in 0..{sigma - 1}")
-        self.sigma = int(sigma)
-        self.length = int(vals.size)
-        self.mode = mode
         present = np.zeros(sigma, dtype=np.uint8)
-        if vals.size:
-            present[vals] = 1
-        self._presence = BitVector(present, mode="rrr")
-        self.sigma_eff = int(self._presence.ones)
-        self.width = (self.sigma_eff - 1).bit_length() if self.sigma_eff >= 2 else 0
-        codes = (self._presence.rank1_batch(vals + 1) - 1) if vals.size else vals
-        self._levels: list[BitVector] = []
-        order = np.arange(vals.size)
-        for lvl in range(self.width):
-            cur = codes[order]
-            shift = self.width - 1 - lvl
-            self._levels.append(BitVector((cur >> shift) & 1, mode=mode))
-            if lvl < self.width - 1:
-                order = order[np.argsort(cur >> shift, kind="stable")]
+        present[vals] = 1
+        presence = BitVector(present, mode="rrr")
+        codes = (presence.rank1_batch(vals + 1) - 1) if vals.size else vals
+        levels = []
+        for shift in range(_width(presence.ones) - 1, -1, -1):
+            bit = (codes >> shift) & 1
+            levels.append(BitVector(bit, mode="rrr"))
+            if shift:
+                codes = np.concatenate((codes[bit == 0], codes[bit == 1]))
+        self._install(vals.size, presence, levels)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_parts(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "length": self.length,
-            "mode": self.mode,
-            "presence": self._presence.to_parts(),
-            "levels": [lvl.to_parts() for lvl in self._levels],
-        }
+    def _install(self, length: int, presence: BitVector, levels: list[BitVector]) -> None:
+        self.sigma = presence.n
+        self.length = int(length)
+        self._presence = presence
+        self.sigma_eff = int(presence.ones)
+        self.width = _width(self.sigma_eff)
+        self._levels = levels
+        self._zeros = [self.length - lvl.ones for lvl in levels]
 
     @classmethod
-    def from_parts(cls, parts: dict) -> "WaveletTree":
-        """Reassemble from ``to_parts`` output; the presence map and the
-        levels may also be given as built bitvectors."""
-        return cls(_parts=parts)
-
-    def _init_from_parts(self, parts: dict) -> None:
-        def built(p):
-            return p if isinstance(p, BitVector) else BitVector.from_parts(**p)
-
-        self.sigma = int(parts["sigma"])
-        self.length = int(parts["length"])
-        self._presence = built(parts["presence"])
-        if self._presence.n != self.sigma:
+    def from_levels(cls, sigma: int, length: int, presence: BitVector,
+                    levels: list[BitVector]) -> "WaveletTree":
+        """Reassemble from loaded bitvectors, raising ``ValueError`` when
+        they are no wavelet matrix of a string over ``sigma`` symbols."""
+        if presence.n != sigma:
             raise ValueError("presence bitvector does not span the alphabet")
-        self.sigma_eff = int(self._presence.ones)
-        self.width = (self.sigma_eff - 1).bit_length() if self.sigma_eff >= 2 else 0
-        if len(parts["levels"]) != self.width:
+        self = cls.__new__(cls)
+        self._install(length, presence, levels)
+        if len(levels) != self.width:
             raise ValueError("level count does not match the effective alphabet")
-        self._levels = [built(p) for p in parts["levels"]]
-        for lvl in self._levels:
-            if lvl.n != self.length:
-                raise ValueError("level length does not match the sequence")
+        if any(lvl.n != self.length for lvl in levels):
+            raise ValueError("level length does not match the sequence")
         if self._codes_beyond():
             raise ValueError("the string stores codes beyond the effective alphabet")
-        self.mode = parts.get(
-            "mode", self._levels[0].mode if self._levels else self._presence.mode
-        )
+        return self
 
     def _codes_beyond(self) -> int:
-        """Positions whose code is >= sigma_eff, from one descent along the
-        bits of sigma_eff: where its bit is 0, the node's ones child holds
-        larger codes; the leaf holds sigma_eff itself."""
+        """Positions whose code is >= sigma_eff, from one descent of the
+        interval of sigma_eff's prefix: where its bit is 0, the interval's
+        ones hold larger codes; the leaf holds sigma_eff itself."""
         if self.sigma_eff >> self.width:
             return 0                   # every width-bit code is below sigma_eff
-        s, e, beyond = 0, self.length, 0
-        for lvl, bv in enumerate(self._levels):
-            r = bv._rank1(np.array([s, e], dtype=np.int64))
-            mid = e - int(r[1] - r[0])     # the ones' child starts here
+        se, beyond = np.array([0, self.length], dtype=np.int64), 0
+        for lvl, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+            r = bv._rank1(se)
             if self.sigma_eff >> (self.width - 1 - lvl) & 1:
-                s = mid
+                se = z + r
             else:
-                beyond += e - mid
-                e = mid
-        return beyond + e - s
+                beyond += int(r[1] - r[0])
+                se = se - r
+        return beyond + int(se[1] - se[0])
 
     # -- dense-code mapping ---------------------------------------------------
 
@@ -121,11 +111,37 @@ class WaveletTree:
     def _symbols_of(self, codes: np.ndarray) -> np.ndarray:
         return self._presence._select(codes + 1, 1)
 
-    def _level_bits(self, codes: np.ndarray) -> np.ndarray:
-        """(width, codes) boolean matrix: row l holds the code bit that level
-        l reads, i.e. whether the code goes to the ones' child there."""
-        shifts = np.arange(self.width - 1, -1, -1)
-        return ((codes[None, :] >> shifts[:, None]) & 1).astype(bool)
+    def _bit(self, codes: np.ndarray, lvl: int) -> np.ndarray:
+        """The code bit that level ``lvl`` reads, per lane."""
+        return (codes >> (self.width - 1 - lvl) & 1).astype(bool)
+
+    def _descend(self, codes: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Follow each level-0 position ``p`` (0-based, 0..length) down the
+        levels along the bits of its lane's code; one rank lane per level."""
+        for lvl, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+            r = bv._rank1(p)
+            p = np.where(self._bit(codes, lvl), z + r, p - r)
+        return p
+
+    def _ascend(self, codes: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Inverse of ``_descend``: the level-0 position of each leaf
+        position ``p`` (0-based) of its lane's code, one select per level."""
+        for lvl in range(self.width - 1, -1, -1):
+            bv, z, one = self._levels[lvl], self._zeros[lvl], self._bit(codes, lvl)
+            up = np.empty_like(p)
+            if one.any():
+                up[one] = bv._select(p[one] - z + 1, 1)
+            if not one.all():
+                up[~one] = bv._select(p[~one] + 1, 0)
+            p = up
+        return p
+
+    def _leaves(self, uc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf interval [s, e) of every code in ``uc``."""
+        u = uc.size
+        ends = np.concatenate((np.zeros(u, dtype=np.int64), np.full(u, self.length)))
+        se = self._descend(np.concatenate((uc, uc)), ends)
+        return se[:u], se[u:]
 
     # -- batch queries (1-based, like the scalar API) ---------------------------
 
@@ -135,20 +151,12 @@ class WaveletTree:
             return pos.copy()
         if pos.min() < 1 or pos.max() > self.length:
             raise OutOfRangeError(f"position must lie in 1..{self.length}")
-        idx = pos - 1                      # offset inside the current node
-        q = pos.size
-        s = np.zeros(q, dtype=np.int64)
-        e = np.full(q, self.length, dtype=np.int64)
-        code = np.zeros(q, dtype=np.int64)
-        for bv in self._levels:
-            # node start, node end, and the position's rank and bit
-            r, b = bv._rank_bit(np.concatenate((s, e, s + idx)))
-            r1s, bit = r[:q], b[2 * q:]
-            mid = e - (r[q:2 * q] - r1s)   # the ones' child starts here
-            ones_before = r[2 * q:] - r1s
+        p = pos - 1
+        code = np.zeros(pos.size, dtype=np.int64)
+        for bv, z in zip(self._levels, self._zeros):
+            r, bit = bv._rank_bit(p)
             code = (code << 1) | bit
-            idx = np.where(bit, ones_before, idx - ones_before)
-            s, e = np.where(bit, mid, s), np.where(bit, e, mid)
+            p = np.where(bit, z + r, p - r)
         return self._symbols_of(code)
 
     def rank_batch(self, c, i) -> np.ndarray:
@@ -161,7 +169,14 @@ class WaveletTree:
         if prefix.min() < 0 or prefix.max() > self.length:
             raise OutOfRangeError(f"prefix length must lie in 0..{self.length}")
         codes, present = self._codes_of(cs)
-        out = self._rank_codes(codes, prefix)
+        # a code's leaf start depends on the code alone: walk it once per
+        # distinct code, and only the prefix ends once per lane; the prefix's
+        # occurrences are the first ones of the leaf
+        uc, inv = _distinct(codes)
+        u = uc.size
+        leaf = self._descend(np.concatenate((uc, codes)),
+                             np.concatenate((np.zeros(u, dtype=np.int64), prefix)))
+        out = leaf[u:] - leaf[:u][inv]
         out[~present] = 0
         return out
 
@@ -174,13 +189,13 @@ class WaveletTree:
             return ks.copy()
         codes, present = self._codes_of(cs)
         uc, inv = _distinct(codes)
-        starts, r1s, s, e = self._descend(uc)
+        s, e = self._leaves(uc)
         occ = np.where(present, (e - s)[inv], 0)
         bad = (ks < 1) | (ks > occ)
         if bad.any():
             k = int(np.argmax(bad))
             raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
-        return self._ascend(uc, inv, ks, starts, r1s)
+        return self._ascend(codes, s[inv] + ks - 1) + 1
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:
@@ -189,62 +204,9 @@ class WaveletTree:
         codes, present = self._codes_of(np.array([c], dtype=np.int64))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
-        starts, r1s, s, e = self._descend(codes)
-        occ = int(e[0] - s[0])
-        return self._ascend(codes, np.zeros(occ, dtype=np.intp), np.arange(1, occ + 1),
-                            starts, r1s)
-
-    def _rank_codes(self, codes: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-        # node intervals depend on the code alone: walk them once per
-        # distinct code, and only the prefix ends once per lane
-        uc, inv = _distinct(codes)
-        u = uc.size
-        s = np.zeros(u, dtype=np.int64)
-        e = np.full(u, self.length, dtype=np.int64)
-        p = prefix.copy()
-        for bv, bit in zip(self._levels, self._level_bits(uc)):
-            r = bv._rank1(np.concatenate((s, e, s[inv] + p)))
-            r1s = r[:u]
-            mid = e - (r[u:2 * u] - r1s)   # the ones' child starts here
-            ones_in_prefix = r[2 * u:] - r1s[inv]
-            p = np.where(bit[inv], ones_in_prefix, p - ones_in_prefix)
-            s, e = np.where(bit, mid, s), np.where(bit, e, mid)
-        return p
-
-    def _descend(self, uc: np.ndarray):
-        """Walk each code's root-to-leaf path.  Returns, per level, the node
-        start and the ones before it ((width, codes) matrices), and the leaf
-        interval [s, e) of each code."""
-        u = uc.size
-        s = np.zeros(u, dtype=np.int64)
-        e = np.full(u, self.length, dtype=np.int64)
-        starts = np.zeros((self.width, u), dtype=np.int64)
-        r1s = np.zeros((self.width, u), dtype=np.int64)
-        for lvl, (bv, bit) in enumerate(zip(self._levels, self._level_bits(uc))):
-            r = bv._rank1(np.concatenate((s, e)))
-            mid = e - (r[u:] - r[:u])      # the ones' child starts here
-            starts[lvl], r1s[lvl] = s, r[:u]
-            s, e = np.where(bit, mid, s), np.where(bit, e, mid)
-        return starts, r1s, s, e
-
-    def _ascend(self, uc: np.ndarray, inv: np.ndarray, ks: np.ndarray,
-                starts: np.ndarray, r1s: np.ndarray) -> np.ndarray:
-        """1-based position of the ks-th occurrence (1-based inside the leaf)
-        of code ``uc[inv]`` per lane, from the descent's per-level node
-        starts and ranks of the distinct codes ``uc``."""
-        p = ks.copy()
-        bits = self._level_bits(uc)
-        for lvl in range(self.width - 1, -1, -1):
-            bv, s_l, r1 = self._levels[lvl], starts[lvl][inv], r1s[lvl][inv]
-            m1 = bits[lvl][inv]
-            g = np.empty(p.size, dtype=np.int64)
-            if m1.any():
-                g[m1] = bv._select(r1[m1] + p[m1], 1)
-            m0 = ~m1
-            if m0.any():
-                g[m0] = bv._select(s_l[m0] - r1[m0] + p[m0], 0)
-            p = g + 1 - s_l
-        return p
+        s, e = self._leaves(codes)
+        leaf = np.arange(s[0], e[0], dtype=np.int64)
+        return self._ascend(np.repeat(codes, leaf.size), leaf) + 1
 
     # -- scalar wrappers ----------------------------------------------------
 

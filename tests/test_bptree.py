@@ -186,7 +186,7 @@ def test_out_of_range_queries():
 
 def test_parts_roundtrip():
     t = check_tree(random_preorder_parents(np.random.default_rng(7), 300))
-    t2 = BPTree.from_parts(t.to_parts())
+    t2 = BPTree(_bv=BitVector.from_parts(**t._bv.to_parts()))
     assert t2.n_nodes == t.n_nodes
     assert np.array_equal(t2.parents_array(), t.parents_array())
     assert t2.space_report() == t.space_report()

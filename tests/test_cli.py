@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_wavelet import with_level_mode
 
 from upag.cli import main, read_edge_list, write_edge_list
 from upag.errors import FormatError
@@ -256,6 +257,17 @@ def test_query_v1_file_fails_with_rebuild_hint(figure_files, tmp_path, capsys):
     assert err == "error: unsupported version 1: rebuild the .upag from its edge list\n"
 
 
+def test_query_v2_file_fails_with_rebuild_hint(tmp_path, capsys):
+    from test_serialize import GOLDEN_V2_HEX
+
+    body = bytes.fromhex(GOLDEN_V2_HEX)
+    old = tmp_path / "v2.upag"
+    old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code, out, err = run(capsys, "query", "--in", str(old), "deg", "1")
+    assert code == 2 and out == ""
+    assert err == "error: unsupported version 2: rebuild the .upag from its edge list\n"
+
+
 def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, capsys):
     # the presence map's one block has class 4 of 6 bits: C(6, 4) = 15
     # codes, so code 15 fits its 4-bit field but names no block
@@ -272,21 +284,25 @@ def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, cap
 
 
 def test_query_code_beyond_alphabet_fails_cleanly(tmp_path, capsys):
-    # a labelled file over symbols 0, 1, 2, 2 (sigma_eff = 3, two levels)
-    # whose second level stores code 3 at vertex 3's position: the CRC
-    # holds, but code 3 names no symbol
-    g = LabelledGraph.from_dag(Dag(1, [[0], [1], [2], [2]]), mode="plain")
-    assert [lvl.to_array().tolist() for lvl in g.targets._levels] == [[0, 0, 1, 1],
-                                                                      [0, 1, 0, 0]]
+    # a labelled file over symbols 0, 1, 2, 3, 4, 2 (sigma_eff = 5, three
+    # levels, written as plain blobs) whose last level stores code 5 at
+    # vertex 5's place: the CRC holds, but code 5 names no symbol.  Level 2
+    # reads the codes in the matrix order 0 1 4 2 3 2 (by the bit-reversed
+    # 2-bit prefix), so vertex 5's code-4 bit sits at index 2
+    g = LabelledGraph.from_dag(Dag(1, [[0], [1], [2], [3], [4], [2]]))
+    g.targets = with_level_mode(g.targets, "plain")
+    assert [lvl.to_array().tolist() for lvl in g.targets._levels] == [[0, 0, 0, 0, 1, 0],
+                                                                      [0, 0, 1, 1, 1, 0],
+                                                                      [0, 1, 0, 0, 1, 0]]
     body = bytearray(dumps(g)[:-4])
-    level = struct.pack("<QBQQ", 4, 0, 1, 0b0010)   # nbits, plain, nwords, word
+    level = struct.pack("<QBQQ", 6, 0, 1, 0b010010)   # nbits, plain, nwords, word
     at = body.rindex(level)
-    body[at:at + len(level)] = struct.pack("<QBQQ", 4, 0, 1, 0b0110)
+    body[at:at + len(level)] = struct.pack("<QBQQ", 6, 0, 1, 0b010110)
     bad = tmp_path / "bad.upag"
     bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
     with pytest.raises(FormatError, match="beyond the effective alphabet"):
         load(bad)
-    for op in (("outn", "3", "1"), ("nbrs", "2")):
+    for op in (("outn", "5", "1"), ("nbrs", "2")):
         code, out, err = run(capsys, "query", "--in", str(bad), *op)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -389,7 +405,7 @@ def test_bench_times_every_operation(tmp_path, capsys):
         "op=level_rank1",
         "op=level_select1",
         "op=level_access",
-        "op=paren_select1",
+        "op=louds_select1",
         "op=wt_access",
         "op=wt_rank",
         "op=wt_select",
@@ -613,11 +629,11 @@ def test_empty_instance_round_trips(tmp_path, capsys):
 
 PINNED_SHA256 = {
     "arrival.el": "12a8cee07b499768f91948630cf5c2b65bbc8349ee14ecc841300db535defff3",
-    "arrival.upag": "eebd73ae7c579bef992598f31ce99428cb7f2e8faa0ab2a628cb0c7955af79b8",
+    "arrival.upag": "4816ead81976c2a4e77a478985d3dd71491e901761bbf389156a24d7b691af73",
     "arrival.map": "c8cf08befe8c6ffbb92a457b101b4df5da5f783826b77a45d9f65b208cfd106d",
-    "shuffled.upag": "9cd654afb783e8ef4c0bd86e216ae7deb15debedf84c7da52c8ee9223616b16d",
+    "shuffled.upag": "9463091dd5154ba787e42349b8f4588827632952e12c85621c7a48f5f56f06d9",
     "shuffled.map": "06ddf1d46a4f94d90d9703a3c6238fc77cc0a6dc4584c957d23da14f61c5ae92",
-    "labelled.upag": "5a9759afe76ea75c2042aaa4f65c6df012bd62e54d5f37902f197d44b5df94e7",
+    "labelled.upag": "d00fefe223fa7ef57a88ddaa9271bc6413528e9674c5828a1000f2e4f0c23a7f",
     "labelled.map": "a1e2fad60bfa7b3e6e9357bae639e6fc0b9b0bfea5719dfe7430cb279412ace2",
 }
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from test_ugraph import check_batches
+from test_wavelet import with_level_mode
 from upag import serialize
 from upag.errors import FormatError
 from upag.graph_model import Dag
@@ -15,6 +16,15 @@ from upag.ugraph import CompressedGraph, LabelledGraph
 # frozen bytes of the five-vertex worked example (first-target ranking);
 # any change here is a format break and must bump the version
 GOLDEN_HEX = (
+    "5550414703000100030000000000000005000000000000000c000000000000000001000000"
+    "000000009b0100000000000006000000000000000a00000000000000020600000000000000"
+    "0101000000000000000401000000000000000d000000000000000a00000000000000010100"
+    "00000000000004010000000000000000000000000000000a00000000000000010100000000"
+    "0000000601000000000000001600000000000000"
+)
+# the same graph in format v2 (string levels as a wavelet tree); its sorted
+# leftover string gives the same level bits under both layouts
+GOLDEN_V2_HEX = (
     "5550414702000100030000000000000005000000000000000c000000000000000001000000"
     "000000009b0100000000000006000000000000000a00000000000000020600000000000000"
     "0101000000000000000401000000000000000d000000000000000a00000000000000010100"
@@ -48,6 +58,12 @@ def test_reject_v1_file_with_rebuild_hint():
         serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def test_reject_v2_file_with_rebuild_hint():
+    body = bytes.fromhex(GOLDEN_V2_HEX)
+    with pytest.raises(FormatError, match="unsupported version 2: rebuild the .upag from its edge list"):
+        serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def test_dumps_deterministic():
     d = generate(3, 200, seed=31)
     a = serialize.dumps(CompressedGraph.from_dag(d))
@@ -58,10 +74,12 @@ def test_dumps_deterministic():
 @pytest.mark.parametrize("mode", ["plain", "rrr"])
 def test_compressed_roundtrip(mode):
     d = generate(3, 150, seed=41)
-    g = CompressedGraph.from_dag(d, mode=mode)
+    g = CompressedGraph.from_dag(d)
+    g.targets = with_level_mode(g.targets, mode)
     g2 = serialize.loads(serialize.dumps(g))
     assert isinstance(g2, CompressedGraph)
     assert (g2.m, g2.n) == (3, 150)
+    assert {lvl.mode for lvl in g2.targets._levels} == {mode}
     vs = np.random.default_rng(5).integers(0, 151, size=40)
     assert np.array_equal(g2.degree_in_batch(vs), g.degree_in_batch(vs))
     for v in (0, 1, 75, 150):
@@ -74,7 +92,8 @@ def test_compressed_roundtrip(mode):
 @pytest.mark.parametrize("mode", ["plain", "rrr"])
 def test_labelled_roundtrip(mode):
     d = generate(2, 90, seed=43)
-    g = LabelledGraph.from_dag(d, mode=mode)
+    g = LabelledGraph.from_dag(d)
+    g.targets = with_level_mode(g.targets, mode)
     g2 = serialize.loads(serialize.dumps(g))
     assert isinstance(g2, LabelledGraph)
     for v in (0, 1, 45, 90):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_wavelet import with_level_mode
 
 from upag.construct import build
 from upag.errors import OutOfRangeError
@@ -117,7 +118,8 @@ def exhaustive_check(g, ref):
 def test_compressed_matches_oracle(mode, m, n, seed):
     d = generate(m, n, seed=seed)
     b = build(d)
-    g = CompressedGraph.from_build(b, mode=mode)
+    g = CompressedGraph.from_build(b)
+    g.targets = with_level_mode(g.targets, mode)
     ref = NaiveGraph(m, n, b.tree_parents, b.nontree)
     exhaustive_check(g, ref)
 
@@ -126,7 +128,8 @@ def test_compressed_matches_oracle(mode, m, n, seed):
 @pytest.mark.parametrize("m,n,seed", [(1, 25, 5), (3, 30, 6), (4, 15, 7)])
 def test_labelled_matches_oracle(mode, m, n, seed):
     d = generate(m, n, seed=seed)
-    g = LabelledGraph.from_dag(d, mode=mode)
+    g = LabelledGraph.from_dag(d)
+    g.targets = with_level_mode(g.targets, mode)
     assert g.tree is None
     ref = NaiveGraph(m, n, None, d.targets)
     exhaustive_check(g, ref)

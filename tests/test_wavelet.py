@@ -8,9 +8,22 @@ from upag.errors import OutOfRangeError
 from upag.wavelet import WaveletTree
 
 
+def with_level_mode(wt, mode):
+    """``wt``, or for ``mode="plain"`` the same matrix on plain bitvectors
+    of the same level bits, as a file may carry them."""
+    if mode == "rrr":
+        return wt
+    return WaveletTree.from_levels(wt.sigma, wt.length, wt._presence,
+                                   [BitVector(lvl.to_array()) for lvl in wt._levels])
+
+
+def make(values, sigma, mode="rrr"):
+    return with_level_mode(WaveletTree(values, sigma), mode)
+
+
 def check_against_reference(values, sigma, mode="rrr"):
     arr = np.asarray(values, dtype=np.int64)
-    wt = WaveletTree(arr, sigma, mode=mode)
+    wt = make(arr, sigma, mode)
     assert wt.length == arr.size
     assert wt.sigma_eff == len(set(arr.tolist()))
     assert np.array_equal(wt.to_array(), arr)
@@ -114,9 +127,11 @@ def test_rank_select_inversion(data):
 
 
 def test_parts_roundtrip(rng):
+    # the serialized parts are those of the presence map and the levels
     values = rng.integers(0, 37, size=333)
     wt = WaveletTree(values, 37)
-    back = WaveletTree.from_parts(wt.to_parts())
+    rebuilt = [BitVector.from_parts(**bv.to_parts()) for bv in [wt._presence] + wt._levels]
+    back = WaveletTree.from_levels(37, 333, rebuilt[0], rebuilt[1:])
     assert np.array_equal(back.to_array(), values)
     assert back.space_report() == wt.space_report()
     assert back.select(int(values[5]), 1) == wt.select(int(values[5]), 1)
@@ -131,7 +146,7 @@ def test_space_report_shape(rng):
     assert rep["directory_bits"] > 0
     assert rep["presence_bits"] > 0
     # plain levels cost exactly length bits each
-    plain = WaveletTree(values, 1024, mode="plain")
+    plain = make(values, 1024, "plain")
     assert plain.space_report()["payload_bits"] == plain.width * plain.length
 
 
@@ -141,7 +156,7 @@ def test_rank_batch_mixed_symbols(mode, rng):
     # walk is shared by several lanes of several codes at once
     sigma = 40
     values = rng.choice(np.arange(0, sigma, 3), size=500)   # 1, 2, 4, ... absent
-    wt = WaveletTree(values, sigma, mode=mode)
+    wt = make(values, sigma, mode)
     cs = np.concatenate([np.full(50, values[0]), rng.integers(0, sigma, 300),
                          np.arange(sigma)])
     prefs = rng.integers(0, values.size + 1, cs.size)
@@ -168,7 +183,7 @@ def test_select_batch_mixed_symbols_and_bounds(mode, sigma, length, rng):
     arr = rng.integers(0, sigma, size=length)
     arr[arr == sigma // 2] = 0                    # one symbol left absent
     big = sigma + 3
-    wt = WaveletTree(arr, big, mode=mode)
+    wt = make(arr, big, mode)
     syms = np.arange(big)
     occ = np.bincount(arr, minlength=big)
     for trial in range(40):
@@ -191,7 +206,7 @@ def test_select_batch_mixed_symbols_and_bounds(mode, sigma, length, rng):
 @pytest.mark.parametrize("sigma,length", [(1, 0), (1, 7), (2, 50), (9, 400), (300, 2000)])
 def test_positions_match_select(mode, sigma, length, rng):
     values = rng.integers(0, sigma, size=length)
-    wt = WaveletTree(values, sigma, mode=mode)
+    wt = make(values, sigma, mode)
     for c in range(min(sigma, 12)):
         want = np.flatnonzero(values == c) + 1
         got = wt.positions(c)
@@ -211,16 +226,72 @@ def test_codes_beyond_sigma_eff_are_counted_and_rejected(mode):
     # inside the same width makes codes >= sigma_eff stray ones
     vals = np.random.default_rng(5).integers(0, 8, 300)
     vals[:8] = np.arange(8)
-    wt = WaveletTree(vals, sigma=8, mode=mode)
+    wt = make(vals, 8, mode)
     for s in (5, 6, 7, 8):
         wt.sigma_eff = s
         assert wt._codes_beyond() == int((vals >= s).sum())
-    parts = wt.to_parts()
-    parts["presence"] = BitVector([1, 1, 1, 1, 1, 0, 0, 0], mode="rrr").to_parts()
+    five = BitVector([1, 1, 1, 1, 1, 0, 0, 0], mode="rrr")
     with pytest.raises(ValueError, match="beyond the effective alphabet"):
-        WaveletTree.from_parts(parts)
+        WaveletTree.from_levels(8, 300, five, wt._levels)
     # no levels: a non-empty string needs a present symbol
-    empty = WaveletTree([], sigma=4, mode=mode).to_parts()
-    empty["length"] = 3
+    empty = make([], 4, mode)
+    assert empty._codes_beyond() == 0
     with pytest.raises(ValueError, match="beyond the effective alphabet"):
-        WaveletTree.from_parts(empty)
+        WaveletTree.from_levels(4, 3, empty._presence, [])
+
+
+@pytest.mark.parametrize("sigma", [5, 6, 7, 8, 9, 300])
+@pytest.mark.parametrize("length", [63, 64, 65, 1023, 1024, 1025, 2049, 3 * 1024 + 1])
+def test_block_and_superblock_edges(sigma, length):
+    # level l + 1 starts its ones at z_l, so a position near a 64-bit block
+    # or a 1,024-bit superblock edge at one level lands elsewhere at the next
+    rng = np.random.default_rng(sigma * 10_000 + length)
+    values = rng.integers(0, sigma, size=length)
+    k = min(sigma, length)
+    values[:k] = np.arange(k)
+    wt = check_against_reference(values, sigma)
+    for c in (0, sigma - 1):
+        want = np.flatnonzero(values == c) + 1
+        assert np.array_equal(wt.positions(c), want)
+    edges = np.unique(np.clip([1, 63, 64, 65, 1023, 1024, 1025, length], 1, length))
+    assert np.array_equal(wt.access_batch(edges), values[edges - 1])
+
+
+@pytest.mark.parametrize("zeros", [63, 64, 65, 1023, 1024, 1025])
+def test_zero_count_on_block_edges(zeros):
+    # z_0 codes below 4 and the rest above, so level 1's ones start exactly
+    # at, before or after a block or superblock edge
+    rng = np.random.default_rng(zeros)
+    low, high = rng.integers(0, 4, zeros), rng.integers(4, 8, 2100 - zeros)
+    low[:4], high[:4] = np.arange(4), np.arange(4, 8)
+    wt = check_against_reference(rng.permutation(np.concatenate([low, high])), 8)
+    assert wt._zeros[0] == zeros
+
+
+def matrix_levels(codes, width):
+    """Bits of every level, and the sequence each level reads, by the
+    definition: level l + 1 reads level l's sequence stably partitioned
+    into the codes whose level-l bit is 0, then those whose bit is 1."""
+    seq, levels, seqs = list(codes), [], []
+    for lvl in range(width):
+        bits = [(c >> (width - 1 - lvl)) & 1 for c in seq]
+        levels.append(bits)
+        seqs.append(seq)
+        seq = [c for c, b in zip(seq, bits) if b == 0] + [c for c, b in zip(seq, bits) if b == 1]
+    return levels, seqs
+
+
+@pytest.mark.parametrize("sigma,length", [(2, 9), (5, 70), (8, 300), (13, 1100), (200, 2100)])
+def test_levels_are_stable_partitions(sigma, length, rng):
+    values = rng.integers(0, sigma, size=length)
+    wt = WaveletTree(values, sigma)
+    codes = np.searchsorted(np.unique(values), values)          # dense codes
+    levels, seqs = matrix_levels(codes.tolist(), wt.width)
+    assert len(wt._levels) == wt.width == len(levels)
+    for lvl, (bv, z) in enumerate(zip(wt._levels, wt._zeros)):
+        assert bv.to_array().tolist() == levels[lvl], lvl
+        assert z == levels[lvl].count(0)
+        if lvl:
+            prev = np.array(seqs[lvl - 1])
+            bit = np.array(levels[lvl - 1])
+            assert seqs[lvl] == np.concatenate([prev[bit == 0], prev[bit == 1]]).tolist()
