@@ -17,6 +17,18 @@ _ONE = np.array(1, dtype=U64)
 _WORD_BITS = np.array(64, dtype=U64)
 _WORD_LOG = np.array(6, dtype=U64)
 _WORD_MASK = np.array(63, dtype=U64)
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def one_lane(*values: int) -> list[np.ndarray]:
+    """Scalar query arguments as one-lane int64 arrays.  An integer beyond
+    int64 is clamped to the nearer end, which lies outside every valid range
+    as well, so the batch call's range check raises ``OutOfRangeError``
+    where numpy would raise ``OverflowError``."""
+    try:
+        return [np.array([v], dtype=np.int64) for v in values]
+    except OverflowError:
+        return [np.array([min(max(int(v), _I64_MIN), _I64_MAX)]) for v in values]
 
 
 def pack_bits(bits) -> np.ndarray:

@@ -4,13 +4,15 @@ Both modes share a two-level rank directory: 64-bit blocks whose popcounts
 (classes) are kept as one byte each, and 2^10-bit superblocks holding the
 rank at their start.  There are no sampled select anchors.
 
-``plain`` stores the raw words.  ``rrr`` stores, per block, only the index
-of the block among all 64-bit words with the same popcount (combinadic
-order).  The class byte then serves double duty as the rank directory and
-as the decoder's key, so the offset stream is the only entropy-sized part:
-block b costs exactly ceil(lg C(64, c_b)) payload bits (the final block,
-when shorter, costs ceil(lg C(len, c)) for its true length).  An rrr
-superblock also keeps the payload offset at its start.
+``plain`` stores the raw words.  ``rrr`` stores, per block, only its code
+among the blocks of its length and class (Raman, Raman & Rao, SODA 2002),
+in exactly ceil(lg C(len, c)) payload bits; len is 64 but for a shorter
+final block.  The class byte serves as rank directory and decoder key, so
+the code stream is the only entropy-sized part.  An rrr superblock also
+keeps the payload offset at its start.  The code is split-radix
+(``_split_tables``): a full block decodes in two halving steps, each one
+``searchsorted`` and one ``divmod``, and one gather of 16-bit leaves
+(table steps, not bit steps, as in Navarro & Providel, SEA 2012).
 
 Every query is one block fetch, ``BitVector._fetch``, and then word
 arithmetic.  For each lane's block the fetch returns the ones before the
@@ -26,189 +28,187 @@ cost test on what the batch touches (their crossovers were measured):
   over all blocks, O(blocks) = O(10 * lanes); a smaller batch sorts its
   blocks and adds at most 15 entries of each block's superblock to the
   superblock's sample;
-* ``_decode_words`` reads a block a byte at a time from the tables of
-  ``_fused_tables`` (a lane is one uint64 key; a step is one
-  ``searchsorted`` and one gather) and its last 16 bits from one direct
-  table.  From ``_SORT_BLOCKS`` distinct blocks up it sorts the keys before
-  every step, since the search runs several times faster on sorted
-  needles; below that the sorts cost more than they save.
+* a decode step of at least ``_SORT_KEYS`` keys sorts them first, since
+  ``searchsorted`` runs several times faster on sorted needles; below that
+  the sort costs more than it saves.
 
-In memory each block keeps one packed uint64 (class, payload width and, for
-a short last block, its missing length) rebuilt from the class bytes on
-load: it holds nothing the file does not.
+In memory each block keeps one packed uint64 (class and payload width)
+rebuilt from the class bytes on load: it holds nothing the file does not.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
-from .bits import U64, pack_bits, pack_fields, popcount, read_fields, unpack_bits
+from .bits import U64, one_lane, pack_bits, pack_fields, popcount, read_fields
 from .errors import OutOfRangeError
 
 BLOCK = 64            # bits per block
 SB_BLOCKS = 16        # blocks per superblock (2^10 bits)
+LEAF = 16             # pieces of at most this many bits are ranked by one table
 
 # C(l, k) for l, k in 0..64; C(64, 32) still fits in uint64
-_BINOM = np.zeros((BLOCK + 1, BLOCK + 1), dtype=U64)
-for _l in range(BLOCK + 1):
-    for _k in range(_l + 1):
-        _BINOM[_l, _k] = math.comb(_l, _k)
+_BINOM = np.array([[math.comb(l, k) for k in range(BLOCK + 1)] for l in range(BLOCK + 1)], dtype=U64)
+# _WIDTHS[l, k]: payload width of an l-bit block of class k, ceil(lg C(l, k))
+_WIDTHS = np.array([[(c - 1).bit_length() for c in row] for row in _BINOM.tolist()])
 
-# payload width of a full block per class: ceil(lg C(64, c))
-_LEN64 = np.array([(math.comb(BLOCK, c) - 1).bit_length() for c in range(BLOCK + 1)],
-                  dtype=np.int64)
-
-# The packed per-block entry: class in the low half, payload width above it,
-# 64 - block length in the top six bits.  An exclusive prefix sum of entries
-# is (ones before, payload bits before): both stay below 2^32, and only the
-# last block, which no such prefix includes, has a length field.
+# The packed per-block entry: class in the low half, payload width above it.
+# An exclusive prefix sum of entries is (ones before, payload bits before):
+# both stay below 2^32.
 # Constants of the query paths are 0-d arrays: numpy combines two arrays
 # faster than an array and a scalar, and most calls carry a few lanes.
 _LOW = np.array(0xFFFFFFFF, dtype=U64)
 _WIDTH = np.array(0x3F, dtype=U64)
 _HALF = np.array(32, dtype=U64)
-_TAIL = np.array(58, dtype=U64)
 _ALL = ~np.array(0, dtype=U64)
 _BIT = np.array(1, dtype=U64)
 _BLOCK_LOG = np.array(6)        # position >> 6 = block
 _SB_LOG = np.array(4)           # block >> 4 = superblock
 _SB_MASK = np.array(SB_BLOCKS - 1)
-_SORT_BLOCKS = 192    # decode calls of this many blocks sort their keys (measured crossover)
+_SORT_KEYS = 1024     # decode steps of this many keys sort them first (measured crossover)
 _WHOLE_SHARE = 10     # fetches of nblocks / 10 lanes or more take the whole-block route (ditto)
 # _BEFORE[c]: ones at the entries of a superblock that precede entry c
 _BEFORE = np.tri(SB_BLOCKS, k=-1, dtype=U64)
 
 # byte-granular select helpers
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-_BYTE_SELECT = np.full((256, 8), 8, dtype=np.int64)
-for _b in range(256):
-    _r = 0
-    for _j in range(8):
-        if (_b >> _j) & 1:
-            _BYTE_SELECT[_b, _r] = _j
-            _r += 1
+_BYTE_SELECT = np.array([[j for j in range(8) if b >> j & 1] + [8] * (8 - bin(b).count("1"))
+                         for b in range(256)])
 
 
-def _partial_lengths(blen: int) -> np.ndarray:
-    return np.array([(math.comb(blen, c) - 1).bit_length() for c in range(blen + 1)],
-                    dtype=np.int64)
-
-
-def _encode_blocks(bitmat: np.ndarray, blen: int) -> np.ndarray:
-    """Combinadic offsets for the rows of a (nb, blen) 0/1 matrix."""
-    val = np.zeros(bitmat.shape[0], dtype=U64)
-    k = bitmat.sum(axis=1, dtype=np.int64)
-    for j in range(blen):
-        t = _BINOM[blen - 1 - j, k]
-        one = bitmat[:, j] == 1
-        val = np.where(one, val + t, val)
-        k = k - one
-    return val
-
-
-_TAIL_BITS = 16       # the decode reads the last 16 bits of a block from one table
+def _class_starts(length: int) -> list[int]:
+    """start[k]: the number of length-bit strings with fewer than k ones."""
+    return list(itertools.accumulate((math.comb(length, j) for j in range(length)), initial=0))
 
 
 @functools.cache
-def _fused_tables() -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...],
-                             np.ndarray, np.ndarray, np.ndarray]:
-    """Decode tables: (start_64, one byte step per L = 64, 56, ..., 24, the
-    bytes of every step's entries, each step's offset into them, the table
-    of the last 16 bits).
+def _offsets(a: int, b: int) -> np.ndarray:
+    """off[k, ka]: the codes of class k among (a + b)-bit strings that come
+    before those whose low a bits hold ka ones."""
+    off = np.zeros((a + b + 1, a + 1), dtype=U64)
+    for k in range(a + b + 1):
+        run = 0
+        for ka in range(max(k - b, 0), min(k, a) + 1):
+            off[k, ka] = run
+            run += math.comb(a, ka) * math.comb(b, k - ka)
+    return off
 
-    The combinadic order is lexicographic from block bit 0, so the class-k
-    strings of length L whose first byte is b own one contiguous code range
-    [base, base + C(L-8, k - popcount(b))).  Offsetting class k by
-    start_L[k] = sum of C(L, k') over k' < k puts every class of one L into
-    a single sorted uint64 key space (the offsets sum to 2^L, so keys fit):
-    a block of class k and code c has key start_64[k] + c.
 
-    Entry j of a step is the range with the j-th smallest lower bound
-    ``lo[j]``; the step stores
-      keys[j]  = lo[j + 1]; lo[0] is always 0, so the entry holding a key
-                 is ``keys.searchsorted(key, "right")``,
-      delta[j] = start_{L-8}[k - popcount(b)] - lo[j], wrapping in uint64,
-                 which turns the key into the key of the remaining L - 8 bits,
-    and byte b of entry j sits at ``offsets[step] + j`` of the byte table.
-    Once 16 bits remain, the key space is 2^16 wide and ``tail[key]`` is
-    the 16-bit string itself.  Read-only, about 1.05 MiB, built on first
-    decode (not at import).
-    """
-    b = np.arange(256)
-    bit = (b[:, None] >> np.arange(8)[None, :]) & 1           # (256, 8)
-    before = np.cumsum(bit, axis=1) - bit                      # ones below bit i
-
-    def class_starts(L: int) -> np.ndarray:
-        start = np.zeros(L + 1, dtype=U64)
-        np.cumsum(_BINOM[L, :L], out=start[1:])
-        return start
-
-    steps, byte_runs = [], []
-    for step in range(BLOCK // 8):
-        L = BLOCK - 8 * step
-        k = np.arange(L + 1)
-        kr = np.clip(k[None, :, None] - before[:, None, :], 0, BLOCK)
-        terms = _BINOM[(L - 1 - np.arange(8))[None, None, :], kr]
-        base = np.where(bit[:, None, :] == 1, terms, U64(0)).sum(axis=2, dtype=U64)
-        rest = k[None, :] - _BYTE_POP[:, None]                  # ones after byte b
-        bb, kk = np.nonzero((rest >= 0) & (rest <= L - 8))
-        lo = class_starts(L)[kk] + base[bb, kk]
-        order = np.argsort(lo)
-        lo, bb, kk = lo[order], bb[order], kk[order]
-        steps.append((lo[1:].copy(), class_starts(L - 8)[kk - _BYTE_POP[bb]] - lo))
-        byte_runs.append(bb.astype(np.uint8))
-    # the last two steps, run once on every 16-bit key, give the tail table
-    head = (BLOCK - _TAIL_BITS) // 8
-    key = np.arange(1 << _TAIL_BITS, dtype=U64)
-    tail = np.zeros(key.size, dtype="<u2")
-    for shift, (keys, delta), byts in zip((0, 8), steps[head:], byte_runs[head:]):
-        i = keys.searchsorted(key, "right")
-        key += delta[i]
-        tail |= byts[i].astype("<u2") << shift
-    steps, byte_runs = steps[:head], byte_runs[:head]
-    offsets = np.cumsum([0] + [r.size for r in byte_runs[:-1]])
-    tables = [class_starts(BLOCK), np.concatenate(byte_runs), offsets, tail]
-    for arr in tables + [a for st in steps for a in st]:
+@functools.cache
+def _leaf_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, word, rank): ``word[start[k]:start[k + 1]]`` lists the 16-bit
+    words of class k in numeric order and ``rank[w]`` is w's index there; a
+    shorter leaf of class k is one of the first C(len, k), so one table
+    serves every leaf length."""
+    pop = popcount(np.arange(1 << LEAF, dtype=U64))
+    word = np.argsort(pop, kind="stable").astype("<u2")
+    start = np.array(_class_starts(LEAF), dtype=U64)
+    rank = np.empty(1 << LEAF, dtype="<u2")
+    rank[word] = np.arange(1 << LEAF, dtype=U64) - start[pop[word]]
+    for arr in (start, word, rank):
         arr.flags.writeable = False
-    return tables[0], tuple(steps), tables[1], tables[2], tables[3]
+    return start, word, rank
 
 
-def _decode_words(codes: np.ndarray, classes: np.ndarray,
-                  pads: np.ndarray) -> np.ndarray:
-    """Full combinadic decode of each block to a word (bit j = block bit j).
+@functools.cache
+def _split_tables(blen: int) -> tuple[np.ndarray, tuple, tuple[tuple[int, ...], ...], np.ndarray]:
+    """Split-radix code of ``blen``-bit blocks: (start, steps, lens, shifts).
 
-    Six byte steps of one ``searchsorted`` and one gather per block, on the
-    tables of ``_fused_tables``, then one gather for the last 16 bits.  Each
-    step's entry index is kept, and one gather at the end turns the six
-    indices of a block into its bytes.  A block shorter than 64 bits decodes
-    as a 64-bit block behind ``pads`` = 64 - length zeros (leading zeros
-    leave a combinadic code unchanged) and is then shifted down.
-
-    From ``_SORT_BLOCKS`` blocks up the keys are sorted before every step:
-    ``searchsorted`` runs several times faster on sorted needles (2.3x over
-    a step at 8,192 blocks), and the lanes travel with their keys.  Smaller
-    calls search unsorted needles, where the sorts would cost more than
-    they save.  Callers dedupe, so a block is decoded once per call.
+    A piece of L bits with k ones splits into its low a = ceil(L/2) bits
+    (k_a ones) and its high b = L - a bits (k_b ones); its code is
+    ``_offsets(a, b)[k, k_a] + code_a * C(b, k_b) + code_b``, a bijection
+    onto [0, C(L, k)).  All pieces halve together until none is longer than
+    ``LEAF`` bits, whose code is their rank in ``_leaf_tables``.  ``lens[i]``
+    lists the piece lengths after i halvings, low bits first; ``shifts``
+    the leaves' bit offsets.  A key is a code plus its class's start, so
+    each length's classes fill one key space (after a halving, the longer
+    length's behind the shorter's).  A step's columns (lo, div, low, high)
+    give, by ascending lower bound, each (length, k, k_a) key range with
+    C(b, k_b) and the keys of its halves' code 0; ``lo[0]`` is 0, so a
+    key's row is ``keys.searchsorted(key, "right")`` on the other bounds.
+    A block's first key is ``start[k] + code``.  Read-only, cached per
+    length, built on first use (not at import).
     """
-    start, steps, byte_table, offsets, tail = _fused_tables()
-    key = start[classes] + codes.astype(U64, copy=False)
-    picks = np.empty((len(steps), key.size), dtype=np.intp)
-    lane = np.arange(key.size) if key.size >= _SORT_BLOCKS else slice(None)
-    for step, (keys, delta) in enumerate(steps):
-        if key.size >= _SORT_BLOCKS:
+    depth = max((blen - 1) // LEAF, 0).bit_length()
+    lens = [(blen,)]
+    for _ in range(depth):
+        lens.append(tuple(h for piece in lens[-1] for h in (piece - piece // 2, piece // 2)))
+
+    def starts(i: int) -> dict[int, list[int]]:
+        if i == depth:
+            return dict.fromkeys(lens[i], _leaf_tables()[0].tolist())
+        short = min(lens[i])            # the longer length's keys start at 2^short
+        return {p: [((p - short) << short) + s for s in _class_starts(p)] for p in set(lens[i])}
+
+    steps = []
+    for i in range(depth):
+        here, below, rows = starts(i), starts(i + 1), []
+        for piece in sorted(here):
+            a, b = piece - piece // 2, piece // 2
+            off = _offsets(a, b)
+            for k in range(piece + 1):
+                for ka in range(max(k - b, 0), min(k, a) + 1):
+                    rows.append((here[piece][k] + int(off[k, ka]), math.comb(b, k - ka),
+                                 below[a][ka], below[b][k - ka]))
+        cols = np.array(rows, dtype=U64).T.copy()
+        steps.append((cols[0, 1:].copy(), tuple(cols)))
+    shifts = np.cumsum((0,) + lens[-1][:-1]).astype(U64)
+    start = np.array(starts(0)[blen], dtype=U64)
+    for arr in (start, shifts, *(a for keys, cols in steps for a in (keys, *cols))):
+        arr.flags.writeable = False
+    return start, tuple(steps), tuple(lens), shifts
+
+
+def _encode_blocks(words: np.ndarray, blen: int) -> np.ndarray:
+    """Split-radix codes of ``blen``-bit blocks (bit j of a word is block
+    bit j): leaf ranks from one table, then one merge per halving."""
+    _, _, lens, shifts = _split_tables(blen)
+    leaf = (words[:, None] >> shifts) & ((U64(1) << np.array(lens[-1], dtype=U64)) - U64(1))
+    ones = popcount(leaf).astype(np.int64)
+    code = _leaf_tables()[2][leaf].astype(U64)
+    for pieces in reversed(lens[:-1]):
+        ka, kb = ones[:, 0::2], ones[:, 1::2]
+        ones = ka + kb
+        code = np.stack([_offsets(p - p // 2, p // 2)[ones[:, j], ka[:, j]]
+                         + code[:, 2 * j] * _BINOM[p // 2, kb[:, j]] + code[:, 2 * j + 1]
+                         for j, p in enumerate(pieces)], axis=1)
+    return code[:, 0]
+
+
+def _decode_words(codes: np.ndarray, classes: np.ndarray, blen: int) -> np.ndarray:
+    """Words (bit j = block bit j) of ``blen``-bit blocks from their codes
+    and classes: per halving, one ``searchsorted`` over at most 1,089 rows
+    and one ``divmod`` split every piece into its halves, and one gather
+    from the leaf table reads the leaves.  A step of ``_SORT_KEYS`` keys or
+    more sorts them first, and ``piece`` tracks where each key's leaves go.
+    """
+    start, steps, _, shifts = _split_tables(blen)
+    key = start[classes.astype(np.intp, copy=False)] + codes.astype(U64, copy=False)
+    piece = None
+    for keys, (lo, div, low, high) in steps:
+        if key.size >= _SORT_KEYS:
             order = key.argsort()
-            key, lane = key[order], lane[order]
+            key = key[order]
+            piece = order if piece is None else piece[order]
         i = keys.searchsorted(key, "right")
-        key += delta[i]
-        picks[step, lane] = i
-    picks += offsets[:, None]
-    word = np.empty((key.size, BLOCK // 8), dtype=np.uint8)
-    word[:, :len(steps)] = byte_table[picks].T
-    word[lane, len(steps):] = tail[key].view(np.uint8).reshape(-1, _TAIL_BITS // 8)
-    return word.view(np.dtype("<u8")).reshape(-1) >> pads.astype(U64, copy=False)
+        q, r = np.divmod(key - lo[i], div[i])
+        key = np.empty((key.size, 2), dtype=U64)
+        np.add(q, low[i], out=key[:, 0])
+        np.add(r, high[i], out=key[:, 1])
+        key = key.ravel()
+        if piece is not None:
+            piece = (piece[:, None] * 2 + np.arange(2)).ravel()
+    leaf = _leaf_tables()[1][key]
+    if piece is not None:
+        leaf[piece] = leaf.copy()
+    leaf = leaf.reshape(-1, shifts.size)
+    if blen == BLOCK:
+        return leaf.view("<u8").ravel()             # four 16-bit leaves
+    return (leaf.astype(U64) << shifts).sum(axis=1, dtype=U64)
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +263,7 @@ class BitVector:
                   payload: np.ndarray | None) -> None:
         """Install parts and build every directory.
 
-        ``payload=None`` with rrr mode means: encode offsets from ``words``;
+        ``payload=None`` with rrr mode means: encode block codes from ``words``;
         a given payload is checked to hold a valid code for every block.
         """
         n = self.n
@@ -285,19 +285,17 @@ class BitVector:
             self._payload_words = None
             self._payload_bits = None
         else:
-            paylens = _LEN64[classes]
-            if last_len < BLOCK:
-                paylens[-1:] = _partial_lengths(last_len)[classes[-1:]]
+            paylens = _WIDTHS[BLOCK, classes]
+            paylens[-1:] = _WIDTHS[last_len, classes[-1:]]
             loaded = payload is not None
             if loaded:
                 total = int(paylens.sum())
                 if payload.size != max((total + 63) // 64, 1) and not (total == 0 and payload.size <= 1):
                     raise ValueError("payload word count does not match classes")
             else:
-                bitmat = unpack_bits(words, BLOCK * nb).reshape(nb, BLOCK)
-                offsets = np.concatenate([_encode_blocks(bitmat[:last], BLOCK),
-                                          _encode_blocks(bitmat[last:, :last_len], last_len)])
-                payload, total = pack_fields(offsets, paylens)
+                codes = np.concatenate([_encode_blocks(words[:last], BLOCK),
+                                        _encode_blocks(words[last:], last_len)])
+                payload, total = pack_fields(codes, paylens)
             if total >= 1 << 32:
                 raise ValueError("offset stream beyond 2^32 bits is not supported")
             # two zero words past the end: a field read never leaves the array
@@ -312,11 +310,11 @@ class BitVector:
         csum = np.zeros(meta.size + 1, dtype=U64)
         np.cumsum(meta, out=csum[1:])
         self._sb = csum[:nb + 1:SB_BLOCKS]
-        if nb:
-            meta[last] |= U64(BLOCK - last_len) << _TAIL
         self._meta = meta
         self._rows = meta.reshape(-1, SB_BLOCKS)
         self._last_blk = np.array(last)
+        self._short = last if last_len < BLOCK else -1      # the short last block, if any
+        self._short_len = last_len
         # occurrences of 0 and of 1 before each superblock, for select
         ones = (self._sb & _LOW).astype(np.int64)
         self._sb_occ = np.stack([np.minimum(BLOCK * SB_BLOCKS * np.arange(ones.size), n) - ones,
@@ -364,12 +362,10 @@ class BitVector:
         block bit j; bits past a short last block read 0).
 
         Reads and decodes each distinct block once.  A batch of at least
-        1/10 as many lanes as blocks works on whole-block arrays: a table
-        marks the blocks it touches, and one transient prefix over all
-        blocks gives rank bases and payload starts, O(blocks) = O(10 *
-        lanes).  A smaller batch sorts its blocks to dedupe them and sums
-        at most 15 entries of each one's superblock, O(lanes * log(lanes)
-        + 16 * distinct blocks).
+        1/10 as many lanes as blocks marks the blocks it touches in a table
+        and takes rank bases and payload starts from one transient prefix
+        over all blocks, O(blocks); a smaller one sorts its blocks to dedupe
+        them and sums at most 15 entries of each one's superblock.
         """
         meta = self._meta
         if blk.size * _WHOLE_SHARE >= self._nblocks:
@@ -388,8 +384,17 @@ class BitVector:
             words = self._words[u]
         else:
             codes = read_fields(self._payload_words, pre >> _HALF, m >> _HALF & _WIDTH)
-            words = _decode_words(codes, m & _LOW, m >> _TAIL)
+            words = self._decode(codes, m & _LOW, u)
         return (pre & _LOW).astype(np.int64)[at], words[at]
+
+    def _decode(self, codes: np.ndarray, classes: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Words of the ascending blocks ``u``; a short last block comes last."""
+        if not (u.size and u[-1] == self._short):
+            return _decode_words(codes, classes, BLOCK)
+        tail = _decode_words(codes[-1:], classes[-1:], self._short_len)
+        if u.size == 1:
+            return tail
+        return np.concatenate((_decode_words(codes[:-1], classes[:-1], BLOCK), tail))
 
     def _rank_word(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ones among the first ``pos`` bits, pos in 0..n, with the word of
@@ -439,9 +444,7 @@ class BitVector:
     # -- public 1-based API ----------------------------------------------
 
     def access(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise OutOfRangeError(f"access index must lie in 1..{self.n}")
-        return int(self._rank_bit(np.array([i - 1]))[1][0])
+        return int(self.access_batch(*one_lane(i))[0])
 
     def access_batch(self, i) -> np.ndarray:
         arr = np.asarray(i, dtype=np.int64)
@@ -450,9 +453,7 @@ class BitVector:
         return self._rank_bit(arr - 1)[1].astype(np.int64)
 
     def rank1(self, i: int) -> int:
-        if not 0 <= i <= self.n:
-            raise OutOfRangeError(f"rank index must lie in 0..{self.n}")
-        return int(self._rank1(np.array([i]))[0])
+        return int(self.rank1_batch(*one_lane(i))[0])
 
     def rank0(self, i: int) -> int:
         return i - self.rank1(i)
@@ -468,28 +469,23 @@ class BitVector:
         return arr - self.rank1_batch(arr)
 
     def select1(self, k: int) -> int:
-        if not 1 <= k <= self.ones:
-            raise OutOfRangeError(f"select1 argument must lie in 1..{self.ones}")
-        return int(self._select(np.array([k]), 1)[0]) + 1
+        return int(self.select1_batch(*one_lane(k))[0])
 
     def select0(self, k: int) -> int:
-        zeros = self.n - self.ones
-        if not 1 <= k <= zeros:
-            raise OutOfRangeError(f"select0 argument must lie in 1..{zeros}")
-        return int(self._select(np.array([k]), 0)[0]) + 1
+        return int(self.select0_batch(*one_lane(k))[0])
 
     def select1_batch(self, k) -> np.ndarray:
-        arr = np.asarray(k, dtype=np.int64)
-        if arr.size and (arr.min() < 1 or arr.max() > self.ones):
-            raise OutOfRangeError(f"select1 argument must lie in 1..{self.ones}")
-        return self._select(arr, 1) + 1
+        return self._select_checked(k, 1)
 
     def select0_batch(self, k) -> np.ndarray:
+        return self._select_checked(k, 0)
+
+    def _select_checked(self, k, polarity: int) -> np.ndarray:
         arr = np.asarray(k, dtype=np.int64)
-        zeros = self.n - self.ones
-        if arr.size and (arr.min() < 1 or arr.max() > zeros):
-            raise OutOfRangeError(f"select0 argument must lie in 1..{zeros}")
-        return self._select(arr, 0) + 1
+        count = self.ones if polarity else self.n - self.ones
+        if arr.size and (arr.min() < 1 or arr.max() > count):
+            raise OutOfRangeError(f"select{polarity} argument must lie in 1..{count}")
+        return self._select(arr, polarity) + 1
 
     def to_array(self) -> np.ndarray:
         """Materialise the raw bits (testing/debug aid)."""

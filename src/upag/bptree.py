@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import unpack_bits
+from .bits import one_lane, unpack_bits
 from .bitvector import BitVector
 from .errors import OutOfRangeError
 
@@ -79,18 +79,18 @@ class BPTree:
 
     def parent(self, v: int) -> int:
         """Parent label, or -1 for the root."""
-        return int(self.parent_batch([v])[0])
+        return int(self.parent_batch(*one_lane(v))[0])
 
     def tree_degree(self, v: int) -> int:
-        return int(self.degree_batch([v])[0])
+        return int(self.degree_batch(*one_lane(v))[0])
 
     def child(self, v: int, i: int) -> int:
         """i-th child (1-based)."""
-        return int(self.child_batch([v], [i])[0])
+        return int(self.child_batch(*one_lane(v, i))[0])
 
     def children(self, v: int) -> list[int]:
         """Child labels in increasing order: the range [first, first + deg)."""
-        first, deg = self._spans(self._check_nodes([v]))
+        first, deg = self._spans(self._check_nodes(*one_lane(v)))
         return list(range(int(first[0]), int(first[0] + deg[0])))
 
     def parent_batch(self, vs) -> np.ndarray:

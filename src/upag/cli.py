@@ -8,13 +8,15 @@ list with a brute-force oracle, ``bench`` times the query operations, and
 ``lfc`` runs the string reduction on an explicit input.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.  All
-regular output is ``key=value`` tokens, one logical record per line.
+regular output is ``key=value`` tokens, one logical record per line;
+``bench --json`` prints its records as one JSON object instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import re
 import sys
 import time
@@ -252,6 +254,28 @@ def cmd_selfcheck(args) -> int:
     return 1
 
 
+BATCH_LANES = 4096      # lanes of a level batch row: the walk workload's batch size
+
+
+def _time_calls(name: str, fn, *cols: np.ndarray) -> dict:
+    """One bench row: ``fn`` called once per lane of ``cols``."""
+    calls = list(zip(*(c.tolist() for c in cols)))
+    t0 = time.perf_counter_ns()
+    for a in calls:
+        fn(*a)
+    ns = (time.perf_counter_ns() - t0) // max(len(calls), 1)
+    return {"op": name, "ns_per_query": ns, "queries": len(calls)}
+
+
+def _time_batch(name: str, fn, *cols: np.ndarray) -> dict:
+    """One bench row: ``fn`` called once on all lanes of ``cols``."""
+    t0 = time.perf_counter_ns()
+    fn(*cols)
+    lanes = cols[0].size
+    return {"op": name, "ns_per_query": (time.perf_counter_ns() - t0) // max(lanes, 1),
+            "queries": lanes}
+
+
 def cmd_bench(args) -> int:
     g = load(args.infile)
     rng = np.random.default_rng(args.seed)
@@ -263,85 +287,60 @@ def cmd_bench(args) -> int:
     iis = rng.integers(1, m + 1, q)
     us = rng.integers(0, n + 1, q)
     ws = rng.integers(0, n + 1, q)
-
-    def clock(fn, pairs) -> int:
-        pairs = list(pairs)
-        t0 = time.perf_counter_ns()
-        for a, b in pairs:
-            fn(int(a), int(b))
-        return (time.perf_counter_ns() - t0) // max(len(pairs), 1)
-
-    t0 = time.perf_counter_ns()
-    for v in vs:
-        g.degree_in(int(v))
-    print(f"op=degree_in ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
-    print(
-        f"op=out_neighbour ns_per_query={clock(g.out_neighbour, zip(vs, iis))} queries={q}"
-    )
-    indeg = np.array([g.degree_in(int(v)) for v in vs])
+    indeg = g.degree_in_batch(vs)
     keep = indeg > 0
     jj = rng.integers(1, np.maximum(indeg[keep], 1) + 1)
-    print(
-        f"op=in_neighbour ns_per_query={clock(g.in_neighbour, zip(vs[keep], jj))} "
-        f"queries={int(keep.sum())}"
-    )
-    print(f"op=adjacent ns_per_query={clock(g.adjacent, zip(us, ws))} queries={q}")
-    t0 = time.perf_counter_ns()
-    g.adjacent_batch(us, ws)
-    print(f"op=adjacent_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
-    t0 = time.perf_counter_ns()
-    g.out_neighbour_batch(vs, iis)
-    print(f"op=out_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
-    t0 = time.perf_counter_ns()
-    g.degree_in_batch(vs)
-    print(f"op=degree_in_batch ns_per_query={(time.perf_counter_ns() - t0) // q} queries={q}")
-    nin = int(keep.sum())
-    t0 = time.perf_counter_ns()
-    g.in_neighbour_batch(vs[keep], jj)
-    print(
-        f"op=in_neighbour_batch ns_per_query={(time.perf_counter_ns() - t0) // max(nin, 1)} "
-        f"queries={nin}"
-    )
+    rows = [
+        _time_calls("degree_in", g.degree_in, vs),
+        _time_calls("out_neighbour", g.out_neighbour, vs, iis),
+        _time_calls("in_neighbour", g.in_neighbour, vs[keep], jj),
+        _time_calls("adjacent", g.adjacent, us, ws),
+        _time_batch("adjacent_batch", g.adjacent_batch, us, ws),
+        _time_batch("out_neighbour_batch", g.out_neighbour_batch, vs, iis),
+        _time_batch("degree_in_batch", g.degree_in_batch, vs),
+        _time_batch("in_neighbour_batch", g.in_neighbour_batch, vs[keep], jj),
+    ]
     if g.targets.width:
-        _bench_layers(g, rng, q)
+        rows += _bench_layers(g, rng, q)
+    if args.json:
+        print(json.dumps({"in": str(args.infile), "n": n, "m": m, "seed": args.seed,
+                          "rows": rows}))
+    else:
+        for row in rows:
+            print(" ".join(f"{k}={v}" for k, v in row.items()))
     return 0
 
 
-def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> None:
-    """One-lane latency of each layer under the graph queries: one level of
-    the string index, the tree's LOUDS bitvector, the string index and the
-    tree; the tree's rows only when the graph has a scaffold."""
+def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> list[dict]:
+    """Rows for each layer under the graph queries: one level of the string
+    index, at one lane and at ``BATCH_LANES`` lanes a call, the tree's
+    LOUDS bitvector, the string index and the tree; the tree's rows only
+    when the graph has a scaffold."""
     wt, tree = g.targets, g.tree
     level = wt._levels[wt.width // 2]
+    rows = []
+    for lanes, timer, suffix in ((q, _time_calls, ""), (BATCH_LANES, _time_batch, "_batch")):
+        for op, lo, hi in (("rank1", 0, level.n), ("select1", 1, level.ones), ("access", 1, level.n)):
+            rows.append(timer(f"level_{op}{suffix}", getattr(level, op + suffix),
+                              rng.integers(lo, hi + 1, lanes)))
+            rows[-1]["mode"] = level.mode
+    if tree is not None:
+        rows.append(_time_calls("louds_select1", tree._bv.select1,
+                                rng.integers(1, tree._bv.ones + 1, q)))
     pos = rng.integers(1, wt.length + 1, q)
     syms = wt.access_batch(pos)
     nth = wt.rank_batch(syms, pos)          # pos holds occurrence nth of its symbol
-    rows = [
-        ("level_rank1", level.rank1, [rng.integers(0, level.n + 1, q)]),
-        ("level_select1", level.select1, [rng.integers(1, level.ones + 1, q)]),
-        ("level_access", level.access, [rng.integers(1, level.n + 1, q)]),
-    ]
-    if tree is not None:
-        rows.append(("louds_select1", tree._bv.select1,
-                     [rng.integers(1, tree._bv.ones + 1, q)]))
     rows += [
-        ("wt_access", wt.access, [rng.integers(1, wt.length + 1, q)]),
-        ("wt_rank", wt.rank, [syms, rng.integers(0, wt.length + 1, q)]),
-        ("wt_select", wt.select, [syms, nth]),
+        _time_calls("wt_access", wt.access, rng.integers(1, wt.length + 1, q)),
+        _time_calls("wt_rank", wt.rank, syms, rng.integers(0, wt.length + 1, q)),
+        _time_calls("wt_select", wt.select, syms, nth),
     ]
     if tree is not None:
         rows += [
-            ("tree_parent", tree.parent, [rng.integers(1, g.n + 1, q)]),
-            ("tree_degree", tree.tree_degree, [rng.integers(0, g.n + 1, q)]),
+            _time_calls("tree_parent", tree.parent, rng.integers(1, g.n + 1, q)),
+            _time_calls("tree_degree", tree.tree_degree, rng.integers(0, g.n + 1, q)),
         ]
-    for name, fn, args in rows:
-        calls = list(zip(*(a.tolist() for a in args)))
-        t0 = time.perf_counter_ns()
-        for a in calls:
-            fn(*a)
-        per = (time.perf_counter_ns() - t0) // len(calls)
-        mode = f" mode={level.mode}" if name.startswith("level_") else ""
-        print(f"op={name} ns_per_query={per} queries={len(calls)}{mode}")
+    return rows
 
 
 def cmd_lfc(args) -> int:
@@ -430,6 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("--in", dest="infile", required=True, help=".upag file")
     n.add_argument("--queries", type=int, default=1000, help="queries per operation")
     n.add_argument("--seed", type=int, default=0)
+    n.add_argument("--json", action="store_true",
+                   help="print the rows as one JSON object instead of key=value lines")
     n.set_defaults(func=cmd_bench)
 
     f = sub.add_parser("lfc", help="run the block-wise string reduction")

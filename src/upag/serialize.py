@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"UPAG"
-    version u16      3
+    version u16      4
     flags   u16      bit 0: 1 = scaffold tree present (vertex-renamed form),
                             0 = no scaffold (labelled form); either way the
                             file holds one CompressedGraph
@@ -20,7 +20,9 @@ A bitvector blob is:
     nbits   u64
     mode    u8       0 = plain, 1 = entropy-coded blocks
     plain:  nwords u64, then nwords * 8 bytes of 64-bit words
-    coded:  nclasses u64, classes bytes, npay u64, npay * 8 payload bytes
+    coded:  nclasses u64, classes bytes, npay u64, npay * 8 payload bytes;
+            the payload packs, block after block, each block's split-radix
+            code in ceil(lg C(len, class)) bits (see ``bitvector``)
 
 A wavelet blob is:
 
@@ -41,8 +43,9 @@ The loader validates what it rebuilds (block codes, the LOUDS, wavelet
 codes below the effective alphabet) and raises ``FormatError`` on any
 inconsistency.  Older versions are refused with a hint to rebuild the
 file: version 1 stored the tree as balanced parentheses under preorder
-labels, and version 2 stored the string as a wavelet tree, each level
-ordered by the code prefix above it.
+labels, version 2 stored the string as a wavelet tree, each level ordered
+by the code prefix above it, and version 3 coded each block by its
+lexicographic (combinadic) rank inside its class.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .ugraph import CompressedGraph, LabelledGraph
 from .wavelet import WaveletTree
 
 MAGIC = b"UPAG"
-VERSION = 3
+VERSION = 4
 _FLAG_TREE = 1
 
 

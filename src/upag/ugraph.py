@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bits import one_lane
 from .bptree import BPTree
 from .construct import BuildResult, build
 from .entropy import h0_bits, worstcase_budget_bits
@@ -83,7 +84,7 @@ class CompressedGraph:
     def out_neighbour(self, v: int, i: int) -> int:
         """i-th outgoing edge of v (1-based); with a scaffold, edge 1 is the
         tree parent."""
-        return int(self.out_neighbour_batch([v], [i])[0])
+        return int(self.out_neighbour_batch(*one_lane(v, i))[0])
 
     def neighbours_out(self, v: int) -> list[int]:
         self._check_vertex(v)
@@ -96,11 +97,11 @@ class CompressedGraph:
     # ---- in side -----------------------------------------------------------
 
     def degree_in(self, v: int) -> int:
-        return int(self.degree_in_batch([v])[0])
+        return int(self.degree_in_batch(*one_lane(v))[0])
 
     def in_neighbour(self, v: int, i: int) -> int:
         """i-th incoming edge: tree children first, then string occurrences."""
-        return int(self.in_neighbour_batch([v], [i])[0])
+        return int(self.in_neighbour_batch(*one_lane(v, i))[0])
 
     def neighbours_in(self, v: int) -> list[int]:
         """Tree children (the label range [first, first + deg)), then the
@@ -120,7 +121,7 @@ class CompressedGraph:
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges joining u and v."""
-        return int(self.multiplicity_batch([u], [v])[0])
+        return int(self.multiplicity_batch(*one_lane(u, v))[0])
 
     # ---- batch wrappers ----------------------------------------------------
 

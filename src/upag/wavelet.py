@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bits import one_lane
 from .bitvector import BitVector, _distinct
 from .errors import OutOfRangeError
 
@@ -201,7 +202,7 @@ class WaveletTree:
         """1-based positions of every occurrence of symbol ``c``, ascending:
         one descent to the symbol's leaf, whose length is its occurrence
         count, and one ascent of all its occurrences."""
-        codes, present = self._codes_of(np.array([c], dtype=np.int64))
+        codes, present = self._codes_of(*one_lane(c))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
         s, e = self._leaves(codes)
@@ -217,11 +218,11 @@ class WaveletTree:
 
     def rank(self, c: int, i: int) -> int:
         """Occurrences of symbol c among the first i positions (i in 0..length)."""
-        return int(self.rank_batch(np.array([c]), np.array([i]))[0])
+        return int(self.rank_batch(*one_lane(c, i))[0])
 
     def select(self, c: int, k: int) -> int:
         """Position of the k-th occurrence of symbol c (1-based)."""
-        return int(self.select_batch(np.array([c]), np.array([k]))[0])
+        return int(self.select_batch(*one_lane(c, k))[0])
 
     def occ(self, c: int) -> int:
         return self.rank(c, self.length)

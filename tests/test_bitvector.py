@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rrr_reference import decode_block
+from rrr_reference import decode_block, encode_block
 
 import upag
 from upag import bitvector
+from upag.bits import popcount
 from upag.bitvector import BitVector
 from upag.errors import OutOfRangeError
 
@@ -227,7 +228,7 @@ def test_rrr_batch_decode_matches_plain(tail):
 
 
 # ---------------------------------------------------------------------------
-# the rrr block decoder against the bit-serial reference
+# the split-radix block code against the Python-int reference
 # ---------------------------------------------------------------------------
 
 def _codes_of_classes(blen: int, seed: int) -> list[tuple[int, int]]:
@@ -244,10 +245,9 @@ def _codes_of_classes(blen: int, seed: int) -> list[tuple[int, int]]:
 def _decode_in_chunks(cases, blen: int, chunk: int | None) -> np.ndarray:
     codes = np.array([code for code, _ in cases], dtype=np.uint64)
     classes = np.array([k for _, k in cases], dtype=np.int64)
-    pads = np.full(len(cases), 64 - blen, dtype=np.int64)
     step = chunk or len(cases)
     return np.concatenate([
-        bitvector._decode_words(codes[i:i + step], classes[i:i + step], pads[i:i + step])
+        bitvector._decode_words(codes[i:i + step], classes[i:i + step], blen)
         for i in range(0, len(cases), step)
     ])
 
@@ -256,11 +256,16 @@ def _expected_words(cases, blen: int) -> np.ndarray:
     return np.array([decode_block(code, k, blen) for code, k in cases], dtype=np.uint64)
 
 
+def _encode(words, blen: int) -> np.ndarray:
+    return bitvector._encode_blocks(np.asarray(words, dtype=np.uint64), blen)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 33, None])
 def test_decode_every_class(chunk):
     cases = _codes_of_classes(64, seed=1)
     got = _decode_in_chunks(cases, 64, chunk)
     assert np.array_equal(got, _expected_words(cases, 64))
+    assert np.array_equal(_encode(got, 64), [code for code, _ in cases])
 
 
 @pytest.mark.parametrize("chunk", [7, None])
@@ -269,15 +274,72 @@ def test_decode_every_partial_length(chunk):
         cases = _codes_of_classes(blen, seed=blen)
         got = _decode_in_chunks(cases, blen, chunk)
         assert np.array_equal(got, _expected_words(cases, blen)), blen
+        assert np.array_equal(_encode(got, blen), [code for code, _ in cases]), blen
+        assert [encode_block(int(w), blen) for w in got] == [code for code, _ in cases]
 
 
-@pytest.mark.parametrize("size", [1, 2, 100, 512])
+def test_every_16_bit_value():
+    words = np.arange(1 << 16, dtype=np.uint64)
+    codes = _encode(words, 16)
+    classes = popcount(words).astype(np.int64)
+    assert codes.tolist() == [encode_block(w, 16) for w in range(1 << 16)]
+    assert np.array_equal(bitvector._decode_words(codes, classes, 16), words)
+    # numeric order inside a class: the words of one class take codes 0, 1, ...
+    for k in range(17):
+        assert np.array_equal(codes[classes == k], np.arange(math.comb(16, k)))
+
+
+def _class_is_onto(words: np.ndarray, blen: int) -> None:
+    """The codes of ``words`` (each class complete) are exactly 0..C(blen, k) - 1
+    per class, and decode back."""
+    codes = _encode(words, blen)
+    classes = popcount(words).astype(np.int64)
+    for k in np.unique(classes).tolist():
+        assert np.array_equal(np.sort(codes[classes == k]), np.arange(math.comb(blen, k))), (blen, k)
+    assert np.array_equal(bitvector._decode_words(codes, classes, blen), words)
+
+
+@pytest.mark.parametrize("blen", range(1, 21))
+def test_code_is_a_bijection_for_every_word(blen):
+    _class_is_onto(np.arange(1 << blen, dtype=np.uint64), blen)
+    if blen <= 12:
+        codes = [encode_block(w, blen) for w in range(1 << blen)]
+        assert [decode_block(c, bin(w).count("1"), blen) for w, c in enumerate(codes)] \
+            == list(range(1 << blen))
+
+
+@pytest.mark.parametrize("blen", range(21, 65))
+def test_code_is_a_bijection_on_sparse_and_dense_classes(blen):
+    # every word with at most two ones, and every word with at most two zeros
+    one = np.uint64(1) << np.arange(blen, dtype=np.uint64)
+    sparse = np.unique(np.concatenate([np.zeros(1, np.uint64), one, (one[:, None] | one[None, :]).ravel()]))
+    full = ~np.uint64(0) >> np.uint64(64 - blen)
+    for words in (sparse, sparse ^ full):
+        _class_is_onto(words, blen)
+        pick = words[::7]
+        assert _encode(pick, blen).tolist() == [encode_block(int(w), blen) for w in pick]
+
+
+@pytest.mark.parametrize("size", [1, 2, 100, 512, 513, 2000])
 def test_decode_batch_sizes_with_repeats(size):
+    # 512 keys and up sort before a step; 2000 lanes sort at both steps
     pool = _codes_of_classes(64, seed=2)[::7]            # blocks of every class range
     pick = np.random.default_rng(size).integers(0, len(pool), size)   # with repeats
     cases = [pool[i] for i in pick]
     got = _decode_in_chunks(cases, 64, None)
     assert np.array_equal(got, _expected_words(cases, 64))
+
+
+@pytest.mark.parametrize("blen", [37, 64])
+def test_decode_sorts_large_steps(blen, monkeypatch):
+    # the sorted and the unsorted route give the same words
+    rng = np.random.default_rng(blen)
+    words = rng.integers(0, 1 << 62, 3000, dtype=np.uint64) >> np.uint64(64 - blen)
+    words &= rng.integers(0, 1 << 62, 3000, dtype=np.uint64)
+    codes, classes = _encode(words, blen), popcount(words).astype(np.int64)
+    for sort_keys in (1, 10 ** 9):
+        monkeypatch.setattr(bitvector, "_SORT_KEYS", sort_keys)
+        assert np.array_equal(bitvector._decode_words(codes, classes, blen), words)
 
 
 def _blocky_bits(nblocks: int, tail: int, rng) -> np.ndarray:
@@ -306,14 +368,21 @@ def test_rrr_queries_decode_each_block_once(distinct, monkeypatch):
     decoded = []
     decode = bitvector._decode_words
 
-    def spy(codes, classes, blens):
-        decoded.append(codes.size)
-        return decode(codes, classes, blens)
+    def spy(codes, classes, blen):
+        decoded.append((codes.size, blen))
+        return decode(codes, classes, blen)
+
+    def once(query):
+        # one call for the full blocks and one for the short last block, if hit
+        decoded.clear()
+        query()
+        tail = [(1, 37)] if nb - 1 in blocks else []
+        assert sorted(decoded) == sorted([(blocks.size - len(tail), 64)] + tail)
 
     monkeypatch.setattr(bitvector, "_decode_words", spy)
     rank = np.concatenate([[0], np.cumsum(bits)])
-    assert np.array_equal(bv.rank1_batch(pos), rank[pos])
-    assert np.array_equal(bv.access_batch(pos + 1), bits[pos])
+    once(lambda: np.testing.assert_array_equal(bv.rank1_batch(pos), rank[pos]))
+    once(lambda: np.testing.assert_array_equal(bv.access_batch(pos + 1), bits[pos]))
     ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
     in_blocks1 = np.isin(ones >> 6, blk)
     in_blocks0 = np.isin(zeros >> 6, blk)
@@ -321,22 +390,23 @@ def test_rrr_queries_decode_each_block_once(distinct, monkeypatch):
     k0 = rng.choice(np.flatnonzero(in_blocks0), lanes) + 1
     k1[:blocks.size] = np.searchsorted(ones >> 6, blocks) + 1   # first one of each block
     k0[:blocks.size] = np.searchsorted(zeros >> 6, blocks) + 1
-    assert np.array_equal(bv.select1_batch(k1), ones[k1 - 1] + 1)
-    assert np.array_equal(bv.select0_batch(k0), zeros[k0 - 1] + 1)
-    assert decoded == [blocks.size] * 4
+    once(lambda: np.testing.assert_array_equal(bv.select1_batch(k1), ones[k1 - 1] + 1))
+    once(lambda: np.testing.assert_array_equal(bv.select0_batch(k0), zeros[k0 - 1] + 1))
 
 
 def test_import_builds_no_decode_table():
     code = ("import numpy as np, upag, upag.bitvector as b\n"
-            "before = b._fused_tables.cache_info().currsize\n"
+            "tables = (b._leaf_tables, b._split_tables)\n"
+            "print(*(t.cache_info().currsize for t in tables))\n"
             "b.BitVector([1, 0] * 100, mode='rrr').rank1_batch(np.arange(201))\n"
-            "print(before, b._fused_tables.cache_info().currsize)\n")
+            "print(*(t.cache_info().currsize for t in tables))\n")
     src = str(Path(upag.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["0", "1"]
+    # 200 bits: tables for full blocks and for the 8-bit last block
+    assert out.stdout.split() == ["0", "0", "1", "2"]
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +518,9 @@ def test_one_lane_queries_decode_one_block(monkeypatch):
     decoded = []
     decode = bitvector._decode_words
 
-    def spy(codes, classes, pads):
+    def spy(codes, classes, blen):
         decoded.append(codes.size)
-        return decode(codes, classes, pads)
+        return decode(codes, classes, blen)
 
     monkeypatch.setattr(bitvector, "_decode_words", spy)
     ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
@@ -494,11 +564,14 @@ def test_rank_bit_at_every_position(mode):
 # ---------------------------------------------------------------------------
 
 def test_out_of_range_code_is_rejected():
-    # C(64, 3) = 41,664 needs 16 bits; 65,535 fits the field but is no code
-    with pytest.raises(ValueError, match="code"):
-        BitVector.from_parts(64, "rrr", classes=[3], payload=[65535])
+    # C(64, 3) = 41,664 needs 16 bits; 41,664 and 65,535 fit the field but are no codes
+    for code in (math.comb(64, 3), 65535):
+        with pytest.raises(ValueError, match="code"):
+            BitVector.from_parts(64, "rrr", classes=[3], payload=[code])
     ok = BitVector.from_parts(64, "rrr", classes=[3], payload=[math.comb(64, 3) - 1])
     assert ok.rank1(64) == 3 and int(ok.to_array().sum()) == 3
+    assert ok.to_array().tolist() == [decode_block(math.comb(64, 3) - 1, 3, 64) >> j & 1
+                                      for j in range(64)]
 
 
 def test_out_of_range_code_in_a_partial_block_is_rejected():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import struct
 import tempfile
 import warnings
@@ -213,6 +214,15 @@ def test_query_in_neighbour_beyond_degree_fails(figure_files, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("args", [("deg", "99999999999999999999999"), ("outn", "1", "-" + "9" * 21),
+                                  ("inn", "1", "9" * 30), ("adj", "9" * 19, "1")])
+def test_query_argument_beyond_int64_fails_cleanly(figure_files, capsys, args):
+    _, up = figure_files
+    code, out, err = run(capsys, "query", "--in", str(up), *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_query_wrong_arity_fails(figure_files, capsys):
     _, up = figure_files
     assert run(capsys, "query", "--in", str(up), "deg", "1", "2")[0] == 2
@@ -268,12 +278,25 @@ def test_query_v2_file_fails_with_rebuild_hint(tmp_path, capsys):
     assert err == "error: unsupported version 2: rebuild the .upag from its edge list\n"
 
 
+def test_query_v3_file_fails_with_rebuild_hint(tmp_path, capsys):
+    from test_serialize import GOLDEN_V3_HEX
+
+    body = bytes.fromhex(GOLDEN_V3_HEX)
+    old = tmp_path / "v3.upag"
+    old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code, out, err = run(capsys, "query", "--in", str(old), "deg", "1")
+    assert code == 2 and out == ""
+    assert err == "error: unsupported version 3: rebuild the .upag from its edge list\n"
+
+
 def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, capsys):
     # the presence map's one block has class 4 of 6 bits: C(6, 4) = 15
     # codes, so code 15 fits its 4-bit field but names no block
+    from test_serialize import PRESENCE_CODE
+
     _, up = figure_files
     body = bytearray(up.read_bytes()[:-4])
-    assert body[92:100] == struct.pack("<Q", 13)
+    assert body[92:100] == struct.pack("<Q", PRESENCE_CODE)
     body[92:100] = struct.pack("<Q", 15)
     bad = tmp_path / "bad.upag"
     bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
@@ -405,6 +428,9 @@ def test_bench_times_every_operation(tmp_path, capsys):
         "op=level_rank1",
         "op=level_select1",
         "op=level_access",
+        "op=level_rank1_batch",
+        "op=level_select1_batch",
+        "op=level_access_batch",
         "op=louds_select1",
         "op=wt_access",
         "op=wt_rank",
@@ -416,6 +442,32 @@ def test_bench_times_every_operation(tmp_path, capsys):
     assert all(ln.endswith("queries=25") or ln.endswith("mode=rrr")
                for ln in text.splitlines()[8:])
     assert all("mode=rrr" in ln for ln in text.splitlines() if ln.startswith("op=level_"))
+    assert all(ln.split()[2] == "queries=4096" for ln in text.splitlines()
+               if ln.startswith("op=level_") and "_batch" in ln)
+
+
+def _bench_row(line: str) -> dict:
+    row = dict(tok.split("=", 1) for tok in line.split())
+    return {k: int(v) if v.isdigit() else v for k, v in row.items()}
+
+
+@pytest.mark.parametrize("mode", ["unlabelled", "labelled"])
+def test_bench_json_rows_match_text_rows(tmp_path, capsys, mode):
+    el, up = tmp_path / "b.el", tmp_path / "b.upag"
+    run(capsys, "generate", "--m", "2", "--n", "30", "--seed", "5", "--out", str(el))
+    run(capsys, "build", "--in", str(el), "--out", str(up), "--mode", mode)
+    code, text, _ = run(capsys, "bench", "--in", str(up), "--queries", "25", "--seed", "3")
+    assert code == 0
+    code, blob, _ = run(capsys, "bench", "--in", str(up), "--queries", "25", "--seed", "3", "--json")
+    assert code == 0 and len(blob.splitlines()) == 1
+    got = json.loads(blob)
+    assert (got["n"], got["m"], got["seed"]) == (30, 2, 3)
+    want = [_bench_row(ln) for ln in text.splitlines()]
+    # the same rows in the same order; only the timings differ between runs
+    untimed = [{k: v for k, v in row.items() if k != "ns_per_query"} for row in got["rows"]]
+    assert untimed == [{k: v for k, v in row.items() if k != "ns_per_query"} for row in want]
+    assert all(isinstance(row["ns_per_query"], int) and row["ns_per_query"] > 0
+               for row in got["rows"])
 
 
 def test_bench_labelled_prints_batch_rows_and_no_tree_rows(tmp_path, capsys):
@@ -437,6 +489,9 @@ def test_bench_labelled_prints_batch_rows_and_no_tree_rows(tmp_path, capsys):
         "op=level_rank1",
         "op=level_select1",
         "op=level_access",
+        "op=level_rank1_batch",
+        "op=level_select1_batch",
+        "op=level_access_batch",
         "op=wt_access",
         "op=wt_rank",
         "op=wt_select",
@@ -629,11 +684,11 @@ def test_empty_instance_round_trips(tmp_path, capsys):
 
 PINNED_SHA256 = {
     "arrival.el": "12a8cee07b499768f91948630cf5c2b65bbc8349ee14ecc841300db535defff3",
-    "arrival.upag": "4816ead81976c2a4e77a478985d3dd71491e901761bbf389156a24d7b691af73",
+    "arrival.upag": "74478d33655841aa6ba8032d7b2b6daf3e42e1bff8c4ed649beae384f0c1f9e9",
     "arrival.map": "c8cf08befe8c6ffbb92a457b101b4df5da5f783826b77a45d9f65b208cfd106d",
-    "shuffled.upag": "9463091dd5154ba787e42349b8f4588827632952e12c85621c7a48f5f56f06d9",
+    "shuffled.upag": "ac27ec783b384f17682d6609c8d304758583f67b7141ee46adbe5c3a29d6f6ef",
     "shuffled.map": "06ddf1d46a4f94d90d9703a3c6238fc77cc0a6dc4584c957d23da14f61c5ae92",
-    "labelled.upag": "d00fefe223fa7ef57a88ddaa9271bc6413528e9674c5828a1000f2e4f0c23a7f",
+    "labelled.upag": "f2b5f5ffbaa2e88309ed698dbf865d7ec4151dcfbd68404369021a825b33e559",
     "labelled.map": "a1e2fad60bfa7b3e6e9357bae639e6fc0b9b0bfea5719dfe7430cb279412ace2",
 }
 

@@ -1,3 +1,4 @@
+import math
 import struct
 import zlib
 
@@ -16,6 +17,14 @@ from upag.ugraph import CompressedGraph, LabelledGraph
 # frozen bytes of the five-vertex worked example (first-target ranking);
 # any change here is a format break and must bump the version
 GOLDEN_HEX = (
+    "5550414704000100030000000000000005000000000000000c000000000000000001000000"
+    "000000009b0100000000000006000000000000000a00000000000000020600000000000000"
+    "01010000000000000004010000000000000001000000000000000a00000000000000010100"
+    "000000000000040100000000000000d1000000000000000a00000000000000010100000000"
+    "0000000601000000000000009a00000000000000"
+)
+# the same graph in format v3 (each block coded by its lexicographic rank)
+GOLDEN_V3_HEX = (
     "5550414703000100030000000000000005000000000000000c000000000000000001000000"
     "000000009b0100000000000006000000000000000a00000000000000020600000000000000"
     "0101000000000000000401000000000000000d000000000000000a00000000000000010100"
@@ -61,6 +70,12 @@ def test_reject_v1_file_with_rebuild_hint():
 def test_reject_v2_file_with_rebuild_hint():
     body = bytes.fromhex(GOLDEN_V2_HEX)
     with pytest.raises(FormatError, match="unsupported version 2: rebuild the .upag from its edge list"):
+        serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_reject_v3_file_with_rebuild_hint():
+    body = bytes.fromhex(GOLDEN_V3_HEX)
+    with pytest.raises(FormatError, match="unsupported version 3: rebuild the .upag from its edge list"):
         serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
 
 
@@ -201,13 +216,16 @@ def test_reject_ill_formed_louds(word):
 
 
 PRESENCE_PAYLOAD = 92  # the presence bitvector's one payload word: 6 bits of class 4
+# symbols 0, 1, 2 and 4 are present: the word 0b010111, second in numeric
+# order among the 6-bit words with four ones (after 0b001111), so code 1
+PRESENCE_CODE = 1
 
 
 def with_presence_code(blob: bytes, code: int) -> bytes:
     """``blob`` with the presence block's code replaced and the CRC redone."""
     body = bytearray(blob[:-4])
     assert body[PRESENCE_PAYLOAD - 9:PRESENCE_PAYLOAD - 8] == b"\x04"      # its class byte
-    assert body[PRESENCE_PAYLOAD:PRESENCE_PAYLOAD + 8] == struct.pack("<Q", 13)
+    assert body[PRESENCE_PAYLOAD:PRESENCE_PAYLOAD + 8] == struct.pack("<Q", PRESENCE_CODE)
     body[PRESENCE_PAYLOAD:PRESENCE_PAYLOAD + 8] = struct.pack("<Q", code)
     return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
 
@@ -220,6 +238,33 @@ def test_reject_out_of_range_block_code():
     assert g.targets.sigma_eff == 4
     with pytest.raises(FormatError, match="code out of range"):
         serialize.loads(with_presence_code(blob, 15))
+
+
+def test_reject_out_of_range_code_in_a_full_block():
+    # the first block of a string level is a full 64-bit block of class k;
+    # for 1 < k < 63 code C(64, k) fits its field but names no block
+    g = LabelledGraph.from_dag(generate(3, 100, seed=4))
+    level = next(i for i, lvl in enumerate(g.targets._levels)
+                 if 1 < int(lvl.to_parts()["classes"][0]) < 63)
+    parts = g.targets._levels[level].to_parts()
+    k = int(parts["classes"][0])
+    width = (math.comb(64, k) - 1).bit_length()
+    assert math.comb(64, k) < 1 << width
+    blob = serialize.dumps(g)
+    stored = parts["payload"].astype("<u8").tobytes()
+    at = blob.index(parts["classes"].tobytes() + struct.pack("<Q", parts["payload"].size) + stored)
+    at += parts["classes"].size + 8
+
+    def with_first_code(code: int) -> bytes:
+        body = bytearray(blob[:-4])
+        word = struct.unpack_from("<Q", body, at)[0]
+        struct.pack_into("<Q", body, at, word >> width << width | code)
+        return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+    back = serialize.loads(with_first_code(math.comb(64, k) - 1))
+    assert int(back.targets._levels[level].to_array()[:64].sum()) == k
+    with pytest.raises(FormatError, match="code out of range"):
+        serialize.loads(with_first_code(math.comb(64, k)))
 
 
 def test_load_builds_each_bitvector_once(monkeypatch):

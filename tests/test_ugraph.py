@@ -237,6 +237,38 @@ def test_query_errors(g5):
         g5.out_neighbour_batch([1, 2], [1, 4])
 
 
+BEYOND_INT64 = [2 ** 63, 10 ** 23, -(2 ** 63) - 1, -(10 ** 23)]
+
+
+@pytest.mark.parametrize("big", BEYOND_INT64)
+def test_degree_in_beyond_int64_is_out_of_range(g5, big):
+    with pytest.raises(OutOfRangeError):
+        g5.degree_in(big)
+
+
+@pytest.mark.parametrize("big", BEYOND_INT64)
+def test_out_neighbour_beyond_int64_is_out_of_range(g5, big):
+    for args in ((big, 1), (1, big)):
+        with pytest.raises(OutOfRangeError):
+            g5.out_neighbour(*args)
+
+
+@pytest.mark.parametrize("big", BEYOND_INT64)
+def test_in_neighbour_beyond_int64_is_out_of_range(g5, big):
+    for args in ((big, 1), (1, big)):
+        with pytest.raises(OutOfRangeError):
+            g5.in_neighbour(*args)
+
+
+@pytest.mark.parametrize("big", BEYOND_INT64)
+def test_multiplicity_beyond_int64_is_out_of_range(g5, big):
+    for args in ((big, 1), (1, big)):
+        with pytest.raises(OutOfRangeError):
+            g5.multiplicity(*args)
+        with pytest.raises(OutOfRangeError):
+            g5.adjacent(*args)
+
+
 def test_m1_graphs_are_pure_trees():
     d = generate(1, 50, seed=23)
     b = build(d)

@@ -102,6 +102,27 @@ def test_errors():
         WaveletTree([5], 5)
 
 
+BEYOND_INT64 = [2 ** 63, -(2 ** 63) - 1, 10 ** 23]
+
+
+@pytest.mark.parametrize("big", BEYOND_INT64)
+def test_rank_beyond_int64_is_out_of_range(big):
+    wt = WaveletTree([1, 2, 1], 4)
+    for args in ((big, 1), (1, big)):
+        with pytest.raises(OutOfRangeError):
+            wt.rank(*args)
+
+
+@pytest.mark.parametrize("big", BEYOND_INT64)
+def test_select_beyond_int64_is_out_of_range(big):
+    wt = WaveletTree([1, 2, 1], 4)
+    for args in ((big, 1), (1, big)):
+        with pytest.raises(OutOfRangeError):
+            wt.select(*args)
+    with pytest.raises(OutOfRangeError):
+        wt.positions(big)
+
+
 def test_empty_sequence():
     wt = WaveletTree([], 10)
     assert wt.length == 0 and wt.sigma_eff == 0 and wt.width == 0
