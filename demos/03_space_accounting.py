@@ -3,8 +3,8 @@ Where the bits go
 =================
 
 The compressed form spends 2(n+1) bits on the scaffold tree, close to
-H0 on the leftover string, and a directory (rank/select samples) that
-shrinks relative to the payload as instances grow.
+H0 on the leftover string, and a directory (rank samples and word
+padding) that shrinks relative to the payload as instances grow.
 """
 
 import math
@@ -29,7 +29,7 @@ for k in range(10, 17):
           f"{h0:>12.0f} {worst:>10}")
 
 # The tree share is exactly 2(n+1) bits; the string share tracks H0 because
-# each fixed-width block of the bitvectors is coded by its popcount class.
+# the string is Huffman-coded over its symbol counts, one level bit per code bit.
 n = 1 << 14
 d = generate(3, n, seed=99)
 built = build(d)

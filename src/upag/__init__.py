@@ -5,7 +5,6 @@ from .bptree import BPTree
 from .construct import (
     build,
     freq_rank,
-    peel_ambiguity,
     peel_edges,
     reduce_string,
 )
@@ -18,7 +17,7 @@ from .graph_model import (
     in_degrees,
     undirected_degrees,
 )
-from .pa_gen import generate, log_prob, entropy_gap
+from .pa_gen import generate, log_prob
 from .serialize import dumps, load, loads, save
 from .ugraph import CompressedGraph, LabelledGraph
 from .wavelet import WaveletTree
@@ -46,10 +45,8 @@ __all__ = [
     "load",
     "loads",
     "log_prob",
-    "peel_ambiguity",
     "peel_edges",
     "reduce_string",
     "save",
-    "entropy_gap",
     "undirected_degrees",
 ]

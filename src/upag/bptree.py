@@ -15,7 +15,7 @@ node u and the v-th zero closes node v-1, so with 0-based positions,
 * ``degree(v) = Z(v + 1) - Z(v) - 1``, the ones between two zeros;
 * ``child(v, i) = Z(v) - v + i``, the label of the i-th one after Z(v).
 
-Every query is rank/select on one plain ``BitVector``; there is no other
+Every query is rank/select on one ``BitVector``; there is no other
 directory.
 """
 
@@ -43,7 +43,7 @@ class BPTree:
             zeros = np.cumsum(np.bincount(par[1:], minlength=par.size) + 1)
             bits = np.ones(2 * par.size, dtype=np.uint8)
             bits[zeros] = 0
-            _bv = BitVector(bits, mode="plain")
+            _bv = BitVector(bits)
         self._bv = _bv
         self.n_nodes = _bv.n // 2
         self._validate()
@@ -53,8 +53,8 @@ class BPTree:
         ones, N zeros, a final zero, and node u's one (the (u+1)-th) before the
         u-th zero for u in 1..N-1, which is exactly parent(u) < u."""
         bv = self._bv
-        if bv.mode != "plain" or bv.n == 0 or bv.n % 2:
-            raise ValueError("LOUDS bitvector must be plain with a positive even length")
+        if bv.n == 0 or bv.n % 2:
+            raise ValueError("LOUDS bitvector must have a positive even length")
         bits = unpack_bits(bv._words, bv.n).astype(bool)
         ones, zeros = np.flatnonzero(bits), np.flatnonzero(~bits)
         if ones.size != zeros.size or bits[-1] or np.any(ones[1:] >= zeros[:-1]):
@@ -133,10 +133,13 @@ class BPTree:
     # ---- accounting -----------------------------------------------------------
 
     def space_report(self) -> dict:
+        """Resident bits of the LOUDS bitvector: its 2N bits as payload,
+        its rank samples and word padding as directory."""
+        rep = self._bv.space_report()
         return {
             "n_nodes": self.n_nodes,
-            "payload_bits": 2 * self.n_nodes,
-            "directory_bits": self._bv.space_report()["directory_bits"],
+            "payload_bits": rep["payload_bits"],
+            "directory_bits": rep["directory_bits"],
         }
 
     def __repr__(self) -> str:

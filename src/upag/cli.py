@@ -178,6 +178,9 @@ def cmd_query(args) -> int:
     return 0
 
 
+STATS_LINES = (3, 5, 2, 6, 2)    # fields per line of the key=value output
+
+
 def cmd_stats(args) -> int:
     d, inferred, _ = read_edge_list(args.infile)
     if inferred:
@@ -211,26 +214,10 @@ def cmd_stats(args) -> int:
         print(",".join(k for k, _ in fields))
         print(",".join(str(v) for _, v in fields))
     else:
-        print(f"m={d.m} n={d.n} edges={d.m * d.n}")
-        print(
-            f"H_deg={rep['degree_entropy_bits']:.4f} lg(1/P)={rep['surprisal_bits']:.4f} "
-            f"prob_mode={lp_mode} lg(n!)={rep['label_bits']:.4f} "
-            f"unlabelled_lb={rep['unlabelled_lower_bound_bits']:.4f}"
-        )
-        print(
-            f"entropy_budget={rep['entropy_budget_bits']:.4f} "
-            f"worstcase_budget={rep['worstcase_budget_bits']:.4f}"
-        )
-        print(
-            f"tree_payload_bits={sp['tree_payload_bits']} "
-            f"wt_payload_bits={sp['wt_payload_bits']} "
-            f"payload_bits={sp['payload_bits']} "
-            f"directory_bits={sp['directory_bits']} "
-            f"metadata_bits={sp['metadata_bits']} total_bits={sp['total_bits']}"
-        )
-        print(
-            f"entropy_bound_bits={entropy_bound:.4f} sigma_eff={sp['sigma_eff']}"
-        )
+        at = 0
+        for size in STATS_LINES:
+            print(" ".join(f"{k}={v}" for k, v in fields[at:at + size]))
+            at += size
     return 0
 
 
@@ -257,23 +244,28 @@ def cmd_selfcheck(args) -> int:
 BATCH_LANES = 4096      # lanes of a level batch row: the walk workload's batch size
 
 
-def _time_calls(name: str, fn, *cols: np.ndarray) -> dict:
-    """One bench row: ``fn`` called once per lane of ``cols``."""
+def _time_calls(name: str, fn, *cols: np.ndarray) -> dict | None:
+    """One bench row: ``fn`` called once per lane of ``cols``; None when
+    there is no lane to time."""
     calls = list(zip(*(c.tolist() for c in cols)))
+    if not calls:
+        return None
     t0 = time.perf_counter_ns()
     for a in calls:
         fn(*a)
-    ns = (time.perf_counter_ns() - t0) // max(len(calls), 1)
-    return {"op": name, "ns_per_query": ns, "queries": len(calls)}
+    return {"op": name, "ns_per_query": (time.perf_counter_ns() - t0) // len(calls),
+            "queries": len(calls)}
 
 
-def _time_batch(name: str, fn, *cols: np.ndarray) -> dict:
-    """One bench row: ``fn`` called once on all lanes of ``cols``."""
+def _time_batch(name: str, fn, *cols: np.ndarray) -> dict | None:
+    """One bench row: ``fn`` called once on all lanes of ``cols``; None
+    when there is no lane to time."""
+    lanes = cols[0].size
+    if not lanes:
+        return None
     t0 = time.perf_counter_ns()
     fn(*cols)
-    lanes = cols[0].size
-    return {"op": name, "ns_per_query": (time.perf_counter_ns() - t0) // max(lanes, 1),
-            "queries": lanes}
+    return {"op": name, "ns_per_query": (time.perf_counter_ns() - t0) // lanes, "queries": lanes}
 
 
 def cmd_bench(args) -> int:
@@ -302,6 +294,7 @@ def cmd_bench(args) -> int:
     ]
     if g.targets.width:
         rows += _bench_layers(g, rng, q)
+    rows = [row for row in rows if row is not None]
     if args.json:
         print(json.dumps({"in": str(args.infile), "n": n, "m": m, "seed": args.seed,
                           "rows": rows}))
@@ -323,7 +316,6 @@ def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> list[
         for op, lo, hi in (("rank1", 0, level.n), ("select1", 1, level.ones), ("access", 1, level.n)):
             rows.append(timer(f"level_{op}{suffix}", getattr(level, op + suffix),
                               rng.integers(lo, hi + 1, lanes)))
-            rows[-1]["mode"] = level.mode
     if tree is not None:
         rows.append(_time_calls("louds_select1", tree._bv.select1,
                                 rng.integers(1, tree._bv.ones + 1, q)))

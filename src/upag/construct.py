@@ -173,8 +173,7 @@ def _preorder(parents: np.ndarray) -> np.ndarray:
     return nv - dist[:nv]
 
 
-def peel_edges(nv: int, us, vs, m: int,
-               rng: np.random.Generator | None = None) -> tuple[Dag, np.ndarray]:
+def peel_edges(nv: int, us, vs, m: int) -> tuple[Dag, np.ndarray]:
     """Recover *an* attachment history of an arbitrarily-labelled multigraph.
 
     The graph has vertices ``0..nv-1`` and one undirected edge ``us[k]``-
@@ -182,8 +181,7 @@ def peel_edges(nv: int, us, vs, m: int,
     equal arrival order.  Vertices of residual
     degree ``m`` are removed until only the seed pair remains; removal
     order, reversed, is an arrival order consistent with the graph.  Ties
-    go to the lowest label, or to a uniform pick when ``rng`` is given
-    (used by :func:`peel_ambiguity`).
+    go to the lowest label.
 
     Returns ``(dag, order)`` where ``order[k]`` is the original label of
     the vertex arriving k-th.  When several arrival orders exist, they all
@@ -214,16 +212,11 @@ def peel_edges(nv: int, us, vs, m: int,
     pop, push = heapq.heappop, heapq.heappush
     for _ in range(nv - 2):
         v = -1
-        if rng is None:
-            while ready:
-                w = pop(ready)
-                if alive[w] and deg[w] == m:
-                    v = w
-                    break
-        else:
-            pool = [w for w in range(nv) if alive[w] and deg[w] == m]
-            if pool:
-                v = pool[int(rng.integers(0, len(pool)))]
+        while ready:
+            w = pop(ready)
+            if alive[w] and deg[w] == m:
+                v = w
+                break
         if v < 0:
             raise ModelError("peeling stalled: graph was not grown by preferential attachment")
         alive[v] = False
@@ -231,7 +224,7 @@ def peel_edges(nv: int, us, vs, m: int,
         for u, c in zip(nbr[start[v]:start[v + 1]], cnt[start[v]:start[v + 1]]):
             if alive[u]:
                 deg[u] -= c
-                if deg[u] == m and rng is None:
+                if deg[u] == m:
                     push(ready, u)
     # both residual degrees of the last two vertices count their joint edges
     u0, u1 = (i for i, a in enumerate(alive) if a)
@@ -244,24 +237,6 @@ def peel_edges(nv: int, us, vs, m: int,
     a, b = place[lo], place[hi]
     arcs = np.sort(np.repeat(np.maximum(a, b) * nv + np.minimum(a, b), mult))
     return Dag(m, (arcs % nv).reshape(nv - 1, m)), order
-
-
-def peel_ambiguity(nv: int, us, vs, m: int, trials: int = 8, seed: int = 0) -> dict:
-    """Diagnostic: do randomized re-peels all recover the same history?
-
-    Re-runs :func:`peel_edges` on the same edge arrays with random choices
-    among the eligible vertices and counts distinct recovered block
-    matrices.  More than one variant means the arrival order is not
-    determined by the graph alone (every variant is still an equally likely
-    history when no block beyond the seed's repeats a target).
-    """
-    base, _ = peel_edges(nv, us, vs, m)
-    seen = {base.targets.tobytes()}
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        d, _ = peel_edges(nv, us, vs, m, rng=rng)
-        seen.add(d.targets.tobytes())
-    return {"ambiguous": len(seen) > 1, "variants": len(seen), "trials": trials}
 
 
 @dataclass

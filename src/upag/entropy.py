@@ -40,31 +40,27 @@ def _count_values(seq_or_counts) -> np.ndarray:
     return vals
 
 
-def h0_bits(seq_or_counts, hp: bool = False) -> float:
+def h0_bits(seq_or_counts) -> float:
     """Total zeroth-order code length of a string, in bits.
 
     Accepts a string / iterable of symbols, an integer numpy array (read as
-    the string itself), or a ``Counter``/dict of symbol multiplicities.  With
-    ``hp=True`` every term is computed from integer ratios with
-    correctly-rounded ``lg`` instead of float division.
+    the string itself), or a ``Counter``/dict of symbol multiplicities.
     """
     vals = _count_values(seq_or_counts)
     if vals.size == 0:
         return 0.0
     n = int(vals.sum())
-    if hp:
-        return float(sum(c * log2_fraction(n, c) for c in vals.tolist()))
     v = vals.astype(np.float64)
     return float(np.sum(v * (np.log2(n) - np.log2(v))))
 
 
-def h0_per_symbol(seq_or_counts, hp: bool = False) -> float:
+def h0_per_symbol(seq_or_counts) -> float:
     """Zeroth-order entropy per symbol (bits)."""
     vals = _count_values(seq_or_counts)
     n = int(vals.sum())
     if n == 0:
         return 0.0
-    return h0_bits(seq_or_counts, hp=hp) / n
+    return h0_bits(seq_or_counts) / n
 
 
 def log2_int(x: int) -> float:
@@ -90,20 +86,13 @@ def log2_fraction(num, den=None) -> float:
     return log2_int(num) - log2_int(den)
 
 
-def binary_entropy(p: float) -> float:
-    """h(p) = -p lg p - (1-p) lg (1-p), with h(0) = h(1) = 0."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def degree_entropy(d: Dag, hp: bool = False) -> float:
+def degree_entropy(d: Dag) -> float:
     """Total bits of the degree-sequence entropy of an instance.
 
     This is the zeroth-order code length of the instance's target string,
     whose symbol frequencies are the in-degrees.
     """
-    return h0_bits(adjacency_string(d), hp=hp)
+    return h0_bits(adjacency_string(d))
 
 
 def label_permutation_bits(n: int) -> float:
@@ -117,7 +106,7 @@ def label_permutation_bits(n: int) -> float:
     return math.lgamma(n + 1) / math.log(2) if n > 1 else 0.0
 
 
-def bounds_report(d: Dag, hp: bool = False, prob_mode: str = "auto") -> dict:
+def bounds_report(d: Dag) -> dict:
     """Entropy-related figures for one instance, all in bits.
 
     ``label_bits`` is lg(n!) over the n added vertices (the seed's position
@@ -128,8 +117,8 @@ def bounds_report(d: Dag, hp: bool = False, prob_mode: str = "auto") -> dict:
     from .pa_gen import log_prob  # deferred: pa_gen imports this module
 
     n, m = d.n, d.m
-    h_deg = degree_entropy(d, hp=hp)
-    lg_inv_p = log_prob(d, mode=prob_mode).bits
+    h_deg = degree_entropy(d)
+    lg_inv_p = log_prob(d).bits
     lg_fact = label_permutation_bits(n)
     return {
         "n": n,

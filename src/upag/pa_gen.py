@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .entropy import degree_entropy, log2_fraction, multinomial
+from .entropy import log2_fraction, multinomial
 from .graph_model import Dag
 
 EXACT_CUTOFF = 64  # largest n for which probabilities default to exact rationals
@@ -67,10 +67,6 @@ class LogProbResult:
     bits: float                      # lg(1/P), bits of surprisal
     probability: Fraction | None     # exact P when computed exactly
     mode: str                        # "exact" or "float"
-
-    @property
-    def log2_probability(self) -> float:
-        return -self.bits
 
 
 def log_prob(d: Dag, mode: str = "auto", exact_cutoff: int = EXACT_CUTOFF) -> LogProbResult:
@@ -130,19 +126,3 @@ def _float_bits(d: Dag) -> float:
     draws = (c * np.log2(m + earlier)).sum()
     mult = (n - 1) * lg_fact[m] - lg_fact[c].sum()
     return float(pools - draws - mult)
-
-
-def entropy_gap(d: Dag, mode: str = "auto") -> dict:
-    """Gap between an instance's surprisal and its degree-sequence entropy.
-
-    The per-vertex gap concentrates for large n; tests freeze an empirical
-    constant for it on small instances.
-    """
-    lp = log_prob(d, mode=mode)
-    h = degree_entropy(d)
-    return {
-        "surprisal_bits": lp.bits,
-        "degree_entropy_bits": h,
-        "gap_bits": lp.bits - h,
-        "gap_per_vertex": (lp.bits - h) / d.n if d.n else 0.0,
-    }

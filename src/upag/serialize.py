@@ -3,49 +3,50 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"UPAG"
-    version u16      4
+    version u16      5
     flags   u16      bit 0: 1 = scaffold tree present (vertex-renamed form),
                             0 = no scaffold (labelled form); either way the
                             file holds one CompressedGraph
     m       u64
     n       u64
     [tree LOUDS bitvector blob]   only when flag bit 0 is set: 2(n+1)
-                                  plain bits, a leading 1, then 1^deg 0
-                                  per vertex in BFS order
-    [wavelet matrix blob]
+                                  bits, a leading 1, then 1^deg 0 per
+                                  vertex in BFS order
+    [string blob]
     crc32   u32      zlib crc32 of every preceding byte
 
-A bitvector blob is:
+A bitvector blob is ``nbits u64`` and then its ceil(nbits / 64) words.
 
-    nbits   u64
-    mode    u8       0 = plain, 1 = entropy-coded blocks
-    plain:  nwords u64, then nwords * 8 bytes of 64-bit words
-    coded:  nclasses u64, classes bytes, npay u64, npay * 8 payload bytes;
-            the payload packs, block after block, each block's split-radix
-            code in ceil(lg C(len, class)) bits (see ``bitvector``)
-
-A wavelet blob is:
+A matrix blob is:
 
     sigma   u64
     length  u64
-    width   u8
-    presence bitvector blob
-    width * level bitvector blobs, level 0 first
+    levels  u8
+    levels * bitvector blobs, level 0 first
 
-Level l holds the l-th most significant bit of every dense code in the
-order of a wavelet matrix: level 0 in string order, and each next level
-in its predecessor's order stably partitioned by the bit just stored,
-zeros first.  A level's zero count is read off its bits on load.
+and the string blob is the matrix blob of the string, the matrix blob of
+its code-length map (a string of length sigma over the keys 0 = absent,
+1 + code length = present), then that map's key table, one byte per key.
 
-Rank/select directories are rebuilt on load; only payload travels.  The
-writer is deterministic: the same structure always yields the same bytes.
-The loader validates what it rebuilds (block codes, the LOUDS, wavelet
-codes below the effective alphabet) and raises ``FormatError`` on any
-inconsistency.  Older versions are refused with a hint to rebuild the
-file: version 1 stored the tree as balanced parentheses under preorder
+Level d holds bit d of the Huffman code of every element whose code is
+longer than d, in wavelet matrix order: level 0 in string order, and each
+next level in its predecessor's order stably partitioned by the bit just
+stored, zeros first, without the elements whose code has ended.  The code
+itself is not stored: the key counts give the number of internal nodes at
+each depth, and leaves take their symbols in symbol order (see
+``wavelet``).  A level's zero count is read off its bits on load.
+
+Rank samples are rebuilt on load; only bits travel.  The writer is
+deterministic: the same structure always yields the same bytes.  The
+loader validates what it rebuilds (the LOUDS; per matrix, Kraft equality
+of the code lengths, every level's length against the code shape, and an
+occurrence for every symbol that has a code) and raises ``FormatError``
+on any inconsistency.  Older versions are refused with a hint to rebuild
+the file: version 1 stored the tree as balanced parentheses under preorder
 labels, version 2 stored the string as a wavelet tree, each level ordered
-by the code prefix above it, and version 3 coded each block by its
-lexicographic (combinadic) rank inside its class.
+by the code prefix above it, version 3 coded each block of a level by its
+lexicographic (combinadic) rank inside its class, and version 4 by a
+split-radix rank, on a balanced code with a presence bitvector.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .ugraph import CompressedGraph, LabelledGraph
 from .wavelet import WaveletTree
 
 MAGIC = b"UPAG"
-VERSION = 4
+VERSION = 5
 _FLAG_TREE = 1
 
 
@@ -87,28 +88,21 @@ class _Writer:
         self.buf.write(b)
 
     def bitvector(self, bv: BitVector):
-        parts = bv.to_parts()
-        self.u64(parts["n"])
-        if parts["mode"] == "plain":
-            self.u8(0)
-            words = parts["words"]
-            self.u64(words.size)
-            self.raw(words.astype("<u8").tobytes())
-        else:
-            self.u8(1)
-            classes = parts["classes"]
-            payload = parts["payload"]
-            self.u64(classes.size)
-            self.raw(classes.tobytes())
-            self.u64(payload.size)
-            self.raw(payload.astype("<u8").tobytes())
+        words = bv.to_parts()["words"]
+        self.u64(bv.n)
+        self.raw(words.astype("<u8").tobytes())
 
-    def wavelet(self, wt: WaveletTree):
+    def matrix(self, wt: WaveletTree):
         self.u64(wt.sigma)
         self.u64(wt.length)
         self.u8(wt.width)
-        for bv in [wt._presence] + wt._levels:
+        for bv in wt._levels:
             self.bitvector(bv)
+
+    def wavelet(self, wt: WaveletTree):
+        self.matrix(wt)
+        self.matrix(wt._map)
+        self.raw(wt._map._table.tobytes())
 
 
 class _Reader:
@@ -137,30 +131,20 @@ class _Reader:
 
     def bitvector(self) -> BitVector:
         n = self.u64()
-        mode = self.u8()
-        if mode == 0:
-            nw = self.u64()
-            if nw != (n + 63) // 64:
-                raise FormatError("plain bitvector word count disagrees with length")
-            words = np.frombuffer(self.take(8 * nw), dtype="<u8").astype(np.uint64)
-            return BitVector.from_parts(n=n, mode="plain", words=words)
-        if mode == 1:
-            nc = self.u64()
-            if nc != (n + 63) // 64:
-                raise FormatError("coded bitvector class count disagrees with length")
-            classes = np.frombuffer(self.take(nc), dtype=np.uint8).copy()
-            npay = self.u64()
-            payload = np.frombuffer(self.take(8 * npay), dtype="<u8").astype(np.uint64)
-            return BitVector.from_parts(n=n, mode="rrr", classes=classes, payload=payload)
-        raise FormatError(f"unknown bitvector mode {mode}")
+        words = np.frombuffer(self.take(8 * ((n + 63) // 64)), dtype="<u8")
+        return BitVector.from_parts(n, words)
 
-    def wavelet(self) -> WaveletTree:
+    def matrix(self) -> tuple[int, int, list[BitVector]]:
         sigma = self.u64()
         length = self.u64()
-        width = self.u8()
-        presence = self.bitvector()
-        levels = [self.bitvector() for _ in range(width)]
-        return WaveletTree.from_levels(sigma, length, presence, levels)
+        return sigma, length, [self.bitvector() for _ in range(self.u8())]
+
+    def wavelet(self) -> WaveletTree:
+        sigma, length, levels = self.matrix()
+        keys, _, key_levels = self.matrix()
+        table = np.frombuffer(self.take(keys), dtype=np.uint8).copy()
+        key_map = WaveletTree.from_levels(keys, sigma, key_levels, table)
+        return WaveletTree.from_levels(sigma, length, levels, key_map)
 
 
 def dumps(g: CompressedGraph) -> bytes:

@@ -1,39 +1,154 @@
-"""Wavelet matrix over an integer alphabet, stored as one bitvector per level.
+"""Huffman-shaped wavelet matrix over an integer alphabet.
 
-Level l holds the l-th most significant code bit of the sequence as it
-stands at that level; the sequence of level l + 1 is level l's sequence
-stably partitioned into the codes whose bit was 0, then those whose bit
-was 1 (Claude, Navarro & Ordóñez, Information Systems 2015).  With z_l
-the zeros of level l, a position p of level l moves to
+Codes.  Every present symbol gets a Huffman code over the occurrence counts
+(Mäkinen & Navarro, CPM 2005), computed over runs of equal counts (Moffat
+& Turpin, IEEE Trans. IT 1998).  The code tree is kept only as K_d, its
+number of internal nodes at depth d.  The nodes of depth d + 1 are the
+bit-0 children of depth d's internal nodes, then their bit-1 children, so
+internal node i's child by bit b is node ``b * K_d + i``; the first K_{d+1}
+of them are internal and the rest are the leaves of the symbols whose code
+has d + 1 bits, in symbol order.  A lone symbol's leaf is the root (an
+empty code).  A lane's path is arithmetic on (depth, node): no code word
+is stored.
 
-    p' = z_l + rank1(p)   if its bit is 1,   p' = rank0(p)   otherwise,
+Levels.  Level d holds bit d of the code of every element whose code is
+longer than d, in wavelet matrix order (Claude, Navarro & Ordóñez,
+Information Systems 2015): level 0 in string order, and level d + 1 is
+level d stably partitioned, zeros first.  The partition orders the
+elements by their node at depth d + 1, so those whose code ends there (at
+leaves, which come last) form its tail, and level d + 1 is the rest.  With
+z_d the zeros of level d, a position p of level d moves to
 
-so navigation is one rank per level.  The codes sharing an l-bit prefix
-occupy one interval at level l, and the occurrences of one code keep
-their order down to its leaf interval.  Each z_l is read off its level on
-load; nothing but the level bits is stored.
+    p' = z_d + rank1(p)   if its bit is 1,   p' = rank0(p)   otherwise,
 
-The class keeps the name ``WaveletTree``, the wavelet matrix being a
-layout of the same wavelet tree: the names of the string index's public
-methods are what callers and the benchmark's tracer key on.
+one rank per level; the occurrences of a symbol keep their order down to
+its leaf interval.
 
-Symbols are first mapped through a presence bitvector to dense codes
-0..sigma_eff-1 (ordered by symbol), which keeps the level count at
-ceil(lg sigma_eff) no matter how sparse the alphabet actually is.
+Map.  A symbol's leaf comes from a second, small matrix of the same class
+over ``key[s]`` = 1 + the code length of s, or 0 when s is absent, so that
+a lone symbol is told from an absent one: s sits at depth key[s] - 1 as
+leaf number rank(key[s], s), and leaf i of depth d is the symbol
+select(d + 1, i + 1).  The map's alphabet is small (a code has fewer than
+64 bits), and it keeps the keys of its own symbols in a byte table.  K_d
+follows from the key counts (Kraft equality), so the levels, the map's
+levels and that table are all that is stored.
+
+The class keeps the name ``WaveletTree``: the names of the string index's
+public methods are what callers and the benchmark's tracer key on.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from .bits import one_lane
-from .bitvector import BitVector, _distinct
+from .bits import U64, one_lane
+from .bitvector import BitVector
 from .errors import OutOfRangeError
 
 
-def _width(sigma_eff: int) -> int:
-    """Levels that codes 0..sigma_eff-1 need."""
-    return max(sigma_eff - 1, 0).bit_length()
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``a``, and the index of each lane's value."""
+    order = a.argsort()
+    s = a[order]
+    head = np.empty(s.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    inv = np.empty(s.size, dtype=np.intp)
+    inv[order] = head.cumsum() - 1
+    return s[head], inv
+
+
+def _code_lengths(counts: np.ndarray) -> np.ndarray:
+    """Huffman code length of every symbol, -1 where its count is 0.
+
+    Van Leeuwen's two queues (leaves ascending, merged nodes in creation
+    order) over runs of equal weight: pairing a run with itself takes one
+    step however long it is, so the loops run over runs and merge steps,
+    never over symbols.  Each merge step makes one run of nodes and records
+    the runs it consumed; a run's depths are then a histogram handed down
+    from the runs that consumed it, newest first.  Within a run of equal
+    counts, lower symbols get the shorter codes.
+    """
+    depth = np.full(counts.size, -1, dtype=np.int64)
+    live = np.flatnonzero(counts)
+    if live.size <= 1:
+        depth[live] = 0
+        return depth
+    order = live[np.argsort(counts[live], kind="stable")]
+    weights, sizes = np.unique(counts[order], return_counts=True)
+    leaves = deque([w, c, i] for i, (w, c) in enumerate(zip(weights.tolist(), sizes.tolist())))
+    nodes: deque = deque()
+    consumed: list[list[tuple[int, int]]] = [[] for _ in range(len(leaves))]
+
+    def lighter() -> deque:
+        return leaves if not nodes or (leaves and leaves[0][0] <= nodes[0][0]) else nodes
+
+    def take(q: deque, k: int) -> tuple[int, int]:
+        w, _, run = q[0]
+        q[0][1] -= k
+        if not q[0][1]:
+            q.popleft()
+        return w, run
+
+    items = live.size
+    while items > 1:
+        q = lighter()
+        pairs = q[0][1] // 2
+        if pairs:                                   # a run pairs with itself
+            w, run = take(q, 2 * pairs)
+            consumed.append([(run, 2)])
+            nodes.append([2 * w, pairs, len(consumed) - 1])
+            items -= pairs
+        else:                                       # a lone item meets the next lightest
+            w, run = take(q, 1)
+            w2, run2 = take(lighter(), 1)
+            consumed.append([(run, 1), (run2, 1)])
+            nodes.append([w + w2, 1, len(consumed) - 1])
+            items -= 1
+    hist: list[dict[int, int]] = [{} for _ in consumed]
+    hist[-1] = {0: 1}
+    for run in range(len(consumed) - 1, len(leaves) - 1, -1):
+        for child, mult in consumed[run]:
+            h = hist[child]
+            for d, k in hist[run].items():
+                h[d + 1] = h.get(d + 1, 0) + mult * k
+    ds = [d for run in range(weights.size) for d in sorted(hist[run])]
+    ks = [hist[run][d] for run in range(weights.size) for d in sorted(hist[run])]
+    depth[order] = np.repeat(np.array(ds, dtype=np.int64), ks)
+    return depth
+
+
+def _shape(key_counts: np.ndarray) -> np.ndarray:
+    """K_d for d in 0..L (K_L = 0) from the number of symbols of each key
+    (key 1 + d: code length d); ``ValueError`` where the lengths break
+    Kraft equality.  No present symbol gives K = [0] and no level."""
+    nd = np.asarray(key_counts, dtype=np.int64)[1:]
+    if not nd.any():
+        return np.zeros(1, dtype=np.int64)
+    nd = nd[:np.flatnonzero(nd)[-1] + 1]
+    K = np.zeros(nd.size, dtype=np.int64)
+    for d in range(nd.size - 2, -1, -1):
+        below = K[d + 1] + nd[d + 1]
+        if below % 2:
+            raise ValueError("code lengths break Kraft equality")
+        K[d] = below // 2
+    if K[0] + nd[0] != 1:
+        raise ValueError("code lengths break Kraft equality")
+    return K
+
+
+def _leaf_nodes(key: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Node of every symbol's leaf at its depth key - 1: the leaves of a
+    depth follow its K_d internal nodes in symbol order (absent: 0)."""
+    key = key.astype(np.uint8)                  # a radix sort, below
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(key.size, dtype=np.int64)
+    rank[order] = np.arange(key.size)
+    first = np.cumsum(np.bincount(key)) - np.bincount(key)
+    key = key.astype(np.int64)
+    return np.where(key > 0, K[np.maximum(key - 1, 0)] + rank - first[key], 0)
 
 
 class WaveletTree:
@@ -45,104 +160,219 @@ class WaveletTree:
             raise ValueError("sigma must be >= 1")
         if vals.size and (vals.min() < 0 or vals.max() >= sigma):
             raise OutOfRangeError(f"symbols must lie in 0..{sigma - 1}")
-        present = np.zeros(sigma, dtype=np.uint8)
-        present[vals] = 1
-        presence = BitVector(present, mode="rrr")
-        codes = (presence.rank1_batch(vals + 1) - 1) if vals.size else vals
-        levels = []
-        for shift in range(_width(presence.ones) - 1, -1, -1):
-            bit = (codes >> shift) & 1
-            levels.append(BitVector(bit, mode="rrr"))
-            if shift:
-                codes = np.concatenate((codes[bit == 0], codes[bit == 1]))
-        self._install(vals.size, presence, levels)
+        self._build(vals, sigma, small=False)
 
-    def _install(self, length: int, presence: BitVector, levels: list[BitVector]) -> None:
-        self.sigma = presence.n
+    def _build(self, vals: np.ndarray, sigma: int, small: bool) -> None:
+        """Code, map and levels of ``vals``; a ``small`` matrix (the map)
+        keeps its keys in a byte table instead of a map of its own."""
+        counts = np.bincount(vals, minlength=sigma)
+        depth = _code_lengths(counts)
+        key = depth + 1
+        if small:
+            lookup = key.astype(np.uint8)
+        else:
+            lookup = WaveletTree.__new__(WaveletTree)
+            lookup._build(key, int(key.max()) + 1, small=True)
+        K = _shape(np.bincount(key))
+        width = K.size - 1
+        # codes left-aligned in the narrowest word that holds them: the
+        # level loop moves every element once per level
+        dt = np.uint32 if width <= 32 else U64
+        top = 8 * np.dtype(dt).itemsize - 1
+        live = depth >= 0
+        bits = self._path(K, depth[live], _leaf_nodes(key, K)[live])
+        code = np.zeros(live.sum(), dtype=dt)
+        for d in range(width):
+            code |= bits[d].astype(dt) << dt(top - d)
+        seq = np.zeros(sigma, dtype=dt)
+        seq[live] = code
+        seq = seq[vals]
+        per_depth = np.bincount(depth[live], weights=counts[live], minlength=width + 2)
+        longer = per_depth[::-1].cumsum()[::-1].astype(np.int64)    # elements of depth >= d
+        levels = []
+        for d in range(width):
+            bit = (seq & dt(1 << (top - d))) != 0
+            levels.append(BitVector(bit))
+            part = np.empty_like(seq)
+            zeros = seq.size - np.count_nonzero(bit)
+            np.compress(~bit, seq, out=part[:zeros])
+            np.compress(bit, seq, out=part[zeros:])
+            seq = part[:longer[d + 2]]
+        self._install(sigma, vals.size, levels, lookup)
+
+    def _install(self, sigma: int, length: int, levels: list[BitVector], lookup) -> None:
+        """Keep the parts; K_d and sigma_eff follow from the key counts of
+        ``lookup``, the map (a matrix) or a map's key table."""
+        self.sigma = int(sigma)
         self.length = int(length)
-        self._presence = presence
-        self.sigma_eff = int(presence.ones)
-        self.width = _width(self.sigma_eff)
         self._levels = levels
-        self._zeros = [self.length - lvl.ones for lvl in levels]
+        self._zeros = [lvl.n - lvl.ones for lvl in levels]
+        self.width = len(levels)
+        small = isinstance(lookup, np.ndarray)
+        self._table, self._map = (lookup, None) if small else (None, lookup)
+        keys = np.bincount(lookup) if small else lookup._counts()
+        self._K = _shape(keys)
+        self.sigma_eff = int(keys[1:].sum())
 
     @classmethod
-    def from_levels(cls, sigma: int, length: int, presence: BitVector,
-                    levels: list[BitVector]) -> "WaveletTree":
-        """Reassemble from loaded bitvectors, raising ``ValueError`` when
-        they are no wavelet matrix of a string over ``sigma`` symbols."""
-        if presence.n != sigma:
-            raise ValueError("presence bitvector does not span the alphabet")
+    def from_levels(cls, sigma: int, length: int, levels: list[BitVector],
+                    lookup) -> "WaveletTree":
+        """Reassemble from loaded parts, raising ``ValueError`` when they are
+        no matrix of a string over ``sigma`` symbols: ``lookup`` is the map
+        (a matrix over ``sigma`` keys) or, for a map itself, its key table."""
+        if (lookup.size if isinstance(lookup, np.ndarray) else lookup.length) != sigma:
+            raise ValueError("code-length map does not span the alphabet")
         self = cls.__new__(cls)
-        self._install(length, presence, levels)
-        if len(levels) != self.width:
-            raise ValueError("level count does not match the effective alphabet")
-        if any(lvl.n != self.length for lvl in levels):
-            raise ValueError("level length does not match the sequence")
-        if self._codes_beyond():
-            raise ValueError("the string stores codes beyond the effective alphabet")
+        self._install(sigma, length, levels, lookup)
+        if self.width != self._K.size - 1:
+            raise ValueError("level count does not match the code lengths")
+        sizes = self._leaf_sizes()
+        if self.sigma_eff == 0 and self.length:
+            raise ValueError("a non-empty string has no present symbol")
+        if sizes.size and sizes.min() == 0:
+            raise ValueError("a symbol with a code never occurs")
         return self
 
-    def _codes_beyond(self) -> int:
-        """Positions whose code is >= sigma_eff, from one descent of the
-        interval of sigma_eff's prefix: where its bit is 0, the interval's
-        ones hold larger codes; the leaf holds sigma_eff itself."""
-        if self.sigma_eff >> self.width:
-            return 0                   # every width-bit code is below sigma_eff
-        se, beyond = np.array([0, self.length], dtype=np.int64), 0
-        for lvl, (bv, z) in enumerate(zip(self._levels, self._zeros)):
-            r = bv._rank1(se)
-            if self.sigma_eff >> (self.width - 1 - lvl) & 1:
-                se = z + r
-            else:
-                beyond += int(r[1] - r[0])
-                se = se - r
-        return beyond + int(se[1] - se[0])
+    # -- code shape ---------------------------------------------------------
 
-    # -- dense-code mapping ---------------------------------------------------
+    @staticmethod
+    def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Row d: the bit that level d reads on each lane's way to ``node``
+        at ``depth`` (False from the lane's depth on), climbing by
+        ``b = node >= K_d``, ``node -= b * K_d``."""
+        bits = np.zeros((K.size - 1, depth.size), dtype=bool)
+        node = node.copy()
+        for d in range(K.size - 2, -1, -1):
+            b = (depth > d) & (node >= K[d])
+            bits[d] = b
+            node -= b * K[d]
+        return bits
 
-    def _codes_of(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dense code, present?) per symbol, from one presence fetch: a
-        present symbol's code is the number of present symbols below it.
-        An absent symbol gets a code too, whose answers callers discard."""
+    def _leaf_sizes(self) -> np.ndarray:
+        """Occurrences at every leaf, by depth, then node, from one pass
+        over the node boundaries of each depth (K_d + 1 rank lanes at level
+        d); ``ValueError`` where a level's length disagrees with the shape."""
+        K, sizes = self._K, []
+        if K[0] == 0:                       # the root is a leaf, or nothing is present
+            return np.array([self.length] if self.sigma_eff else [], dtype=np.int64)
+        bounds = np.array([0, self.length], dtype=np.int64)
+        for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+            if bv.n != bounds[-1]:
+                raise ValueError("level length does not match the code shape")
+            r = bv._rank1(bounds)
+            below = np.concatenate((bounds - r, z + r[1:]))       # 2 K_d nodes at depth d + 1
+            sizes.append(np.diff(below[K[d + 1]:]))
+            bounds = below[:K[d + 1] + 1]
+        return np.concatenate(sizes)
+
+    def _leaf_symbols(self) -> np.ndarray:
+        """Every present symbol, in leaf order (by depth, then node)."""
+        if self._map is None:
+            order = np.argsort(self._table, kind="stable")
+            return order[np.count_nonzero(self._table == 0):]
+        return np.concatenate([self._map.positions(k) - 1 for k in range(1, self._map.sigma)]
+                              or [np.zeros(0, dtype=np.int64)])
+
+    def _counts(self) -> np.ndarray:
+        """Occurrences of every symbol 0..sigma-1."""
+        out = np.zeros(self.sigma, dtype=np.int64)
+        out[self._leaf_symbols()] = self._leaf_sizes()
+        return out
+
+    # -- symbols and leaves ---------------------------------------------------
+
+    def _leaf_of(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(depth, node, present?) of every symbol's leaf; an absent symbol
+        gets depth -1, and its answers are discarded by callers."""
         if cs.size and (cs.min() < 0 or cs.max() >= self.sigma):
             raise OutOfRangeError(f"symbol must lie in 0..{self.sigma - 1}")
-        return self._presence._rank_bit(cs)
+        if self._map is None:
+            key = self._table.astype(np.int64)
+            node = _leaf_nodes(key, self._K)[cs]
+            key = key[cs]
+        else:
+            # lanes often repeat a symbol: look each distinct one up once
+            u, inv = _distinct(cs)
+            key, before = (a[inv] for a in self._map._access_rank(u))
+            node = self._K[np.maximum(key - 1, 0)] + before
+        return key - 1, node, key > 0
 
-    def _symbols_of(self, codes: np.ndarray) -> np.ndarray:
-        return self._presence._select(codes + 1, 1)
+    def _symbol_at(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """The symbol whose leaf is ``node`` at ``depth``."""
+        leaf = node - self._K[depth]
+        if self._map is None:
+            order = np.argsort(self._table, kind="stable")
+            return order[np.searchsorted(self._table[order], depth + 1) + leaf]
+        # lanes often share a leaf: select each distinct one once
+        u, inv = _distinct(leaf * 128 + depth + 1)
+        return (self._map.select_batch(u % 128, u // 128 + 1) - 1)[inv]
 
-    def _bit(self, codes: np.ndarray, lvl: int) -> np.ndarray:
-        """The code bit that level ``lvl`` reads, per lane."""
-        return (codes >> (self.width - 1 - lvl) & 1).astype(bool)
+    def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Walk 0-based level-0 positions down to their leaves: (depth,
+        node, position in the leaf's depth).  A lane leaves the walk once
+        its node is a leaf, so each level sees only the lanes still on it."""
+        K = self._K
+        depth = np.zeros(p.size, dtype=np.int64)
+        node = np.zeros(p.size, dtype=np.int64)
+        pos = p.copy()
+        lane, i, q = np.arange(p.size), node.copy(), p.copy()
+        for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+            if not lane.size:
+                break
+            r, bit = bv._rank_bit(q)
+            i = np.where(bit, K[d] + i, i)
+            q = np.where(bit, z + r, q - r)
+            end = i >= K[d + 1]
+            if end.any():
+                at = lane[end]
+                depth[at], node[at], pos[at] = d + 1, i[end], q[end]
+                keep = ~end
+                lane, i, q = lane[keep], i[keep], q[keep]
+        return depth, node, pos
 
-    def _descend(self, codes: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Follow each level-0 position ``p`` (0-based, 0..length) down the
-        levels along the bits of its lane's code; one rank lane per level."""
-        for lvl, (bv, z) in enumerate(zip(self._levels, self._zeros)):
-            r = bv._rank1(p)
-            p = np.where(self._bit(codes, lvl), z + r, p - r)
+    def _descend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Follow level-0 positions ``p`` (0-based, 0..length) down each
+        lane's path (``bits``, from ``_path``) to its depth; one rank lane
+        per level the lane passes."""
+        p = p.copy()
+        for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+            on = depth > d
+            if not on.any():
+                break
+            q = p[on]
+            r = bv._rank1(q)
+            p[on] = np.where(bits[d, on], z + r, q - r)
         return p
 
-    def _ascend(self, codes: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Inverse of ``_descend``: the level-0 position of each leaf
-        position ``p`` (0-based) of its lane's code, one select per level."""
-        for lvl in range(self.width - 1, -1, -1):
-            bv, z, one = self._levels[lvl], self._zeros[lvl], self._bit(codes, lvl)
-            up = np.empty_like(p)
+    def _ascend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Inverse of ``_descend``: the level-0 position of each 0-based
+        position ``p`` in its lane's leaf, one select per level."""
+        p = p.copy()
+        for d in range(self.width - 1, -1, -1):
+            bv, z = self._levels[d], self._zeros[d]
+            one, zero = (depth > d) & bits[d], (depth > d) & ~bits[d]
             if one.any():
-                up[one] = bv._select(p[one] - z + 1, 1)
-            if not one.all():
-                up[~one] = bv._select(p[~one] + 1, 0)
-            p = up
+                p[one] = bv._select(p[one] - z + 1, 1)
+            if zero.any():
+                p[zero] = bv._select(p[zero] + 1, 0)
         return p
 
-    def _leaves(self, uc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf interval [s, e) of every code in ``uc``."""
-        u = uc.size
-        ends = np.concatenate((np.zeros(u, dtype=np.int64), np.full(u, self.length)))
-        se = self._descend(np.concatenate((uc, uc)), ends)
-        return se[:u], se[u:]
+    def _leaves(self, depth: np.ndarray, node: np.ndarray):
+        """Distinct leaves of the lanes: their index per lane, and per
+        distinct leaf its path and interval [s, e) at its depth."""
+        leaf, inv = _distinct(node * 128 + depth + 1)
+        ud, un = leaf % 128 - 1, leaf // 128
+        bits = self._path(self._K, ud, un)
+        u = leaf.size
+        se = self._descend(np.concatenate((ud, ud)), np.concatenate((bits, bits), axis=1),
+                           np.concatenate((np.zeros(u, dtype=np.int64), np.full(u, self.length))))
+        return inv, bits, se[:u], se[u:]
+
+    def _access_rank(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Symbol at every 0-based position ``p``, and its occurrences before p."""
+        depth, node, pos = self._down(p)
+        inv, _, s, _ = self._leaves(depth, node)
+        return self._symbol_at(depth, node), pos - s[inv]
 
     # -- batch queries (1-based, like the scalar API) ---------------------------
 
@@ -152,13 +382,8 @@ class WaveletTree:
             return pos.copy()
         if pos.min() < 1 or pos.max() > self.length:
             raise OutOfRangeError(f"position must lie in 1..{self.length}")
-        p = pos - 1
-        code = np.zeros(pos.size, dtype=np.int64)
-        for bv, z in zip(self._levels, self._zeros):
-            r, bit = bv._rank_bit(p)
-            code = (code << 1) | bit
-            p = np.where(bit, z + r, p - r)
-        return self._symbols_of(code)
+        depth, node, _ = self._down(pos - 1)
+        return self._symbol_at(depth, node)
 
     def rank_batch(self, c, i) -> np.ndarray:
         cs = np.asarray(c, dtype=np.int64)
@@ -169,15 +394,12 @@ class WaveletTree:
             return prefix.copy()
         if prefix.min() < 0 or prefix.max() > self.length:
             raise OutOfRangeError(f"prefix length must lie in 0..{self.length}")
-        codes, present = self._codes_of(cs)
-        # a code's leaf start depends on the code alone: walk it once per
-        # distinct code, and only the prefix ends once per lane; the prefix's
+        depth, node, present = self._leaf_of(cs)
+        # a leaf's start depends on the leaf alone: walk it once per distinct
+        # leaf, and only the prefix ends once per lane; the prefix's
         # occurrences are the first ones of the leaf
-        uc, inv = _distinct(codes)
-        u = uc.size
-        leaf = self._descend(np.concatenate((uc, codes)),
-                             np.concatenate((np.zeros(u, dtype=np.int64), prefix)))
-        out = leaf[u:] - leaf[:u][inv]
+        inv, bits, s, _ = self._leaves(depth, node)
+        out = self._descend(depth, bits[:, inv], prefix) - s[inv]
         out[~present] = 0
         return out
 
@@ -188,26 +410,26 @@ class WaveletTree:
         cs, ks = cs.astype(np.int64), ks.astype(np.int64)
         if ks.size == 0:
             return ks.copy()
-        codes, present = self._codes_of(cs)
-        uc, inv = _distinct(codes)
-        s, e = self._leaves(uc)
+        depth, node, present = self._leaf_of(cs)
+        inv, bits, s, e = self._leaves(depth, node)
         occ = np.where(present, (e - s)[inv], 0)
         bad = (ks < 1) | (ks > occ)
         if bad.any():
             k = int(np.argmax(bad))
             raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
-        return self._ascend(codes, s[inv] + ks - 1) + 1
+        return self._ascend(depth, bits[:, inv], s[inv] + ks - 1) + 1
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:
         one descent to the symbol's leaf, whose length is its occurrence
         count, and one ascent of all its occurrences."""
-        codes, present = self._codes_of(*one_lane(c))
+        depth, node, present = self._leaf_of(*one_lane(c))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
-        s, e = self._leaves(codes)
+        _, bits, s, e = self._leaves(depth, node)
         leaf = np.arange(s[0], e[0], dtype=np.int64)
-        return self._ascend(np.repeat(codes, leaf.size), leaf) + 1
+        return self._ascend(np.repeat(depth, leaf.size), np.repeat(bits, leaf.size, axis=1),
+                            leaf) + 1
 
     # -- scalar wrappers ----------------------------------------------------
 
@@ -229,12 +451,9 @@ class WaveletTree:
 
     def symbol_counts(self) -> dict:
         """Occurrence count of every present symbol, from the structure alone."""
-        if self.sigma_eff == 0:
-            return {}
-        codes = np.arange(1, self.sigma_eff + 1, dtype=np.int64)
-        syms = self._presence.select1_batch(codes) - 1
-        cnt = self.rank_batch(syms, np.full(syms.size, self.length))
-        return {int(s): int(c) for s, c in zip(syms, cnt)}
+        syms, cnt = self._leaf_symbols(), self._leaf_sizes()
+        order = np.argsort(syms)
+        return dict(zip(syms[order].tolist(), cnt[order].tolist()))
 
     def to_array(self) -> np.ndarray:
         if self.length == 0:
@@ -244,21 +463,22 @@ class WaveletTree:
     # -- accounting ------------------------------------------------------------
 
     def space_report(self) -> dict:
-        """Payload/directory bits of the levels; the presence map is metadata."""
-        payload = directory = 0
-        for lvl in self._levels:
-            rep = lvl.space_report()
-            payload += rep["payload_bits"]
-            directory += rep["directory_bits"]
-        pres = self._presence.space_report()
+        """Resident bits: the level bits as payload, the levels' samples and
+        padding plus K as directory, and the whole symbol map (or a map's
+        key table) as presence."""
+        payload = sum(lvl.n for lvl in self._levels)
+        resident = sum(lvl.space_report()["total_bits"] for lvl in self._levels) + 8 * self._K.nbytes
+        lookup = (8 * self._table.nbytes if self._map is None
+                  else self._map.space_report()["total_bits"])
         return {
             "length": self.length,
             "sigma": self.sigma,
             "sigma_eff": self.sigma_eff,
             "width": self.width,
             "payload_bits": payload,
-            "directory_bits": directory,
-            "presence_bits": pres["total_bits"],
+            "directory_bits": resident - payload,
+            "presence_bits": lookup,
+            "total_bits": resident + lookup,
         }
 
     def __len__(self) -> int:

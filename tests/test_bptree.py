@@ -284,7 +284,7 @@ def test_random_tree_with_two_inner_levels():
 
 def test_rejects_ill_formed_sequences():
     def louds(bits):
-        return BPTree(_bv=BitVector(np.array(bits), mode="plain"))
+        return BPTree(_bv=BitVector(np.array(bits)))
 
     for bits in ([0, 1],                  # final one
                  [1, 0, 1, 0],            # node 1's one after node 0's zero
@@ -297,6 +297,4 @@ def test_rejects_ill_formed_sequences():
         with pytest.raises(ValueError, match="LOUDS"):
             louds(bits)
     assert louds([1, 1, 0, 1, 0, 0]).parents_array().tolist() == [-1, 0, 1]
-    with pytest.raises(ValueError):
-        BPTree(_bv=BitVector(np.array([1, 0]), mode="rrr"))
     assert louds([1, 1, 1, 0, 0, 0]).children(0) == [1, 2]

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_wavelet import with_level_mode
 
 from upag.cli import main, read_edge_list, write_edge_list
 from upag.errors import FormatError
@@ -246,8 +245,8 @@ def test_query_ill_formed_tree_fails_cleanly(figure_files, tmp_path, capsys):
     # 1 0 1 1 1 0 0 1 1 0 0 0 in place of 1 1 0 1 1 0 0 1 1 0 0 0
     _, up = figure_files
     body = bytearray(up.read_bytes()[:-4])
-    assert body[41:49] == struct.pack("<Q", 0x19B)
-    body[41:49] = struct.pack("<Q", 0x19D)
+    assert body[32:40] == struct.pack("<Q", 0x19B)
+    body[32:40] = struct.pack("<Q", 0x19D)
     bad = tmp_path / "bad.upag"
     bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
     code, out, err = run(capsys, "query", "--in", str(bad), "deg", "1")
@@ -289,46 +288,53 @@ def test_query_v3_file_fails_with_rebuild_hint(tmp_path, capsys):
     assert err == "error: unsupported version 3: rebuild the .upag from its edge list\n"
 
 
-def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, capsys):
-    # the presence map's one block has class 4 of 6 bits: C(6, 4) = 15
-    # codes, so code 15 fits its 4-bit field but names no block
-    from test_serialize import PRESENCE_CODE
+def test_query_v4_file_fails_with_rebuild_hint(tmp_path, capsys):
+    from test_serialize import GOLDEN_V4_HEX
 
-    _, up = figure_files
-    body = bytearray(up.read_bytes()[:-4])
-    assert body[92:100] == struct.pack("<Q", PRESENCE_CODE)
-    body[92:100] = struct.pack("<Q", 15)
-    bad = tmp_path / "bad.upag"
-    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-    code, out, err = run(capsys, "query", "--in", str(bad), "deg", "1")
+    body = bytes.fromhex(GOLDEN_V4_HEX)
+    old = tmp_path / "v4.upag"
+    old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code, out, err = run(capsys, "query", "--in", str(old), "deg", "1")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "code out of range" in err
-    assert len(err.splitlines()) == 1
+    assert err == "error: unsupported version 4: rebuild the .upag from its edge list\n"
 
 
-def test_query_code_beyond_alphabet_fails_cleanly(tmp_path, capsys):
-    # a labelled file over symbols 0, 1, 2, 3, 4, 2 (sigma_eff = 5, three
-    # levels, written as plain blobs) whose last level stores code 5 at
-    # vertex 5's place: the CRC holds, but code 5 names no symbol.  Level 2
-    # reads the codes in the matrix order 0 1 4 2 3 2 (by the bit-reversed
-    # 2-bit prefix), so vertex 5's code-4 bit sits at index 2
-    g = LabelledGraph.from_dag(Dag(1, [[0], [1], [2], [3], [4], [2]]))
-    g.targets = with_level_mode(g.targets, "plain")
-    assert [lvl.to_array().tolist() for lvl in g.targets._levels] == [[0, 0, 0, 0, 1, 0],
-                                                                      [0, 0, 1, 1, 1, 0],
-                                                                      [0, 1, 0, 0, 1, 0]]
-    body = bytearray(dumps(g)[:-4])
-    level = struct.pack("<QBQQ", 6, 0, 1, 0b010010)   # nbits, plain, nwords, word
-    at = body.rindex(level)
-    body[at:at + len(level)] = struct.pack("<QBQQ", 6, 0, 1, 0b010110)
-    bad = tmp_path / "bad.upag"
-    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-    with pytest.raises(FormatError, match="beyond the effective alphabet"):
+def _query_fails_cleanly(capsys, bad: Path, match: str) -> None:
+    with pytest.raises(FormatError, match=match):
         load(bad)
     for op in (("outn", "5", "1"), ("nbrs", "2")):
         code, out, err = run(capsys, "query", "--in", str(bad), *op)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err.startswith("error:") and match in err and len(err.splitlines()) == 1
+
+
+def test_query_code_without_occurrence_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # a labelled file over the targets 0, 1, 2, 3, 4, 2 whose code lengths
+    # also give the absent vertex 5 a code; the map over the keys keeps its
+    # own lengths
+    from upag import wavelet
+
+    g = LabelledGraph.from_dag(Dag(1, [[0], [1], [2], [3], [4], [2]]))
+    lengths = wavelet._code_lengths
+    monkeypatch.setattr(wavelet, "_code_lengths", lambda counts: np.array([3, 3, 2, 3, 3, 2, -1])
+                        if counts.size == 7 else lengths(counts))
+    g.targets = wavelet.WaveletTree(g.targets.to_array(), 7)
+    monkeypatch.undo()
+    bad = tmp_path / "bad.upag"
+    bad.write_bytes(dumps(g))
+    _query_fails_cleanly(capsys, bad, "never occurs")
+
+
+def test_query_lengths_breaking_kraft_fail_cleanly(tmp_path, capsys):
+    # the same string with a code-length map whose lengths 1, 3, 2, 3, 3
+    # (keys 1 + length) sum to 1/2 + 1/8 + 1/4 + 1/8 + 1/8 > 1
+    from test_serialize import _small
+
+    g = LabelledGraph.from_dag(Dag(1, [[0], [1], [2], [3], [4], [2]]))
+    g.targets._map = _small([2, 4, 3, 4, 4, 0, 0])
+    bad = tmp_path / "bad.upag"
+    bad.write_bytes(dumps(g))
+    _query_fails_cleanly(capsys, bad, "Kraft")
 
 
 def test_query_missing_file_fails(tmp_path, capsys):
@@ -439,11 +445,27 @@ def test_bench_times_every_operation(tmp_path, capsys):
         "op=tree_degree",
     ]
     assert all("ns_per_query=" in ln for ln in text.splitlines())
-    assert all(ln.endswith("queries=25") or ln.endswith("mode=rrr")
+    assert all(ln.endswith("queries=25") or ln.endswith("queries=4096")
                for ln in text.splitlines()[8:])
-    assert all("mode=rrr" in ln for ln in text.splitlines() if ln.startswith("op=level_"))
+    assert not any("mode=" in ln for ln in text.splitlines())
     assert all(ln.split()[2] == "queries=4096" for ln in text.splitlines()
                if ln.startswith("op=level_") and "_batch" in ln)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bench_skips_rows_that_time_nothing(tmp_path, capsys, n):
+    # m = 1, labelled: with three sampled vertices, often none has an
+    # in-edge, and the in_neighbour rows then have no query to time
+    el, up = tmp_path / "b.el", tmp_path / "b.upag"
+    run(capsys, "generate", "--m", "1", "--n", str(n), "--seed", "1", "--out", str(el))
+    run(capsys, "build", "--in", str(el), "--out", str(up), "--mode", "labelled")
+    for seed in range(6):
+        code, text, _ = run(capsys, "bench", "--in", str(up), "--queries", "3",
+                            "--seed", str(seed))
+        assert code == 0
+        rows = [_bench_row(ln) for ln in text.splitlines()]
+        assert all(row["queries"] > 0 for row in rows)
+        assert {"degree_in", "degree_in_batch"} <= {row["op"] for row in rows}
 
 
 def _bench_row(line: str) -> dict:
@@ -684,11 +706,11 @@ def test_empty_instance_round_trips(tmp_path, capsys):
 
 PINNED_SHA256 = {
     "arrival.el": "12a8cee07b499768f91948630cf5c2b65bbc8349ee14ecc841300db535defff3",
-    "arrival.upag": "74478d33655841aa6ba8032d7b2b6daf3e42e1bff8c4ed649beae384f0c1f9e9",
+    "arrival.upag": "0f8a6deaa672616bab489621ebd3a179cf72a914be6ab2ea10c94a11a87aa662",
     "arrival.map": "c8cf08befe8c6ffbb92a457b101b4df5da5f783826b77a45d9f65b208cfd106d",
-    "shuffled.upag": "ac27ec783b384f17682d6609c8d304758583f67b7141ee46adbe5c3a29d6f6ef",
+    "shuffled.upag": "c1a7ab0c77f80abe1014c0badf4af7aeb94a07fabebb837a10df33a8daea2743",
     "shuffled.map": "06ddf1d46a4f94d90d9703a3c6238fc77cc0a6dc4584c957d23da14f61c5ae92",
-    "labelled.upag": "f2b5f5ffbaa2e88309ed698dbf865d7ec4151dcfbd68404369021a825b33e559",
+    "labelled.upag": "ea539fc0634e72dc3c6883d2c40e631155eb94a0128b9f32ea9496a194e661d0",
     "labelled.map": "a1e2fad60bfa7b3e6e9357bae639e6fc0b9b0bfea5719dfe7430cb279412ace2",
 }
 

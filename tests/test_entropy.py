@@ -37,11 +37,6 @@ def test_h0_edge_cases():
     assert entropy.h0_bits("ab") == pytest.approx(2.0)
 
 
-def test_hp_mode_agrees_with_float():
-    s = "abracadabraa" * 37
-    assert entropy.h0_bits(s, hp=True) == pytest.approx(entropy.h0_bits(s), abs=1e-9)
-
-
 def test_degree_entropy(dag4, dag5):
     assert entropy.degree_entropy(dag4) == pytest.approx(15.3680655, abs=5e-7)
     assert entropy.degree_entropy(dag5) == pytest.approx(32.3387, abs=5e-5)
@@ -114,10 +109,3 @@ def test_log2_fraction_matches_floats(num, den):
     assert entropy.log2_fraction(num, den) == pytest.approx(
         math.log2(num) - math.log2(den), abs=1e-9
     )
-
-
-def test_binary_entropy():
-    assert entropy.binary_entropy(0.5) == 1.0
-    assert entropy.binary_entropy(0.0) == 0.0
-    assert entropy.binary_entropy(1.0) == 0.0
-    assert entropy.binary_entropy(0.11) == pytest.approx(0.4999, abs=5e-4)

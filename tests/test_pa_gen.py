@@ -9,7 +9,7 @@ from scipy import stats
 
 from ingest_reference import float_bits_steps, generate_steps, sample_targets
 from upag.graph_model import Dag, adjacency_string, in_degrees
-from upag.pa_gen import generate, log_prob, entropy_gap
+from upag.pa_gen import generate, log_prob
 
 
 def test_exact_probability_worked_example(dag4):
@@ -153,11 +153,3 @@ def test_sampler_matches_degree_weights(t):
         expected = np.append(expected[keep], expected[~keep].sum())
     chi2 = stats.chisquare(observed, expected)
     assert chi2.pvalue > 1e-3
-
-
-def test_entropy_gap_fields(dag4):
-    g = entropy_gap(dag4)
-    assert g["surprisal_bits"] == pytest.approx(7.4329594, abs=1e-6)
-    assert g["degree_entropy_bits"] == pytest.approx(15.3680655, abs=1e-6)
-    assert g["gap_bits"] == pytest.approx(g["surprisal_bits"] - g["degree_entropy_bits"])
-    assert g["gap_per_vertex"] == pytest.approx(g["gap_bits"] / 4)

@@ -1,4 +1,3 @@
-import math
 import struct
 import zlib
 
@@ -6,17 +5,26 @@ import numpy as np
 import pytest
 
 from test_ugraph import check_batches
-from test_wavelet import with_level_mode
-from upag import serialize
+from upag import serialize, wavelet
+from upag.bitvector import BitVector
 from upag.errors import FormatError
 from upag.graph_model import Dag
 from upag.oracle import NaiveGraph
 from upag.pa_gen import generate
 from upag.ugraph import CompressedGraph, LabelledGraph
+from upag.wavelet import WaveletTree
 
 # frozen bytes of the five-vertex worked example (first-target ranking);
 # any change here is a format break and must bump the version
 GOLDEN_HEX = (
+    "5550414705000100030000000000000005000000000000000c000000000000009b01000000"
+    "00000006000000000000000a00000000000000020a000000000000003c030000000000000a"
+    "000000000000000c0300000000000004000000000000000600000000000000010600000000"
+    "000000170000000000000002000002"
+)
+# the same graph in format v4 (a balanced code on rrr levels, split-radix
+# block codes, a presence bitvector)
+GOLDEN_V4_HEX = (
     "5550414704000100030000000000000005000000000000000c000000000000000001000000"
     "000000009b0100000000000006000000000000000a00000000000000020600000000000000"
     "01010000000000000004010000000000000001000000000000000a00000000000000010100"
@@ -73,6 +81,12 @@ def test_reject_v2_file_with_rebuild_hint():
         serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def test_reject_v4_file_with_rebuild_hint():
+    body = bytes.fromhex(GOLDEN_V4_HEX)
+    with pytest.raises(FormatError, match="unsupported version 4: rebuild the .upag from its edge list"):
+        serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def test_reject_v3_file_with_rebuild_hint():
     body = bytes.fromhex(GOLDEN_V3_HEX)
     with pytest.raises(FormatError, match="unsupported version 3: rebuild the .upag from its edge list"):
@@ -86,15 +100,13 @@ def test_dumps_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
-def test_compressed_roundtrip(mode):
+def test_compressed_roundtrip():
     d = generate(3, 150, seed=41)
     g = CompressedGraph.from_dag(d)
-    g.targets = with_level_mode(g.targets, mode)
     g2 = serialize.loads(serialize.dumps(g))
     assert isinstance(g2, CompressedGraph)
     assert (g2.m, g2.n) == (3, 150)
-    assert {lvl.mode for lvl in g2.targets._levels} == {mode}
+    assert g2.space_report() == g.space_report()
     vs = np.random.default_rng(5).integers(0, 151, size=40)
     assert np.array_equal(g2.degree_in_batch(vs), g.degree_in_batch(vs))
     for v in (0, 1, 75, 150):
@@ -104,11 +116,9 @@ def test_compressed_roundtrip(mode):
     assert serialize.dumps(g2) == serialize.dumps(g)
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
-def test_labelled_roundtrip(mode):
+def test_labelled_roundtrip():
     d = generate(2, 90, seed=43)
     g = LabelledGraph.from_dag(d)
-    g.targets = with_level_mode(g.targets, mode)
     g2 = serialize.loads(serialize.dumps(g))
     assert isinstance(g2, LabelledGraph)
     for v in (0, 1, 45, 90):
@@ -157,7 +167,7 @@ def test_reject_corruption():
         serialize.loads(bytes(blob))
 
 
-@pytest.mark.parametrize("cut", [0, 3, 10, 50, 171])
+@pytest.mark.parametrize("cut", [0, 3, 10, 50, 129])
 def test_reject_truncation(cut):
     blob = serialize.dumps(five_vertex_graph())
     with pytest.raises(FormatError):
@@ -190,7 +200,7 @@ def test_reject_zero_m(form):
         serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
 
 
-TREE_WORD = 41  # header (24 bytes), then nbits, mode and nwords of the tree
+TREE_WORD = 32  # header (24 bytes), then the tree's nbits
 
 
 def with_tree_word(blob: bytes, word: int) -> bytes:
@@ -215,74 +225,80 @@ def test_reject_ill_formed_louds(word):
         serialize.loads(with_tree_word(serialize.dumps(five_vertex_graph()), word))
 
 
-PRESENCE_PAYLOAD = 92  # the presence bitvector's one payload word: 6 bits of class 4
-# symbols 0, 1, 2 and 4 are present: the word 0b010111, second in numeric
-# order among the 6-bit words with four ones (after 0b001111), so code 1
-PRESENCE_CODE = 1
+# ---------------------------------------------------------------------------
+# the string blob: code lengths, level lengths and occurrences are checked
+# ---------------------------------------------------------------------------
+
+def _small(keys) -> WaveletTree:
+    """A code-length map (keys kept in a table) over the given keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    m = WaveletTree.__new__(WaveletTree)
+    m._build(keys, int(keys.max()) + 1, small=True)
+    return m
 
 
-def with_presence_code(blob: bytes, code: int) -> bytes:
-    """``blob`` with the presence block's code replaced and the CRC redone."""
-    body = bytearray(blob[:-4])
-    assert body[PRESENCE_PAYLOAD - 9:PRESENCE_PAYLOAD - 8] == b"\x04"      # its class byte
-    assert body[PRESENCE_PAYLOAD:PRESENCE_PAYLOAD + 8] == struct.pack("<Q", PRESENCE_CODE)
-    body[PRESENCE_PAYLOAD:PRESENCE_PAYLOAD + 8] = struct.pack("<Q", code)
-    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+def _labelled(targets, n: int) -> LabelledGraph:
+    """A labelled graph of m = 1 whose string is ``targets``."""
+    return LabelledGraph(1, n, WaveletTree(targets, n + 1))
 
 
-def test_reject_out_of_range_block_code():
-    # C(6, 4) = 15 codes in a 4-bit field; code 15 would decode to a block
-    # whose ones disagree with its class byte
-    blob = serialize.dumps(five_vertex_graph())
-    g = serialize.loads(with_presence_code(blob, 14))
-    assert g.targets.sigma_eff == 4
-    with pytest.raises(FormatError, match="code out of range"):
-        serialize.loads(with_presence_code(blob, 15))
+def test_reject_a_code_without_occurrence(monkeypatch):
+    # vertex 4 is never a target, yet the lengths give it a two-bit code
+    # (the map over the five keys keeps its own lengths)
+    lengths = wavelet._code_lengths
+    monkeypatch.setattr(wavelet, "_code_lengths", lambda counts: np.array([2, 2, 2, -1, 2])
+                        if counts.size == 5 else lengths(counts))
+    blob = serialize.dumps(_labelled([0, 1, 1, 2], 4))
+    monkeypatch.undo()
+    with pytest.raises(FormatError, match="never occurs"):
+        serialize.loads(blob)
 
 
-def test_reject_out_of_range_code_in_a_full_block():
-    # the first block of a string level is a full 64-bit block of class k;
-    # for 1 < k < 63 code C(64, k) fits its field but names no block
-    g = LabelledGraph.from_dag(generate(3, 100, seed=4))
-    level = next(i for i, lvl in enumerate(g.targets._levels)
-                 if 1 < int(lvl.to_parts()["classes"][0]) < 63)
-    parts = g.targets._levels[level].to_parts()
-    k = int(parts["classes"][0])
-    width = (math.comb(64, k) - 1).bit_length()
-    assert math.comb(64, k) < 1 << width
-    blob = serialize.dumps(g)
-    stored = parts["payload"].astype("<u8").tobytes()
-    at = blob.index(parts["classes"].tobytes() + struct.pack("<Q", parts["payload"].size) + stored)
-    at += parts["classes"].size + 8
+def test_reject_a_level_length_off_the_code_shape():
+    g = _labelled([0, 1, 1, 2, 2, 2, 0, 1], 8)
+    level = g.targets._levels[1]
+    for bits in (level.to_array()[:-1], np.append(level.to_array(), 1)):
+        g.targets._levels[1] = BitVector(bits)
+        with pytest.raises(FormatError, match="level length"):
+            serialize.loads(serialize.dumps(g))
 
-    def with_first_code(code: int) -> bytes:
-        body = bytearray(blob[:-4])
-        word = struct.unpack_from("<Q", body, at)[0]
-        struct.pack_into("<Q", body, at, word >> width << width | code)
-        return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
 
-    back = serialize.loads(with_first_code(math.comb(64, k) - 1))
-    assert int(back.targets._levels[level].to_array()[:64].sum()) == k
-    with pytest.raises(FormatError, match="code out of range"):
-        serialize.loads(with_first_code(math.comb(64, k)))
+def test_reject_code_lengths_breaking_kraft_equality():
+    g = _labelled([0, 1, 1, 2, 2, 2], 6)
+    for keys in ([2, 3, 4, 0, 0, 0, 0],                 # 1/2 + 1/4 + 1/8 < 1
+                 [2, 2, 2, 0, 0, 0, 0],                 # 3/2 > 1
+                 [2, 2, 2, 2, 0, 0, 0],                 # 2 > 1, every depth even
+                 [1, 1, 0, 0, 0, 0, 0]):                # two symbols at the root
+        g.targets._map = _small(keys)
+        with pytest.raises(FormatError, match="Kraft"):
+            serialize.loads(serialize.dumps(g))
+
+
+def test_reject_a_lone_symbol_marked_absent():
+    # a one-symbol string has an empty code and no level: only its key
+    # (1 + code length 0) tells it from an absent symbol
+    g = _labelled([2, 2, 2], 3)
+    assert g.targets.width == 0
+    assert serialize.loads(serialize.dumps(g)).targets.to_array().tolist() == [2, 2, 2]
+    g.targets._map = _small([0, 0, 0, 0])
+    with pytest.raises(FormatError, match="no present symbol"):
+        serialize.loads(serialize.dumps(g))
 
 
 def test_load_builds_each_bitvector_once(monkeypatch):
-    from upag.bitvector import BitVector
-
     g = CompressedGraph.from_dag(generate(3, 300, seed=2))
     blob = serialize.dumps(g)
     built = []
-    assemble = BitVector._assemble
+    install = BitVector._install
 
-    def spy(self, *args, **kwargs):
-        built.append(self.n)
-        return assemble(self, *args, **kwargs)
+    def spy(self, n, words):
+        built.append(n)
+        return install(self, n, words)
 
-    monkeypatch.setattr(BitVector, "_assemble", spy)
+    monkeypatch.setattr(BitVector, "_install", spy)
     g2 = serialize.loads(blob)
-    # the tree, the presence map and one bitvector per level
-    assert len(built) == 2 + g2.targets.width
+    # the tree and one bitvector per level of the string and of its map
+    assert len(built) == 1 + g2.targets.width + g2.targets._map.width
     built.clear()
     assert serialize.dumps(g2) == blob
     assert built == []
@@ -321,7 +337,7 @@ def test_every_bit_flip_and_truncation_fails_cleanly_or_agrees(form):
     d = generate(2, 12, seed=0)
     g = CompressedGraph.from_dag(d) if form == "compressed" else LabelledGraph.from_dag(d)
     body = serialize.dumps(g)[:-4]
-    assert len(body) + 4 == {"compressed": 172, "labelled": 181}[form]
+    assert len(body) + 4 == {"compressed": 146, "labelled": 180}[form]
     cases = [body[:cut] for cut in range(len(body))]
     for bit in range(8 * len(body)):
         flipped = bytearray(body)

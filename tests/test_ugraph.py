@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_wavelet import with_level_mode
+from test_wavelet import reassembled
 
 from upag.construct import build
 from upag.errors import OutOfRangeError
@@ -113,23 +113,30 @@ def exhaustive_check(g, ref):
         assert g.multiplicity(u, v) == want_mult[k]
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
+# "reassembled": the string index rebuilt from copies of its stored parts,
+# the way the loader builds it
+FORMS = ["built", "reassembled"]
+
+
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("m,n,seed", [(1, 20, 0), (2, 40, 1), (3, 33, 2), (5, 12, 3), (3, 1, 4)])
-def test_compressed_matches_oracle(mode, m, n, seed):
+def test_compressed_matches_oracle(form, m, n, seed):
     d = generate(m, n, seed=seed)
     b = build(d)
     g = CompressedGraph.from_build(b)
-    g.targets = with_level_mode(g.targets, mode)
+    if form == "reassembled":
+        g.targets = reassembled(g.targets)
     ref = NaiveGraph(m, n, b.tree_parents, b.nontree)
     exhaustive_check(g, ref)
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("m,n,seed", [(1, 25, 5), (3, 30, 6), (4, 15, 7)])
-def test_labelled_matches_oracle(mode, m, n, seed):
+def test_labelled_matches_oracle(form, m, n, seed):
     d = generate(m, n, seed=seed)
     g = LabelledGraph.from_dag(d)
-    g.targets = with_level_mode(g.targets, mode)
+    if form == "reassembled":
+        g.targets = reassembled(g.targets)
     assert g.tree is None
     ref = NaiveGraph(m, n, None, d.targets)
     exhaustive_check(g, ref)

@@ -1,29 +1,30 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from huffman_reference import huffman_cost, matrix_codes, matrix_levels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upag import wavelet
 from upag.bitvector import BitVector
 from upag.errors import OutOfRangeError
-from upag.wavelet import WaveletTree
+from upag.wavelet import WaveletTree, _code_lengths
 
 
-def with_level_mode(wt, mode):
-    """``wt``, or for ``mode="plain"`` the same matrix on plain bitvectors
-    of the same level bits, as a file may carry them."""
-    if mode == "rrr":
-        return wt
-    return WaveletTree.from_levels(wt.sigma, wt.length, wt._presence,
-                                   [BitVector(lvl.to_array()) for lvl in wt._levels])
+def reassembled(wt: WaveletTree) -> WaveletTree:
+    """``wt`` rebuilt the way the loader does it: from copies of its level
+    bits, its map's level bits and the map's key table."""
+    def copies(m):
+        return [BitVector.from_parts(**bv.to_parts()) for bv in m._levels]
+
+    keys = WaveletTree.from_levels(wt._map.sigma, wt.sigma, copies(wt._map), wt._map._table.copy())
+    return WaveletTree.from_levels(wt.sigma, wt.length, copies(wt), keys)
 
 
-def make(values, sigma, mode="rrr"):
-    return with_level_mode(WaveletTree(values, sigma), mode)
-
-
-def check_against_reference(values, sigma, mode="rrr"):
+def check_against_reference(values, sigma):
     arr = np.asarray(values, dtype=np.int64)
-    wt = make(arr, sigma, mode)
+    wt = WaveletTree(arr, sigma)
     assert wt.length == arr.size
     assert wt.sigma_eff == len(set(arr.tolist()))
     assert np.array_equal(wt.to_array(), arr)
@@ -43,29 +44,32 @@ def check_against_reference(values, sigma, mode="rrr"):
     return wt
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
 @pytest.mark.parametrize("sigma,length", [
     (1, 0), (1, 5), (2, 100), (5, 1), (7, 200), (64, 300), (100, 64),
 ])
-def test_random_sequences(mode, sigma, length, rng):
+def test_random_sequences(sigma, length, rng):
     values = rng.integers(0, sigma, size=length)
-    check_against_reference(values, sigma, mode)
+    check_against_reference(values, sigma)
 
 
 def test_sparse_alphabet(rng):
-    # huge alphabet, few distinct symbols: width must track sigma_eff
+    # huge alphabet, few distinct symbols: the levels track the present
+    # symbols' counts, not sigma
     values = rng.choice([3, 1000, 65535, 9], size=500)
     wt = check_against_reference(values, 1 << 16)
     assert wt.sigma_eff == 4
-    assert wt.width == 2
+    assert wt.width <= 3
 
 
 def test_single_distinct_symbol():
+    # a lone symbol's code is empty: no level, and the map tells it from
+    # an absent one
     wt = check_against_reference([7] * 40, 10)
     assert wt.width == 0
     assert wt.rank(7, 25) == 25
     assert wt.select(7, 13) == 13
     assert wt.rank(3, 40) == 0
+    assert wt.symbol_counts() == {7: 40}
 
 
 def test_known_sequence_queries():
@@ -148,11 +152,11 @@ def test_rank_select_inversion(data):
 
 
 def test_parts_roundtrip(rng):
-    # the serialized parts are those of the presence map and the levels
+    # the stored parts are the level bits, the map's level bits and its
+    # key table; everything else is rebuilt
     values = rng.integers(0, 37, size=333)
     wt = WaveletTree(values, 37)
-    rebuilt = [BitVector.from_parts(**bv.to_parts()) for bv in [wt._presence] + wt._levels]
-    back = WaveletTree.from_levels(37, 333, rebuilt[0], rebuilt[1:])
+    back = reassembled(wt)
     assert np.array_equal(back.to_array(), values)
     assert back.space_report() == wt.space_report()
     assert back.select(int(values[5]), 1) == wt.select(int(values[5]), 1)
@@ -163,21 +167,20 @@ def test_space_report_shape(rng):
     wt = WaveletTree(values, 1024)
     rep = wt.space_report()
     assert rep["width"] == wt.width
-    assert rep["payload_bits"] > 0
     assert rep["directory_bits"] > 0
     assert rep["presence_bits"] > 0
-    # plain levels cost exactly length bits each
-    plain = make(values, 1024, "plain")
-    assert plain.space_report()["payload_bits"] == plain.width * plain.length
+    # the payload is the Huffman cost: one level bit per code bit
+    counts = np.bincount(values, minlength=1024)
+    assert rep["payload_bits"] == sum(lvl.n for lvl in wt._levels) == huffman_cost(counts)
+    assert rep["total_bits"] == rep["payload_bits"] + rep["directory_bits"] + rep["presence_bits"]
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
-def test_rank_batch_mixed_symbols(mode, rng):
-    # one call mixing repeated, distinct and absent symbols, so the interval
-    # walk is shared by several lanes of several codes at once
+def test_rank_batch_mixed_symbols(rng):
+    # one call mixing repeated, distinct and absent symbols, so the leaf
+    # walk is shared by several lanes of several leaves at once
     sigma = 40
     values = rng.choice(np.arange(0, sigma, 3), size=500)   # 1, 2, 4, ... absent
-    wt = make(values, sigma, mode)
+    wt = WaveletTree(values, sigma)
     cs = np.concatenate([np.full(50, values[0]), rng.integers(0, sigma, 300),
                          np.arange(sigma)])
     prefs = rng.integers(0, values.size + 1, cs.size)
@@ -197,14 +200,13 @@ def _select_reference(arr, cs, ks):
     return np.array([np.flatnonzero(arr == c)[k - 1] + 1 for c, k in zip(cs, ks)])
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
 @pytest.mark.parametrize("sigma,length", [(1, 9), (2, 50), (40, 700)])
-def test_select_batch_mixed_symbols_and_bounds(mode, sigma, length, rng):
+def test_select_batch_mixed_symbols_and_bounds(sigma, length, rng):
     # present and absent symbols in one call, k in {0, 1, occ, occ + 1}
     arr = rng.integers(0, sigma, size=length)
     arr[arr == sigma // 2] = 0                    # one symbol left absent
     big = sigma + 3
-    wt = make(arr, big, mode)
+    wt = WaveletTree(arr, big)
     syms = np.arange(big)
     occ = np.bincount(arr, minlength=big)
     for trial in range(40):
@@ -223,11 +225,10 @@ def test_select_batch_mixed_symbols_and_bounds(mode, sigma, length, rng):
             assert np.array_equal(wt.select_batch(cs, ks), want)
 
 
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
 @pytest.mark.parametrize("sigma,length", [(1, 0), (1, 7), (2, 50), (9, 400), (300, 2000)])
-def test_positions_match_select(mode, sigma, length, rng):
+def test_positions_match_select(sigma, length, rng):
     values = rng.integers(0, sigma, size=length)
-    wt = make(values, sigma, mode)
+    wt = WaveletTree(values, sigma)
     for c in range(min(sigma, 12)):
         want = np.flatnonzero(values == c) + 1
         got = wt.positions(c)
@@ -239,26 +240,6 @@ def test_positions_match_select(mode, sigma, length, rng):
         wt.positions(sigma)
     with pytest.raises(OutOfRangeError):
         wt.positions(-1)
-
-
-@pytest.mark.parametrize("mode", ["plain", "rrr"])
-def test_codes_beyond_sigma_eff_are_counted_and_rejected(mode):
-    # all eight symbols present, so codes equal symbols; lowering sigma_eff
-    # inside the same width makes codes >= sigma_eff stray ones
-    vals = np.random.default_rng(5).integers(0, 8, 300)
-    vals[:8] = np.arange(8)
-    wt = make(vals, 8, mode)
-    for s in (5, 6, 7, 8):
-        wt.sigma_eff = s
-        assert wt._codes_beyond() == int((vals >= s).sum())
-    five = BitVector([1, 1, 1, 1, 1, 0, 0, 0], mode="rrr")
-    with pytest.raises(ValueError, match="beyond the effective alphabet"):
-        WaveletTree.from_levels(8, 300, five, wt._levels)
-    # no levels: a non-empty string needs a present symbol
-    empty = make([], 4, mode)
-    assert empty._codes_beyond() == 0
-    with pytest.raises(ValueError, match="beyond the effective alphabet"):
-        WaveletTree.from_levels(4, 3, empty._presence, [])
 
 
 @pytest.mark.parametrize("sigma", [5, 6, 7, 8, 9, 300])
@@ -280,39 +261,208 @@ def test_block_and_superblock_edges(sigma, length):
 
 @pytest.mark.parametrize("zeros", [63, 64, 65, 1023, 1024, 1025])
 def test_zero_count_on_block_edges(zeros):
-    # z_0 codes below 4 and the rest above, so level 1's ones start exactly
-    # at, before or after a block or superblock edge
+    # two symbols get one-bit codes, the lower one bit 0, so the higher
+    # one's leaf starts exactly at, before or after a block or superblock
+    # edge of the partitioned level
     rng = np.random.default_rng(zeros)
-    low, high = rng.integers(0, 4, zeros), rng.integers(4, 8, 2100 - zeros)
-    low[:4], high[:4] = np.arange(4), np.arange(4, 8)
-    wt = check_against_reference(rng.permutation(np.concatenate([low, high])), 8)
-    assert wt._zeros[0] == zeros
+    values = rng.permutation(np.repeat([2, 5], [zeros, 2100 - zeros]))
+    wt = check_against_reference(values, 8)
+    assert wt.width == 1 and wt._zeros[0] == zeros
 
 
-def matrix_levels(codes, width):
-    """Bits of every level, and the sequence each level reads, by the
-    definition: level l + 1 reads level l's sequence stably partitioned
-    into the codes whose level-l bit is 0, then those whose bit is 1."""
-    seq, levels, seqs = list(codes), [], []
-    for lvl in range(width):
-        bits = [(c >> (width - 1 - lvl)) & 1 for c in seq]
-        levels.append(bits)
-        seqs.append(seq)
-        seq = [c for c, b in zip(seq, bits) if b == 0] + [c for c, b in zip(seq, bits) if b == 1]
-    return levels, seqs
+# ---------------------------------------------------------------------------
+# the code: Huffman lengths, and levels against the definitions
+# ---------------------------------------------------------------------------
+
+def fibonacci_counts(k: int) -> np.ndarray:
+    fib = [1, 1]
+    while len(fib) < k:
+        fib.append(fib[-1] + fib[-2])
+    return np.array(fib[:k])
+
+
+COUNT_KINDS = {
+    "random": lambda rng: rng.integers(0, 50, int(rng.integers(2, 300))),
+    "zipf": lambda rng: np.bincount(np.minimum(rng.zipf(1.4, 3000), 500)),
+    "fibonacci": lambda rng: rng.permutation(fibonacci_counts(int(rng.integers(2, 17)))),
+    "equal": lambda rng: np.full(int(rng.integers(2, 1000)), int(rng.integers(1, 9))),
+    "one": lambda rng: np.array([0, 0, int(rng.integers(1, 9))]),
+    "empty": lambda rng: np.zeros(int(rng.integers(1, 5)), dtype=np.int64),
+}
+
+
+DEEP = {"fibonacci_deep": lambda rng: rng.permutation(fibonacci_counts(int(rng.integers(30, 46))))}
+
+
+@pytest.mark.parametrize("kind", {**COUNT_KINDS, **DEEP})
+def test_code_lengths_are_optimal_and_complete(kind):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(25):
+        counts = {**COUNT_KINDS, **DEEP}[kind](rng)
+        lengths = _code_lengths(counts)
+        live = counts > 0
+        assert np.array_equal(lengths >= 0, live)
+        assert int((lengths[live] * counts[live]).sum()) == huffman_cost(counts)
+        if live.sum() >= 2:                                     # Kraft equality
+            top = int(lengths.max())
+            assert sum(1 << (top - int(n)) for n in lengths[live]) == 1 << top
+        else:
+            assert np.all(lengths[live] == 0)
+
+
+def test_code_lengths_loop_over_runs_not_symbols(monkeypatch):
+    # 2^16 symbols of three distinct counts: a few dozen merge steps, where
+    # a heap takes one per symbol
+    steps = []
+
+    class Counting(deque):
+        def append(self, item):
+            steps.append(item)
+            super().append(item)
+
+    monkeypatch.setattr(wavelet, "deque", Counting)
+    counts = np.repeat([1, 2, 3], [30000, 20000, 15536])
+    lengths = _code_lengths(counts)
+    assert int((lengths * counts).sum()) == huffman_cost(counts)
+    assert 0 < len(steps) < 100
+
+
+def _lengths_of(wt: WaveletTree) -> dict[int, int]:
+    """Code length of every present symbol, read from the structure."""
+    depth = wt._leaf_of(np.arange(wt.sigma))[0]
+    return {s: int(d) for s, d in enumerate(depth) if d >= 0}
+
+
+@pytest.mark.parametrize("kind", ["random", "zipf", "fibonacci", "one"])
+def test_levels_match_the_definition_and_endings_form_each_tail(kind):
+    rng = np.random.default_rng(7)
+    for _ in range(15):
+        counts = COUNT_KINDS[kind](rng)
+        values = rng.permutation(np.repeat(np.arange(counts.size), counts))
+        wt = WaveletTree(values, counts.size)
+        lengths = _lengths_of(wt)
+        assert lengths == {s: int(n) for s, n in enumerate(_code_lengths(counts)) if n >= 0}
+        levels, tails = matrix_levels(values.tolist(), matrix_codes(lengths))
+        assert all(tails)
+        assert [bv.to_array().tolist() for bv in wt._levels] == levels
+        assert wt._zeros == [lvl.count(0) for lvl in levels]
 
 
 @pytest.mark.parametrize("sigma,length", [(2, 9), (5, 70), (8, 300), (13, 1100), (200, 2100)])
 def test_levels_are_stable_partitions(sigma, length, rng):
+    # each level is its predecessor stably partitioned by the bit just
+    # read, zeros first, minus a tail: the elements whose code ended
     values = rng.integers(0, sigma, size=length)
     wt = WaveletTree(values, sigma)
-    codes = np.searchsorted(np.unique(values), values)          # dense codes
-    levels, seqs = matrix_levels(codes.tolist(), wt.width)
+    codes = matrix_codes(_lengths_of(wt))
+    levels, tails = matrix_levels(values.tolist(), codes)
+    assert all(tails)
     assert len(wt._levels) == wt.width == len(levels)
     for lvl, (bv, z) in enumerate(zip(wt._levels, wt._zeros)):
         assert bv.to_array().tolist() == levels[lvl], lvl
         assert z == levels[lvl].count(0)
         if lvl:
-            prev = np.array(seqs[lvl - 1])
-            bit = np.array(levels[lvl - 1])
-            assert seqs[lvl] == np.concatenate([prev[bit == 0], prev[bit == 1]]).tolist()
+            assert bv.n <= wt._levels[lvl - 1].n
+
+
+# ---------------------------------------------------------------------------
+# every query against a naive scan, over strings of every shape
+# ---------------------------------------------------------------------------
+
+def _string(kind: str, data) -> tuple[np.ndarray, int]:
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "sparse":
+        sigma = 1 << 20
+        values = rng.choice(rng.integers(0, sigma, 7), size=int(rng.integers(1, 300)))
+        return values, sigma
+    counts = COUNT_KINDS[kind](rng)
+    values = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    return values, counts.size + int(rng.integers(0, 3))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_queries_match_a_naive_scan(data):
+    kind = data.draw(st.sampled_from(["random", "zipf", "fibonacci", "one", "empty", "sparse"]))
+    values, sigma = _string(kind, data)
+    wt = WaveletTree(values, sigma)
+    n = values.size
+    assert np.array_equal(wt.to_array(), values)
+    present = np.unique(values)
+    absent = np.setdiff1d(np.arange(min(sigma, 64)), present)[:3]
+    cs = np.concatenate([present[:20], absent])
+    pos = np.unique(np.concatenate([[0, n], np.random.default_rng(n).integers(0, n + 1, 30)]))
+    lane_c, lane_p = np.repeat(cs, pos.size), np.tile(pos, cs.size)
+    want = np.array([int((values[:p] == c).sum()) for c, p in zip(lane_c, lane_p)])
+    assert np.array_equal(wt.rank_batch(lane_c, lane_p), want)
+    for c in cs.tolist():
+        where = np.flatnonzero(values == c) + 1
+        assert np.array_equal(wt.positions(c), where)
+        if where.size:
+            assert np.array_equal(wt.select_batch(np.full(where.size, c),
+                                                  np.arange(1, where.size + 1)), where)
+    assert wt.symbol_counts() == {int(c): int((values == c).sum()) for c in present}
+
+
+# ---------------------------------------------------------------------------
+# reassembly validates what it rebuilds
+# ---------------------------------------------------------------------------
+
+def _small(keys) -> WaveletTree:
+    """A map matrix (keys kept in a table) over the given keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    m = WaveletTree.__new__(WaveletTree)
+    m._build(keys, int(keys.max()) + 1, small=True)
+    return m
+
+
+def test_reassembly_rejects_a_code_without_occurrence(monkeypatch):
+    # symbol 3 never occurs, yet the lengths give it a two-bit code (the
+    # map over the keys keeps its own lengths)
+    lengths = wavelet._code_lengths
+    monkeypatch.setattr(wavelet, "_code_lengths", lambda counts: np.array([2, 2, 2, 2, -1])
+                        if counts.size == 5 else lengths(counts))
+    wt = WaveletTree([0, 1, 1, 2, 2, 2], 5)
+    assert wt._map._table.size == 4
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="never occurs"):
+        reassembled(wt)
+
+
+def test_reassembly_rejects_lengths_breaking_kraft():
+    wt = WaveletTree([0, 1, 1, 2, 2, 2], 4)
+    wt._map = _small([1 + 1, 1 + 2, 1 + 3, 0])          # 1/2 + 1/4 + 1/8 < 1
+    with pytest.raises(ValueError, match="Kraft"):
+        reassembled(wt)
+    wt._map = _small([1 + 1, 1 + 1, 1 + 1, 0])          # 3/2 > 1
+    with pytest.raises(ValueError, match="Kraft"):
+        reassembled(wt)
+    wt._map = _small([1 + 1, 1 + 1, 1 + 1, 1 + 1])      # 2 > 1, every depth even
+    with pytest.raises(ValueError, match="Kraft"):
+        reassembled(wt)
+    wt._map = _small([1 + 0, 1 + 0, 0, 0])              # two symbols at the root
+    with pytest.raises(ValueError, match="Kraft"):
+        reassembled(wt)
+
+
+def test_reassembly_rejects_a_level_length_off_the_shape():
+    wt = WaveletTree([0, 1, 1, 2, 2, 2, 3, 3], 4)
+    for lvl in range(wt.width):
+        bits = wt._levels[lvl].to_array()
+        for wrong in (bits[:-1], np.append(bits, 0)):
+            broken = WaveletTree.__new__(WaveletTree)
+            broken.__dict__.update(wt.__dict__)
+            broken._levels = list(wt._levels)
+            broken._levels[lvl] = BitVector(wrong)
+            with pytest.raises(ValueError, match="level length"):
+                reassembled(broken)
+
+
+def test_reassembly_rejects_a_string_without_present_symbol():
+    # a one-symbol string keeps no level; if its map marked the symbol
+    # absent, nothing would tell which symbol the string holds
+    wt = WaveletTree([2, 2, 2], 4)
+    assert wt.width == 0 and reassembled(wt).to_array().tolist() == [2, 2, 2]
+    wt._map = _small([0, 0, 0, 0])
+    with pytest.raises(ValueError, match="no present symbol"):
+        reassembled(wt)
