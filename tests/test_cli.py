@@ -308,6 +308,34 @@ def _query_fails_cleanly(capsys, bad: Path, match: str) -> None:
         assert err.startswith("error:") and match in err and len(err.splitlines()) == 1
 
 
+def _resealed(up: Path, tmp_path: Path, at: int, old: bytes, new: bytes) -> Path:
+    """A copy of ``up`` with the bytes ``old`` at ``at`` replaced, CRC redone."""
+    body = bytearray(up.read_bytes()[:-4])
+    assert body[at:at + len(old)] == old
+    body[at:at + len(new)] = new
+    bad = tmp_path / "bad.upag"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    return bad
+
+
+def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, capsys):
+    # the last byte before the CRC is the map's key-table entry of key 3
+    # (1 + its one-bit code); 4 names a code the map's shape cannot hold
+    _, up = figure_files
+    at = len(up.read_bytes()) - 5
+    _query_fails_cleanly(capsys, _resealed(up, tmp_path, at, b"\x02", b"\x04"), "Kraft")
+
+
+def test_query_code_beyond_alphabet_fails_cleanly(figure_files, tmp_path, capsys):
+    # the string's alphabet (its sigma field, after the 24-byte header and
+    # the 16-byte tree) cut from 6 to 5 symbols: the code-length map's
+    # levels still hold a key for 6 symbols, one of them beyond the
+    # alphabet, and disagree with the map's length
+    _, up = figure_files
+    bad = _resealed(up, tmp_path, 40, struct.pack("<Q", 6), struct.pack("<Q", 5))
+    _query_fails_cleanly(capsys, bad, "level length does not match the code shape")
+
+
 def test_query_code_without_occurrence_fails_cleanly(tmp_path, capsys, monkeypatch):
     # a labelled file over the targets 0, 1, 2, 3, 4, 2 whose code lengths
     # also give the absent vertex 5 a code; the map over the keys keeps its

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -377,6 +378,44 @@ def test_peel_relabel_probability_invariant():
         rec, _ = peel_edges(7, e[:, 0], e[:, 1], 2)
         assert log_prob(rec).probability == log_prob(d).probability
     assert checked >= 3
+
+
+def _histories(nv: int, us, vs, m: int) -> set[bytes]:
+    """Block matrices of every attachment history of a multigraph, by brute
+    force over arrival orders: each vertex after the first has exactly m
+    edges to vertices before it, and its block is their arrival ranks."""
+    us, vs = np.asarray(us), np.asarray(vs)
+    seen = set()
+    for tau in itertools.permutations(range(nv)):
+        place = np.empty(nv, dtype=np.int64)
+        place[list(tau)] = np.arange(nv)
+        a, b = place[us], place[vs]
+        late, early = np.maximum(a, b), np.minimum(a, b)
+        if np.any(late == early) or np.any(np.bincount(late, minlength=nv)[1:] != m):
+            continue
+        order = np.lexsort((early, late))
+        seen.add(early[order].reshape(nv - 1, m).tobytes())
+    return seen
+
+
+def test_peel_ambiguity_goldens():
+    from upag.pa_gen import log_prob
+
+    # a path of three vertices can be rooted at either end or at its centre:
+    # two distinct block matrices, equally likely, and peeling finds one
+    variants = _histories(3, [1, 2], [0, 1], 1)
+    assert len(variants) == 2
+    rec, _ = peel_edges(3, [1, 2], [0, 1], 1)
+    assert np.sort(rec.targets, axis=1).tobytes() in variants
+    probs = {log_prob(Dag(1, np.frombuffer(v, dtype=np.int64).reshape(2, 1))).probability
+             for v in variants}
+    assert len(probs) == 1
+
+    # two incomparable vertices with different shapes: several variants
+    variants = _histories(5, [1, 2, 3, 4], [0, 1, 1, 2], 1)
+    assert len(variants) >= 2
+    rec, _ = peel_edges(5, [1, 2, 3, 4], [0, 1, 1, 2], 1)
+    assert np.sort(rec.targets, axis=1).tobytes() in variants
 
 
 def test_peel_relabel_seed_pair_only():

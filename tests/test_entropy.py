@@ -37,6 +37,16 @@ def test_h0_edge_cases():
     assert entropy.h0_bits("ab") == pytest.approx(2.0)
 
 
+def test_hp_mode_agrees_with_float():
+    # the float formula against every term from integer ratios with
+    # correctly rounded lg
+    s = "abracadabraa" * 37
+    counts = entropy.counts_of(s)
+    n = sum(counts.values())
+    exact = sum(c * entropy.log2_fraction(n, c) for c in counts.values())
+    assert entropy.h0_bits(s) == pytest.approx(exact, abs=1e-9)
+
+
 def test_degree_entropy(dag4, dag5):
     assert entropy.degree_entropy(dag4) == pytest.approx(15.3680655, abs=5e-7)
     assert entropy.degree_entropy(dag5) == pytest.approx(32.3387, abs=5e-5)
@@ -109,3 +119,11 @@ def test_log2_fraction_matches_floats(num, den):
     assert entropy.log2_fraction(num, den) == pytest.approx(
         math.log2(num) - math.log2(den), abs=1e-9
     )
+
+
+def test_binary_entropy():
+    # over two symbols, h0 per symbol is h(p) = -p lg p - (1 - p) lg (1 - p)
+    assert entropy.h0_per_symbol({"a": 1, "b": 1}) == 1.0
+    assert entropy.h0_per_symbol({"a": 0, "b": 9}) == 0.0
+    assert entropy.h0_per_symbol({"a": 9, "b": 0}) == 0.0
+    assert entropy.h0_per_symbol({"a": 11, "b": 89}) == pytest.approx(0.4999, abs=5e-4)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ingest_reference import float_bits_steps, generate_steps, sample_targets
+from upag.entropy import degree_entropy
 from upag.graph_model import Dag, adjacency_string, in_degrees
 from upag.pa_gen import generate, log_prob
 
@@ -153,3 +154,14 @@ def test_sampler_matches_degree_weights(t):
         expected = np.append(expected[keep], expected[~keep].sum())
     chi2 = stats.chisquare(observed, expected)
     assert chi2.pvalue > 1e-3
+
+
+def test_entropy_gap_fields(dag4):
+    # the gap between the surprisal and the degree entropy of the worked
+    # example, with exact and with float probabilities
+    h = degree_entropy(dag4)
+    assert h == pytest.approx(15.3680655, abs=1e-6)
+    for mode in ("exact", "float"):
+        bits = log_prob(dag4, mode=mode).bits
+        assert bits == pytest.approx(7.4329594, abs=1e-6)
+        assert (bits - h) / dag4.n == pytest.approx((7.4329594 - 15.3680655) / 4, abs=1e-6)

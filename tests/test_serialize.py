@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from test_ugraph import check_batches
+from test_wavelet import FORMS, reassembled
 from upag import serialize, wavelet
 from upag.bitvector import BitVector
 from upag.errors import FormatError
@@ -100,9 +101,14 @@ def test_dumps_deterministic():
     assert a == b
 
 
-def test_compressed_roundtrip():
+@pytest.mark.parametrize("form", FORMS)
+def test_compressed_roundtrip(form):
     d = generate(3, 150, seed=41)
     g = CompressedGraph.from_dag(d)
+    if form == "reassembled":
+        g.targets = reassembled(g.targets)
+    # either form writes the bytes of the graph as built
+    assert serialize.dumps(g) == serialize.dumps(CompressedGraph.from_dag(d))
     g2 = serialize.loads(serialize.dumps(g))
     assert isinstance(g2, CompressedGraph)
     assert (g2.m, g2.n) == (3, 150)
@@ -116,9 +122,12 @@ def test_compressed_roundtrip():
     assert serialize.dumps(g2) == serialize.dumps(g)
 
 
-def test_labelled_roundtrip():
+@pytest.mark.parametrize("form", FORMS)
+def test_labelled_roundtrip(form):
     d = generate(2, 90, seed=43)
     g = LabelledGraph.from_dag(d)
+    if form == "reassembled":
+        g.targets = reassembled(g.targets)
     g2 = serialize.loads(serialize.dumps(g))
     assert isinstance(g2, LabelledGraph)
     for v in (0, 1, 45, 90):
@@ -167,9 +176,12 @@ def test_reject_corruption():
         serialize.loads(bytes(blob))
 
 
-@pytest.mark.parametrize("cut", [0, 3, 10, 50, 129])
+@pytest.mark.parametrize("cut", [0, 3, 10, 50, 171])
 def test_reject_truncation(cut):
-    blob = serialize.dumps(five_vertex_graph())
+    # a 180-byte file, so every cut falls inside it (the sweep below also
+    # cuts the files at every byte)
+    blob = serialize.dumps(LabelledGraph.from_dag(generate(2, 12, seed=0)))
+    assert cut < len(blob) == 180
     with pytest.raises(FormatError):
         serialize.loads(blob[:cut])
 
@@ -283,6 +295,49 @@ def test_reject_a_lone_symbol_marked_absent():
     g.targets._map = _small([0, 0, 0, 0])
     with pytest.raises(FormatError, match="no present symbol"):
         serialize.loads(serialize.dumps(g))
+
+
+def test_reject_out_of_range_block_code():
+    # the map's key table, the file's last bytes before the CRC, holds one
+    # byte per key: 1 + the key's code length in the map, or 0 for a key
+    # that never occurs.  The five-vertex file has keys 0 and 3 at one bit
+    # each; every other byte at key 3 breaks the code
+    blob = serialize.dumps(five_vertex_graph())
+    assert blob[-8:-4] == bytes([2, 0, 0, 2])
+    for byte in range(256):
+        body = bytearray(blob[:-4])
+        body[-1] = byte
+        if byte == 2:
+            assert serialize.loads(_sealed(bytes(body))).targets.sigma_eff == 4
+            continue
+        with pytest.raises(FormatError, match="Kraft"):
+            serialize.loads(_sealed(bytes(body)))
+
+
+def test_reject_out_of_range_code_in_a_full_block():
+    # a flip in the first 64-bit block of level 0 moves an element to the
+    # other child of its node: the node sizes below change, and either the
+    # next level's stored length disagrees and the file is rejected, or the
+    # file holds another string that loads and answers consistently
+    g = LabelledGraph.from_dag(generate(3, 100, seed=4))
+    level = g.targets._levels[0]
+    assert level.n == 300
+    blob = serialize.dumps(g)
+    stored = struct.pack("<Q", level.n) + level.to_parts()["words"].astype("<u8").tobytes()
+    at = blob.index(stored) + 8
+    outcomes = {"rejected": 0, "agrees": 0}
+    for bit in range(64):
+        body = bytearray(blob[:-4])
+        body[at + (bit >> 3)] ^= 1 << (bit & 7)
+        try:
+            g2 = serialize.loads(_sealed(bytes(body)))
+        except FormatError as e:
+            assert "level length does not match the code shape" in str(e)
+            outcomes["rejected"] += 1
+            continue
+        _agrees_with_own_arrays(g2)
+        outcomes["agrees"] += 1
+    assert outcomes["rejected"] and outcomes["agrees"]
 
 
 def test_load_builds_each_bitvector_once(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_wavelet import reassembled
+from test_wavelet import FORMS, reassembled
 
 from upag.construct import build
 from upag.errors import OutOfRangeError
@@ -111,11 +111,6 @@ def exhaustive_check(g, ref):
         u, v = int(us[k]), int(vs[k])
         assert g.adjacent(u, v) == ref.adjacent(u, v)
         assert g.multiplicity(u, v) == want_mult[k]
-
-
-# "reassembled": the string index rebuilt from copies of its stored parts,
-# the way the loader builds it
-FORMS = ["built", "reassembled"]
 
 
 @pytest.mark.parametrize("form", FORMS)

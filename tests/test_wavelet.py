@@ -22,9 +22,21 @@ def reassembled(wt: WaveletTree) -> WaveletTree:
     return WaveletTree.from_levels(wt.sigma, wt.length, copies(wt), keys)
 
 
-def check_against_reference(values, sigma):
+# Each case runs on the matrix as built ("rrr") and as reassembled from
+# copies of its stored parts ("plain"), the way the loader builds it.  The
+# ids are those of the two level modes the cases covered before every level
+# was plain.
+FORMS = [pytest.param("reassembled", id="plain"), pytest.param("built", id="rrr")]
+
+
+def make(values, sigma, form="built"):
+    wt = WaveletTree(values, sigma)
+    return reassembled(wt) if form == "reassembled" else wt
+
+
+def check_against_reference(values, sigma, form="built"):
     arr = np.asarray(values, dtype=np.int64)
-    wt = WaveletTree(arr, sigma)
+    wt = make(arr, sigma, form)
     assert wt.length == arr.size
     assert wt.sigma_eff == len(set(arr.tolist()))
     assert np.array_equal(wt.to_array(), arr)
@@ -44,12 +56,13 @@ def check_against_reference(values, sigma):
     return wt
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("sigma,length", [
     (1, 0), (1, 5), (2, 100), (5, 1), (7, 200), (64, 300), (100, 64),
 ])
-def test_random_sequences(sigma, length, rng):
+def test_random_sequences(form, sigma, length, rng):
     values = rng.integers(0, sigma, size=length)
-    check_against_reference(values, sigma)
+    check_against_reference(values, sigma, form)
 
 
 def test_sparse_alphabet(rng):
@@ -175,12 +188,13 @@ def test_space_report_shape(rng):
     assert rep["total_bits"] == rep["payload_bits"] + rep["directory_bits"] + rep["presence_bits"]
 
 
-def test_rank_batch_mixed_symbols(rng):
+@pytest.mark.parametrize("form", FORMS)
+def test_rank_batch_mixed_symbols(form, rng):
     # one call mixing repeated, distinct and absent symbols, so the leaf
     # walk is shared by several lanes of several leaves at once
     sigma = 40
     values = rng.choice(np.arange(0, sigma, 3), size=500)   # 1, 2, 4, ... absent
-    wt = WaveletTree(values, sigma)
+    wt = make(values, sigma, form)
     cs = np.concatenate([np.full(50, values[0]), rng.integers(0, sigma, 300),
                          np.arange(sigma)])
     prefs = rng.integers(0, values.size + 1, cs.size)
@@ -200,13 +214,14 @@ def _select_reference(arr, cs, ks):
     return np.array([np.flatnonzero(arr == c)[k - 1] + 1 for c, k in zip(cs, ks)])
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("sigma,length", [(1, 9), (2, 50), (40, 700)])
-def test_select_batch_mixed_symbols_and_bounds(sigma, length, rng):
+def test_select_batch_mixed_symbols_and_bounds(form, sigma, length, rng):
     # present and absent symbols in one call, k in {0, 1, occ, occ + 1}
     arr = rng.integers(0, sigma, size=length)
     arr[arr == sigma // 2] = 0                    # one symbol left absent
     big = sigma + 3
-    wt = WaveletTree(arr, big)
+    wt = make(arr, big, form)
     syms = np.arange(big)
     occ = np.bincount(arr, minlength=big)
     for trial in range(40):
@@ -225,10 +240,11 @@ def test_select_batch_mixed_symbols_and_bounds(sigma, length, rng):
             assert np.array_equal(wt.select_batch(cs, ks), want)
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("sigma,length", [(1, 0), (1, 7), (2, 50), (9, 400), (300, 2000)])
-def test_positions_match_select(sigma, length, rng):
+def test_positions_match_select(form, sigma, length, rng):
     values = rng.integers(0, sigma, size=length)
-    wt = WaveletTree(values, sigma)
+    wt = make(values, sigma, form)
     for c in range(min(sigma, 12)):
         want = np.flatnonzero(values == c) + 1
         got = wt.positions(c)
@@ -240,6 +256,28 @@ def test_positions_match_select(sigma, length, rng):
         wt.positions(sigma)
     with pytest.raises(OutOfRangeError):
         wt.positions(-1)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_codes_beyond_sigma_eff_are_counted_and_rejected(form):
+    # symbols 0..4 occur and 5..7 do not: only the five present symbols
+    # have a code, and they are what sigma_eff and the counts report
+    vals = np.random.default_rng(5).integers(0, 5, 300)
+    vals[:5] = np.arange(5)
+    wt = make(vals, 8, form)
+    assert wt.sigma_eff == 5
+    assert sorted(_lengths_of(wt)) == [0, 1, 2, 3, 4]
+    assert wt.symbol_counts() == {c: int((vals == c).sum()) for c in range(5)}
+    # a map over more or fewer symbols than the alphabet gives codes beyond
+    # it, or leaves symbols out, and is rejected
+    for sigma in (7, 9):
+        with pytest.raises(ValueError, match="does not span the alphabet"):
+            WaveletTree.from_levels(sigma, wt.length, wt._levels, wt._map)
+    # no levels: a non-empty string needs a present symbol
+    empty = make([], 4, form)
+    assert empty.sigma_eff == 0 and empty.symbol_counts() == {}
+    with pytest.raises(ValueError, match="no present symbol"):
+        WaveletTree.from_levels(4, 3, [], empty._map)
 
 
 @pytest.mark.parametrize("sigma", [5, 6, 7, 8, 9, 300])
