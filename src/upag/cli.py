@@ -229,7 +229,7 @@ def cmd_selfcheck(args) -> int:
     ties = ("index", "first-target") if args.tie == "auto" else (args.tie,)
     first_bad = None
     for tie in ties:                     # without a scaffold, selfcheck ignores tie
-        checked, bad = selfcheck(g, d, tie, np.random.default_rng(0))
+        checked, bad = selfcheck(g, d, tie)
         if bad is None:
             if g.tree is not None:
                 print(f"tie={tie}")

@@ -4,7 +4,9 @@ Every vertex after the seed keeps exactly one of its targets as a tree
 parent — the target whose symbol is rarest overall — and sheds the rest
 into a flat string.  Deleting the rarest symbol from each block can only
 flatten the symbol distribution, so the leftover string compresses at
-least as well per character as the full target string.
+least as well per character as the full target string.  The vertices are
+then renamed in BFS order of the scaffold, ranked by their root-to-vertex
+label paths with prefix doubling, so the tree needs no labels.
 
 ``peel_edges`` inverts generation: from the edge arrays of an undirected
 multigraph under any labelling, it recovers an attachment history and the
@@ -113,64 +115,21 @@ def build(d: Dag, tie: str | np.ndarray = "index") -> BuildResult:
 def _bfs(parents: np.ndarray) -> np.ndarray:
     """BFS rank of every vertex, children taken in ascending label order.
 
-    In an ordered tree the vertices of one depth come in the same order in
-    preorder as in BFS, so the BFS rank sorts by depth, then by preorder.
-    """
-    order = np.lexsort((_preorder(parents), _depths(parents)))
-    rank = np.empty(parents.size, dtype=np.int64)
-    rank[order] = np.arange(parents.size, dtype=np.int64)
-    return rank
-
-
-def _depths(parents: np.ndarray) -> np.ndarray:
-    """Depth of every vertex (the root, ``parents == -1``, has 0), by
-    pointer doubling: O(log depth) numpy rounds."""
-    depth = (parents >= 0).astype(np.int64)
-    jump = parents.copy()
-    live = np.flatnonzero(jump >= 0)
-    while live.size:
-        to = jump[live]
-        depth[live] += depth[to]
-        jump[live] = jump[to]
-        live = live[jump[live] >= 0]
-    return depth
-
-
-def _preorder(parents: np.ndarray) -> np.ndarray:
-    """Preorder rank of every vertex, children taken in ascending label order.
-
-    The preorder successor of v is its first child, else the next sibling
-    of its nearest ancestor-or-self that has one.  Children and siblings
-    come from one stable sort by parent; the ancestor, and then every
-    vertex's distance to the end of the successor list, come from pointer
-    jumping, so the number of numpy rounds is logarithmic in the depth and
-    the size rather than linear in the depth.
+    A vertex's key is its root-to-vertex label path, padded at the root
+    end with a mark that sorts below every label: shallower vertices sort
+    first, and within a depth the order is preorder, which in an ordered
+    tree is the BFS order.  Prefix doubling ranks the paths: each round
+    pairs a vertex's rank with that of its 2^k-th ancestor (the mark, -1,
+    when there is none), re-ranks the pairs and doubles the jump, so there
+    are ceil(lg(depth + 1)) numpy rounds.
     """
     nv = parents.size
-    end = nv                                     # sentinel: no such vertex
-    up = np.where(parents >= 0, parents, end)
-    kids = np.argsort(up[1:], kind="stable") + 1  # by parent, then label
-    pk = up[kids]
-    first = np.diff(pk, prepend=-1) != 0
-    succ = np.full(nv + 1, end, dtype=np.int64)
-    succ[pk[first]] = kids[first]                # first child
-    sib = np.full(nv + 1, end, dtype=np.int64)
-    sib[kids[:-1][~first[1:]]] = kids[1:][~first[1:]]
-    hop = np.append(np.where(sib[:nv] != end, np.arange(nv), up), end)
-    live = np.flatnonzero((hop != end) & (sib[hop] == end))
-    while live.size:
-        hop[live] = hop[hop[live]]
-        live = live[(hop[live] != end) & (sib[hop[live]] == end)]
-    succ[:nv] = np.where(succ[:nv] != end, succ[:nv], sib[hop[:nv]])
-    dist = np.ones(nv + 1, dtype=np.int64)       # vertices from here to the end
-    dist[end] = 0
-    live = np.flatnonzero(succ != end)
-    while live.size:
-        to = succ[live]
-        dist[live] += dist[to]
-        succ[live] = succ[to]
-        live = live[succ[live] != end]
-    return nv - dist[:nv]
+    anc = np.append(np.where(parents >= 0, parents, nv), nv)  # nv: no such vertex
+    key = np.append(np.arange(nv, dtype=np.int64), -1)
+    while (anc < nv).any():
+        key[np.argsort(key[anc[:nv]] * nv + key[:nv])] = np.arange(nv)
+        anc = anc[anc]
+    return key[:nv]
 
 
 def peel_edges(nv: int, us, vs, m: int) -> tuple[Dag, np.ndarray]:

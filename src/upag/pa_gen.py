@@ -69,19 +69,19 @@ class LogProbResult:
     mode: str                        # "exact" or "float"
 
 
-def log_prob(d: Dag, mode: str = "auto", exact_cutoff: int = EXACT_CUTOFF) -> LogProbResult:
+def log_prob(d: Dag, mode: str = "auto") -> LogProbResult:
     """Surprisal of an instance.
 
     Each step contributes a multinomial factor over its block's target
     multiset times the product of degree ratios at draw time.  ``mode`` is
     ``"exact"`` (arbitrary-precision rational, replaying the degrees step
     by step), ``"float"`` (all draws at once), or ``"auto"`` (exact up to
-    ``exact_cutoff`` steps).
+    ``EXACT_CUTOFF`` steps).
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
-        mode = "exact" if d.n <= exact_cutoff else "float"
+        mode = "exact" if d.n <= EXACT_CUTOFF else "float"
     if mode == "float":
         return LogProbResult(bits=_float_bits(d), probability=None, mode="float")
     n, m = d.n, d.m

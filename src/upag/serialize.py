@@ -78,9 +78,6 @@ class _Writer:
     def u16(self, x):
         self.buf.write(struct.pack("<H", x))
 
-    def u32(self, x):
-        self.buf.write(struct.pack("<I", x))
-
     def u64(self, x):
         self.buf.write(struct.pack("<Q", x))
 
@@ -122,9 +119,6 @@ class _Reader:
 
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]

@@ -71,10 +71,6 @@ class CompressedGraph:
         if not 0 <= v <= self.n:
             raise OutOfRangeError(f"vertex must lie in 0..{self.n}")
 
-    def _slice(self, v: int) -> tuple[int, int]:
-        w = self.m - self.lead
-        return (v - 1) * w, v * w
-
     # ---- out side ----------------------------------------------------------
 
     def degree_out(self, v: int) -> int:
@@ -90,9 +86,7 @@ class CompressedGraph:
         self._check_vertex(v)
         if v == 0:
             return []
-        lo, hi = self._slice(v)
-        rest = self.targets.access_batch(np.arange(lo + 1, hi + 1)).tolist()
-        return rest if self.tree is None else [self.tree.parent(v)] + rest
+        return self.out_neighbour_batch(np.full(self.m, v), np.arange(1, self.m + 1)).tolist()
 
     # ---- in side -----------------------------------------------------------
 

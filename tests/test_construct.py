@@ -18,7 +18,6 @@ from upag.bptree import BPTree
 from upag.construct import (
     BuildResult,
     _bfs,
-    _preorder,
     build,
     freq_rank,
     peel_edges,
@@ -250,6 +249,13 @@ def _random_tree(nv, rng, spread):
     return np.concatenate([[-1], v - 1 - back])
 
 
+def _tree_depths(parents):
+    depth = np.zeros(parents.size, dtype=np.int64)
+    for v in range(1, parents.size):           # parent[v] < v
+        depth[v] = depth[parents[v]] + 1
+    return depth
+
+
 def test_preorder_matches_stack_reference():
     rng = np.random.default_rng(31)
     trees = [np.array([-1]), np.array([-1, 0]), np.arange(-1, 3000),  # a path
@@ -260,7 +266,9 @@ def test_preorder_matches_stack_reference():
               for spread in (1, 2, 5, 1 << 30)]
     trees += [build(generate(m, 3000, seed=m)).parents for m in (1, 2, 3, 5)]
     for parents in trees:
-        assert np.array_equal(_preorder(parents), preorder_stack(parents)), parents[:20]
+        # BFS lists the depths in turn, the vertices of each in preorder
+        by_depth_then_preorder = np.lexsort((preorder_stack(parents), _tree_depths(parents)))
+        assert np.array_equal(np.argsort(_bfs(parents)), by_depth_then_preorder), parents[:20]
 
 
 def test_bfs_matches_deque_reference():
@@ -268,7 +276,8 @@ def test_bfs_matches_deque_reference():
     trees = [np.array([-1]), np.array([-1, 0]), np.arange(-1, 3000),
              np.concatenate([[-1], np.zeros(2999, np.int64)]),
              np.concatenate([[-1], np.arange(1000), np.zeros(5, np.int64),
-                             np.arange(1, 999)])]
+                             np.arange(1, 999)]),
+             np.concatenate([np.arange(-1, 2000), np.full(2000, 2000)])]  # a broom
     trees += [_random_tree(nv, rng, spread) for nv in (3, 17, 500, 4097)
               for spread in (1, 2, 5, 1 << 30)]
     trees += [build(generate(m, 3000, seed=s)).parents for m in (1, 2, 3, 5) for s in (m, 77)]
