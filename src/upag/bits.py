@@ -24,6 +24,18 @@ def one_lane(*values: int) -> list[np.ndarray]:
         return [np.array([min(max(int(v), _I64_MIN), _I64_MAX)]) for v in values]
 
 
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``a``, and the index of each lane's value."""
+    order = a.argsort()
+    s = a[order]
+    head = np.empty(s.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    inv = np.empty(s.size, dtype=np.intp)
+    inv[order] = head.cumsum() - 1
+    return s[head], inv
+
+
 def pack_bits(bits) -> np.ndarray:
     """Pack a 0/1 sequence into LSB-first uint64 words (zero padded)."""
     b = np.asarray(bits, dtype=np.uint8)

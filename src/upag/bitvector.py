@@ -7,11 +7,12 @@ are shorter than 2^32 bits).  There are no per-block counts and no select
 anchors, so a bitvector keeps its words and one 32-bit sample per 16 words,
 and ``space_report()`` is the ``nbytes`` of those two arrays.
 
-Every query is one block fetch, ``BitVector._fetch``, and then word
+Rank and access are one block fetch, ``BitVector._fetch``, and then word
 arithmetic.  For each lane's 64-bit block the fetch returns the ones before
-the block and the block's word: rank is a masked popcount of it, access a
-shift, and select finds the superblock from the samples, the block from the
-popcounts of that superblock's words, fetches it and selects in the word.
+the block and the block's word: rank is a masked popcount of it and access
+a shift.  Select fetches nothing: it finds the superblock from the samples
+and the block from the running popcounts of that superblock's words, which
+also give the occurrences before the block, and selects in the block's word.
 The fetch holds the only choice that depends on batch size, a cost test on
 what the batch touches (its crossover was measured): a batch with at least
 1/``_WHOLE_SHARE`` as many lanes as words takes the ones before every
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import U64, one_lane, pack_bits, popcount
+from .bits import U64, one_lane, pack_bits, popcount, unpack_bits
 from .errors import OutOfRangeError
 
 BLOCK = 64            # bits per block (one word)
@@ -46,7 +47,7 @@ _BEFORE = np.tri(SB_BLOCKS, k=-1, dtype=np.uint16)
 # byte-granular select helpers
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _BYTE_SELECT = np.array([[j for j in range(8) if b >> j & 1] + [8] * (8 - bin(b).count("1"))
-                         for b in range(256)])
+                         for b in range(256)], dtype=np.uint8)
 
 
 def _select_in_word(words: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -148,8 +149,9 @@ class BitVector:
         A search of the superblock samples finds each lane's superblock; one
         search of the running counts of the words of just the distinct
         superblocks hit (a monotone run, since they are sorted) finds the
-        block; the fetched word finishes.  Counting the bits past the end
-        as zeros moves no answer: the k-th zero lies before the end.
+        block and, less the block's own count, the occurrences before it.
+        Counting the bits past the end as zeros moves no answer: the k-th
+        zero lies before the end.
         """
         before = self._sb.astype(np.int64)
         if polarity == 0:
@@ -162,11 +164,9 @@ class BitVector:
         ends = (occ.cumsum(axis=1) + before[sb][:, None]).ravel()
         at = ends.searchsorted(ks)
         blk = (sb[at >> _SB_LOG] << _SB_LOG) + (at & _SB_MASK)
-        base, w = self._fetch(blk)
-        start = blk << _BLOCK_LOG
-        if polarity == 0:
-            base, w = start - base, ~w
-        return start + _select_in_word(w, ks - base)
+        w = self._words[blk]
+        return (blk << _BLOCK_LOG) + _select_in_word(w if polarity else ~w,
+                                                     ks - ends[at] + occ.ravel()[at])
 
     # -- public 1-based API ----------------------------------------------
 
@@ -216,7 +216,7 @@ class BitVector:
 
     def to_array(self) -> np.ndarray:
         """Materialise the raw bits (testing/debug aid)."""
-        return self._rank_bit(np.arange(self.n))[1].astype(np.uint8)
+        return unpack_bits(self._words, self.n)
 
     # -- accounting --------------------------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import one_lane, unpack_bits
+from .bits import _distinct, one_lane, unpack_bits
 from .bitvector import BitVector
 from .errors import OutOfRangeError
 
@@ -71,7 +71,7 @@ class BPTree:
     def _spans(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First child label and degree of every node in ``arr``, from one
         select0 over Z(v) and Z(v+1) of the distinct nodes."""
-        k, inv = np.unique(arr, return_inverse=True)
+        k, inv = _distinct(arr.ravel())
         both = np.concatenate([k, k + 1])
         z = np.where(both > 0, self._bv.select0_batch(np.maximum(both, 1)) - 1, 0)
         zv, zn = z[:k.size], z[k.size:]

@@ -29,7 +29,7 @@ from .entropy import bounds_report, h0_per_symbol
 from .errors import FormatError, OutOfRangeError
 from .graph_model import Dag, ModelError
 from .oracle import selfcheck
-from .pa_gen import EXACT_CUTOFF, generate, log_prob
+from .pa_gen import generate, log_prob
 from .serialize import load, save
 from .ugraph import CompressedGraph, LabelledGraph
 
@@ -189,14 +189,13 @@ def cmd_stats(args) -> int:
     g = CompressedGraph.from_dag(d)
     sp = g.space_report()
     entropy_bound = g.target_entropy_bits() + 2 * sp["sigma_eff"]
-    lp_mode = "exact" if d.n <= EXACT_CUTOFF else "float"
     fields = [
         ("m", d.m),
         ("n", d.n),
         ("edges", d.m * d.n),
         ("H_deg", f"{rep['degree_entropy_bits']:.4f}"),
         ("lg(1/P)", f"{rep['surprisal_bits']:.4f}"),
-        ("prob_mode", lp_mode),
+        ("prob_mode", rep["prob_mode"]),
         ("lg(n!)", f"{rep['label_bits']:.4f}"),
         ("unlabelled_lb", f"{rep['unlabelled_lower_bound_bits']:.4f}"),
         ("entropy_budget", f"{rep['entropy_budget_bits']:.4f}"),

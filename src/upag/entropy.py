@@ -107,7 +107,8 @@ def label_permutation_bits(n: int) -> float:
 
 
 def bounds_report(d: Dag) -> dict:
-    """Entropy-related figures for one instance, all in bits.
+    """Entropy-related figures for one instance, in bits, and
+    ``prob_mode``, how lg(1/P) was computed ("exact" or "float").
 
     ``label_bits`` is lg(n!) over the n added vertices (the seed's position
     is fixed); subtracting it from the surprisal gives a lower-bound figure
@@ -118,7 +119,8 @@ def bounds_report(d: Dag) -> dict:
 
     n, m = d.n, d.m
     h_deg = degree_entropy(d)
-    lg_inv_p = log_prob(d).bits
+    lp = log_prob(d)
+    lg_inv_p = lp.bits
     lg_fact = label_permutation_bits(n)
     return {
         "n": n,
@@ -126,6 +128,7 @@ def bounds_report(d: Dag) -> dict:
         "string_length": n * m,
         "degree_entropy_bits": h_deg,
         "surprisal_bits": lg_inv_p,
+        "prob_mode": lp.mode,
         "label_bits": lg_fact,
         "unlabelled_lower_bound_bits": lg_inv_p - lg_fact,
         "entropy_budget_bits": h_deg * (1.0 - 1.0 / m) + 2.0 * n,

@@ -48,12 +48,6 @@ class Dag:
     def n_vertices(self) -> int:
         return self.targets.shape[0] + 1
 
-    def block(self, t: int) -> np.ndarray:
-        """Target block of vertex ``t`` (1-based among non-seed vertices)."""
-        if not 1 <= t <= self.n:
-            raise ModelError(f"no block for vertex {t} (n={self.n})")
-        return self.targets[t - 1]
-
     def __repr__(self) -> str:
         return f"Dag(m={self.m}, n={self.n})"
 
@@ -63,9 +57,6 @@ class Dag:
             and self.m == other.m
             and np.array_equal(self.targets, other.targets)
         )
-
-    def __hash__(self):  # pragma: no cover - not hashed in practice
-        return hash((self.m, self.targets.tobytes()))
 
 
 def validate_blocks(m: int, targets: np.ndarray) -> None:

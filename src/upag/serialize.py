@@ -41,12 +41,8 @@ deterministic: the same structure always yields the same bytes.  The
 loader validates what it rebuilds (the LOUDS; per matrix, Kraft equality
 of the code lengths, every level's length against the code shape, and an
 occurrence for every symbol that has a code) and raises ``FormatError``
-on any inconsistency.  Older versions are refused with a hint to rebuild
-the file: version 1 stored the tree as balanced parentheses under preorder
-labels, version 2 stored the string as a wavelet tree, each level ordered
-by the code prefix above it, version 3 coded each block of a level by its
-lexicographic (combinadic) rank inside its class, and version 4 by a
-split-radix rank, on a balanced code with a presence bitvector.
+on any inconsistency.  Versions 1-4 are refused with a hint to rebuild
+the file.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ bit-0 children of depth d's internal nodes, then their bit-1 children, so
 internal node i's child by bit b is node ``b * K_d + i``; the first K_{d+1}
 of them are internal and the rest are the leaves of the symbols whose code
 has d + 1 bits, in symbol order.  A lone symbol's leaf is the root (an
-empty code).  A lane's path is arithmetic on (depth, node): no code word
-is stored.
+empty code).  Every walk takes a leaf as (depth, node) and derives its
+path by arithmetic on them: no code word is stored.
 
 Levels.  Level d holds bit d of the code of every element whose code is
 longer than d, in wavelet matrix order (Claude, Navarro & Ordóñez,
@@ -43,21 +43,9 @@ from collections import deque
 
 import numpy as np
 
-from .bits import U64, one_lane
+from .bits import U64, _distinct, one_lane
 from .bitvector import BitVector
 from .errors import OutOfRangeError
-
-
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of ``a``, and the index of each lane's value."""
-    order = a.argsort()
-    s = a[order]
-    head = np.empty(s.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(s[1:], s[:-1], out=head[1:])
-    inv = np.empty(s.size, dtype=np.intp)
-    inv[order] = head.cumsum() - 1
-    return s[head], inv
 
 
 def _code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -151,6 +139,19 @@ def _leaf_nodes(key: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.where(key > 0, K[np.maximum(key - 1, 0)] + rank - first[key], 0)
 
 
+def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Row d: the bit that level d reads on each lane's way to ``node`` at
+    ``depth`` (False from the lane's depth on), climbing by
+    ``b = node >= K_d``, ``node -= b * K_d``."""
+    bits = np.zeros((K.size - 1, depth.size), dtype=bool)
+    node = node.copy()
+    for d in range(K.size - 2, -1, -1):
+        b = (depth > d) & (node >= K[d])
+        bits[d] = b
+        node -= b * K[d]
+    return bits
+
+
 class WaveletTree:
     def __init__(self, values=None, sigma: int = 1):
         vals = np.asarray(values if values is not None else [], dtype=np.int64)
@@ -180,7 +181,7 @@ class WaveletTree:
         dt = np.uint32 if width <= 32 else U64
         top = 8 * np.dtype(dt).itemsize - 1
         live = depth >= 0
-        bits = self._path(K, depth[live], _leaf_nodes(key, K)[live])
+        bits = _path(K, depth[live], _leaf_nodes(key, K)[live])
         code = np.zeros(live.sum(), dtype=dt)
         for d in range(width):
             code |= bits[d].astype(dt) << dt(top - d)
@@ -235,19 +236,6 @@ class WaveletTree:
 
     # -- code shape ---------------------------------------------------------
 
-    @staticmethod
-    def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """Row d: the bit that level d reads on each lane's way to ``node``
-        at ``depth`` (False from the lane's depth on), climbing by
-        ``b = node >= K_d``, ``node -= b * K_d``."""
-        bits = np.zeros((K.size - 1, depth.size), dtype=bool)
-        node = node.copy()
-        for d in range(K.size - 2, -1, -1):
-            b = (depth > d) & (node >= K[d])
-            bits[d] = b
-            node -= b * K[d]
-        return bits
-
     def _leaf_sizes(self) -> np.ndarray:
         """Occurrences at every leaf, by depth, then node, from one pass
         over the node boundaries of each depth (K_d + 1 rank lanes at level
@@ -265,18 +253,16 @@ class WaveletTree:
             bounds = below[:K[d + 1] + 1]
         return np.concatenate(sizes)
 
-    def _leaf_symbols(self) -> np.ndarray:
-        """Every present symbol, in leaf order (by depth, then node)."""
-        if self._map is None:
-            order = np.argsort(self._table, kind="stable")
-            return order[np.count_nonzero(self._table == 0):]
-        return np.concatenate([self._map.positions(k) - 1 for k in range(1, self._map.sigma)]
-                              or [np.zeros(0, dtype=np.int64)])
-
     def _counts(self) -> np.ndarray:
-        """Occurrences of every symbol 0..sigma-1."""
+        """Occurrences of every symbol 0..sigma-1: the size of its leaf.
+        Leaves are numbered by depth, then node; depth 0 has 1 - K_0 of
+        them and depth d > 0 has 2 K_{d-1} - K_d."""
+        K = self._K
+        depth, node, present = self._leaf_of(np.arange(self.sigma))
+        per_depth = np.concatenate(([1], 2 * K[:-1])) - K
+        first = per_depth.cumsum() - per_depth - K          # leaf number of node 0, by depth
         out = np.zeros(self.sigma, dtype=np.int64)
-        out[self._leaf_symbols()] = self._leaf_sizes()
+        out[present] = self._leaf_sizes()[first[depth[present]] + node[present]]
         return out
 
     # -- symbols and leaves ---------------------------------------------------
@@ -291,10 +277,13 @@ class WaveletTree:
             node = _leaf_nodes(key, self._K)[cs]
             key = key[cs]
         else:
-            # lanes often repeat a symbol: look each distinct one up once
+            # lanes often repeat a symbol: look each distinct one up once,
+            # as its key and the occurrences of that key before it
             u, inv = _distinct(cs)
-            key, before = (a[inv] for a in self._map._access_rank(u))
-            node = self._K[np.maximum(key - 1, 0)] + before
+            depth, node, pos = self._map._down(u)
+            start, _ = self._map._leaves(depth, node)
+            key = self._map._symbol_at(depth, node)[inv]
+            node = self._K[np.maximum(key - 1, 0)] + (pos - start)[inv]
         return key - 1, node, key > 0
 
     def _symbol_at(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
@@ -330,49 +319,44 @@ class WaveletTree:
                 lane, i, q = lane[keep], i[keep], q[keep]
         return depth, node, pos
 
-    def _descend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Follow level-0 positions ``p`` (0-based, 0..length) down each
-        lane's path (``bits``, from ``_path``) to its depth; one rank lane
-        per level the lane passes."""
+    def _descend(self, depth: np.ndarray, node: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Follow level-0 positions ``p`` (0-based, 0..length; one row per
+        walk, one column per lane) down to each lane's leaf ``node`` at
+        ``depth``; one rank per position and level the lane passes."""
+        bits = _path(self._K, depth, node)
         p = p.copy()
         for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
             on = depth > d
             if not on.any():
                 break
-            q = p[on]
-            r = bv._rank1(q)
-            p[on] = np.where(bits[d, on], z + r, q - r)
+            q = p[:, on]
+            r = bv._rank1(q.ravel()).reshape(q.shape)
+            p[:, on] = np.where(bits[d, on], z + r, q - r)
         return p
 
-    def _ascend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def _ascend(self, depth: np.ndarray, node: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
-        position ``p`` in its lane's leaf, one select per level."""
-        p = p.copy()
+        position ``p`` in its lane's leaf, one select per level, climbing
+        from the leaf by ``b = node >= K_d``, ``node -= b * K_d``."""
+        K, p, node = self._K, p.copy(), node.copy()
         for d in range(self.width - 1, -1, -1):
             bv, z = self._levels[d], self._zeros[d]
-            one, zero = (depth > d) & bits[d], (depth > d) & ~bits[d]
+            one = (depth > d) & (node >= K[d])
+            zero = (depth > d) & ~one
+            node -= one * K[d]
             if one.any():
                 p[one] = bv._select(p[one] - z + 1, 1)
             if zero.any():
                 p[zero] = bv._select(p[zero] + 1, 0)
         return p
 
-    def _leaves(self, depth: np.ndarray, node: np.ndarray):
-        """Distinct leaves of the lanes: their index per lane, and per
-        distinct leaf its path and interval [s, e) at its depth."""
+    def _leaves(self, depth: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interval [s, e) of each lane's leaf at its depth, walked once per
+        distinct leaf."""
         leaf, inv = _distinct(node * 128 + depth + 1)
-        ud, un = leaf % 128 - 1, leaf // 128
-        bits = self._path(self._K, ud, un)
-        u = leaf.size
-        se = self._descend(np.concatenate((ud, ud)), np.concatenate((bits, bits), axis=1),
-                           np.concatenate((np.zeros(u, dtype=np.int64), np.full(u, self.length))))
-        return inv, bits, se[:u], se[u:]
-
-    def _access_rank(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Symbol at every 0-based position ``p``, and its occurrences before p."""
-        depth, node, pos = self._down(p)
-        inv, _, s, _ = self._leaves(depth, node)
-        return self._symbol_at(depth, node), pos - s[inv]
+        ends = np.array([[0], [self.length]]).repeat(leaf.size, axis=1)
+        s, e = self._descend(leaf % 128 - 1, leaf // 128, ends)
+        return s[inv], e[inv]
 
     # -- batch queries (1-based, like the scalar API) ---------------------------
 
@@ -386,38 +370,32 @@ class WaveletTree:
         return self._symbol_at(depth, node)
 
     def rank_batch(self, c, i) -> np.ndarray:
-        cs = np.asarray(c, dtype=np.int64)
-        prefix = np.asarray(i, dtype=np.int64)
-        cs, prefix = np.broadcast_arrays(cs, prefix)
-        cs, prefix = cs.astype(np.int64), prefix.astype(np.int64)
+        cs, prefix = np.broadcast_arrays(np.asarray(c, dtype=np.int64),
+                                         np.asarray(i, dtype=np.int64))
         if prefix.size == 0:
             return prefix.copy()
         if prefix.min() < 0 or prefix.max() > self.length:
             raise OutOfRangeError(f"prefix length must lie in 0..{self.length}")
         depth, node, present = self._leaf_of(cs)
-        # a leaf's start depends on the leaf alone: walk it once per distinct
-        # leaf, and only the prefix ends once per lane; the prefix's
-        # occurrences are the first ones of the leaf
-        inv, bits, s, _ = self._leaves(depth, node)
-        out = self._descend(depth, bits[:, inv], prefix) - s[inv]
+        # the prefix's occurrences are the first ones of the leaf: walk the
+        # string's start and the prefix's end down the same path
+        s, e = self._descend(depth, node, np.stack((np.zeros_like(prefix), prefix)))
+        out = e - s
         out[~present] = 0
         return out
 
     def select_batch(self, c, k) -> np.ndarray:
-        cs = np.asarray(c, dtype=np.int64)
-        ks = np.asarray(k, dtype=np.int64)
-        cs, ks = np.broadcast_arrays(cs, ks)
-        cs, ks = cs.astype(np.int64), ks.astype(np.int64)
+        cs, ks = np.broadcast_arrays(np.asarray(c, dtype=np.int64), np.asarray(k, dtype=np.int64))
         if ks.size == 0:
             return ks.copy()
         depth, node, present = self._leaf_of(cs)
-        inv, bits, s, e = self._leaves(depth, node)
-        occ = np.where(present, (e - s)[inv], 0)
+        s, e = self._leaves(depth, node)
+        occ = np.where(present, e - s, 0)
         bad = (ks < 1) | (ks > occ)
         if bad.any():
             k = int(np.argmax(bad))
             raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
-        return self._ascend(depth, bits[:, inv], s[inv] + ks - 1) + 1
+        return self._ascend(depth, node, s + ks - 1) + 1
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:
@@ -426,17 +404,14 @@ class WaveletTree:
         depth, node, present = self._leaf_of(*one_lane(c))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
-        _, bits, s, e = self._leaves(depth, node)
+        s, e = self._leaves(depth, node)
         leaf = np.arange(s[0], e[0], dtype=np.int64)
-        return self._ascend(np.repeat(depth, leaf.size), np.repeat(bits, leaf.size, axis=1),
-                            leaf) + 1
+        return self._ascend(np.repeat(depth, leaf.size), np.repeat(node, leaf.size), leaf) + 1
 
     # -- scalar wrappers ----------------------------------------------------
 
     def access(self, i: int) -> int:
-        if not 1 <= i <= self.length:
-            raise OutOfRangeError(f"position must lie in 1..{self.length}")
-        return int(self.access_batch(np.array([i]))[0])
+        return int(self.access_batch(*one_lane(i))[0])
 
     def rank(self, c: int, i: int) -> int:
         """Occurrences of symbol c among the first i positions (i in 0..length)."""
@@ -451,13 +426,11 @@ class WaveletTree:
 
     def symbol_counts(self) -> dict:
         """Occurrence count of every present symbol, from the structure alone."""
-        syms, cnt = self._leaf_symbols(), self._leaf_sizes()
-        order = np.argsort(syms)
-        return dict(zip(syms[order].tolist(), cnt[order].tolist()))
+        counts = self._counts()
+        syms = np.flatnonzero(counts)
+        return dict(zip(syms.tolist(), counts[syms].tolist()))
 
     def to_array(self) -> np.ndarray:
-        if self.length == 0:
-            return np.zeros(0, dtype=np.int64)
         return self.access_batch(np.arange(1, self.length + 1))
 
     # -- accounting ------------------------------------------------------------

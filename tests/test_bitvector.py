@@ -550,8 +550,9 @@ def _blocky_bits(nblocks: int, tail: int, rng) -> np.ndarray:
 
 @pytest.mark.parametrize("distinct", [1, 40, 160, "all"])
 def test_rrr_queries_decode_each_block_once(distinct, monkeypatch):
-    # a batch over `distinct` blocks, with repeats, is one fetch of one
-    # lane per query lane, and nothing else reads a block
+    # a rank or access batch over `distinct` blocks, with repeats, is one
+    # fetch of one lane per query lane, and nothing else reads a block;
+    # select finishes from its own scan of the superblocks and fetches none
     rng = np.random.default_rng(128)
     bits = _blocky_bits(168, tail=37, rng=rng)
     bv = BitVector(bits)
@@ -563,21 +564,21 @@ def test_rrr_queries_decode_each_block_once(distinct, monkeypatch):
     pos = blk * 64 + rng.integers(0, blen)              # 0-based, inside the block
     fetched = _spy_fetches(monkeypatch)
 
-    def once(query):
+    def fetches(query, want):
         fetched.clear()
         query()
-        assert fetched == [lanes]
+        assert fetched == want
 
     rank = np.concatenate([[0], np.cumsum(bits)])
-    once(lambda: np.testing.assert_array_equal(bv.rank1_batch(pos), rank[pos]))
-    once(lambda: np.testing.assert_array_equal(bv.access_batch(pos + 1), bits[pos]))
+    fetches(lambda: np.testing.assert_array_equal(bv.rank1_batch(pos), rank[pos]), [lanes])
+    fetches(lambda: np.testing.assert_array_equal(bv.access_batch(pos + 1), bits[pos]), [lanes])
     ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
     k1 = rng.choice(np.flatnonzero(np.isin(ones >> 6, blk)), lanes) + 1
     k0 = rng.choice(np.flatnonzero(np.isin(zeros >> 6, blk)), lanes) + 1
     k1[:blocks.size] = np.searchsorted(ones >> 6, blocks) + 1   # first one of each block
     k0[:blocks.size] = np.searchsorted(zeros >> 6, blocks) + 1
-    once(lambda: np.testing.assert_array_equal(bv.select1_batch(k1), ones[k1 - 1] + 1))
-    once(lambda: np.testing.assert_array_equal(bv.select0_batch(k0), zeros[k0 - 1] + 1))
+    fetches(lambda: np.testing.assert_array_equal(bv.select1_batch(k1), ones[k1 - 1] + 1), [])
+    fetches(lambda: np.testing.assert_array_equal(bv.select0_batch(k0), zeros[k0 - 1] + 1), [])
 
 
 def test_one_lane_queries_decode_one_block(monkeypatch):
@@ -585,14 +586,15 @@ def test_one_lane_queries_decode_one_block(monkeypatch):
     bv = BitVector(bits)
     fetched = _spy_fetches(monkeypatch)
     ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
-    for query, want in ((lambda: bv.rank1(7000), int(bits[:7000].sum())),
-                        (lambda: bv.rank1(bits.size), int(bits.sum())),
-                        (lambda: bv.access(5000), int(bits[4999])),
-                        (lambda: bv.select1(900), int(ones[899]) + 1),
-                        (lambda: bv.select0(900), int(zeros[899]) + 1)):
+    # rank and access fetch one block; select reads its word directly
+    for query, want, fetches in ((lambda: bv.rank1(7000), int(bits[:7000].sum()), [1]),
+                                 (lambda: bv.rank1(bits.size), int(bits.sum()), [1]),
+                                 (lambda: bv.access(5000), int(bits[4999]), [1]),
+                                 (lambda: bv.select1(900), int(ones[899]) + 1, []),
+                                 (lambda: bv.select0(900), int(zeros[899]) + 1, [])):
         fetched.clear()
         assert query() == want
-        assert fetched == [1]
+        assert fetched == fetches
 
 
 def test_out_of_range_code_is_rejected():

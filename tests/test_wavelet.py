@@ -6,7 +6,7 @@ from huffman_reference import huffman_cost, matrix_codes, matrix_levels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upag import wavelet
+from upag import serialize, wavelet
 from upag.bitvector import BitVector
 from upag.errors import OutOfRangeError
 from upag.wavelet import WaveletTree, _code_lengths
@@ -440,6 +440,15 @@ def test_queries_match_a_naive_scan(data):
             assert np.array_equal(wt.select_batch(np.full(where.size, c),
                                                   np.arange(1, where.size + 1)), where)
     assert wt.symbol_counts() == {int(c): int((values == c).sum()) for c in present}
+    # counts by leaf coordinates, on the string (beside a map) and on its map
+    # (beside a key table), as built and as the loader reassembles them
+    counts = np.bincount(values, minlength=sigma)
+    key_counts = np.bincount(_code_lengths(counts) + 1, minlength=wt._map.sigma)
+    w = serialize._Writer()
+    w.wavelet(wt)
+    for m in (wt, serialize._Reader(w.buf.getvalue()).wavelet()):
+        assert np.array_equal(m._counts(), counts)
+        assert np.array_equal(m._map._counts(), key_counts)
 
 
 # ---------------------------------------------------------------------------
