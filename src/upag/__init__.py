@@ -9,10 +9,9 @@ from .construct import (
     reduce_string,
 )
 from .entropy import bounds_report, degree_entropy, h0_bits, h0_per_symbol
-from .errors import FormatError, OutOfRangeError
+from .errors import FormatError, ModelError, OutOfRangeError
 from .graph_model import (
     Dag,
-    ModelError,
     adjacency_string,
     in_degrees,
     undirected_degrees,

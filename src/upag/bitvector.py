@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import U64, one_lane, pack_bits, popcount, unpack_bits
-from .errors import OutOfRangeError
+from .bits import U64, pack_bits, popcount, unpack_bits
+from .errors import checked
 
 BLOCK = 64            # bits per block (one word)
 SB_BLOCKS = 16        # blocks per superblock (2^10 bits)
@@ -171,48 +171,36 @@ class BitVector:
     # -- public 1-based API ----------------------------------------------
 
     def access(self, i: int) -> int:
-        return int(self.access_batch(*one_lane(i))[0])
+        return int(self.access_batch([i])[0])
 
     def access_batch(self, i) -> np.ndarray:
-        arr = np.asarray(i, dtype=np.int64)
-        if arr.size and (arr.min() < 1 or arr.max() > self.n):
-            raise OutOfRangeError(f"access index must lie in 1..{self.n}")
+        arr = checked(i, 1, self.n, "access index")
         return self._rank_bit(arr - 1)[1].astype(np.int64)
 
     def rank1(self, i: int) -> int:
-        return int(self.rank1_batch(*one_lane(i))[0])
+        return int(self.rank1_batch([i])[0])
 
     def rank0(self, i: int) -> int:
-        return i - self.rank1(i)
+        return int(self.rank0_batch([i])[0])
 
     def rank1_batch(self, i) -> np.ndarray:
-        arr = np.asarray(i, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() > self.n):
-            raise OutOfRangeError(f"rank index must lie in 0..{self.n}")
-        return self._rank1(arr)
+        return self._rank1(checked(i, 0, self.n, "rank index"))
 
     def rank0_batch(self, i) -> np.ndarray:
-        arr = np.asarray(i, dtype=np.int64)
-        return arr - self.rank1_batch(arr)
+        arr = checked(i, 0, self.n, "rank index")
+        return arr - self._rank1(arr)
 
     def select1(self, k: int) -> int:
-        return int(self.select1_batch(*one_lane(k))[0])
+        return int(self.select1_batch([k])[0])
 
     def select0(self, k: int) -> int:
-        return int(self.select0_batch(*one_lane(k))[0])
+        return int(self.select0_batch([k])[0])
 
     def select1_batch(self, k) -> np.ndarray:
-        return self._select_checked(k, 1)
+        return self._select(checked(k, 1, self.ones, "select1 argument"), 1) + 1
 
     def select0_batch(self, k) -> np.ndarray:
-        return self._select_checked(k, 0)
-
-    def _select_checked(self, k, polarity: int) -> np.ndarray:
-        arr = np.asarray(k, dtype=np.int64)
-        count = self.ones if polarity else self.n - self.ones
-        if arr.size and (arr.min() < 1 or arr.max() > count):
-            raise OutOfRangeError(f"select{polarity} argument must lie in 1..{count}")
-        return self._select(arr, polarity) + 1
+        return self._select(checked(k, 1, self.n - self.ones, "select0 argument"), 0) + 1
 
     def to_array(self) -> np.ndarray:
         """Materialise the raw bits (testing/debug aid)."""

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import _distinct, one_lane, unpack_bits
+from .bits import _distinct, unpack_bits
 from .bitvector import BitVector
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, checked
 
 
 class BPTree:
@@ -62,12 +62,6 @@ class BPTree:
 
     # ---- node navigation ---------------------------------------------------
 
-    def _check_nodes(self, vs) -> np.ndarray:
-        arr = np.asarray(vs, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_nodes):
-            raise OutOfRangeError(f"node must lie in 0..{self.n_nodes - 1}")
-        return arr
-
     def _spans(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First child label and degree of every node in ``arr``, from one
         select0 over Z(v) and Z(v+1) of the distinct nodes."""
@@ -79,46 +73,38 @@ class BPTree:
 
     def parent(self, v: int) -> int:
         """Parent label, or -1 for the root."""
-        return int(self.parent_batch(*one_lane(v))[0])
+        return int(self.parent_batch([v])[0])
 
     def tree_degree(self, v: int) -> int:
-        return int(self.degree_batch(*one_lane(v))[0])
+        return int(self.degree_batch([v])[0])
 
     def child(self, v: int, i: int) -> int:
         """i-th child (1-based)."""
-        return int(self.child_batch(*one_lane(v, i))[0])
+        return int(self.child_batch([v], [i])[0])
 
     def children(self, v: int) -> list[int]:
         """Child labels in increasing order: the range [first, first + deg)."""
-        first, deg = self._spans(self._check_nodes(*one_lane(v)))
+        first, deg = self._spans(checked([v], 0, self.n_nodes - 1, "node"))
         return list(range(int(first[0]), int(first[0] + deg[0])))
 
     def parent_batch(self, vs) -> np.ndarray:
         """Parent of every node in ``vs`` (-1 for the root): node u's one
         sits at select1(u + 1), after u ones and parent(u) zeros."""
-        arr = self._check_nodes(vs)
-        if arr.size == 0:
-            return np.zeros(arr.shape, dtype=np.int64)
+        arr = checked(vs, 0, self.n_nodes - 1, "node")
         pos = self._bv.select1_batch(arr + 1) - 1
         return np.where(arr > 0, pos - arr, -1)
 
     def degree_batch(self, vs) -> np.ndarray:
         """Number of children of every node in ``vs``."""
-        arr = self._check_nodes(vs)
-        if arr.size == 0:
-            return np.zeros(arr.shape, dtype=np.int64)
+        arr = checked(vs, 0, self.n_nodes - 1, "node")
         return self._spans(arr)[1]
 
     def child_batch(self, vs, idx) -> np.ndarray:
         """``idx[k]``-th child (1-based) of node ``vs[k]``, for every lane."""
-        arr = self._check_nodes(vs)
-        ii = np.asarray(idx, dtype=np.int64)
+        arr = checked(vs, 0, self.n_nodes - 1, "node")
+        ii = checked(idx, 1, self.n_nodes - 1, "child index")
         if arr.shape != ii.shape:
             raise ValueError("node and index arrays must match")
-        if arr.size == 0:
-            return np.zeros(arr.shape, dtype=np.int64)
-        if ii.min() < 1:
-            raise OutOfRangeError("child index must be at least 1")
         first, deg = self._spans(arr)
         if np.any(ii > deg):
             raise OutOfRangeError("child index beyond the node's degree")

@@ -26,8 +26,8 @@ import numpy as np
 
 from .construct import build, peel_edges, reduce_string
 from .entropy import bounds_report, h0_per_symbol
-from .errors import FormatError, OutOfRangeError
-from .graph_model import Dag, ModelError
+from .errors import FormatError, ModelError, OutOfRangeError
+from .graph_model import Dag
 from .oracle import selfcheck
 from .pa_gen import generate, log_prob
 from .serialize import load, save

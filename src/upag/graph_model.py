@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class ModelError(ValueError):
-    """An instance violates the attachment-model shape."""
+from .errors import ModelError
 
 
 class Dag:

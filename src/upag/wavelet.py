@@ -43,9 +43,11 @@ from collections import deque
 
 import numpy as np
 
-from .bits import U64, _distinct, one_lane
+from .bits import U64, _distinct
 from .bitvector import BitVector
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, checked
+
+_I64 = np.iinfo(np.int64)
 
 
 def _code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -154,13 +156,11 @@ def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
 
 class WaveletTree:
     def __init__(self, values=None, sigma: int = 1):
-        vals = np.asarray(values if values is not None else [], dtype=np.int64)
-        if vals.ndim != 1:
-            raise ValueError("values must be one-dimensional")
         if sigma < 1:
             raise ValueError("sigma must be >= 1")
-        if vals.size and (vals.min() < 0 or vals.max() >= sigma):
-            raise OutOfRangeError(f"symbols must lie in 0..{sigma - 1}")
+        vals = checked(values if values is not None else [], 0, sigma - 1, "symbol")
+        if vals.ndim != 1:
+            raise ValueError("values must be one-dimensional")
         self._build(vals, sigma, small=False)
 
     def _build(self, vals: np.ndarray, sigma: int, small: bool) -> None:
@@ -270,8 +270,6 @@ class WaveletTree:
     def _leaf_of(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(depth, node, present?) of every symbol's leaf; an absent symbol
         gets depth -1, and its answers are discarded by callers."""
-        if cs.size and (cs.min() < 0 or cs.max() >= self.sigma):
-            raise OutOfRangeError(f"symbol must lie in 0..{self.sigma - 1}")
         if self._map is None:
             key = self._table.astype(np.int64)
             node = _leaf_nodes(key, self._K)[cs]
@@ -358,36 +356,30 @@ class WaveletTree:
         s, e = self._descend(leaf % 128 - 1, leaf // 128, ends)
         return s[inv], e[inv]
 
+    def _count(self, cs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Occurrences of each lane's symbol among the 0-based positions
+        [lo, hi): a range's occurrences are consecutive in the symbol's
+        leaf, so both ends walk down the same path (absent symbols: 0)."""
+        depth, node, present = self._leaf_of(cs)
+        s, e = self._descend(depth, node, np.stack((lo, hi)))
+        return np.where(present, e - s, 0)
+
     # -- batch queries (1-based, like the scalar API) ---------------------------
 
     def access_batch(self, i) -> np.ndarray:
-        pos = np.asarray(i, dtype=np.int64)
-        if pos.size == 0:
-            return pos.copy()
-        if pos.min() < 1 or pos.max() > self.length:
-            raise OutOfRangeError(f"position must lie in 1..{self.length}")
+        pos = checked(i, 1, self.length, "position")
         depth, node, _ = self._down(pos - 1)
         return self._symbol_at(depth, node)
 
     def rank_batch(self, c, i) -> np.ndarray:
-        cs, prefix = np.broadcast_arrays(np.asarray(c, dtype=np.int64),
-                                         np.asarray(i, dtype=np.int64))
-        if prefix.size == 0:
-            return prefix.copy()
-        if prefix.min() < 0 or prefix.max() > self.length:
-            raise OutOfRangeError(f"prefix length must lie in 0..{self.length}")
-        depth, node, present = self._leaf_of(cs)
-        # the prefix's occurrences are the first ones of the leaf: walk the
-        # string's start and the prefix's end down the same path
-        s, e = self._descend(depth, node, np.stack((np.zeros_like(prefix), prefix)))
-        out = e - s
-        out[~present] = 0
-        return out
+        cs, prefix = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
+                                         checked(i, 0, self.length, "prefix length"))
+        return self._count(cs, np.zeros_like(prefix), prefix)
 
     def select_batch(self, c, k) -> np.ndarray:
-        cs, ks = np.broadcast_arrays(np.asarray(c, dtype=np.int64), np.asarray(k, dtype=np.int64))
-        if ks.size == 0:
-            return ks.copy()
+        # k's bounds are per lane (the symbol's occurrences), checked below
+        cs, ks = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
+                                     checked(k, _I64.min, _I64.max, "occurrence number"))
         depth, node, present = self._leaf_of(cs)
         s, e = self._leaves(depth, node)
         occ = np.where(present, e - s, 0)
@@ -401,7 +393,7 @@ class WaveletTree:
         """1-based positions of every occurrence of symbol ``c``, ascending:
         one descent to the symbol's leaf, whose length is its occurrence
         count, and one ascent of all its occurrences."""
-        depth, node, present = self._leaf_of(*one_lane(c))
+        depth, node, present = self._leaf_of(checked([c], 0, self.sigma - 1, "symbol"))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
         s, e = self._leaves(depth, node)
@@ -411,15 +403,15 @@ class WaveletTree:
     # -- scalar wrappers ----------------------------------------------------
 
     def access(self, i: int) -> int:
-        return int(self.access_batch(*one_lane(i))[0])
+        return int(self.access_batch([i])[0])
 
     def rank(self, c: int, i: int) -> int:
         """Occurrences of symbol c among the first i positions (i in 0..length)."""
-        return int(self.rank_batch(*one_lane(c, i))[0])
+        return int(self.rank_batch([c], [i])[0])
 
     def select(self, c: int, k: int) -> int:
         """Position of the k-th occurrence of symbol c (1-based)."""
-        return int(self.select_batch(*one_lane(c, k))[0])
+        return int(self.select_batch([c], [k])[0])
 
     def occ(self, c: int) -> int:
         return self.rank(c, self.length)

@@ -126,6 +126,12 @@ def test_out_of_range(form):
         bv.select0(2)
     with pytest.raises(OutOfRangeError):
         bv.select1_batch([1, 3])
+    # integers beyond int64, as Python ints and as uint64, in batch calls too
+    for big in ([2 ** 70], [-(2 ** 63) - 1], np.array([2 ** 63], dtype=np.uint64)):
+        for query in (bv.access_batch, bv.rank1_batch, bv.rank0_batch,
+                      bv.select1_batch, bv.select0_batch):
+            with pytest.raises(OutOfRangeError):
+                query(big)
 
 
 def test_empty_vector():

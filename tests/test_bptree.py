@@ -179,6 +179,11 @@ def test_out_of_range_queries():
         t.child(1, 1)
     with pytest.raises(OutOfRangeError):
         t.child_batch([0, 0, 2], [1, 2, 1])
+    for big in (2 ** 63, -(2 ** 63) - 1, 10 ** 23):
+        for call in (lambda: t.parent_batch([big]), lambda: t.degree_batch([big]),
+                     lambda: t.child_batch([big], [1]), lambda: t.child_batch([0], [big])):
+            with pytest.raises(OutOfRangeError):
+                call()
     assert t.child_batch([0, 0], [2, 1]).tolist() == [2, 1]
     for batch in (t.parent_batch, t.degree_batch):
         assert batch(np.zeros(0, np.int64)).size == 0

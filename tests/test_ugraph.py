@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,8 @@ BEYOND_INT64 = [2 ** 63, 10 ** 23, -(2 ** 63) - 1, -(10 ** 23)]
 def test_degree_in_beyond_int64_is_out_of_range(g5, big):
     with pytest.raises(OutOfRangeError):
         g5.degree_in(big)
+    with pytest.raises(OutOfRangeError):
+        g5.degree_in_batch([big])
 
 
 @pytest.mark.parametrize("big", BEYOND_INT64)
@@ -253,6 +257,8 @@ def test_out_neighbour_beyond_int64_is_out_of_range(g5, big):
     for args in ((big, 1), (1, big)):
         with pytest.raises(OutOfRangeError):
             g5.out_neighbour(*args)
+        with pytest.raises(OutOfRangeError):
+            g5.out_neighbour_batch(*([a] for a in args))
 
 
 @pytest.mark.parametrize("big", BEYOND_INT64)
@@ -260,6 +266,8 @@ def test_in_neighbour_beyond_int64_is_out_of_range(g5, big):
     for args in ((big, 1), (1, big)):
         with pytest.raises(OutOfRangeError):
             g5.in_neighbour(*args)
+        with pytest.raises(OutOfRangeError):
+            g5.in_neighbour_batch(*([a] for a in args))
 
 
 @pytest.mark.parametrize("big", BEYOND_INT64)
@@ -269,6 +277,49 @@ def test_multiplicity_beyond_int64_is_out_of_range(g5, big):
             g5.multiplicity(*args)
         with pytest.raises(OutOfRangeError):
             g5.adjacent(*args)
+        for batch in (g5.multiplicity_batch, g5.adjacent_batch):
+            with pytest.raises(OutOfRangeError):
+                batch(*([a] for a in args))
+
+
+def _queries(g5, dag5):
+    """The scalar and the batch query methods of the bitvector, the tree
+    and the string index under ``g5``, and of both graph forms."""
+    bv, tree, wt = g5.tree._bv, g5.tree, g5.targets
+    scalar = [bv.access, bv.rank1, bv.rank0, bv.select1, bv.select0, tree.parent,
+              tree.tree_degree, tree.child, tree.children, wt.access, wt.rank, wt.select,
+              wt.positions]
+    batch = [bv.access_batch, bv.rank1_batch, bv.rank0_batch, bv.select1_batch,
+             bv.select0_batch, tree.parent_batch, tree.degree_batch, tree.child_batch,
+             wt.access_batch, wt.rank_batch, wt.select_batch]
+    for g in (g5, LabelledGraph.from_dag(dag5)):
+        scalar += [g.degree_in, g.degree_out, g.out_neighbour, g.in_neighbour, g.adjacent,
+                   g.multiplicity, g.neighbours_out, g.neighbours_in]
+        batch += [g.degree_in_batch, g.out_neighbour_batch, g.in_neighbour_batch,
+                  g.multiplicity_batch, g.adjacent_batch]
+    return scalar, batch
+
+
+NOT_INTEGER = [1.5, float("nan"), float("inf"), "3", None]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NOT_INTEGER)
+def test_non_integer_index_is_a_type_error(g5, dag5, bad):
+    # in every argument of every query, with 1 (in range everywhere) in the others
+    scalar, batch = _queries(g5, dag5)
+    for query, lane in [(q, lambda a: a) for q in scalar] + [(q, lambda a: [a]) for q in batch]:
+        arity = len(inspect.signature(query).parameters)
+        for j in range(arity):
+            args = [lane(bad if k == j else 1) for k in range(arity)]
+            with pytest.raises(TypeError):
+                query(*args)
+
+
+def test_empty_batches_give_empty_results(g5, dag5):
+    for query in _queries(g5, dag5)[1]:
+        arity = len(inspect.signature(query).parameters)
+        assert query(*[[]] * arity).size == 0
 
 
 def test_m1_graphs_are_pure_trees():

@@ -117,6 +117,8 @@ def test_errors():
         wt.access(0)
     with pytest.raises(OutOfRangeError):
         WaveletTree([5], 5)
+    with pytest.raises(TypeError):
+        WaveletTree([1.5, 2.7], 3)    # not truncated to [1, 2]
 
 
 BEYOND_INT64 = [2 ** 63, -(2 ** 63) - 1, 10 ** 23]
@@ -128,6 +130,8 @@ def test_rank_beyond_int64_is_out_of_range(big):
     for args in ((big, 1), (1, big)):
         with pytest.raises(OutOfRangeError):
             wt.rank(*args)
+        with pytest.raises(OutOfRangeError):
+            wt.rank_batch(*([a] for a in args))
 
 
 @pytest.mark.parametrize("big", BEYOND_INT64)
@@ -136,8 +140,12 @@ def test_select_beyond_int64_is_out_of_range(big):
     for args in ((big, 1), (1, big)):
         with pytest.raises(OutOfRangeError):
             wt.select(*args)
+        with pytest.raises(OutOfRangeError):
+            wt.select_batch(*([a] for a in args))
     with pytest.raises(OutOfRangeError):
         wt.positions(big)
+    with pytest.raises(OutOfRangeError):
+        wt.access_batch([big])
 
 
 def test_empty_sequence():
@@ -433,6 +441,10 @@ def test_queries_match_a_naive_scan(data):
     lane_c, lane_p = np.repeat(cs, pos.size), np.tile(pos, cs.size)
     want = np.array([int((values[:p] == c).sum()) for c, p in zip(lane_c, lane_p)])
     assert np.array_equal(wt.rank_batch(lane_c, lane_p), want)
+    # counts over ranges [lo, hi), both ends walked at once
+    lo, hi = np.sort(np.stack((lane_p, np.tile(pos[::-1], cs.size))), axis=0)
+    want = np.array([int((values[a:b] == c).sum()) for c, a, b in zip(lane_c, lo, hi)])
+    assert np.array_equal(wt._count(lane_c, lo, hi), want)
     for c in cs.tolist():
         where = np.flatnonzero(values == c) + 1
         assert np.array_equal(wt.positions(c), where)
