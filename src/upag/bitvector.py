@@ -48,6 +48,8 @@ _BEFORE = np.tri(SB_BLOCKS, k=-1, dtype=np.uint16)
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _BYTE_SELECT = np.array([[j for j in range(8) if b >> j & 1] + [8] * (8 - bin(b).count("1"))
                          for b in range(256)], dtype=np.uint8)
+# bits of the tables above, which every bitvector shares and none counts
+_TABLE_BITS = 8 * sum(t.nbytes for t in (_BYTE_POP, _BYTE_SELECT, _BEFORE, _COLS))
 
 
 def _select_in_word(words: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -65,11 +65,11 @@ class BPTree:
     def _spans(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First child label and degree of every node in ``arr``, from one
         select0 over Z(v) and Z(v+1) of the distinct nodes."""
-        k, inv = _distinct(arr.ravel())
+        k, inv = _distinct(arr)
         both = np.concatenate([k, k + 1])
         z = np.where(both > 0, self._bv.select0_batch(np.maximum(both, 1)) - 1, 0)
         zv, zn = z[:k.size], z[k.size:]
-        return (zv - k + 1)[inv].reshape(arr.shape), (zn - zv - 1)[inv].reshape(arr.shape)
+        return (zv - k + 1)[inv], (zn - zv - 1)[inv]
 
     def parent(self, v: int) -> int:
         """Parent label, or -1 for the root."""
@@ -101,10 +101,8 @@ class BPTree:
 
     def child_batch(self, vs, idx) -> np.ndarray:
         """``idx[k]``-th child (1-based) of node ``vs[k]``, for every lane."""
-        arr = checked(vs, 0, self.n_nodes - 1, "node")
-        ii = checked(idx, 1, self.n_nodes - 1, "child index")
-        if arr.shape != ii.shape:
-            raise ValueError("node and index arrays must match")
+        arr, ii = np.broadcast_arrays(checked(vs, 0, self.n_nodes - 1, "node"),
+                                      checked(idx, 1, self.n_nodes - 1, "child index"))
         first, deg = self._spans(arr)
         if np.any(ii > deg):
             raise OutOfRangeError("child index beyond the node's degree")

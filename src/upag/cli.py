@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bitvector import _TABLE_BITS
 from .construct import build, peel_edges, reduce_string
 from .entropy import bounds_report, h0_per_symbol
 from .errors import FormatError, ModelError, OutOfRangeError
@@ -178,7 +179,7 @@ def cmd_query(args) -> int:
     return 0
 
 
-STATS_LINES = (3, 5, 2, 6, 2)    # fields per line of the key=value output
+STATS_LINES = (3, 5, 2, 6, 2, 1)    # fields per line of the key=value output
 
 
 def cmd_stats(args) -> int:
@@ -208,6 +209,7 @@ def cmd_stats(args) -> int:
         ("total_bits", sp["total_bits"]),
         ("entropy_bound_bits", f"{entropy_bound:.4f}"),
         ("sigma_eff", sp["sigma_eff"]),
+        ("shared_table_bits", _TABLE_BITS),
     ]
     if args.csv:
         print(",".join(k for k, _ in fields))

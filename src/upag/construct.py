@@ -27,32 +27,26 @@ from .graph_model import Dag, ModelError, adjacency_string, in_degrees
 _FAR = np.iinfo(np.int64).max
 
 
-def freq_rank(d: Dag, tie: str | np.ndarray = "index") -> np.ndarray:
+def freq_rank(d: Dag, tie: str = "index") -> np.ndarray:
     """Rank all vertices by ascending in-degree; ``rank[v]`` is v's rank.
 
     Rarely-targeted vertices get small ranks.  Ties are broken by vertex
-    index ("index", default), by first appearance among the targets
-    ("first-target", vertices never targeted last), or by an explicit
-    permutation of 0..n passed as an array.
+    index ("index", default) or by first appearance among the targets
+    ("first-target", vertices never targeted last).
     """
     nv = d.n_vertices
-    if isinstance(tie, str):
-        indeg = in_degrees(d)
-        idx = np.arange(nv, dtype=np.int64)
-        if tie == "index":
-            order = np.lexsort((idx, indeg))
-        elif tie == "first-target":
-            a = adjacency_string(d)
-            first = np.full(nv, _FAR, dtype=np.int64)
-            if a.size:
-                np.minimum.at(first, a, np.arange(a.size, dtype=np.int64))
-            order = np.lexsort((idx, first, indeg))
-        else:
-            raise ValueError(f"unknown tie-break {tie!r}")
+    indeg = in_degrees(d)
+    idx = np.arange(nv, dtype=np.int64)
+    if tie == "index":
+        order = np.lexsort((idx, indeg))
+    elif tie == "first-target":
+        a = adjacency_string(d)
+        first = np.full(nv, _FAR, dtype=np.int64)
+        if a.size:
+            np.minimum.at(first, a, np.arange(a.size, dtype=np.int64))
+        order = np.lexsort((idx, first, indeg))
     else:
-        order = np.asarray(tie, dtype=np.int64)
-        if order.shape != (nv,) or not np.array_equal(np.sort(order), np.arange(nv)):
-            raise ValueError("explicit rank order must be a permutation of the vertices")
+        raise ValueError(f"unknown tie-break {tie!r}")
     rank = np.empty(nv, dtype=np.int64)
     rank[order] = np.arange(nv, dtype=np.int64)
     return rank
@@ -73,7 +67,7 @@ class BuildResult:
     nontree_orig: np.ndarray     # same deletions, original labels and block order
 
 
-def build(d: Dag, tie: str | np.ndarray = "index") -> BuildResult:
+def build(d: Dag, tie: str = "index") -> BuildResult:
     """Split an attachment history into tree parents and leftover targets."""
     sigma = freq_rank(d, tie)
     n, m = d.n, d.m

@@ -7,6 +7,12 @@ check of query indices.
   outside its range raises ``OutOfRangeError``, integers beyond int64
   included; a value that is not an integer (a float, NaN, a string,
   ``None``) raises ``TypeError``.  Nothing is truncated and answered.
+* A batch query takes each argument as a scalar or a one-dimensional
+  array, and a scalar is a batch of one; an argument of two or more
+  dimensions raises ``ValueError``.  The two arguments of a two-argument
+  query broadcast against each other (a scalar pairs with every lane), and
+  lengths that do not broadcast raise numpy's ``ValueError``.  Every batch
+  query returns a one-dimensional array, one entry per lane.
 * A ``.upag`` payload that is malformed, truncated or corrupt raises
   ``FormatError``.
 * An instance or edge list that is no attachment graph raises
@@ -31,14 +37,18 @@ class ModelError(ValueError):
 
 
 def checked(values, lo: int, hi: int, what: str) -> np.ndarray:
-    """``values`` as int64, once every one is known to be an integer in
-    ``lo..hi``.  An empty input of any dtype gives an empty result.
+    """``values`` as a one-dimensional int64 array (a scalar becomes a
+    batch of one), once every one is known to be an integer in ``lo..hi``.
+    An empty input of any dtype gives an empty result, and an input of two
+    or more dimensions raises ``ValueError``.
 
     Integers too large for int64 arrive as uint64 or as Python ints in an
     object array; they are compared before any cast, so they raise
     ``OutOfRangeError`` like every other integer out of range.
     """
     arr = np.asarray(values)
+    if arr.ndim > 1:
+        raise ValueError(f"{what} must be a scalar or a one-dimensional array")
     if arr.size:
         if arr.dtype.kind not in "iu" and not (
                 arr.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) for v in arr.flat)):
@@ -48,4 +58,4 @@ def checked(values, lo: int, hi: int, what: str) -> np.ndarray:
         low, high = (arr.item(),) * 2 if arr.size == 1 else (arr.min(), arr.max())
         if low < lo or high > hi:
             raise OutOfRangeError(f"{what} must lie in {lo}..{hi}")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64, copy=False).reshape(-1)

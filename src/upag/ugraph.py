@@ -57,7 +57,7 @@ class CompressedGraph:
         return CompressedGraph(built.m, built.n, tree, wt)
 
     @classmethod
-    def from_dag(cls, d: Dag, tie="index") -> "CompressedGraph":
+    def from_dag(cls, d: Dag, tie: str = "index") -> "CompressedGraph":
         return CompressedGraph.from_build(build(d, tie))
 
     # ---- helpers -----------------------------------------------------------
@@ -120,10 +120,8 @@ class CompressedGraph:
         return self.tree.degree_batch(arr) + occ
 
     def out_neighbour_batch(self, vs, idx) -> np.ndarray:
-        arr = checked(vs, 1, self.n, "vertex with out-edges")
-        ii = checked(idx, 1, self.m, "out-edge index")
-        if arr.shape != ii.shape:
-            raise ValueError("vertex and index arrays must match")
+        arr, ii = np.broadcast_arrays(checked(vs, 1, self.n, "vertex with out-edges"),
+                                      checked(idx, 1, self.m, "out-edge index"))
         out = np.empty(arr.size, dtype=np.int64)
         first = (ii == 1) & (self.tree is not None)
         if first.any():
@@ -143,11 +141,9 @@ class CompressedGraph:
         consecutive BFS labels), and the string lanes go through one
         batched select.
         """
-        arr = checked(vs, 0, self.n, "vertex")
         # no in-degree exceeds the edge count; each lane's own bound is below
-        ii = checked(idx, 1, self.n * self.m, "in-edge index")
-        if arr.shape != ii.shape:
-            raise ValueError("vertex and index arrays must match")
+        arr, ii = np.broadcast_arrays(checked(vs, 0, self.n, "vertex"),
+                                      checked(idx, 1, self.n * self.m, "in-edge index"))
         if self.tree is None:
             first = dt = np.zeros(arr.shape, dtype=np.int64)
         else:
@@ -174,10 +170,8 @@ class CompressedGraph:
         return cnt
 
     def multiplicity_batch(self, us, vs) -> np.ndarray:
-        ua = checked(us, 0, self.n, "vertex")
-        va = checked(vs, 0, self.n, "vertex")
-        if ua.shape != va.shape:
-            raise ValueError("vertex arrays must match")
+        ua, va = np.broadcast_arrays(checked(us, 0, self.n, "vertex"),
+                                     checked(vs, 0, self.n, "vertex"))
         k = ua.size
         both = np.concatenate([ua, va])
         blocks = self._block_counts(both, np.concatenate([va, ua]))

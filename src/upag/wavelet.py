@@ -143,11 +143,12 @@ def _leaf_nodes(key: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Row d: the bit that level d reads on each lane's way to ``node`` at
-    ``depth`` (False from the lane's depth on), climbing by
-    ``b = node >= K_d``, ``node -= b * K_d``."""
-    bits = np.zeros((K.size - 1, depth.size), dtype=bool)
+    ``depth`` (False from the lane's depth on), one row per level down to
+    the deepest lane, climbing by ``b = node >= K_d``, ``node -= b * K_d``.
+    Absent lanes (depth -1) read no level."""
+    bits = np.zeros((depth.max(initial=0), depth.size), dtype=bool)
     node = node.copy()
-    for d in range(K.size - 2, -1, -1):
+    for d in range(bits.shape[0] - 1, -1, -1):
         b = (depth > d) & (node >= K[d])
         bits[d] = b
         node -= b * K[d]
@@ -158,9 +159,10 @@ class WaveletTree:
     def __init__(self, values=None, sigma: int = 1):
         if sigma < 1:
             raise ValueError("sigma must be >= 1")
-        vals = checked(values if values is not None else [], 0, sigma - 1, "symbol")
+        vals = np.asarray(values if values is not None else [])
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
+        vals = checked(vals, 0, sigma - 1, "symbol")
         self._build(vals, sigma, small=False)
 
     def _build(self, vals: np.ndarray, sigma: int, small: bool) -> None:
@@ -183,8 +185,8 @@ class WaveletTree:
         live = depth >= 0
         bits = _path(K, depth[live], _leaf_nodes(key, K)[live])
         code = np.zeros(live.sum(), dtype=dt)
-        for d in range(width):
-            code |= bits[d].astype(dt) << dt(top - d)
+        for d, row in enumerate(bits):
+            code |= row.astype(dt) << dt(top - d)
         seq = np.zeros(sigma, dtype=dt)
         seq[live] = code
         seq = seq[vals]
@@ -321,27 +323,24 @@ class WaveletTree:
         """Follow level-0 positions ``p`` (0-based, 0..length; one row per
         walk, one column per lane) down to each lane's leaf ``node`` at
         ``depth``; one rank per position and level the lane passes."""
-        bits = _path(self._K, depth, node)
         p = p.copy()
-        for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+        for d, (bv, z, bits) in enumerate(zip(self._levels, self._zeros,
+                                              _path(self._K, depth, node))):
             on = depth > d
-            if not on.any():
-                break
             q = p[:, on]
             r = bv._rank1(q.ravel()).reshape(q.shape)
-            p[:, on] = np.where(bits[d, on], z + r, q - r)
+            p[:, on] = np.where(bits[on], z + r, q - r)
         return p
 
     def _ascend(self, depth: np.ndarray, node: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
-        position ``p`` in its lane's leaf, one select per level, climbing
-        from the leaf by ``b = node >= K_d``, ``node -= b * K_d``."""
-        K, p, node = self._K, p.copy(), node.copy()
-        for d in range(self.width - 1, -1, -1):
+        position ``p`` in its lane's leaf, one select per level the lane
+        passes, from the leaf up the rows of ``_path``."""
+        p, bits = p.copy(), _path(self._K, depth, node)
+        for d in range(bits.shape[0] - 1, -1, -1):
             bv, z = self._levels[d], self._zeros[d]
-            one = (depth > d) & (node >= K[d])
+            one = bits[d]
             zero = (depth > d) & ~one
-            node -= one * K[d]
             if one.any():
                 p[one] = bv._select(p[one] - z + 1, 1)
             if zero.any():

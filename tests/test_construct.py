@@ -148,11 +148,6 @@ def test_freq_rank_first_target_tie(dag5):
 
 
 def test_freq_rank_explicit_order(dag5):
-    order = np.array([5, 4, 3, 2, 1, 0])
-    sigma = freq_rank(dag5, tie=order)
-    assert sigma.tolist() == [5, 4, 3, 2, 1, 0]
-    with pytest.raises(ValueError):
-        freq_rank(dag5, tie=np.array([0, 0, 1, 2, 3, 4]))
     with pytest.raises(ValueError):
         freq_rank(dag5, tie="alphabetical")
 

@@ -282,6 +282,40 @@ def test_multiplicity_beyond_int64_is_out_of_range(g5, big):
                 batch(*([a] for a in args))
 
 
+# Every public batch query by owner and name, with three lanes per
+# argument on ``g5`` (or on the labelled form of ``dag5``): every lane of
+# one argument is valid with every lane of the other.
+GRAPH_BATCH = {
+    "degree_in_batch": ([0, 1, 5],),
+    "out_neighbour_batch": ([1, 3, 5], [1, 2, 3]),
+    "in_neighbour_batch": ([0, 1, 4], [1, 2, 1]),
+    "multiplicity_batch": ([0, 1, 3], [1, 3, 5]),
+    "adjacent_batch": ([0, 1, 3], [1, 3, 5]),
+}
+BATCH = {
+    "bv.access_batch": ([1, 5, 12],),
+    "bv.rank1_batch": ([0, 5, 12],),
+    "bv.rank0_batch": ([0, 5, 12],),
+    "bv.select1_batch": ([1, 4, 6],),
+    "bv.select0_batch": ([1, 4, 6],),
+    "tree.parent_batch": ([0, 3, 5],),
+    "tree.degree_batch": ([0, 3, 5],),
+    "tree.child_batch": ([1, 3, 1], [1, 2, 2]),
+    "wt.access_batch": ([1, 4, 10],),
+    "wt.rank_batch": ([0, 4, 5], [0, 3, 10]),
+    "wt.select_batch": ([0, 1, 4], [1, 2, 2]),
+    **{f"{form}.{q}": args for form in ("compressed", "labelled") for q, args in GRAPH_BATCH.items()},
+}
+
+
+def _batch_query(g5, dag5, name):
+    owner, query = name.split(".")
+    if owner == "labelled":
+        return getattr(LabelledGraph.from_dag(dag5), query)
+    return getattr({"bv": g5.tree._bv, "tree": g5.tree, "wt": g5.targets, "compressed": g5}[owner],
+                   query)
+
+
 def _queries(g5, dag5):
     """The scalar and the batch query methods of the bitvector, the tree
     and the string index under ``g5``, and of both graph forms."""
@@ -289,15 +323,34 @@ def _queries(g5, dag5):
     scalar = [bv.access, bv.rank1, bv.rank0, bv.select1, bv.select0, tree.parent,
               tree.tree_degree, tree.child, tree.children, wt.access, wt.rank, wt.select,
               wt.positions]
-    batch = [bv.access_batch, bv.rank1_batch, bv.rank0_batch, bv.select1_batch,
-             bv.select0_batch, tree.parent_batch, tree.degree_batch, tree.child_batch,
-             wt.access_batch, wt.rank_batch, wt.select_batch]
     for g in (g5, LabelledGraph.from_dag(dag5)):
         scalar += [g.degree_in, g.degree_out, g.out_neighbour, g.in_neighbour, g.adjacent,
                    g.multiplicity, g.neighbours_out, g.neighbours_in]
-        batch += [g.degree_in_batch, g.out_neighbour_batch, g.in_neighbour_batch,
-                  g.multiplicity_batch, g.adjacent_batch]
-    return scalar, batch
+    return scalar, [_batch_query(g5, dag5, name) for name in BATCH]
+
+
+@pytest.mark.parametrize("name", BATCH)
+def test_batch_argument_shapes(g5, dag5, name):
+    query = _batch_query(g5, dag5, name)
+    args = [np.array(a) for a in BATCH[name]]
+    full = query(*args)
+    assert full.shape == (3,)
+    # a scalar is a batch of one, in every form
+    for form in (int, np.int64, np.array, lambda x: [x], lambda x: np.array([x])):
+        got = query(*[form(int(a[0])) for a in args])
+        assert got.shape == (1,) and got[0] == full[0]
+    # two dimensions raise ValueError, in any argument
+    for j in range(len(args)):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            query(*[a.reshape(1, 3) if k == j else a for k, a in enumerate(args)])
+    if len(args) == 2:
+        # a scalar pairs with every lane of the other argument
+        a, b = args
+        assert np.array_equal(query(int(a[0]), b), query(np.full(3, a[0]), b))
+        assert np.array_equal(query(a, int(b[0])), query(a, np.full(3, b[0])))
+        for short in ((a[:2], b), (a, b[:2])):
+            with pytest.raises(ValueError):
+                query(*short)
 
 
 NOT_INTEGER = [1.5, float("nan"), float("inf"), "3", None]

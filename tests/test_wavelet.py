@@ -525,3 +525,21 @@ def test_reassembly_rejects_a_string_without_present_symbol():
     wt._map = _small([0, 0, 0, 0])
     with pytest.raises(ValueError, match="no present symbol"):
         reassembled(wt)
+
+
+@pytest.mark.parametrize("kind", ["zipf", "fibonacci", "one", "empty"])
+def test_path_rows_reach_the_deepest_lane(kind):
+    # one row per level down to the deepest lane, each the lane's code bit
+    # (False from its depth on); no row for an empty or all-absent batch
+    rng = np.random.default_rng(3)
+    counts = COUNT_KINDS[kind](rng)
+    wt = WaveletTree(rng.permutation(np.repeat(np.arange(counts.size), counts)), counts.size)
+    codes = matrix_codes(_lengths_of(wt))
+    for cs in (np.arange(counts.size), rng.integers(0, counts.size, 7),
+               np.flatnonzero(counts == 0), np.zeros(0, dtype=np.int64)):
+        depth, node, _ = wt._leaf_of(cs)
+        bits = wavelet._path(wt._K, depth, node)
+        assert bits.shape == (depth.max(initial=0), cs.size)
+        for lane, c in enumerate(cs.tolist()):
+            code = [int(b) for b in codes.get(c, "")]
+            assert bits[:, lane].tolist() == code + [False] * (bits.shape[0] - len(code))
