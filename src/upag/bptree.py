@@ -108,12 +108,6 @@ class BPTree:
             raise OutOfRangeError("child index beyond the node's degree")
         return first + ii - 1
 
-    def parents_array(self) -> np.ndarray:
-        """Parent of every node, read off the degrees alone (testing aid)."""
-        bits = unpack_bits(self._bv._words, self._bv.n)
-        z = np.concatenate([[0], np.flatnonzero(bits == 0)])
-        return np.concatenate([[-1], np.repeat(np.arange(self.n_nodes), np.diff(z) - 1)])
-
     # ---- accounting -----------------------------------------------------------
 
     def space_report(self) -> dict:

@@ -89,11 +89,3 @@ def undirected_degrees(d: Dag) -> np.ndarray:
     deg = in_degrees(d).copy()
     deg[1:] += d.m
     return deg
-
-
-def has_parallel_beyond_seed(d: Dag) -> bool:
-    """True if some block after the forced seed block repeats a target."""
-    if d.n <= 1:
-        return False
-    rows = np.sort(d.targets[1:], axis=1)
-    return bool(np.any(rows[:, 1:] == rows[:, :-1]))

@@ -6,7 +6,6 @@ runs on whole files, keeps to linear memory."""
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -136,32 +135,3 @@ def selfcheck(g, d: Dag, tie="index", rng: np.random.Generator | None = None
             return checked + k, f"MISMATCH {name} {where} got={got[k]} want={want[k]}"
         checked += want.size
     return checked, None
-
-
-def admissible_orders(d: Dag):
-    """All vertex arrival orders consistent with the dag's edges.
-
-    Yields permutations tau (tuple, tau[k] = vertex arriving k-th) with
-    tau[0] = 0 and every target of a vertex arriving before it.
-    """
-    nv = d.n + 1
-    for tail in permutations(range(1, nv)):
-        tau = (0,) + tail
-        place = {v: k for k, v in enumerate(tau)}
-        ok = all(
-            place[int(t)] < place[v]
-            for v in range(1, nv)
-            for t in d.targets[v - 1]
-        )
-        if ok:
-            yield tau
-
-
-def random_mout_dag(n: int, m: int, rng) -> Dag:
-    """Uniform random m-out dag (NOT preferential attachment): each vertex
-    picks m targets uniformly among its predecessors.  Useful as a negative
-    control in statistics tests."""
-    targets = np.zeros((n, m), dtype=np.int64)
-    for t in range(2, n + 1):
-        targets[t - 1] = rng.integers(0, t, size=m)
-    return Dag(m, targets)

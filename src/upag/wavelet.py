@@ -33,6 +33,16 @@ select(d + 1, i + 1).  The map's alphabet is small (a code has fewer than
 follows from the key counts (Kraft equality), so the levels, the map's
 levels and that table are all that is stored.
 
+The map's leaf tables.  Beside its key table the map keeps, from one pass
+over its leaf boundaries at install, a few arrays of about one entry per
+key (21 keys, 13 of them present, at n = 2^18): the [start, end) of every
+leaf, the leaf node of every key, the key at every leaf, and the leaf
+number of each depth's node 0.  So finding a symbol's leaf is one walk down
+the map, and a leaf's symbol one climb up it from the leaf of its key.  The
+string keeps no such table: at about sigma_eff x 16 bytes it would cost
+several bits per edge.  Every query derives its path rows (``_path``) once:
+select reads them down for its leaves' bounds and up for its ascent.
+
 The class keeps the name ``WaveletTree``: the names of the string index's
 public methods are what callers and the benchmark's tracer key on.
 """
@@ -141,6 +151,14 @@ def _leaf_nodes(key: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.where(key > 0, K[np.maximum(key - 1, 0)] + rank - first[key], 0)
 
 
+def _first_leaves(K: np.ndarray) -> np.ndarray:
+    """Leaf number of node 0 at every depth, so that leaf ``node`` at depth
+    d is leaf ``first[d] + node``: leaves are numbered by depth, then node,
+    and depth 0 has 1 - K_0 of them and depth d > 0 has 2 K_{d-1} - K_d."""
+    per_depth = np.concatenate(([1], 2 * K[:-1])) - K
+    return per_depth.cumsum() - per_depth - K
+
+
 def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Row d: the bit that level d reads on each lane's way to ``node`` at
     ``depth`` (False from the lane's depth on), one row per level down to
@@ -205,7 +223,10 @@ class WaveletTree:
 
     def _install(self, sigma: int, length: int, levels: list[BitVector], lookup) -> None:
         """Keep the parts; K_d and sigma_eff follow from the key counts of
-        ``lookup``, the map (a matrix) or a map's key table."""
+        ``lookup``, the map (a matrix) or a map's key table.  A map also
+        keeps its leaf tables (see ``_leaves``, ``_leaf_of`` and
+        ``_symbol_at``); ``ValueError`` where the levels disagree with the
+        code shape."""
         self.sigma = int(sigma)
         self.length = int(length)
         self._levels = levels
@@ -216,6 +237,14 @@ class WaveletTree:
         keys = np.bincount(lookup) if small else lookup._counts()
         self._K = _shape(keys)
         self.sigma_eff = int(keys[1:].sum())
+        if self.width != self._K.size - 1:
+            raise ValueError("level count does not match the code lengths")
+        if small:
+            self._first = _first_leaves(self._K)
+            self._bounds = self._leaf_bounds()
+            self._nodes = _leaf_nodes(lookup, self._K)
+            present = np.flatnonzero(lookup)
+            self._order = present[np.argsort(lookup[present], kind="stable")]
 
     @classmethod
     def from_levels(cls, sigma: int, length: int, levels: list[BitVector],
@@ -227,44 +256,45 @@ class WaveletTree:
             raise ValueError("code-length map does not span the alphabet")
         self = cls.__new__(cls)
         self._install(sigma, length, levels, lookup)
-        if self.width != self._K.size - 1:
-            raise ValueError("level count does not match the code lengths")
-        sizes = self._leaf_sizes()
+        start, end = self._all_bounds()
         if self.sigma_eff == 0 and self.length:
             raise ValueError("a non-empty string has no present symbol")
-        if sizes.size and sizes.min() == 0:
+        if (start == end).any():
             raise ValueError("a symbol with a code never occurs")
         return self
 
     # -- code shape ---------------------------------------------------------
 
-    def _leaf_sizes(self) -> np.ndarray:
-        """Occurrences at every leaf, by depth, then node, from one pass
-        over the node boundaries of each depth (K_d + 1 rank lanes at level
-        d); ``ValueError`` where a level's length disagrees with the shape."""
-        K, sizes = self._K, []
+    def _leaf_bounds(self) -> np.ndarray:
+        """[start, end) of every leaf (rows 0 and 1) in the positions of its
+        depth, by depth, then node, from one pass over the node boundaries
+        of each depth (K_d + 1 rank lanes at level d); ``ValueError`` where
+        a level's length disagrees with the shape."""
+        K, leaves = self._K, []
         if K[0] == 0:                       # the root is a leaf, or nothing is present
-            return np.array([self.length] if self.sigma_eff else [], dtype=np.int64)
+            return np.array([[0], [self.length]] if self.sigma_eff else [[], []], dtype=np.int64)
         bounds = np.array([0, self.length], dtype=np.int64)
         for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
             if bv.n != bounds[-1]:
                 raise ValueError("level length does not match the code shape")
             r = bv._rank1(bounds)
             below = np.concatenate((bounds - r, z + r[1:]))       # 2 K_d nodes at depth d + 1
-            sizes.append(np.diff(below[K[d + 1]:]))
+            ends = below[K[d + 1]:]
+            leaves.append(np.stack((ends[:-1], ends[1:])))
             bounds = below[:K[d + 1] + 1]
-        return np.concatenate(sizes)
+        return np.concatenate(leaves, axis=1)
+
+    def _all_bounds(self) -> np.ndarray:
+        """Every leaf's [start, end): a map keeps them, a string walks them."""
+        return self._bounds if self._map is None else self._leaf_bounds()
 
     def _counts(self) -> np.ndarray:
-        """Occurrences of every symbol 0..sigma-1: the size of its leaf.
-        Leaves are numbered by depth, then node; depth 0 has 1 - K_0 of
-        them and depth d > 0 has 2 K_{d-1} - K_d."""
-        K = self._K
+        """Occurrences of every symbol 0..sigma-1: the size of its leaf."""
         depth, node, present = self._leaf_of(np.arange(self.sigma))
-        per_depth = np.concatenate(([1], 2 * K[:-1])) - K
-        first = per_depth.cumsum() - per_depth - K          # leaf number of node 0, by depth
+        start, end = self._all_bounds()
+        leaf = _first_leaves(self._K)[depth[present]] + node[present]
         out = np.zeros(self.sigma, dtype=np.int64)
-        out[present] = self._leaf_sizes()[first[depth[present]] + node[present]]
+        out[present] = end[leaf] - start[leaf]
         return out
 
     # -- symbols and leaves ---------------------------------------------------
@@ -273,28 +303,31 @@ class WaveletTree:
         """(depth, node, present?) of every symbol's leaf; an absent symbol
         gets depth -1, and its answers are discarded by callers."""
         if self._map is None:
-            key = self._table.astype(np.int64)
-            node = _leaf_nodes(key, self._K)[cs]
-            key = key[cs]
-        else:
-            # lanes often repeat a symbol: look each distinct one up once,
-            # as its key and the occurrences of that key before it
-            u, inv = _distinct(cs)
-            depth, node, pos = self._map._down(u)
-            start, _ = self._map._leaves(depth, node)
-            key = self._map._symbol_at(depth, node)[inv]
-            node = self._K[np.maximum(key - 1, 0)] + (pos - start)[inv]
+            key = self._table[cs].astype(np.int64)
+            return key - 1, self._nodes[cs], key > 0
+        # lanes often repeat a symbol: walk each distinct one down the map
+        # once; its map leaf is its key, and its place in that leaf is the
+        # occurrences of the key before it
+        m = self._map
+        u, inv = _distinct(cs)
+        depth, node, pos = m._down(u)
+        leaf = m._first[depth] + node
+        key = m._order[leaf][inv]
+        node = self._K[np.maximum(key - 1, 0)] + (pos - m._bounds[0, leaf])[inv]
         return key - 1, node, key > 0
 
     def _symbol_at(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """The symbol whose leaf is ``node`` at ``depth``."""
-        leaf = node - self._K[depth]
+        """The symbol whose leaf is ``node`` at ``depth``: a map reads it
+        from its leaf order, the string climbs the map from the leaf of key
+        depth + 1, at the leaf's rank among the leaves of its depth."""
         if self._map is None:
-            order = np.argsort(self._table, kind="stable")
-            return order[np.searchsorted(self._table[order], depth + 1) + leaf]
-        # lanes often share a leaf: select each distinct one once
-        u, inv = _distinct(leaf * 128 + depth + 1)
-        return (self._map.select_batch(u % 128, u // 128 + 1) - 1)[inv]
+            return self._order[self._first[depth] + node]
+        # lanes often share a leaf: climb the map once for each distinct one
+        m = self._map
+        u, inv = _distinct((node - self._K[depth]) * 128 + depth + 1)
+        md, mn, _ = m._leaf_of(u % 128)
+        p = m._bounds[0, m._first[md] + mn] + u // 128
+        return m._ascend(md, _path(m._K, md, mn), p)[inv]
 
     def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Walk 0-based level-0 positions down to their leaves: (depth,
@@ -319,24 +352,24 @@ class WaveletTree:
                 lane, i, q = lane[keep], i[keep], q[keep]
         return depth, node, pos
 
-    def _descend(self, depth: np.ndarray, node: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def _descend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Follow level-0 positions ``p`` (0-based, 0..length; one row per
-        walk, one column per lane) down to each lane's leaf ``node`` at
-        ``depth``; one rank per position and level the lane passes."""
+        walk, one column per lane) down to each lane's leaf at ``depth``,
+        whose path is ``bits`` (from ``_path``); one rank per position and
+        level the lane passes."""
         p = p.copy()
-        for d, (bv, z, bits) in enumerate(zip(self._levels, self._zeros,
-                                              _path(self._K, depth, node))):
+        for d, (bv, z, row) in enumerate(zip(self._levels, self._zeros, bits)):
             on = depth > d
             q = p[:, on]
             r = bv._rank1(q.ravel()).reshape(q.shape)
-            p[:, on] = np.where(bits[on], z + r, q - r)
+            p[:, on] = np.where(row[on], z + r, q - r)
         return p
 
-    def _ascend(self, depth: np.ndarray, node: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def _ascend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
         position ``p`` in its lane's leaf, one select per level the lane
-        passes, from the leaf up the rows of ``_path``."""
-        p, bits = p.copy(), _path(self._K, depth, node)
+        passes, from the leaf up the rows ``bits`` of its path."""
+        p = p.copy()
         for d in range(bits.shape[0] - 1, -1, -1):
             bv, z = self._levels[d], self._zeros[d]
             one = bits[d]
@@ -347,20 +380,21 @@ class WaveletTree:
                 p[zero] = bv._select(p[zero] + 1, 0)
         return p
 
-    def _leaves(self, depth: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interval [s, e) of each lane's leaf at its depth, walked once per
-        distinct leaf."""
-        leaf, inv = _distinct(node * 128 + depth + 1)
-        ends = np.array([[0], [self.length]]).repeat(leaf.size, axis=1)
-        s, e = self._descend(leaf % 128 - 1, leaf // 128, ends)
-        return s[inv], e[inv]
+    def _leaves(self, depth: np.ndarray, node: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """[start, end) (rows 0 and 1) of each leaf ``node`` at ``depth``,
+        whose path is ``bits``: a map looks its leaves up (an absent lane
+        reads some leaf, and callers discard it), the string walks both
+        ends down."""
+        if self._map is None:
+            return self._bounds[:, self._first[depth] + node]
+        return self._descend(depth, bits, np.array([[0], [self.length]]).repeat(depth.size, axis=1))
 
     def _count(self, cs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Occurrences of each lane's symbol among the 0-based positions
         [lo, hi): a range's occurrences are consecutive in the symbol's
         leaf, so both ends walk down the same path (absent symbols: 0)."""
         depth, node, present = self._leaf_of(cs)
-        s, e = self._descend(depth, node, np.stack((lo, hi)))
+        s, e = self._descend(depth, _path(self._K, depth, node), np.stack((lo, hi)))
         return np.where(present, e - s, 0)
 
     # -- batch queries (1-based, like the scalar API) ---------------------------
@@ -380,24 +414,30 @@ class WaveletTree:
         cs, ks = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
                                      checked(k, _I64.min, _I64.max, "occurrence number"))
         depth, node, present = self._leaf_of(cs)
-        s, e = self._leaves(depth, node)
+        # one climb per distinct leaf, whose rows serve the leaves' bounds
+        # and, gathered per lane, the ascent
+        u, inv = _distinct(node * 128 + depth + 1)
+        u_depth, u_node = u % 128 - 1, u // 128
+        bits = _path(self._K, u_depth, u_node)
+        s, e = self._leaves(u_depth, u_node, bits)[:, inv]
         occ = np.where(present, e - s, 0)
         bad = (ks < 1) | (ks > occ)
         if bad.any():
             k = int(np.argmax(bad))
             raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
-        return self._ascend(depth, node, s + ks - 1) + 1
+        return self._ascend(depth, bits[:, inv], s + ks - 1) + 1
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:
-        one descent to the symbol's leaf, whose length is its occurrence
+        one climb to the symbol's leaf, whose length is its occurrence
         count, and one ascent of all its occurrences."""
         depth, node, present = self._leaf_of(checked([c], 0, self.sigma - 1, "symbol"))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
-        s, e = self._leaves(depth, node)
-        leaf = np.arange(s[0], e[0], dtype=np.int64)
-        return self._ascend(np.repeat(depth, leaf.size), np.repeat(node, leaf.size), leaf) + 1
+        bits = _path(self._K, depth, node)
+        s, e = self._leaves(depth, node, bits)[:, 0]
+        leaf = np.arange(s, e, dtype=np.int64)
+        return self._ascend(np.repeat(depth, leaf.size), bits.repeat(leaf.size, axis=1), leaf) + 1
 
     # -- scalar wrappers ----------------------------------------------------
 
@@ -428,10 +468,13 @@ class WaveletTree:
 
     def space_report(self) -> dict:
         """Resident bits: the level bits as payload, the levels' samples and
-        padding plus K as directory, and the whole symbol map (or a map's
-        key table) as presence."""
+        padding plus K (and a map's leaf tables) as directory, and the whole
+        symbol map (or a map's key table) as presence."""
         payload = sum(lvl.n for lvl in self._levels)
-        resident = sum(lvl.space_report()["total_bits"] for lvl in self._levels) + 8 * self._K.nbytes
+        kept = [self._K] if self._map is not None else [self._K, self._first, self._bounds,
+                                                         self._nodes, self._order]
+        resident = (sum(lvl.space_report()["total_bits"] for lvl in self._levels)
+                    + 8 * sum(a.nbytes for a in kept))
         lookup = (8 * self._table.nbytes if self._map is None
                   else self._map.space_report()["total_bits"])
         return {

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from graph_reference import admissible_orders, has_parallel_beyond_seed, random_mout_dag
 from ingest_reference import dag_edges, multigraph, peel_relabel_counter, same_multigraph
 from upag.construct import build, peel_edges, reduce_string
 from upag.entropy import bounds_report, degree_entropy, h0_bits, h0_per_symbol
@@ -24,10 +25,9 @@ from upag.errors import OutOfRangeError
 from upag.graph_model import (
     Dag,
     adjacency_string,
-    has_parallel_beyond_seed,
     in_degrees,
 )
-from upag.oracle import admissible_orders, random_mout_dag, selfcheck
+from upag.oracle import selfcheck
 from upag.pa_gen import generate, log_prob
 from upag.serialize import load, save
 from upag.ugraph import CompressedGraph, LabelledGraph

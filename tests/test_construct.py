@@ -369,7 +369,7 @@ def test_peel_relabel_recovers_shuffled_labels():
 
 def test_peel_relabel_probability_invariant():
     # any recovered history of a simple-beyond-seed instance is equally likely
-    from upag.graph_model import has_parallel_beyond_seed
+    from graph_reference import has_parallel_beyond_seed
     from upag.pa_gen import log_prob
 
     checked = 0

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from graph_reference import has_parallel_beyond_seed
 from upag.graph_model import (
     Dag,
     ModelError,
     adjacency_string,
-    has_parallel_beyond_seed,
     in_degrees,
     undirected_degrees,
 )

@@ -12,9 +12,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from graph_reference import admissible_orders, random_mout_dag
 from upag.construct import build
 from upag.graph_model import Dag
-from upag.oracle import NaiveGraph, admissible_orders, random_mout_dag, selfcheck
+from upag.oracle import NaiveGraph, selfcheck
 from upag.pa_gen import generate
 from upag.ugraph import CompressedGraph, LabelledGraph
 

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from graph_reference import parents_array
 from test_ugraph import check_batches
 from test_wavelet import FORMS, reassembled
 from upag import serialize, wavelet
@@ -383,7 +384,7 @@ def _sealed(body: bytes) -> bytes:
 def _agrees_with_own_arrays(g) -> None:
     """The loaded graph's batch answers against an oracle built from the
     tree parents and the string it decodes to."""
-    par = None if g.tree is None else g.tree.parents_array()
+    par = None if g.tree is None else parents_array(g.tree)
     check_batches(g, NaiveGraph(g.m, g.n, par, g.targets.to_array()))
 
 

@@ -2,10 +2,12 @@ import inspect
 
 import numpy as np
 import pytest
+from graph_reference import parents_array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_wavelet import FORMS, reassembled
 
+from upag import wavelet
 from upag.construct import build
 from upag.errors import OutOfRangeError
 from upag.graph_model import adjacency_string, in_degrees, undirected_degrees
@@ -205,7 +207,7 @@ def test_batches_match_scalar_per_vertex_regime():
     g = CompressedGraph.from_dag(generate(3, 2000, seed=29))
     rng = np.random.default_rng(31)
     deg = g.degree_in_batch(np.arange(g.n_vertices))
-    kids = np.bincount(g.tree.parents_array()[1:], minlength=g.n_vertices)
+    kids = np.bincount(parents_array(g.tree)[1:], minlength=g.n_vertices)
     hub = int(np.argmax(deg))
     leaves = rng.choice(np.flatnonzero(kids == 0), 20, replace=False)
     picks = np.unique(np.concatenate([[0, hub], leaves,
@@ -407,3 +409,25 @@ def test_compressed_queries_property(m, n, seed):
         if ref.degree_in(v):
             i = int(rng.integers(1, ref.degree_in(v) + 1))
             assert g.in_neighbour(v, i) == ref.in_lists[v][i - 1]
+
+
+def test_scalar_string_queries_climb_once(monkeypatch):
+    # a scalar access, rank, select and positions each build the path rows
+    # of their leaves once: access climbs the map, the others the string
+    g = CompressedGraph.from_dag(generate(3, 2000, seed=1))
+    t = g.targets
+    assert t.width and t._map.width
+    climbs = []
+    path = wavelet._path
+
+    def counting(*args):
+        climbs.append(args)
+        return path(*args)
+
+    monkeypatch.setattr(wavelet, "_path", counting)
+    c = t.access(7)
+    for query, args in (("access", (7,)), ("rank", (c, t.length)), ("select", (c, 1)),
+                        ("positions", (c,))):
+        climbs.clear()
+        getattr(t, query)(*args)
+        assert len(climbs) == 1, query

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from upag import serialize, wavelet
 from upag.bitvector import BitVector
-from upag.errors import OutOfRangeError
+from upag.errors import FormatError, OutOfRangeError
+from upag.pa_gen import generate
+from upag.ugraph import CompressedGraph
 from upag.wavelet import WaveletTree, _code_lengths
 
 
@@ -543,3 +545,105 @@ def test_path_rows_reach_the_deepest_lane(kind):
         for lane, c in enumerate(cs.tolist()):
             code = [int(b) for b in codes.get(c, "")]
             assert bits[:, lane].tolist() == code + [False] * (bits.shape[0] - len(code))
+
+
+# ---------------------------------------------------------------------------
+# the map's leaf tables: bounds, nodes and order, kept from install
+# ---------------------------------------------------------------------------
+
+def _small_matrices(kind: str, form: str) -> list[WaveletTree]:
+    """Small matrices (keys kept in a table) of a count kind: one over a
+    string of that kind and the code-length map of such a string, as built
+    or as reassembled from copies of their parts."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(6):
+        counts = COUNT_KINDS[kind](rng)
+        values = rng.permutation(np.repeat(np.arange(counts.size), counts))
+        over = WaveletTree.__new__(WaveletTree)
+        over._build(values, counts.size, small=True)
+        for m in (over, WaveletTree(values, counts.size)._map):
+            if form == "reassembled":
+                m = WaveletTree.from_levels(m.sigma, m.length, [
+                    BitVector.from_parts(**bv.to_parts()) for bv in m._levels], m._table.copy())
+            out.append(m)
+    return out
+
+
+def _key_leaves(m: WaveletTree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Present symbols of a small matrix, with the depth, node and leaf
+    number of each one's leaf."""
+    present = np.flatnonzero(m._table)
+    depth = m._table[present].astype(np.int64) - 1
+    node = m._nodes[present]
+    return present, depth, node, m._first[depth] + node
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_map_leaf_bounds_match_the_descent(kind, form):
+    for m in _small_matrices(kind, form):
+        present, depth, node, leaf = _key_leaves(m)
+        assert np.array_equal(np.sort(leaf), np.arange(m._bounds.shape[1]))   # each leaf once
+        ends = np.array([[0], [m.length]]).repeat(present.size, axis=1)
+        walked = m._descend(depth, wavelet._path(m._K, depth, node), ends)
+        assert np.array_equal(m._bounds[:, leaf], walked)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_map_leaf_nodes_and_order_match_the_key_table(kind, form):
+    for m in _small_matrices(kind, form):
+        assert np.array_equal(m._nodes, wavelet._leaf_nodes(m._table.astype(np.int64), m._K))
+        order = np.argsort(m._table, kind="stable")
+        assert np.array_equal(m._order, order[m._table[order] > 0])
+        present, _, _, leaf = _key_leaves(m)
+        assert np.array_equal(m._order[leaf], present)
+
+
+def test_map_bounds_are_walked_once_at_install(monkeypatch, rng):
+    walks = []
+    leaf_bounds = WaveletTree._leaf_bounds
+
+    def counting(self):
+        walks.append(self)
+        return leaf_bounds(self)
+
+    monkeypatch.setattr(WaveletTree, "_leaf_bounds", counting)
+    values = np.minimum(rng.zipf(1.3, 3000), 400)
+    wt = WaveletTree(values, 401)
+    assert walks == [wt._map]
+    walks.clear()
+    back = reassembled(wt)                   # the map at install, the string to validate
+    assert walks == [back._map, back]
+    walks.clear()
+    for m in (wt, back):
+        assert np.array_equal(m.to_array(), values)
+        c = int(values[0])
+        assert m.select(c, 1) == 1 and m.rank(c, 1) == 1
+        assert m._map.select(m._map.access(1), 1) == 1
+        assert np.array_equal(m._map._counts(), np.bincount(m._map.to_array(),
+                                                            minlength=m._map.sigma))
+    assert walks == []
+
+
+def test_map_levels_off_the_shape_raise_value_error():
+    g = CompressedGraph.from_dag(generate(3, 300, seed=1))
+    m = g.targets._map
+    assert m.width >= 2
+    parts = [BitVector.from_parts(**bv.to_parts()) for bv in m._levels]
+    wrong_levels = [parts[:-1], parts + parts[-1:]]
+    for lvl in range(m.width):
+        bits = m._levels[lvl].to_array()
+        for wrong in (bits[:-1], np.append(bits, 0)):
+            wrong_levels.append(parts[:lvl] + [BitVector(wrong)] + parts[lvl + 1:])
+    for levels in wrong_levels:
+        with pytest.raises(ValueError, match="level (count|length)"):
+            WaveletTree.from_levels(m.sigma, m.length, levels, m._table.copy())
+        # and on load, through the file's map
+        broken = WaveletTree.__new__(WaveletTree)
+        broken.__dict__.update(m.__dict__)
+        broken._levels, broken.width = levels, len(levels)
+        g.targets._map = broken
+        with pytest.raises(FormatError, match="level (count|length)"):
+            serialize.loads(serialize.dumps(g))
