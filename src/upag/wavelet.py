@@ -37,11 +37,13 @@ The map's leaf tables.  Beside its key table the map keeps, from one pass
 over its leaf boundaries at install, a few arrays of about one entry per
 key (21 keys, 13 of them present, at n = 2^18): the [start, end) of every
 leaf, the leaf node of every key, the key at every leaf, and the leaf
-number of each depth's node 0.  So finding a symbol's leaf is one walk down
-the map, and a leaf's symbol one climb up it from the leaf of its key.  The
-string keeps no such table: at about sigma_eff x 16 bytes it would cost
-several bits per edge.  Every query derives its path rows (``_path``) once:
-select reads them down for its leaves' bounds and up for its ascent.
+number of each depth's node 0, each in the narrowest integer type that
+holds it (150 bytes at n = 2^18).  So finding a symbol's leaf is one walk
+down the map, and a leaf's symbol one climb up it from the leaf of its
+key.  The string keeps no such table: at about sigma_eff x 16 bytes it
+would cost several bits per edge.  Every query derives its path rows
+(``_path``) once: select reads them down for its leaves' bounds and up for
+its ascent.
 
 The class keeps the name ``WaveletTree``: the names of the string index's
 public methods are what callers and the benchmark's tracer key on.
@@ -159,6 +161,15 @@ def _first_leaves(K: np.ndarray) -> np.ndarray:
     return per_depth.cumsum() - per_depth - K
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest of int8 .. int64 that holds every entry: the
+    map's leaf tables are resident, and their entries are small."""
+    for t in (np.int8, np.int16, np.int32):
+        if not a.size or (np.iinfo(t).min <= a.min() and a.max() <= np.iinfo(t).max):
+            return a.astype(t)
+    return a.astype(np.int64)
+
+
 def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Row d: the bit that level d reads on each lane's way to ``node`` at
     ``depth`` (False from the lane's depth on), one row per level down to
@@ -224,9 +235,10 @@ class WaveletTree:
     def _install(self, sigma: int, length: int, levels: list[BitVector], lookup) -> None:
         """Keep the parts; K_d and sigma_eff follow from the key counts of
         ``lookup``, the map (a matrix) or a map's key table.  A map also
-        keeps its leaf tables (see ``_leaves``, ``_leaf_of`` and
-        ``_symbol_at``); ``ValueError`` where the levels disagree with the
-        code shape."""
+        keeps its leaf tables (see ``_leaf_of`` and ``_symbol_at``), each
+        in the narrowest type that holds it, so readers add them only to
+        int64 arrays or widen them first; ``ValueError`` where the levels
+        disagree with the code shape."""
         self.sigma = int(sigma)
         self.length = int(length)
         self._levels = levels
@@ -240,11 +252,11 @@ class WaveletTree:
         if self.width != self._K.size - 1:
             raise ValueError("level count does not match the code lengths")
         if small:
-            self._first = _first_leaves(self._K)
-            self._bounds = self._leaf_bounds()
-            self._nodes = _leaf_nodes(lookup, self._K)
+            self._first = _narrow(_first_leaves(self._K))
+            self._bounds = _narrow(self._leaf_bounds())
+            self._nodes = _narrow(_leaf_nodes(lookup, self._K))
             present = np.flatnonzero(lookup)
-            self._order = present[np.argsort(lookup[present], kind="stable")]
+            self._order = _narrow(present[np.argsort(lookup[present], kind="stable")])
 
     @classmethod
     def from_levels(cls, sigma: int, length: int, levels: list[BitVector],
@@ -288,11 +300,17 @@ class WaveletTree:
         """Every leaf's [start, end): a map keeps them, a string walks them."""
         return self._bounds if self._map is None else self._leaf_bounds()
 
+    def _leaf_number(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Number of leaf ``node`` at ``depth`` among all leaves, by depth,
+        then node (``_first_leaves``, which a map keeps)."""
+        first = _first_leaves(self._K) if self._map is not None else self._first
+        return first[depth] + node
+
     def _counts(self) -> np.ndarray:
         """Occurrences of every symbol 0..sigma-1: the size of its leaf."""
         depth, node, present = self._leaf_of(np.arange(self.sigma))
         start, end = self._all_bounds()
-        leaf = _first_leaves(self._K)[depth[present]] + node[present]
+        leaf = self._leaf_number(depth[present], node[present])
         out = np.zeros(self.sigma, dtype=np.int64)
         out[present] = end[leaf] - start[leaf]
         return out
@@ -304,15 +322,15 @@ class WaveletTree:
         gets depth -1, and its answers are discarded by callers."""
         if self._map is None:
             key = self._table[cs].astype(np.int64)
-            return key - 1, self._nodes[cs], key > 0
+            return key - 1, self._nodes[cs].astype(np.int64), key > 0
         # lanes often repeat a symbol: walk each distinct one down the map
         # once; its map leaf is its key, and its place in that leaf is the
         # occurrences of the key before it
         m = self._map
         u, inv = _distinct(cs)
         depth, node, pos = m._down(u)
-        leaf = m._first[depth] + node
-        key = m._order[leaf][inv]
+        leaf = m._leaf_number(depth, node)
+        key = m._order[leaf].astype(np.int64)[inv]
         node = self._K[np.maximum(key - 1, 0)] + (pos - m._bounds[0, leaf])[inv]
         return key - 1, node, key > 0
 
@@ -321,12 +339,12 @@ class WaveletTree:
         from its leaf order, the string climbs the map from the leaf of key
         depth + 1, at the leaf's rank among the leaves of its depth."""
         if self._map is None:
-            return self._order[self._first[depth] + node]
+            return self._order[self._leaf_number(depth, node)].astype(np.int64)
         # lanes often share a leaf: climb the map once for each distinct one
         m = self._map
         u, inv = _distinct((node - self._K[depth]) * 128 + depth + 1)
         md, mn, _ = m._leaf_of(u % 128)
-        p = m._bounds[0, m._first[md] + mn] + u // 128
+        p = m._bounds[0, m._leaf_number(md, mn)] + u // 128
         return m._ascend(md, _path(m._K, md, mn), p)[inv]
 
     def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -380,13 +398,9 @@ class WaveletTree:
                 p[zero] = bv._select(p[zero] + 1, 0)
         return p
 
-    def _leaves(self, depth: np.ndarray, node: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """[start, end) (rows 0 and 1) of each leaf ``node`` at ``depth``,
-        whose path is ``bits``: a map looks its leaves up (an absent lane
-        reads some leaf, and callers discard it), the string walks both
-        ends down."""
-        if self._map is None:
-            return self._bounds[:, self._first[depth] + node]
+    def _leaves(self, depth: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """[start, end) (rows 0 and 1) of each lane's leaf at ``depth``,
+        whose path is ``bits``: both ends walked down."""
         return self._descend(depth, bits, np.array([[0], [self.length]]).repeat(depth.size, axis=1))
 
     def _count(self, cs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -419,7 +433,7 @@ class WaveletTree:
         u, inv = _distinct(node * 128 + depth + 1)
         u_depth, u_node = u % 128 - 1, u // 128
         bits = _path(self._K, u_depth, u_node)
-        s, e = self._leaves(u_depth, u_node, bits)[:, inv]
+        s, e = self._leaves(u_depth, bits)[:, inv]
         occ = np.where(present, e - s, 0)
         bad = (ks < 1) | (ks > occ)
         if bad.any():
@@ -435,7 +449,7 @@ class WaveletTree:
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
         bits = _path(self._K, depth, node)
-        s, e = self._leaves(depth, node, bits)[:, 0]
+        s, e = self._leaves(depth, bits)[:, 0]
         leaf = np.arange(s, e, dtype=np.int64)
         return self._ascend(np.repeat(depth, leaf.size), bits.repeat(leaf.size, axis=1), leaf) + 1
 

@@ -575,8 +575,8 @@ def _key_leaves(m: WaveletTree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     number of each one's leaf."""
     present = np.flatnonzero(m._table)
     depth = m._table[present].astype(np.int64) - 1
-    node = m._nodes[present]
-    return present, depth, node, m._first[depth] + node
+    node = m._nodes[present].astype(np.int64)
+    return present, depth, node, m._leaf_number(depth, node)
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -599,6 +599,17 @@ def test_map_leaf_nodes_and_order_match_the_key_table(kind, form):
         assert np.array_equal(m._order, order[m._table[order] > 0])
         present, _, _, leaf = _key_leaves(m)
         assert np.array_equal(m._order[leaf], present)
+        for a in (m._first, m._bounds, m._nodes, m._order):    # resident: narrow
+            assert a.dtype == wavelet._narrow(a.astype(np.int64)).dtype
+
+
+@pytest.mark.parametrize("values, dtype", [
+    ([], np.int8), ([-128, 127], np.int8), ([0, 128], np.int16), ([-129], np.int16),
+    ([2**15], np.int32), ([-2**31, 2**31 - 1], np.int32), ([2**31], np.int64)])
+def test_narrow_keeps_every_entry_in_the_smallest_type(values, dtype):
+    a = np.array(values, dtype=np.int64)
+    got = wavelet._narrow(a)
+    assert got.dtype == dtype and np.array_equal(got, a)
 
 
 def test_map_bounds_are_walked_once_at_install(monkeypatch, rng):
