@@ -13,7 +13,11 @@ U64 = np.uint64
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of ``a``, and the index of each lane's value."""
+    """Sorted distinct values of ``a``, and the index of each lane's value
+    (an input of at most one lane is its own answer: scalar queries pass
+    one lane)."""
+    if a.size <= 1:
+        return a, np.zeros(a.size, dtype=np.intp)
     order = a.argsort()
     s = a[order]
     head = np.empty(s.size, dtype=bool)
@@ -37,9 +41,7 @@ def pack_bits(bits) -> np.ndarray:
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of pack_bits; returns a uint8 array of length n."""
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n].copy()
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 def popcount(x: np.ndarray) -> np.ndarray:

@@ -13,12 +13,16 @@ the block and the block's word: rank is a masked popcount of it and access
 a shift.  Select fetches nothing: it finds the superblock from the samples
 and the block from the running popcounts of that superblock's words, which
 also give the occurrences before the block, and selects in the block's word.
-The fetch holds the only choice that depends on batch size, a cost test on
-what the batch touches (its crossover was measured): a batch with at least
+Two choices depend on batch size, each a cost test on what the batch
+touches (both crossovers were measured).  A fetch with at least
 1/``_WHOLE_SHARE`` as many lanes as words takes the ones before every
 block from one transient prefix over all words' popcounts, O(words); a
 smaller one adds the popcounts of the at most 15 words before each lane's
-block in its superblock to the superblock's sample, O(16 * lanes).
+block in its superblock to the superblock's sample, O(16 * lanes).  A
+select with at least 1/``_SELECT_SHARE`` as many lanes as words lists the
+position of every occurrence from one transient unpacking of the vector
+and gathers its lanes from that list, O(n); a smaller one searches per
+lane as above, O(lanes * lg n).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ _SB_LOG = np.array(4)           # block >> 4 = superblock
 _SB_MASK = np.array(SB_BLOCKS - 1)
 _SB_BITS = BLOCK * SB_BLOCKS
 _WHOLE_SHARE = 24     # fetches of nwords / 24 lanes or more take the whole-prefix route (measured)
+_SELECT_SHARE = 6     # selects of nwords / 6 lanes or more take the whole-vector route (measured)
 _COLS = np.arange(SB_BLOCKS)
 # _BEFORE[c]: 1 at the blocks of a superblock that precede block c
 _BEFORE = np.tri(SB_BLOCKS, k=-1, dtype=np.uint16)
@@ -153,8 +158,13 @@ class BitVector:
         superblocks hit (a monotone run, since they are sorted) finds the
         block and, less the block's own count, the occurrences before it.
         Counting the bits past the end as zeros moves no answer: the k-th
-        zero lies before the end.
+        zero lies before the end.  A batch with at least 1/``_SELECT_SHARE``
+        as many lanes as words instead lists every occurrence from one
+        transient unpacking of the vector and gathers its lanes from the list.
         """
+        if ks.size * _SELECT_SHARE >= self._words.size:
+            bits = unpack_bits(self._words, self.n).view(bool)
+            return np.flatnonzero(bits if polarity else ~bits)[ks - 1]
         before = self._sb.astype(np.int64)
         if polarity == 0:
             before = _SB_BITS * np.arange(before.size) - before

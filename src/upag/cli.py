@@ -243,30 +243,36 @@ def cmd_selfcheck(args) -> int:
 
 
 BATCH_LANES = 4096      # lanes of a level batch row: the walk workload's batch size
+BENCH_PASSES = 3        # passes per bench row; a row reports its fastest
+
+
+def _best_of(name: str, run, lanes: int) -> dict | None:
+    """One bench row: the fastest of ``BENCH_PASSES`` passes of ``run``
+    over ``lanes`` queries; None when there is no lane to time."""
+    if not lanes:
+        return None
+
+    def elapsed() -> int:
+        t0 = time.perf_counter_ns()
+        run()
+        return time.perf_counter_ns() - t0
+    best = min(elapsed() for _ in range(BENCH_PASSES))
+    return {"op": name, "ns_per_query": best // lanes, "queries": lanes}
 
 
 def _time_calls(name: str, fn, *cols: np.ndarray) -> dict | None:
-    """One bench row: ``fn`` called once per lane of ``cols``; None when
-    there is no lane to time."""
+    """``fn`` called once per lane of ``cols``, as a bench row."""
     calls = list(zip(*(c.tolist() for c in cols)))
-    if not calls:
-        return None
-    t0 = time.perf_counter_ns()
-    for a in calls:
-        fn(*a)
-    return {"op": name, "ns_per_query": (time.perf_counter_ns() - t0) // len(calls),
-            "queries": len(calls)}
+
+    def run():
+        for a in calls:
+            fn(*a)
+    return _best_of(name, run, len(calls))
 
 
 def _time_batch(name: str, fn, *cols: np.ndarray) -> dict | None:
-    """One bench row: ``fn`` called once on all lanes of ``cols``; None
-    when there is no lane to time."""
-    lanes = cols[0].size
-    if not lanes:
-        return None
-    t0 = time.perf_counter_ns()
-    fn(*cols)
-    return {"op": name, "ns_per_query": (time.perf_counter_ns() - t0) // lanes, "queries": lanes}
+    """``fn`` called once on all lanes of ``cols``, as a bench row."""
+    return _best_of(name, lambda: fn(*cols), cols[0].size)
 
 
 def cmd_bench(args) -> int:

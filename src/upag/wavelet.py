@@ -184,6 +184,15 @@ def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
     return bits
 
 
+def _deepest_first(depth: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lanes ordered by ``depth``, deepest first (a radix sort: depths fit
+    a byte), and for each of the first ``levels`` levels d the number of
+    lanes deeper than d, which lead that order."""
+    key = -depth.astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    return order, key[order].searchsorted(-np.arange(levels, dtype=np.int8))
+
+
 class WaveletTree:
     def __init__(self, values=None, sigma: int = 1):
         if sigma < 1:
@@ -374,29 +383,38 @@ class WaveletTree:
         """Follow level-0 positions ``p`` (0-based, 0..length; one row per
         walk, one column per lane) down to each lane's leaf at ``depth``,
         whose path is ``bits`` (from ``_path``); one rank per position and
-        level the lane passes."""
-        p = p.copy()
-        for d, (bv, z, row) in enumerate(zip(self._levels, self._zeros, bits)):
-            on = depth > d
-            q = p[:, on]
-            r = bv._rank1(q.ravel()).reshape(q.shape)
-            p[:, on] = np.where(row[on], z + r, q - r)
-        return p
+        level the lane passes.  The lanes are put deepest first once
+        (``_deepest_first``), so those still on level d are a prefix of
+        that order, walked in place."""
+        order, on = _deepest_first(depth, len(bits))
+        q, bits = p[:, order], bits[:, order]
+        for d, (bv, z, c) in enumerate(zip(self._levels, self._zeros, on)):
+            x = q[:, :c]
+            r = bv._rank1(x.ravel()).reshape(x.shape)
+            x[:] = np.where(bits[d, :c], z + r, x - r)
+        out = np.empty_like(q)
+        out[:, order] = q
+        return out
 
     def _ascend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
         position ``p`` in its lane's leaf, one select per level the lane
-        passes, from the leaf up the rows ``bits`` of its path."""
-        p = p.copy()
-        for d in range(bits.shape[0] - 1, -1, -1):
-            bv, z = self._levels[d], self._zeros[d]
-            one = bits[d]
-            zero = (depth > d) & ~one
+        passes, from the leaf up the rows ``bits`` of its path.  As in
+        ``_descend``, the lanes on level d are a prefix of one deepest-first
+        order, and each level splits that prefix by its bit."""
+        order, on = _deepest_first(depth, len(bits))
+        q, bits = p[order], bits[:, order]
+        for d in range(len(bits) - 1, -1, -1):
+            bv, z, c = self._levels[d], self._zeros[d], on[d]
+            x, one = q[:c], bits[d, :c]
+            zero = ~one
             if one.any():
-                p[one] = bv._select(p[one] - z + 1, 1)
+                x[one] = bv._select(x[one] - z + 1, 1)
             if zero.any():
-                p[zero] = bv._select(p[zero] + 1, 0)
-        return p
+                x[zero] = bv._select(x[zero] + 1, 0)
+        out = np.empty_like(q)
+        out[order] = q
+        return out
 
     def _leaves(self, depth: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """[start, end) (rows 0 and 1) of each lane's leaf at ``depth``,

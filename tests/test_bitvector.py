@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upag import bitvector
-from upag.bits import popcount
+from upag.bits import _distinct, popcount
 from upag.bitvector import BitVector
 from upag.errors import OutOfRangeError
 from upag.wavelet import WaveletTree
@@ -287,6 +287,76 @@ def test_fetch_route_switches_at_a_24th_of_the_words(lanes, monkeypatch):
     monkeypatch.setattr(bitvector, "_WHOLE_SHARE", 1 if lanes == 14 else 10 ** 6)
     assert np.array_equal(bv._fetch(blk)[0], base)          # the other route agrees
     assert counted == ([16 * lanes] if lanes == 14 else [336])
+
+
+def _vector_of(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    return {"random": (rng.random(n) < 0.4).astype(np.uint8),
+            "ones": np.ones(n, np.uint8), "zeros": np.zeros(n, np.uint8)}[kind]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("kind", ["random", "ones", "zeros"])
+@pytest.mark.parametrize("n", [1, 63, 64, 1025, 20000])
+@pytest.mark.parametrize("polarity", [0, 1])
+def test_select_routes_agree(polarity, n, kind, form, monkeypatch):
+    # every batch through the per-lane route (share 0) and the whole-vector
+    # route (a share no batch falls short of) gives the reference answers,
+    # k = 1 and k = count among them, alone and in a batch
+    bits = _vector_of(kind, n)
+    bv = made(bits, form)
+    where = np.flatnonzero(bits == polarity)
+    if not where.size:                          # nothing to select: all of the other bit
+        assert bv.ones == (n if polarity == 0 else 0)
+        return
+    rng = np.random.default_rng(n + polarity)
+    batches = [np.array([1]), np.array([where.size]),
+               np.concatenate(([1, where.size], rng.integers(1, where.size + 1, 300)))]
+    for share in (0, 10 ** 9):
+        monkeypatch.setattr(bitvector, "_SELECT_SHARE", share)
+        for ks in batches:
+            assert np.array_equal(bv._select(ks, polarity), where[ks - 1])
+
+
+@pytest.mark.parametrize("lanes", [55, 56])
+def test_select_route_switches_at_a_6th_of_the_words(lanes, monkeypatch):
+    # 21 superblocks, 336 = 6 * 56 words: 56 lanes or more list the whole
+    # vector's occurrences once; fewer search each lane's superblock and
+    # select in its word
+    bits = _fetch_bits(64 * 16 * 21, seed=5)
+    routes = []
+    unpack, in_word = bitvector.unpack_bits, bitvector._select_in_word
+
+    def spy_unpack(words, n):
+        routes.append("whole")
+        return unpack(words, n)
+
+    def spy_in_word(words, r):
+        routes.append("per-lane")
+        return in_word(words, r)
+
+    monkeypatch.setattr(bitvector, "unpack_bits", spy_unpack)
+    monkeypatch.setattr(bitvector, "_select_in_word", spy_in_word)
+    bv = BitVector(bits)
+    ks = np.arange(lanes) * 97 % bv.ones + 1
+    got = bv.select1_batch(ks)
+    assert routes == (["whole"] if lanes == 56 else ["per-lane"])
+    routes.clear()
+    monkeypatch.setattr(bitvector, "_SELECT_SHARE", 1 if lanes == 56 else 10 ** 6)
+    assert np.array_equal(bv.select1_batch(ks), got)          # the other route agrees
+    assert routes == (["per-lane"] if lanes == 56 else ["whole"])
+    assert np.array_equal(got, np.flatnonzero(bits)[ks - 1] + 1)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 100])
+def test_distinct_values_and_their_lanes(size):
+    # sorted distinct values, and each lane's index among them; an input
+    # of at most one lane comes back as it is
+    a = np.random.default_rng(size).integers(0, 30, size)
+    u, inv = _distinct(a)
+    assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
+    assert inv.dtype == np.intp and inv.shape == a.shape
+    assert (u is a) == (size <= 1)
 
 
 @pytest.mark.parametrize("form", FORMS)

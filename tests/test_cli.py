@@ -15,6 +15,7 @@ import io
 import json
 import struct
 import tempfile
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upag import cli
 from upag.cli import main, read_edge_list, write_edge_list
 from upag.errors import FormatError
 from upag.graph_model import Dag, ModelError
@@ -496,6 +498,28 @@ def test_bench_skips_rows_that_time_nothing(tmp_path, capsys, n):
         rows = [_bench_row(ln) for ln in text.splitlines()]
         assert all(row["queries"] > 0 for row in rows)
         assert {"degree_in", "degree_in_batch"} <= {row["op"] for row in rows}
+
+
+def test_bench_rows_report_their_fastest_pass(monkeypatch):
+    # each row runs BENCH_PASSES passes and keeps the fastest (the first
+    # pass here sleeps 50 ms); a row with no lane runs nothing and is left out
+    monkeypatch.setattr(cli, "BENCH_PASSES", 4)
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            time.sleep(0.05)
+
+    lanes = np.arange(1, 4)
+    for timer, per_pass in ((cli._time_batch, 1), (cli._time_calls, 3)):
+        calls.clear()
+        row = timer("op", fn, lanes, lanes)
+        assert len(calls) == 4 * per_pass
+        assert set(row) == {"op", "ns_per_query", "queries"} and row["queries"] == 3
+        assert row["ns_per_query"] < 50_000_000 // 3
+        calls.clear()
+        assert timer("op", fn, lanes[:0], lanes[:0]) is None and calls == []
 
 
 def _bench_row(line: str) -> dict:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_wavelet import FORMS, reassembled
 
-from upag import wavelet
+from upag import bitvector, wavelet
+from upag.bitvector import BitVector
 from upag.construct import build
 from upag.errors import OutOfRangeError
 from upag.graph_model import adjacency_string, in_degrees, undirected_degrees
@@ -431,3 +432,34 @@ def test_scalar_string_queries_climb_once(monkeypatch):
         climbs.clear()
         getattr(t, query)(*args)
         assert len(climbs) == 1, query
+
+
+def test_whole_graph_in_neighbour_batch_selects_on_whole_levels(monkeypatch):
+    # every in-edge of a 2^12 graph in one batch: each select, on the LOUDS
+    # and on every level of the string, lists the whole vector's
+    # occurrences once instead of searching per lane
+    g = CompressedGraph.from_dag(generate(3, 1 << 12, seed=2))
+    vs = np.arange(g.n + 1)
+    deg = g.degree_in_batch(vs)
+    iv = np.repeat(vs, deg)
+    ij = np.arange(iv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+    calls, unpacked = [], []
+    select, unpack = BitVector._select, bitvector.unpack_bits
+
+    def spy_unpack(words, n):
+        unpacked.append(n)
+        return unpack(words, n)
+
+    def spy_select(self, ks, polarity):
+        before = len(unpacked)
+        out = select(self, ks, polarity)
+        calls.append((self, len(unpacked) - before))
+        return out
+
+    monkeypatch.setattr(bitvector, "unpack_bits", spy_unpack)
+    monkeypatch.setattr(BitVector, "_select", spy_select)
+    got = g.in_neighbour_batch(iv, ij)
+    assert [whole for _, whole in calls] == [1] * len(calls)
+    assert {id(bv) for bv, _ in calls} == {id(bv) for bv in [g.tree._bv, *g.targets._levels]}
+    monkeypatch.setattr(bitvector, "_SELECT_SHARE", 0)       # every select per lane
+    assert np.array_equal(g.in_neighbour_batch(iv, ij), got)

@@ -547,6 +547,40 @@ def test_path_rows_reach_the_deepest_lane(kind):
             assert bits[:, lane].tolist() == code + [False] * (bits.shape[0] - len(code))
 
 
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("kind", ["random", "zipf", "fibonacci", "one"])
+def test_walks_on_shuffled_lanes_of_mixed_depth_match_one_lane_walks(kind, form):
+    # every symbol three times over, shuffled: lanes of every depth, absent
+    # ones (depth -1) and, for a lone symbol, depth-0 ones; each lane walks
+    # down and up as it does alone, to the naive count and position
+    rng = np.random.default_rng(7)
+    counts = COUNT_KINDS[kind](rng)
+    values = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    wt = make(values, counts.size, form)
+    cs = rng.permutation(np.repeat(np.arange(counts.size), 3))
+    depth, node, present = wt._leaf_of(cs)
+    assert np.array_equal(depth == -1, counts[cs] == 0)
+    assert (depth == 0).any() == (kind == "one")
+    bits = wavelet._path(wt._K, depth, node)
+    lo = rng.integers(0, values.size + 1, cs.size)
+    ends = np.stack((lo, rng.integers(lo, values.size + 1)))
+    down = wt._descend(depth, bits, ends)
+    start = wt._leaves(depth, bits)[0]
+    k = rng.integers(0, np.maximum(counts[cs], 1))       # an occurrence in the leaf
+    up = wt._ascend(depth, bits, start + k)
+    for lane, c in enumerate(cs.tolist()):
+        one = slice(lane, lane + 1)
+        alone = wavelet._path(wt._K, depth[one], node[one])
+        assert np.array_equal(wt._descend(depth[one], alone, ends[:, one]), down[:, one])
+        assert np.array_equal(wt._ascend(depth[one], alone, start[one] + k[one]), up[one])
+        if present[lane]:
+            s, e = down[:, lane]
+            assert e - s == np.count_nonzero(values[ends[0, lane]:ends[1, lane]] == c)
+            assert up[lane] == np.flatnonzero(values == c)[k[lane]]
+        else:                                            # an absent lane walks nowhere
+            assert np.array_equal(down[:, lane], ends[:, lane]) and up[lane] == start[lane] + k[lane]
+
+
 # ---------------------------------------------------------------------------
 # the map's leaf tables: bounds, nodes and order, kept from install
 # ---------------------------------------------------------------------------
