@@ -4,7 +4,8 @@ The per-block deletion that never raises entropy
 
 Deleting one symbol per equal-size block — always a globally rarest
 survivor — provably cannot raise the per-character entropy of the string.
-This walkthrough runs the bookkeeping step by step, then shows the same
+This walkthrough prints the reduction as the paper's steps (their trace
+follows in closed form from the per-block rule), then shows the same
 deletion happening at graph level when the compressor picks tree parents.
 """
 

@@ -20,6 +20,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -345,7 +346,7 @@ def _bench_layers(g: CompressedGraph, rng: np.random.Generator, q: int) -> list[
 def cmd_lfc(args) -> int:
     res = reduce_string(args.string, args.block, want_trace=True)
     order = sorted(res.sigma, key=res.sigma.get)
-    counts = {sym: args.string.count(sym) for sym in order}
+    counts = Counter(args.string)
     print("sigma=" + ",".join(f"{sym}:{res.sigma[sym]}" for sym in order))
     print("S=" + "".join(sym * counts[sym] for sym in order))
     for step in res.trace:

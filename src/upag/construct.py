@@ -8,6 +8,11 @@ least as well per character as the full target string.  The vertices are
 then renamed in BFS order of the scaffold, ranked by their root-to-vertex
 label paths with prefix doubling, so the tree needs no labels.
 
+``reduce_string`` applies the same per-block rule (``_drop_rarest``) to any
+string of orderable symbols, and derives the paper's step-by-step account
+of it (the order in which blocks are flagged and the position picked in
+the sorted string each step) in closed form, not by replaying the steps.
+
 ``peel_edges`` inverts generation: from the edge arrays of an undirected
 multigraph under any labelling, it recovers an attachment history and the
 arrival order behind it.  The split feeds ``CompressedGraph`` with a
@@ -17,8 +22,8 @@ scaffold; the form without one stores the target string as is.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -67,6 +72,16 @@ class BuildResult:
     nontree_orig: np.ndarray     # same deletions, original labels and block order
 
 
+def _drop_rarest(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-block deletion, on a (blocks, m) matrix of frequency ranks:
+    ``drop``, the column of each block's first lowest-rank entry, and
+    ``keep``, the mask of every other entry."""
+    drop = np.argmin(ranks, axis=1)
+    keep = np.ones(ranks.shape, dtype=bool)
+    keep[np.arange(ranks.shape[0]), drop] = False
+    return drop, keep
+
+
 def build(d: Dag, tie: str = "index") -> BuildResult:
     """Split an attachment history into tree parents and leftover targets."""
     sigma = freq_rank(d, tie)
@@ -74,11 +89,8 @@ def build(d: Dag, tie: str = "index") -> BuildResult:
     nv = d.n_vertices
     parents = np.full(nv, -1, dtype=np.int64)
     if n:
-        keyed = sigma[d.targets]                 # (n, m) ranks
-        drop = np.argmin(keyed, axis=1)          # first occurrence of the rarest
+        drop, keep = _drop_rarest(sigma[d.targets])
         parents[1:] = d.targets[np.arange(n), drop]
-        keep = np.ones((n, m), dtype=bool)
-        keep[np.arange(n), drop] = False
         nontree_orig = d.targets[keep].reshape(n, m - 1)
     else:
         nontree_orig = np.zeros((0, max(m - 1, 0)), dtype=np.int64)
@@ -194,7 +206,7 @@ def peel_edges(nv: int, us, vs, m: int) -> tuple[Dag, np.ndarray]:
 
 @dataclass
 class LfcResult:
-    """Outcome of the step-by-step string reduction."""
+    """Outcome of the block-wise string reduction, read as steps over S."""
 
     reduced: object                  # same type as the input string
     sigma: dict                      # symbol -> 0-based frequency rank
@@ -207,11 +219,14 @@ class LfcResult:
 def reduce_string(s, block_size: int, want_trace: bool = False) -> LfcResult:
     """Delete from each block its leftmost letter in the sorted string S.
 
-    S lists the symbols of ``s`` by ascending frequency.  Each step takes
-    the leftmost surviving letter of S, flags the first unflagged block
-    containing it, crosses out one S-occurrence of every letter of that
-    block, and deletes the chosen letter's first occurrence inside the
-    block.  The concatenated survivors form the reduced string.
+    S lists the symbols of ``s`` by ascending frequency, ties by symbol,
+    and a symbol's rank is its place in that order.  Each block loses the
+    first occurrence of its lowest-rank symbol, ``build``'s rule.  Read as
+    the paper's steps over S, which flag one block each, the rest follows
+    in closed form: the blocks are flagged by (rank of the deleted symbol,
+    block index), and the step that flags block j picks S position 1 +
+    the letters of lower rank + the occurrences of j's deleted symbol in
+    the blocks flagged before j.
     """
     if block_size < 1:
         raise ValueError("block size must be positive")
@@ -219,67 +234,43 @@ def reduce_string(s, block_size: int, want_trace: bool = False) -> LfcResult:
     if len(seq) % block_size:
         raise ValueError(f"length {len(seq)} is not a multiple of block size {block_size}")
     n = len(seq) // block_size
-    blocks = [seq[i * block_size : (i + 1) * block_size] for i in range(n)]
+    # hash each letter once, to where its symbol first occurs, and number
+    # those first occurrences in symbol order
+    first: dict = {}
+    at = np.fromiter(map(first.setdefault, seq, range(len(seq))), dtype=np.int64, count=len(seq))
+    syms = sorted(set(first))       # a set of ints iterates nearly sorted
+    nsym = len(syms)
+    code = np.empty(len(seq), dtype=np.int64)
+    code[np.fromiter(map(first.__getitem__, syms), dtype=np.int64, count=nsym)] = np.arange(nsym)
+    codes = code[at]
+    order = np.argsort(np.bincount(codes, minlength=nsym), kind="stable")
+    rank = np.empty(nsym, dtype=np.int64)
+    rank[order] = np.arange(nsym)
+    ranks = rank[codes].reshape(n, block_size)
 
-    counts = Counter(seq)
-    order = sorted(counts, key=lambda x: (counts[x], x))
-    sigma = {sym: r for r, sym in enumerate(order)}
-    start = {}
-    acc = 0
-    for sym in order:
-        start[sym] = acc
-        acc += counts[sym]
+    drop, keep = _drop_rarest(ranks)
+    lost = ranks[np.arange(n), drop]
+    flag = np.argsort(lost * n + np.arange(n))  # step order: by lost rank, then block
+    when = np.empty(n, dtype=np.int64)
+    when[flag] = np.arange(n)
+    # a letter's place in S: by rank, then by the step that flags its block
+    place = np.sort(ranks * n + when[:, None], axis=None)
+    selected = (place.searchsorted(lost[flag] * n + np.arange(n)) + 1).tolist()
 
-    holding: dict = {sym: [] for sym in order}      # blocks that contain sym
-    for j, blk in enumerate(blocks):
-        for sym in dict.fromkeys(blk):
-            holding[sym].append(j)
-    hold_ptr = {sym: 0 for sym in order}
-
-    consumed = {sym: 0 for sym in order}            # leading lambdas per S-region
-    flagged = [False] * n
-    deleted_pos = [-1] * n
-    flag_order: list[int] = []
-    selected: list[int] = []
-    trace: list[dict] | None = [] if want_trace else None
-
-    rank_ptr = 0
-    for _step in range(n):
-        while consumed[order[rank_ptr]] == counts[order[rank_ptr]]:
-            rank_ptr += 1
-        c = order[rank_ptr]
-        k = start[c] + consumed[c] + 1              # 1-based position in S
-        lst = holding[c]
-        p = hold_ptr[c]
-        while p < len(lst) and flagged[lst[p]]:
-            p += 1
-        hold_ptr[c] = p
-        if p == len(lst):
-            raise RuntimeError("no unflagged block holds the selected symbol")
-        j = lst[p]
-        flagged[j] = True
-        for sym in blocks[j]:
-            consumed[sym] += 1
-            if consumed[sym] > counts[sym]:
-                raise RuntimeError("crossed out more occurrences than exist")
-        deleted_pos[j] = blocks[j].index(c)
-        flag_order.append(j + 1)
-        selected.append(k)
-        if trace is not None:
-            after = tuple(
-                None if i == deleted_pos[j] else x for i, x in enumerate(blocks[j])
-            )
-            trace.append(
-                {"step": _step + 1, "symbol": c, "s_index": k, "block": j + 1, "after": after}
-            )
-
-    out = [x for j, blk in enumerate(blocks) for i, x in enumerate(blk) if i != deleted_pos[j]]
-    reduced = "".join(out) if isinstance(s, str) else out
-    deleted = [blocks[j][deleted_pos[j]] for j in range(n)]
+    deleted = list(compress(seq, (~keep).ravel().tolist()))
+    out = list(compress(seq, keep.ravel().tolist()))
+    trace = None
+    if want_trace:
+        trace, drop = [], drop.tolist()
+        for t, (j, k) in enumerate(zip(flag.tolist(), selected)):
+            after = seq[j * block_size:(j + 1) * block_size]
+            after[drop[j]] = None
+            trace.append({"step": t + 1, "symbol": deleted[j], "s_index": k, "block": j + 1,
+                          "after": tuple(after)})
     return LfcResult(
-        reduced=reduced,
-        sigma=sigma,
-        flag_order=flag_order,
+        reduced="".join(out) if isinstance(s, str) else out,
+        sigma=dict(zip(map(syms.__getitem__, order.tolist()), range(nsym))),
+        flag_order=(flag + 1).tolist(),
         selected_indices=selected,
         deleted=deleted,
         trace=trace,

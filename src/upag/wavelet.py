@@ -8,8 +8,9 @@ bit-0 children of depth d's internal nodes, then their bit-1 children, so
 internal node i's child by bit b is node ``b * K_d + i``; the first K_{d+1}
 of them are internal and the rest are the leaves of the symbols whose code
 has d + 1 bits, in symbol order.  A lone symbol's leaf is the root (an
-empty code).  Every walk takes a leaf as (depth, node) and derives its
-path by arithmetic on them: no code word is stored.
+empty code).  A walk down takes a leaf as (depth, node) and derives its
+path by arithmetic on them, and a walk up needs only the depth: no code
+word is stored.
 
 Levels.  Level d holds bit d of the code of every element whose code is
 longer than d, in wavelet matrix order (Claude, Navarro & Ordóñez,
@@ -41,9 +42,11 @@ number of each depth's node 0, each in the narrowest integer type that
 holds it (150 bytes at n = 2^18).  So finding a symbol's leaf is one walk
 down the map, and a leaf's symbol one climb up it from the leaf of its
 key.  The string keeps no such table: at about sigma_eff x 16 bytes it
-would cost several bits per edge.  Every query derives its path rows
-(``_path``) once: select reads them down for its leaves' bounds and up for
-its ascent.
+would cost several bits per edge.  Only the descents read path rows
+(``_path``), derived once per query: rank's for its range ends, select's
+and ``positions``' for their leaves' bounds.  An ascent needs none: a
+position of depth d + 1 came from a 1 of level d exactly when it is at
+least z_d, so access, whose climb up the map is an ascent, derives none.
 
 The class keeps the name ``WaveletTree``: the names of the string index's
 public methods are what callers and the benchmark's tracer key on.
@@ -354,7 +357,7 @@ class WaveletTree:
         u, inv = _distinct((node - self._K[depth]) * 128 + depth + 1)
         md, mn, _ = m._leaf_of(u % 128)
         p = m._bounds[0, m._leaf_number(md, mn)] + u // 128
-        return m._ascend(md, _path(m._K, md, mn), p)[inv]
+        return m._ascend(md, p)[inv]
 
     def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Walk 0-based level-0 positions down to their leaves: (depth,
@@ -396,17 +399,20 @@ class WaveletTree:
         out[:, order] = q
         return out
 
-    def _ascend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def _ascend(self, depth: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
-        position ``p`` in its lane's leaf, one select per level the lane
-        passes, from the leaf up the rows ``bits`` of its path.  As in
-        ``_descend``, the lanes on level d are a prefix of one deepest-first
-        order, and each level splits that prefix by its bit."""
-        order, on = _deepest_first(depth, len(bits))
-        q, bits = p[order], bits[:, order]
-        for d in range(len(bits) - 1, -1, -1):
+        position ``p`` in its lane's leaf at ``depth``, one select per level
+        the lane passes.  A position x of depth d + 1 came from a 1 of level
+        d exactly when x >= z_d (the partition puts the zeros first), so the
+        climb reads no path.  As in ``_descend``, the lanes on level d are a
+        prefix of one deepest-first order, and each level splits that
+        prefix by its bit."""
+        order, on = _deepest_first(depth, depth.max(initial=0))
+        q = p[order]
+        for d in range(on.size - 1, -1, -1):
             bv, z, c = self._levels[d], self._zeros[d], on[d]
-            x, one = q[:c], bits[d, :c]
+            x = q[:c]
+            one = x >= z
             zero = ~one
             if one.any():
                 x[one] = bv._select(x[one] - z + 1, 1)
@@ -446,18 +452,16 @@ class WaveletTree:
         cs, ks = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
                                      checked(k, _I64.min, _I64.max, "occurrence number"))
         depth, node, present = self._leaf_of(cs)
-        # one climb per distinct leaf, whose rows serve the leaves' bounds
-        # and, gathered per lane, the ascent
+        # the leaves' bounds walk down once per distinct leaf
         u, inv = _distinct(node * 128 + depth + 1)
         u_depth, u_node = u % 128 - 1, u // 128
-        bits = _path(self._K, u_depth, u_node)
-        s, e = self._leaves(u_depth, bits)[:, inv]
+        s, e = self._leaves(u_depth, _path(self._K, u_depth, u_node))[:, inv]
         occ = np.where(present, e - s, 0)
         bad = (ks < 1) | (ks > occ)
         if bad.any():
             k = int(np.argmax(bad))
             raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
-        return self._ascend(depth, bits[:, inv], s + ks - 1) + 1
+        return self._ascend(depth, s + ks - 1) + 1
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:
@@ -466,10 +470,9 @@ class WaveletTree:
         depth, node, present = self._leaf_of(checked([c], 0, self.sigma - 1, "symbol"))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
-        bits = _path(self._K, depth, node)
-        s, e = self._leaves(depth, bits)[:, 0]
+        s, e = self._leaves(depth, _path(self._K, depth, node))[:, 0]
         leaf = np.arange(s, e, dtype=np.int64)
-        return self._ascend(np.repeat(depth, leaf.size), bits.repeat(leaf.size, axis=1), leaf) + 1
+        return self._ascend(np.repeat(depth, leaf.size), leaf) + 1
 
     # -- scalar wrappers ----------------------------------------------------
 

@@ -13,7 +13,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -592,6 +595,16 @@ def test_lfc_reduction_golden(capsys):
 
 def test_lfc_rejects_block_size_not_dividing_length(capsys):
     assert run(capsys, "lfc", "--string", "abracadabraa", "--block", "5")[0] == 2
+
+
+def test_python_m_upag_runs_the_cli():
+    # the package runs as a module from a source checkout, with no script
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "upag", "lfc", "--string", "abracadabraa",
+                           "--block", "4"], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode("utf-8").splitlines()[-1] == "A'=araadaraa H0pc: 1.9591→1.2244"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_reference import random_mout_dag
 from ingest_reference import (
     bfs_deque,
     dag_edges,
@@ -14,6 +15,7 @@ from ingest_reference import (
     preorder_stack,
     same_multigraph,
 )
+from lfc_reference import reduce_steps
 from upag.bptree import BPTree
 from upag.construct import (
     BuildResult,
@@ -129,6 +131,65 @@ def test_reduce_selected_index_bound_on_instances(m, n, seed):
     res = reduce_string(list(adjacency_string(d)), m)
     for i, k in enumerate(res.selected_indices, start=1):
         assert k <= (i - 1) * m + 1
+
+
+def assert_same_reduction(s, m):
+    """``reduce_string`` and the step loop agree on every field, trace
+    included, down to the types: ints are Python ints, symbols the input's
+    own objects, and ``reduced`` has the input's type."""
+    got, want = reduce_string(s, m, want_trace=True), reduce_steps(s, m, want_trace=True)
+    assert got == want
+    assert type(got.reduced) is type(want.reduced)
+    assert [type(x) for x in got.reduced] == [type(x) for x in want.reduced]
+    assert [type(x) for x in got.deleted] == [type(x) for x in want.deleted]
+    assert list(got.sigma) == list(want.sigma)
+    ints = list(got.sigma.values()) + got.flag_order + got.selected_indices
+    ints += [t[key] for t in got.trace for key in ("step", "s_index", "block")]
+    assert all(type(x) is int for x in ints)
+    assert reduce_string(s, m).trace is None
+
+
+@pytest.mark.parametrize("s, m", [
+    pytest.param("abracadabraa", 4, id="worked-example"),
+    pytest.param(list("abracadabraa"), 4, id="worked-example-as-list"),
+    pytest.param("", 3, id="empty-str"),
+    pytest.param([], 1, id="empty-list"),
+    pytest.param("abab", 1, id="block-size-1"),
+    pytest.param("abcabcabc", 1, id="block-size-1-three-symbols"),
+    pytest.param([0, 0, 1, 1], 2, id="duplicate-blocks"),
+    pytest.param("abababab", 2, id="duplicate-blocks-str"),
+    pytest.param("zzya", 4, id="one-block"),
+    pytest.param([(1, "b"), (0, "a"), (1, "b"), (2, "c"), (0, "a"), (0, "a")], 3, id="tuples"),
+    pytest.param([(0, 1), (0, 1), (1, 0), (0, 1)], 2, id="pairs"),    # not a 2-D array
+])
+def test_reduce_matches_step_reference(s, m):
+    assert_same_reduction(s, m)
+
+
+def test_reduce_matches_step_reference_on_criterion_4_draws():
+    # criterion 4's two draw families, same seed and order: random strings,
+    # then the target strings of random m-out dags
+    rng = np.random.default_rng(0xACC4)
+    for _ in range(1000):
+        m = int(rng.integers(2, 9))
+        blocks = int(rng.integers(1, 201))
+        sigma = int(rng.integers(2, 51))
+        assert_same_reduction(rng.integers(0, sigma, size=m * blocks).tolist(), m)
+    for _ in range(500):
+        m = int(rng.integers(2, 9))
+        d = random_mout_dag(int(rng.integers(1, 201)), m, rng)
+        assert_same_reduction(list(adjacency_string(d)), m)
+
+
+def test_reduce_of_a_large_attachment_string_runs_fast():
+    # 2^17 blocks of 3: closed forms in numpy, not one Python step per block
+    d = generate(3, 2 ** 17, seed=1)
+    s = list(adjacency_string(d))
+    t0 = time.perf_counter()
+    res = reduce_string(s, 3)
+    elapsed = time.perf_counter() - t0
+    assert res.reduced == build(d).nontree_orig.tolist()
+    assert elapsed < 1.0, elapsed
 
 
 # ---------------------------------------------------------------------------

@@ -567,12 +567,12 @@ def test_walks_on_shuffled_lanes_of_mixed_depth_match_one_lane_walks(kind, form)
     down = wt._descend(depth, bits, ends)
     start = wt._leaves(depth, bits)[0]
     k = rng.integers(0, np.maximum(counts[cs], 1))       # an occurrence in the leaf
-    up = wt._ascend(depth, bits, start + k)
+    up = wt._ascend(depth, start + k)
     for lane, c in enumerate(cs.tolist()):
         one = slice(lane, lane + 1)
         alone = wavelet._path(wt._K, depth[one], node[one])
         assert np.array_equal(wt._descend(depth[one], alone, ends[:, one]), down[:, one])
-        assert np.array_equal(wt._ascend(depth[one], alone, start[one] + k[one]), up[one])
+        assert np.array_equal(wt._ascend(depth[one], start[one] + k[one]), up[one])
         if present[lane]:
             s, e = down[:, lane]
             assert e - s == np.count_nonzero(values[ends[0, lane]:ends[1, lane]] == c)
