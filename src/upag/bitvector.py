@@ -10,19 +10,33 @@ and ``space_report()`` is the ``nbytes`` of those two arrays.
 Rank and access are one block fetch, ``BitVector._fetch``, and then word
 arithmetic.  For each lane's 64-bit block the fetch returns the ones before
 the block and the block's word: rank is a masked popcount of it and access
-a shift.  Select fetches nothing: it finds the superblock from the samples
-and the block from the running popcounts of that superblock's words, which
-also give the occurrences before the block, and selects in the block's word.
-Two choices depend on batch size, each a cost test on what the batch
-touches (both crossovers were measured).  A fetch with at least
-1/``_WHOLE_SHARE`` as many lanes as words takes the ones before every
+a shift.  Select fetches nothing: its routes below count or list the
+occurrences themselves.
+
+Which route a call takes depends on its size, each choice a cost test on
+what the batch touches (every crossover was measured).  A fetch with at
+least 1/``_WHOLE_SHARE`` as many lanes as words takes the ones before every
 block from one transient prefix over all words' popcounts, O(words); a
 smaller one adds the popcounts of the at most 15 words before each lane's
-block in its superblock to the superblock's sample, O(16 * lanes).  A
-select with at least 1/``_SELECT_SHARE`` as many lanes as words lists the
-position of every occurrence from one transient unpacking of the vector
-and gathers its lanes from that list, O(n); a smaller one searches per
-lane as above, O(lanes * lg n).
+block in its superblock to the superblock's sample, O(16 * lanes).  Select
+has three routes:
+
+* whole vector, from (lanes + ``_PREFIX_SHARE``) * ``_SELECT_SHARE`` >=
+  words: one transient unpacking lists the position of every occurrence
+  and the lanes gather from the list, O(n).  Its fixed cost is the lowest,
+  so a vector of at most 258 words takes it even for one lane: the other
+  routes' extra fixed cost is worth about 120 lanes at the measured
+  crossover, close enough to ``_PREFIX_SHARE`` to share the constant;
+* prefix, from lanes * ``_PREFIX_SHARE`` >= words: one transient running
+  count over all words' popcounts and one search of it per lane,
+  O(words + lanes * lg words);
+* per lane, below both: one search of the superblock samples, then of the
+  running popcounts of the words of just the superblocks hit,
+  O(lanes * lg n).
+
+Both searching routes finish in the lane's word with a broadword select,
+``_select_in_word``: some 15 one-dimensional word operations and one
+lookup in a 2 KiB byte-select table, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -44,28 +58,41 @@ _SB_LOG = np.array(4)           # block >> 4 = superblock
 _SB_MASK = np.array(SB_BLOCKS - 1)
 _SB_BITS = BLOCK * SB_BLOCKS
 _WHOLE_SHARE = 24     # fetches of nwords / 24 lanes or more take the whole-prefix route (measured)
-_SELECT_SHARE = 6     # selects of nwords / 6 lanes or more take the whole-vector route (measured)
+_SELECT_SHARE = 2     # selects of nwords / 2 - _PREFIX_SHARE lanes or more unpack the vector (measured)
+_PREFIX_SHARE = 128   # selects of nwords / 128 lanes or more search one prefix over all words (measured)
 _COLS = np.arange(SB_BLOCKS)
 # _BEFORE[c]: 1 at the blocks of a superblock that precede block c
 _BEFORE = np.tri(SB_BLOCKS, k=-1, dtype=np.uint16)
 
-# byte-granular select helpers
-_BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# broadword select: 0x01 and 0x80 in every byte, a byte mask and a byte's
+# bits; _BYTE_SELECT[8 * byte + r] is the position of the (r+1)-th one in
+# ``byte`` (8 past its last one)
+_L8 = np.array(0x0101010101010101, dtype=U64)
+_H8 = np.array(0x8080808080808080, dtype=U64)
+_BYTE = np.array(0xFF, dtype=U64)
+_EIGHT = np.array(8, dtype=U64)
 _BYTE_SELECT = np.array([[j for j in range(8) if b >> j & 1] + [8] * (8 - bin(b).count("1"))
-                         for b in range(256)], dtype=np.uint8)
+                         for b in range(256)], dtype=np.uint8).ravel()
 # bits of the tables above, which every bitvector shares and none counts
-_TABLE_BITS = 8 * sum(t.nbytes for t in (_BYTE_POP, _BYTE_SELECT, _BEFORE, _COLS))
+_TABLE_BITS = 8 * sum(t.nbytes for t in (_BYTE_SELECT, _BEFORE, _COLS))
 
 
 def _select_in_word(words: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Position of the r-th (1-based) set bit in each word."""
-    byt = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    pop = _BYTE_POP[byt]
-    cum = pop.cumsum(axis=1, dtype=np.uint8)
-    j = (cum < r[:, None]).sum(axis=1)          # bytes wholly before the r-th one
-    lane = np.arange(j.size)
-    within = r - cum[lane, j] + pop[lane, j]
-    return 8 * j + _BYTE_SELECT[byt[lane, j], within - 1]
+    """Position of the r-th (1-based) set bit in each word, by broadword
+    arithmetic (Vigna, WEA 2008).  Byte j of ``b`` counts the ones in bytes
+    0..j (at most 64, so no byte carries into the next).  With ``r1`` = r - 1
+    in every byte, the bytes whose count is at most r - 1 keep their high
+    bit in ``(r1 | 0x80..) - b`` (no byte borrows: 0x80 + r - 1 >= b), and
+    they are the j bytes wholly before the r-th one.  Byte j of ``r1 - (b <<
+    8)`` is r - 1 less the ones before byte j (the bytes below it do not
+    borrow either), the rank to select inside byte j by table."""
+    w = np.ascontiguousarray(words, dtype="<u8")
+    b = popcount(w.view(np.uint8)).view(U64) * _L8
+    r1 = (r - 1).astype(U64) * _L8
+    j8 = popcount(((r1 | _H8) - b) & _H8) * _EIGHT
+    within = ((r1 - (b << _EIGHT)) >> j8) & _BYTE
+    byte = (w >> j8) & _BYTE
+    return (j8 + _BYTE_SELECT[byte * _EIGHT + within]).view(np.int64)
 
 
 class BitVector:
@@ -153,32 +180,43 @@ class BitVector:
         """0-based position of the k-th (1-based) occurrence of the bit
         ``polarity``, k in 1..count.
 
-        A search of the superblock samples finds each lane's superblock; one
-        search of the running counts of the words of just the distinct
-        superblocks hit (a monotone run, since they are sorted) finds the
-        block and, less the block's own count, the occurrences before it.
-        Counting the bits past the end as zeros moves no answer: the k-th
-        zero lies before the end.  A batch with at least 1/``_SELECT_SHARE``
-        as many lanes as words instead lists every occurrence from one
-        transient unpacking of the vector and gathers its lanes from the list.
+        The whole-vector route lists every occurrence from one transient
+        unpacking and gathers the lanes from the list.  The prefix route
+        searches a running count of the occurrences over all words.  The
+        per-lane route searches the superblock samples for each lane's
+        superblock, then one running count over the words of just the
+        distinct superblocks hit (a monotone run, since they are sorted).
+        Both searches give the block and, less the block's own count, the
+        occurrences before it, and select in the block's word.  Counting the
+        bits past the end as zeros moves no answer: the k-th zero lies
+        before the end.  The module docstring gives the crossovers.
         """
-        if ks.size * _SELECT_SHARE >= self._words.size:
-            bits = unpack_bits(self._words, self.n).view(bool)
+        words = self._words
+        if (ks.size + _PREFIX_SHARE) * _SELECT_SHARE >= words.size:
+            bits = unpack_bits(words, self.n).view(bool)
             return np.flatnonzero(bits if polarity else ~bits)[ks - 1]
-        before = self._sb.astype(np.int64)
-        if polarity == 0:
-            before = _SB_BITS * np.arange(before.size) - before
-        hit = np.zeros(before.size, dtype=bool)
-        hit[before.searchsorted(ks) - 1] = True
-        sb = np.flatnonzero(hit)
-        occ = popcount(self._words.take((sb << _SB_LOG)[:, None] + _COLS, mode="clip"))
-        occ = occ.astype(np.int64) if polarity else BLOCK - occ.astype(np.int64)
-        ends = (occ.cumsum(axis=1) + before[sb][:, None]).ravel()
-        at = ends.searchsorted(ks)
-        blk = (sb[at >> _SB_LOG] << _SB_LOG) + (at & _SB_MASK)
-        w = self._words[blk]
-        return (blk << _BLOCK_LOG) + _select_in_word(w if polarity else ~w,
-                                                     ks - ends[at] + occ.ravel()[at])
+        if ks.size * _PREFIX_SHARE >= words.size:
+            occ = popcount(words)
+            if polarity == 0:
+                occ = BLOCK - occ
+            ends = occ.cumsum(dtype=np.int64)
+            blk = ends.searchsorted(ks)
+            before = ends[blk] - occ[blk]
+        else:
+            before = self._sb.astype(np.int64)
+            if polarity == 0:
+                before = _SB_BITS * np.arange(before.size) - before
+            hit = np.zeros(before.size, dtype=bool)
+            hit[before.searchsorted(ks) - 1] = True
+            sb = np.flatnonzero(hit)
+            occ = popcount(words.take((sb << _SB_LOG)[:, None] + _COLS, mode="clip"))
+            occ = occ.astype(np.int64) if polarity else BLOCK - occ.astype(np.int64)
+            ends = (occ.cumsum(axis=1) + before[sb][:, None]).ravel()
+            at = ends.searchsorted(ks)
+            blk = (sb[at >> _SB_LOG] << _SB_LOG) + (at & _SB_MASK)
+            before = ends[at] - occ.ravel()[at]
+        w = words[blk]
+        return (blk << _BLOCK_LOG) + _select_in_word(w if polarity else ~w, ks - before)
 
     # -- public 1-based API ----------------------------------------------
 

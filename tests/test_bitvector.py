@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,14 +297,41 @@ def _vector_of(kind: str, n: int) -> np.ndarray:
             "ones": np.ones(n, np.uint8), "zeros": np.zeros(n, np.uint8)}[kind]
 
 
+# (_SELECT_SHARE, _PREFIX_SHARE) that send every batch down one select route
+ROUTES = {"per-lane": (0, 0), "prefix": (0, 10 ** 9), "whole": (10 ** 9, 0)}
+
+
+def _spy_select_routes(monkeypatch, bv: BitVector) -> list[str]:
+    """Route of every select on ``bv`` from now on: "whole" for each
+    unpacking, "prefix" for each popcount of all its words and "per-lane"
+    for each popcount of superblock rows."""
+    routes = []
+    unpack, count = bitvector.unpack_bits, bitvector.popcount
+
+    def spy_unpack(words, n):
+        routes.append("whole")
+        return unpack(words, n)
+
+    def spy_count(x):
+        if x is bv._words:
+            routes.append("prefix")
+        elif x.ndim == 2:
+            routes.append("per-lane")
+        return count(x)
+
+    monkeypatch.setattr(bitvector, "unpack_bits", spy_unpack)
+    monkeypatch.setattr(bitvector, "popcount", spy_count)
+    return routes
+
+
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("kind", ["random", "ones", "zeros"])
 @pytest.mark.parametrize("n", [1, 63, 64, 1025, 20000])
 @pytest.mark.parametrize("polarity", [0, 1])
 def test_select_routes_agree(polarity, n, kind, form, monkeypatch):
-    # every batch through the per-lane route (share 0) and the whole-vector
-    # route (a share no batch falls short of) gives the reference answers,
-    # k = 1 and k = count among them, alone and in a batch
+    # every batch through each of the three routes, forced in turn, gives
+    # the reference answers, k = 1 and k = count among them, alone and in
+    # a batch
     bits = _vector_of(kind, n)
     bv = made(bits, form)
     where = np.flatnonzero(bits == polarity)
@@ -312,40 +341,50 @@ def test_select_routes_agree(polarity, n, kind, form, monkeypatch):
     rng = np.random.default_rng(n + polarity)
     batches = [np.array([1]), np.array([where.size]),
                np.concatenate(([1, where.size], rng.integers(1, where.size + 1, 300)))]
-    for share in (0, 10 ** 9):
-        monkeypatch.setattr(bitvector, "_SELECT_SHARE", share)
+    routes = _spy_select_routes(monkeypatch, bv)
+    for route, shares in ROUTES.items():
+        monkeypatch.setattr(bitvector, "_SELECT_SHARE", shares[0])
+        monkeypatch.setattr(bitvector, "_PREFIX_SHARE", shares[1])
         for ks in batches:
+            routes.clear()
             assert np.array_equal(bv._select(ks, polarity), where[ks - 1])
+            assert routes == [route]
 
 
-@pytest.mark.parametrize("lanes", [55, 56])
-def test_select_route_switches_at_a_6th_of_the_words(lanes, monkeypatch):
-    # 21 superblocks, 336 = 6 * 56 words: 56 lanes or more list the whole
-    # vector's occurrences once; fewer search each lane's superblock and
-    # select in its word
-    bits = _fetch_bits(64 * 16 * 21, seed=5)
-    routes = []
-    unpack, in_word = bitvector.unpack_bits, bitvector._select_in_word
-
-    def spy_unpack(words, n):
-        routes.append("whole")
-        return unpack(words, n)
-
-    def spy_in_word(words, r):
-        routes.append("per-lane")
-        return in_word(words, r)
-
-    monkeypatch.setattr(bitvector, "unpack_bits", spy_unpack)
-    monkeypatch.setattr(bitvector, "_select_in_word", spy_in_word)
+@pytest.mark.parametrize("words,lanes,route", [
+    (4096, 1920, "whole"), (4096, 1919, "prefix"),      # (lanes + 128) * 2 >= words
+    (4096, 32, "prefix"), (4096, 31, "per-lane"),       # lanes * 128 >= words
+    (258, 1, "whole"), (259, 1, "per-lane"),            # one lane on a small vector
+])
+def test_select_route_crossovers(words, lanes, route, monkeypatch):
+    # the measured crossovers, each pinned on both sides: a select lists the
+    # whole vector from (lanes + 128) * 2 >= words, searches one prefix over
+    # all words from lanes * 128 >= words, and searches per lane below both
+    bits = _fetch_bits(64 * words, seed=words)
     bv = BitVector(bits)
+    routes = _spy_select_routes(monkeypatch, bv)
     ks = np.arange(lanes) * 97 % bv.ones + 1
-    got = bv.select1_batch(ks)
-    assert routes == (["whole"] if lanes == 56 else ["per-lane"])
-    routes.clear()
-    monkeypatch.setattr(bitvector, "_SELECT_SHARE", 1 if lanes == 56 else 10 ** 6)
-    assert np.array_equal(bv.select1_batch(ks), got)          # the other route agrees
-    assert routes == (["per-lane"] if lanes == 56 else ["whole"])
-    assert np.array_equal(got, np.flatnonzero(bits)[ks - 1] + 1)
+    assert np.array_equal(bv.select1_batch(ks), np.flatnonzero(bits)[ks - 1] + 1)
+    assert routes == [route]
+
+
+@pytest.mark.parametrize("words", [1, 2, 5, 17, 51, 150])
+def test_one_lane_select_on_a_small_vector_unpacks_it(words, monkeypatch):
+    # the code-length map's deep levels at n = 2^18 are 150, 51, 17, 5, 2, 1
+    # and 1 words: one lane there unpacks the vector once and neither
+    # searches superblocks nor selects in a word
+    bits = _fetch_bits(64 * words - 5, seed=words)
+    bv = BitVector(bits)
+    routes = _spy_select_routes(monkeypatch, bv)
+    in_word = []
+    monkeypatch.setattr(bitvector, "_select_in_word", lambda *a: in_word.append(a))
+    for polarity in (0, 1):
+        where = np.flatnonzero(bits == polarity)
+        for k in (1, where.size // 2 + 1, where.size):
+            routes.clear()
+            assert bv._select(np.array([k]), polarity).tolist() == [where[k - 1]]
+            assert routes == ["whole"]
+    assert in_word == []
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 100])
@@ -515,6 +554,51 @@ def test_every_16_bit_value():
     # and the high half of the word: the same values shifted by 48
     high = words << np.uint64(48)
     assert np.array_equal(bitvector._select_in_word(high[lane], r), want + 48)
+
+
+def _every_rank(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One lane per set bit of every word: the word, its rank (1-based) in
+    the word and its position."""
+    pop = popcount(words).astype(np.int64)
+    lane = np.repeat(np.arange(words.size), pop)
+    r = np.arange(lane.size) - np.repeat(np.cumsum(pop) - pop, pop) + 1
+    return words[lane], r, np.flatnonzero(_bits_of(words)) % 64
+
+
+def test_select_in_word_on_full_words():
+    # random words over all 64 bits, every single-bit word and the all-ones
+    # word, at every rank: the bytes in the middle of the word, which the
+    # 16-bit values above never reach, and every byte boundary
+    rng = np.random.default_rng(64)
+    rand = rng.integers(0, 1 << 63, 2000, dtype=np.uint64) << np.uint64(1)
+    rand |= rng.integers(0, 2, 2000, dtype=np.uint64)
+    sparse = rand & rng.integers(0, 1 << 63, 2000, dtype=np.uint64)
+    single = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    for words in (rand, sparse, single, np.array([~np.uint64(0)])):
+        w, r, want = _every_rank(words)
+        assert np.array_equal(bitvector._select_in_word(w, r), want)
+
+
+def test_one_lane_selects_raise_no_overflow_warning(monkeypatch):
+    # the broadword arithmetic wraps on purpose: its constants are 0-d
+    # arrays and its lanes 1-d, and numpy warns on uint64 overflow only
+    # between scalars, so one lane through the kernel and every route stays
+    # silent under warnings as errors
+    for c in (bitvector._L8, bitvector._H8, bitvector._BYTE, bitvector._EIGHT):
+        assert isinstance(c, np.ndarray) and c.ndim == 0 and c.dtype == np.uint64
+    bits = _fetch_bits(64 * 600, seed=6)
+    bv = BitVector(bits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full, low = (1 << 64) - 1, 0x0101010101010101
+        for w, r, want in ((full, 1, 0), (full, 64, 63), (1 << 63, 1, 63), (low, 1, 0), (low, 8, 56)):
+            got = bitvector._select_in_word(np.array([w], dtype=np.uint64), np.array([r]))
+            assert got.tolist() == [want]
+        for shares in ROUTES.values():
+            monkeypatch.setattr(bitvector, "_SELECT_SHARE", shares[0])
+            monkeypatch.setattr(bitvector, "_PREFIX_SHARE", shares[1])
+            assert bv.select1(bv.ones) == np.flatnonzero(bits)[-1] + 1
+            assert bv.select0(1) == np.flatnonzero(bits == 0)[0] + 1
 
 
 @pytest.mark.parametrize("size", [1, 2, 100, 512, 513, 2000])

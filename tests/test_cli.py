@@ -393,7 +393,7 @@ def test_stats_reports_probability_and_entropy(tmp_path, capsys):
     assert "lg(n!)=4.5850" in lines[1]
     assert any(ln.startswith("entropy_budget=") for ln in lines)
     assert any("total_bits=" in ln for ln in lines)
-    assert lines[-1] == "shared_table_bits=23552"
+    assert lines[-1] == "shared_table_bits=21504"
 
 
 def test_stats_csv_has_matching_header_and_row(tmp_path, capsys):
@@ -405,7 +405,7 @@ def test_stats_csv_has_matching_header_and_row(tmp_path, capsys):
     assert header.startswith("m,n,edges,H_deg,lg(1/P),prob_mode")
     assert len(header.split(",")) == len(row.split(","))
     assert row.split(",")[:3] == ["3", "4", "12"]
-    assert header.endswith(",shared_table_bits") and row.endswith(",23552")
+    assert header.endswith(",shared_table_bits") and row.endswith(",21504")
 
 
 # ---------------------------------------------------------------------------

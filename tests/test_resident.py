@@ -4,9 +4,9 @@ Every ``space_report()`` is the sum of the ``nbytes`` of the arrays a
 structure keeps.  These tests walk each structure's attributes, collect
 every numpy array it holds (through bitvectors, matrices, the tree and the
 graph), and compare 8 x their bytes with the reported total.  The select
-tables of ``upag.bitvector`` (``_BYTE_POP``, ``_BYTE_SELECT``, ``_BEFORE``
-and ``_COLS``, 2,944 bytes) are module constants shared by every
-bitvector; they are checked on their own line and belong to no structure.
+tables of ``upag.bitvector`` (``_BYTE_SELECT``, ``_BEFORE`` and ``_COLS``,
+2,688 bytes) are module constants shared by every bitvector; they are
+checked on their own line and belong to no structure.
 """
 
 import numpy as np
@@ -48,7 +48,7 @@ def graph_total(rep: dict) -> int:
 
 
 def test_shared_select_tables_on_their_own_line():
-    shared = (bitvector._BYTE_POP, bitvector._BYTE_SELECT, bitvector._BEFORE, bitvector._COLS)
+    shared = (bitvector._BYTE_SELECT, bitvector._BEFORE, bitvector._COLS)
     assert 8 * sum(t.nbytes for t in shared) < 8 * 3 * 1024
     bv = BitVector([1, 0, 1])
     assert not {id(a) for a in kept_arrays(bv)} & {id(t) for t in shared}

@@ -463,4 +463,5 @@ def test_whole_graph_in_neighbour_batch_selects_on_whole_levels(monkeypatch):
     assert [whole for _, whole in calls] == [1] * len(calls)
     assert {id(bv) for bv, _ in calls} == {id(bv) for bv in [g.tree._bv, *g.targets._levels]}
     monkeypatch.setattr(bitvector, "_SELECT_SHARE", 0)       # every select per lane
+    monkeypatch.setattr(bitvector, "_PREFIX_SHARE", 0)
     assert np.array_equal(g.in_neighbour_batch(iv, ij), got)
