@@ -12,12 +12,18 @@ import numpy as np
 U64 = np.uint64
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(a: np.ndarray, bound: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of ``a``, and the index of each lane's value
     (an input of at most one lane is its own answer: scalar queries pass
-    one lane)."""
+    one lane).  Values known to lie in [0, ``bound``), where ``bound`` is
+    no more than the lanes, are marked in ``bound`` flags instead of
+    sorted."""
     if a.size <= 1:
         return a, np.zeros(a.size, dtype=np.intp)
+    if 0 < bound <= a.size:
+        seen = np.zeros(bound, dtype=bool)
+        seen[a] = True
+        return np.flatnonzero(seen), (seen.cumsum() - 1)[a]
     order = a.argsort()
     s = a[order]
     head = np.empty(s.size, dtype=bool)

@@ -253,7 +253,7 @@ class BitVector:
         return self._select(checked(k, 1, self.n - self.ones, "select0 argument"), 0) + 1
 
     def to_array(self) -> np.ndarray:
-        """Materialise the raw bits (testing/debug aid)."""
+        """The raw bits, one uint8 per bit."""
         return unpack_bits(self._words, self.n)
 
     # -- accounting --------------------------------------------------------

@@ -44,8 +44,8 @@ HEADER_RE = re.compile(r"^# upag-el v1 M=(\d+) n=(\d+)\s*$")
 
 def write_edge_list(path, d: Dag) -> None:
     """Write an instance as a text edge list in arrival/draw order."""
-    src = np.repeat(np.arange(1, d.n + 1), d.m).tolist()
-    body = "".join(map("{} {}\n".format, src, d.targets.ravel().tolist()))
+    pairs = np.stack((np.repeat(np.arange(1, d.n + 1), d.m), d.targets.ravel()), axis=1)
+    body = ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
     Path(path).write_text(f"# upag-el v1 M={d.m} n={d.n}\n{body}")
 
 
@@ -59,7 +59,10 @@ def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     recovered by peeling; ``order[k]`` is then the file label of the vertex
     arriving k-th.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError:
+        raise ModelError("not a text edge list: the file is not UTF-8 text") from None
     if not text:
         raise ModelError("empty edge-list file")
     first, _, body = text.partition("\n")

@@ -158,12 +158,13 @@ def loads(data: bytes) -> CompressedGraph:
     """Parse bytes produced by :func:`dumps`."""
     if len(data) < 4 + 2 + 2 + 8 + 8 + 4:
         raise FormatError("file too short")
+    if data[:4] != MAGIC:
+        raise FormatError("bad magic: not a compressed-graph file")
     body, crc_raw = data[:-4], data[-4:]
     if struct.unpack("<I", crc_raw)[0] != zlib.crc32(body):
         raise FormatError("checksum mismatch: file corrupted")
     r = _Reader(body)
-    if r.take(4) != MAGIC:
-        raise FormatError("bad magic: not a compressed-graph file")
+    r.take(4)                                   # the magic, checked above
     version = r.u16()
     if 1 <= version < VERSION:
         raise FormatError(f"unsupported version {version}: rebuild the .upag from its edge list")

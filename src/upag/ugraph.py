@@ -114,7 +114,7 @@ class CompressedGraph:
 
     def degree_in_batch(self, vs) -> np.ndarray:
         arr = checked(vs, 0, self.n, "vertex")
-        occ = self.targets.rank_batch(arr, np.full(arr.size, self.targets.length))
+        occ = self.targets.occ_batch(arr)
         if self.tree is None:
             return occ
         return self.tree.degree_batch(arr) + occ

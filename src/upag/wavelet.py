@@ -48,6 +48,26 @@ and ``positions``' for their leaves' bounds.  An ascent needs none: a
 position of depth d + 1 came from a 1 of level d exactly when it is at
 least z_d, so access, whose climb up the map is an ascent, derives none.
 
+Whole batches.  A batch that touches a large share of the string reads a
+transient leaf index instead of walking each lane: the level-0 position of
+every element in leaf-number order, ascending within each leaf, built by
+replaying the partition on positions (per level, the positions of its
+zeros, then of its ones, and one gather; each partitioned level's tail is
+its depth's leaves in node order).  With n_d the length of level d, a
+position p of depth D >= 1 sits at level 0 at index[length - n_{D-1} + p -
+n_D], so an ascent of at least length / (2 ``_WHOLE_SHARE``) lanes is one
+gather, and a descent of at least length / ``_WHOLE_SHARE`` lanes reads the
+index's inverse and every leaf's offsets (an ascent's climb selects each
+level twice, once per bit, where a descent ranks it once, hence the two
+thresholds).  The bounds of at least sigma_eff / ``_BOUNDS_SHARE`` distinct
+leaves are gathered from every leaf's (``_leaf_bounds``: K_d + 1 ranks per
+level) instead of walking two ends per leaf.  Range counts, and with them
+rank and adjacency, stay walked: searching leaf-keyed positions was
+slower.  Every threshold is a measured crossover; scalar calls and the
+batches of a few thousand lanes that walkers send at n = 2^18 walk.
+Nothing here is kept: the file bytes and ``space_report()`` are those of
+the levels alone.
+
 The class keeps the name ``WaveletTree``: the names of the string index's
 public methods are what callers and the benchmark's tracer key on.
 """
@@ -63,6 +83,9 @@ from .bitvector import BitVector
 from .errors import OutOfRangeError, checked
 
 _I64 = np.iinfo(np.int64)
+_I32 = np.iinfo(np.int32)
+_WHOLE_SHARE = 6      # descents of length / 6 lanes, ascents of length / 12, read the leaf index (measured)
+_BOUNDS_SHARE = 48    # bounds of sigma_eff / 48 distinct leaves or more are gathered (measured)
 
 
 def _code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -318,14 +341,30 @@ class WaveletTree:
         first = _first_leaves(self._K) if self._map is not None else self._first
         return first[depth] + node
 
+    def _leaf_at(self, leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(depth, node) of each leaf number: the inverse of ``_leaf_number``
+        (a depth's leaves start at the leaf number of its node K_d)."""
+        first = _first_leaves(self._K)
+        depth = (first + self._K).searchsorted(leaf, side="right") - 1
+        return depth, leaf - first[depth]
+
+    def _distinct_leaves(self, depth: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(depth, node) of each distinct leaf among the lanes, and each
+        lane's index among them; absent lanes (depth -1) share one entry of
+        depth -1.  More lanes than leaves are keyed by leaf number, which
+        ``_distinct`` marks instead of sorting (absent lanes by -1, which
+        ``_leaf_at`` puts at depth -1); fewer by (node, depth), which needs
+        no leaf numbering."""
+        if depth.size > self.sigma_eff:
+            u, inv = _distinct(np.where(depth >= 0, self._leaf_number(depth, node) + 1, 0),
+                               self.sigma_eff + 1)
+            return *self._leaf_at(u - 1), inv
+        u, inv = _distinct(node * 128 + depth + 1)
+        return u % 128 - 1, u // 128, inv
+
     def _counts(self) -> np.ndarray:
         """Occurrences of every symbol 0..sigma-1: the size of its leaf."""
-        depth, node, present = self._leaf_of(np.arange(self.sigma))
-        start, end = self._all_bounds()
-        leaf = self._leaf_number(depth[present], node[present])
-        out = np.zeros(self.sigma, dtype=np.int64)
-        out[present] = end[leaf] - start[leaf]
-        return out
+        return self.occ_batch(np.arange(self.sigma))
 
     # -- symbols and leaves ---------------------------------------------------
 
@@ -339,7 +378,7 @@ class WaveletTree:
         # once; its map leaf is its key, and its place in that leaf is the
         # occurrences of the key before it
         m = self._map
-        u, inv = _distinct(cs)
+        u, inv = _distinct(cs, self.sigma)
         depth, node, pos = m._down(u)
         leaf = m._leaf_number(depth, node)
         key = m._order[leaf].astype(np.int64)[inv]
@@ -354,16 +393,31 @@ class WaveletTree:
             return self._order[self._leaf_number(depth, node)].astype(np.int64)
         # lanes often share a leaf: climb the map once for each distinct one
         m = self._map
-        u, inv = _distinct((node - self._K[depth]) * 128 + depth + 1)
-        md, mn, _ = m._leaf_of(u % 128)
-        p = m._bounds[0, m._leaf_number(md, mn)] + u // 128
+        depth, node, inv = self._distinct_leaves(depth, node)
+        md, mn, _ = m._leaf_of(depth + 1)
+        p = m._bounds[0, m._leaf_number(md, mn)] + node - self._K[depth]
         return m._ascend(md, p)[inv]
 
     def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Walk 0-based level-0 positions down to their leaves: (depth,
-        node, position in the leaf's depth).  A lane leaves the walk once
-        its node is a leaf, so each level sees only the lanes still on it."""
+        node, position in the leaf's depth).  A batch of at least
+        1/``_WHOLE_SHARE`` of the string reads each position's place in
+        the leaf index (``_leaf_index``) off its inverse, and the leaf
+        there and the place in it off every leaf's offsets; a smaller one
+        walks, and a lane leaves the walk once its node is a leaf, so each
+        level sees only the lanes still on it."""
         K = self._K
+        if p.size * _WHOLE_SHARE >= self.length:
+            index = self._leaf_index()
+            j = np.empty_like(index)
+            j[index] = np.arange(index.size, dtype=index.dtype)
+            j = j[p]
+            start, end = self._all_bounds()
+            size = (end - start).astype(np.int64)
+            leaf = np.repeat(np.arange(size.size), size)[j]
+            at = size.cumsum() - size                   # each leaf's first place in the index
+            depth, node = self._leaf_at(np.arange(size.size))
+            return depth[leaf], node[leaf], (start - at)[leaf] + j
         depth = np.zeros(p.size, dtype=np.int64)
         node = np.zeros(p.size, dtype=np.int64)
         pos = p.copy()
@@ -401,12 +455,24 @@ class WaveletTree:
 
     def _ascend(self, depth: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
-        position ``p`` in its lane's leaf at ``depth``, one select per level
-        the lane passes.  A position x of depth d + 1 came from a 1 of level
-        d exactly when x >= z_d (the partition puts the zeros first), so the
-        climb reads no path.  As in ``_descend``, the lanes on level d are a
-        prefix of one deepest-first order, and each level splits that
-        prefix by its bit."""
+        position ``p`` in its lane's leaf at ``depth``.  A batch of at least
+        1/(2 ``_WHOLE_SHARE``) of the string (the climb selects twice per
+        level) reads it off the leaf index: depth D's leaves fill the index
+        from length - n_{D-1} on, where n_d is the length of level d, and
+        its positions start at n_D, so p sits at ``index[length - n_{D-1} +
+        p - n_D]``; depth 0 and absent lanes stay put.  A smaller batch
+        climbs, one select per level the lane passes: a position x of depth
+        d + 1 came from a 1 of level d exactly when x >= z_d (the partition
+        puts the zeros first), so the climb reads no path.  As in
+        ``_descend``, the lanes on level d are a prefix of one deepest-first
+        order, and each level splits that prefix by its bit."""
+        if 2 * p.size * _WHOLE_SHARE >= self.length:
+            out = p.copy()
+            deep = depth > 0
+            d = depth[deep]
+            n = np.array([bv.n for bv in self._levels] + [0], dtype=np.int64)
+            out[deep] = self._leaf_index()[self.length - n[d - 1] + p[deep] - n[d]]
+            return out
         order, on = _deepest_first(depth, depth.max(initial=0))
         q = p[order]
         for d in range(on.size - 1, -1, -1):
@@ -422,10 +488,44 @@ class WaveletTree:
         out[order] = q
         return out
 
-    def _leaves(self, depth: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """[start, end) (rows 0 and 1) of each lane's leaf at ``depth``,
-        whose path is ``bits``: both ends walked down."""
-        return self._descend(depth, bits, np.array([[0], [self.length]]).repeat(depth.size, axis=1))
+    def _leaf_index(self) -> np.ndarray:
+        """Level-0 position of every element in leaf-number order, ascending
+        within each leaf: ``_build``'s partition replayed on positions, one
+        stable partition of each level (the positions of its zeros, then of
+        its ones) and one gather per level.  Each partitioned level's tail,
+        past the next level's length, holds the elements whose code ends
+        there, by node: the leaves of that depth in order.  Transient: a
+        batch builds it, uses it and drops it (int32 entries when they fit,
+        4 bytes per element)."""
+        p = np.arange(self.length, dtype=np.int32 if self.length <= _I32.max else np.int64)
+        if not self.width:
+            return p
+        out, at = np.empty_like(p), 0
+        for d, bv in enumerate(self._levels):
+            bits = bv.to_array().view(bool)
+            p = p[np.concatenate((np.flatnonzero(~bits), np.flatnonzero(bits)))]
+            below = self._levels[d + 1].n if d + 1 < self.width else 0
+            out[at:at + p.size - below] = p[below:]
+            at += p.size - below
+            p = p[:below]
+        return out
+
+    def _leaves(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """[start, end) (rows 0 and 1) of each lane's leaf ``node`` at
+        ``depth``, [0, 0) for an absent lane (depth -1).  Each distinct leaf
+        is looked up once: when there are at least 1/``_BOUNDS_SHARE`` as
+        many as the present symbols, gathered from every leaf's bounds
+        (``_all_bounds``), otherwise both ends walked down its path."""
+        depth, node, inv = self._distinct_leaves(depth, node)
+        live = depth >= 0
+        if np.count_nonzero(live) * _BOUNDS_SHARE >= self.sigma_eff:
+            out = np.zeros((2, live.size), dtype=np.int64)
+            out[:, live] = self._all_bounds()[:, self._leaf_number(depth[live], node[live])]
+        else:                               # an absent lane walks nowhere: [0, length)
+            ends = np.array([[0], [self.length]]).repeat(live.size, axis=1)
+            out = self._descend(depth, _path(self._K, depth, node), ends)
+            out[:, ~live] = 0
+        return out[:, inv]
 
     def _count(self, cs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Occurrences of each lane's symbol among the 0-based positions
@@ -451,17 +551,18 @@ class WaveletTree:
         # k's bounds are per lane (the symbol's occurrences), checked below
         cs, ks = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
                                      checked(k, _I64.min, _I64.max, "occurrence number"))
-        depth, node, present = self._leaf_of(cs)
-        # the leaves' bounds walk down once per distinct leaf
-        u, inv = _distinct(node * 128 + depth + 1)
-        u_depth, u_node = u % 128 - 1, u // 128
-        s, e = self._leaves(u_depth, _path(self._K, u_depth, u_node))[:, inv]
-        occ = np.where(present, e - s, 0)
-        bad = (ks < 1) | (ks > occ)
+        depth, node, _ = self._leaf_of(cs)
+        s, e = self._leaves(depth, node)
+        bad = (ks < 1) | (ks > e - s)
         if bad.any():
             k = int(np.argmax(bad))
-            raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(occ[k])} occurrences")
+            raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(e[k] - s[k])} occurrences")
         return self._ascend(depth, s + ks - 1) + 1
+
+    def occ_batch(self, c) -> np.ndarray:
+        """Occurrences of each symbol: the size of its leaf (0 when absent)."""
+        s, e = self._leaves(*self._leaf_of(checked(c, 0, self.sigma - 1, "symbol"))[:2])
+        return e - s
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:
@@ -470,9 +571,8 @@ class WaveletTree:
         depth, node, present = self._leaf_of(checked([c], 0, self.sigma - 1, "symbol"))
         if not present[0]:
             return np.zeros(0, dtype=np.int64)
-        s, e = self._leaves(depth, _path(self._K, depth, node))[:, 0]
-        leaf = np.arange(s, e, dtype=np.int64)
-        return self._ascend(np.repeat(depth, leaf.size), leaf) + 1
+        s, e = self._leaves(depth, node)[:, 0]
+        return self._ascend(np.repeat(depth, e - s), np.arange(s, e, dtype=np.int64)) + 1
 
     # -- scalar wrappers ----------------------------------------------------
 
@@ -488,7 +588,7 @@ class WaveletTree:
         return int(self.select_batch([c], [k])[0])
 
     def occ(self, c: int) -> int:
-        return self.rank(c, self.length)
+        return int(self.occ_batch([c])[0])
 
     def symbol_counts(self) -> dict:
         """Occurrence count of every present symbol, from the structure alone."""

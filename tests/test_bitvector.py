@@ -398,6 +398,17 @@ def test_distinct_values_and_their_lanes(size):
     assert (u is a) == (size <= 1)
 
 
+@pytest.mark.parametrize("size", [2, 29, 30, 100, 1000])
+def test_distinct_values_under_a_bound(size):
+    # values below a bound of at most the lane count are marked, not
+    # sorted; a larger bound sorts; the answers are the same
+    a = np.random.default_rng(size).integers(0, 30, size)
+    for bound in (30, 10**6):
+        u, inv = _distinct(a, bound)
+        assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
+        assert inv.dtype == np.intp and inv.shape == a.shape
+
+
 @pytest.mark.parametrize("form", FORMS)
 def test_rank_bit_at_every_position(form):
     bits = np.array([1, 0, 1], np.uint8)

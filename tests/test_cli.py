@@ -633,6 +633,45 @@ def test_malformed_edge_list_is_a_usage_error(tmp_path, capsys, content):
     assert err.startswith("error:")
 
 
+def _binary_inputs(tmp_path) -> list[Path]:
+    """Files that are no text: a saved .upag (an n = 0 build, whose bytes
+    are not UTF-8) and random bytes holding 0xff."""
+    up = tmp_path / "z.upag"
+    el = tmp_path / "z.el"
+    write_edge_list(el, generate(2, 0, seed=1))
+    assert main(["build", "--in", str(el), "--out", str(up)]) == 0
+    noise = tmp_path / "noise.bin"
+    noise.write_bytes(b"\xff" + np.random.default_rng(5).integers(0, 256, 300, dtype=np.uint8).tobytes())
+    return [up, noise]
+
+
+def test_a_binary_edge_list_is_a_model_error(tmp_path, capsys):
+    for path in _binary_inputs(tmp_path):
+        with pytest.raises(ModelError, match="not a text edge list"):
+            read_edge_list(path)
+    capsys.readouterr()
+
+
+def test_a_binary_edge_list_fails_cleanly_on_the_cli(tmp_path, capsys):
+    for path in _binary_inputs(tmp_path):
+        capsys.readouterr()
+        for cmd in (("stats", "--in", str(path)),
+                    ("build", "--in", str(path), "--out", str(tmp_path / "o.upag"))):
+            code, out, err = run(capsys, *cmd)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: not a text edge list") and err.count("\n") == 1
+
+
+def test_an_edge_list_passed_as_upag_is_bad_magic(tmp_path, capsys):
+    el = tmp_path / "g.el"
+    write_edge_list(el, generate(3, 40, seed=2))
+    with pytest.raises(FormatError, match="bad magic"):
+        load(el)
+    code, out, err = run(capsys, "query", "--in", str(el), "deg", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad magic") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "body",
     [

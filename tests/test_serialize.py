@@ -154,6 +154,15 @@ def test_reject_bad_magic():
         serialize.loads(data)
 
 
+def test_an_edge_list_is_bad_magic_not_a_checksum():
+    # the magic is read before the checksum, so a file of another kind
+    # says what it is not; a good magic over a damaged body still fails
+    # the checksum (test_reject_corruption)
+    text = "# upag-el v1 M=1 n=2\n1 0\n2 1\n" * 3
+    with pytest.raises(FormatError, match="bad magic"):
+        serialize.loads(text.encode())
+
+
 def test_reject_bad_version():
     blob = bytearray(serialize.dumps(five_vertex_graph()))
     blob[4:6] = struct.pack("<H", 9)

@@ -15,6 +15,7 @@ from upag.graph_model import adjacency_string, in_degrees, undirected_degrees
 from upag.oracle import NaiveGraph
 from upag.pa_gen import generate
 from upag.ugraph import CompressedGraph, LabelledGraph
+from upag.wavelet import WaveletTree
 
 
 @pytest.fixture
@@ -436,16 +437,19 @@ def test_scalar_string_queries_climb_once(monkeypatch):
 
 
 def test_whole_graph_in_neighbour_batch_selects_on_whole_levels(monkeypatch):
-    # every in-edge of a 2^12 graph in one batch: each select, on the LOUDS
-    # and on every level of the string, lists the whole vector's
-    # occurrences once instead of searching per lane
+    # every in-edge of a 2^12 graph in one batch: the select on the LOUDS
+    # lists the whole vector's occurrences once, and the string's ascent
+    # reads its leaf index, built once, with no select on a string level;
+    # with the index route off, each string level's select lists the
+    # whole vector's occurrences once instead of searching per lane
     g = CompressedGraph.from_dag(generate(3, 1 << 12, seed=2))
     vs = np.arange(g.n + 1)
     deg = g.degree_in_batch(vs)
     iv = np.repeat(vs, deg)
     ij = np.arange(iv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
-    calls, unpacked = [], []
+    calls, unpacked, built = [], [], []
     select, unpack = BitVector._select, bitvector.unpack_bits
+    leaf_index = WaveletTree._leaf_index
 
     def spy_unpack(words, n):
         unpacked.append(n)
@@ -457,11 +461,23 @@ def test_whole_graph_in_neighbour_batch_selects_on_whole_levels(monkeypatch):
         calls.append((self, len(unpacked) - before))
         return out
 
+    def spy_index(self):
+        built.append(self)
+        return leaf_index(self)
+
     monkeypatch.setattr(bitvector, "unpack_bits", spy_unpack)
     monkeypatch.setattr(BitVector, "_select", spy_select)
+    monkeypatch.setattr(WaveletTree, "_leaf_index", spy_index)
     got = g.in_neighbour_batch(iv, ij)
     assert [whole for _, whole in calls] == [1] * len(calls)
+    assert {id(bv) for bv, _ in calls} == {id(g.tree._bv)}
+    assert [wt for wt in built if wt is g.targets] == [g.targets]
+    calls.clear()
+    monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 0)          # the string's ascent walks
+    assert np.array_equal(g.in_neighbour_batch(iv, ij), got)
+    assert [whole for _, whole in calls] == [1] * len(calls)
     assert {id(bv) for bv, _ in calls} == {id(bv) for bv in [g.tree._bv, *g.targets._levels]}
+    monkeypatch.setattr(wavelet, "_BOUNDS_SHARE", 0)
     monkeypatch.setattr(bitvector, "_SELECT_SHARE", 0)       # every select per lane
     monkeypatch.setattr(bitvector, "_PREFIX_SHARE", 0)
     assert np.array_equal(g.in_neighbour_batch(iv, ij), got)

@@ -565,7 +565,7 @@ def test_walks_on_shuffled_lanes_of_mixed_depth_match_one_lane_walks(kind, form)
     lo = rng.integers(0, values.size + 1, cs.size)
     ends = np.stack((lo, rng.integers(lo, values.size + 1)))
     down = wt._descend(depth, bits, ends)
-    start = wt._leaves(depth, bits)[0]
+    start = wt._leaves(depth, node)[0]
     k = rng.integers(0, np.maximum(counts[cs], 1))       # an occurrence in the leaf
     up = wt._ascend(depth, start + k)
     for lane, c in enumerate(cs.tolist()):
@@ -663,13 +663,26 @@ def test_map_bounds_are_walked_once_at_install(monkeypatch, rng):
     assert walks == [back._map, back]
     walks.clear()
     for m in (wt, back):
-        assert np.array_equal(m.to_array(), values)
+        # none per scalar or below-threshold call, on the string or its map
         c = int(values[0])
-        assert m.select(c, 1) == 1 and m.rank(c, 1) == 1
+        assert m.select(c, 1) == 1 and m.rank(c, 1) == 1 and m.occ(c) == np.count_nonzero(values == c)
+        assert m.access(1) == c and np.array_equal(m.access_batch(np.arange(1, 31)), values[:30])
+        assert np.array_equal(m.positions(c), np.flatnonzero(values == c) + 1)
         assert m._map.select(m._map.access(1), 1) == 1
-        assert np.array_equal(m._map._counts(), np.bincount(m._map.to_array(),
-                                                            minlength=m._map.sigma))
-    assert walks == []
+        keys = m._map.to_array()
+        assert np.array_equal(m._map._counts(), np.bincount(keys, minlength=m._map.sigma))
+        assert walks == []
+        # exactly one per whole-alphabet call on the string
+        for call, want in ((m.to_array, values),
+                           (m._counts, np.bincount(values, minlength=m.sigma))):
+            assert np.array_equal(call(), want)
+            assert walks == [m]
+            walks.clear()
+        pos = np.argsort(values, kind="stable")
+        ks = np.arange(pos.size) - np.searchsorted(values[pos], values[pos]) + 1
+        assert np.array_equal(m.select_batch(values[pos], ks), pos + 1)
+        assert walks == [m]
+        walks.clear()
 
 
 def test_map_levels_off_the_shape_raise_value_error():
@@ -692,3 +705,189 @@ def test_map_levels_off_the_shape_raise_value_error():
         g.targets._map = broken
         with pytest.raises(FormatError, match="level (count|length)"):
             serialize.loads(serialize.dumps(g))
+
+
+# ---------------------------------------------------------------------------
+# the leaf index, and the routes that read it or every leaf's bounds
+# ---------------------------------------------------------------------------
+
+ROUTES = [(whole, bounds) for whole in (0, 10**9) for bounds in (0, 10**9)]
+
+
+def _with_map(kind: str, form: str) -> list[tuple[WaveletTree, np.ndarray]]:
+    """A string of a count kind over an alphabet two symbols past its
+    own (so absent symbols lie beside present ones), and its map, each
+    with the values it holds."""
+    rng = np.random.default_rng(13)
+    counts = COUNT_KINDS[kind](rng)
+    values = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    wt = make(values, counts.size + 2, form)
+    keys = _code_lengths(np.bincount(values, minlength=wt.sigma)) + 1
+    return [(wt, values), (wt._map, keys)]
+
+
+def _every_occurrence(values: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(symbol, k, 0-based position) of every occurrence, shuffled."""
+    pos = np.argsort(values, kind="stable")
+    ks = np.arange(pos.size) - np.searchsorted(values[pos], values[pos]) + 1
+    lanes = rng.permutation(pos.size)
+    return values[pos][lanes], ks[lanes], pos[lanes]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_leaf_index_routes_agree_with_one_lane_walks(kind, form, monkeypatch):
+    # each route forced on and off through its share: the batch answers
+    # are the naive ones, and lane by lane those of one-lane walks, on the
+    # string (absent symbols mixed in) and on its map
+    rng = np.random.default_rng(29)
+    for m, vals in _with_map(kind, form):
+        n = vals.size
+        counts = np.bincount(vals, minlength=m.sigma)
+        p = rng.permutation(np.concatenate((np.arange(n), rng.integers(0, max(n, 1), n // 2))))
+        cs = rng.permutation(np.repeat(np.arange(m.sigma), 2))
+        sel_c, sel_k, sel_pos = _every_occurrence(vals, rng)
+        depth, node, present = m._leaf_of(cs)
+        assert (~present).any() or m._map is None           # a map may use every key
+        monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 0)
+        monkeypatch.setattr(wavelet, "_BOUNDS_SHARE", 0)
+        probe = range(min(p.size, 120))
+        down = [m._down(p[i:i + 1]) for i in probe]
+        up = [m._ascend(d, q) for d, _, q in down]
+        lanes = range(min(cs.size, 120))
+        leaves = [m._leaves(depth[i:i + 1], node[i:i + 1]) for i in lanes]
+        for whole, bounds in ROUTES:
+            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", whole)
+            monkeypatch.setattr(wavelet, "_BOUNDS_SHARE", bounds)
+            assert np.array_equal(m.access_batch(p + 1), vals[p])
+            got = m._down(p)
+            for i in probe:
+                assert [int(a[i]) for a in got] == [int(a[0]) for a in down[i]]
+                assert int(m._ascend(got[0][i:i + 1], got[2][i:i + 1])[0]) == int(up[i][0])
+            assert np.array_equal(m._ascend(got[0], got[2]), p)
+            s, e = m._leaves(depth, node)
+            assert np.array_equal(e - s, counts[cs]) and not s[~present].any()
+            for i in lanes:
+                assert np.array_equal(np.stack((s, e))[:, i:i + 1], leaves[i])
+            assert np.array_equal(m.occ_batch(cs), counts[cs])
+            assert np.array_equal(m.select_batch(sel_c, sel_k), sel_pos + 1)
+            for c in (int(cs[0]), int(cs[np.argmin(present)])):
+                assert np.array_equal(m.positions(c), np.flatnonzero(vals == c) + 1)
+            for absent in np.flatnonzero(counts == 0)[:1].tolist():
+                assert m.occ_batch([absent]).tolist() == [0] and m.occ(absent) == 0
+                with pytest.raises(OutOfRangeError):
+                    m.select_batch(np.append(sel_c, absent), np.append(sel_k, 1))
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("kind", ["random", "zipf", "fibonacci", "equal", "one", "empty"])
+def test_leaf_index_lists_each_leaf_in_order_and_the_ascent_reads_it(kind, form, monkeypatch):
+    # the index lists every leaf by depth, then node, each leaf's
+    # occurrences ascending; at every depth D >= 1 the positions of depth D
+    # ([n_D, n_{D-1}) with n_d the length of level d) climb, walked, to
+    # index[length - n_{D-1} + p - n_D], and the index route reads exactly that
+    for m, vals in _with_map(kind, form):
+        index = m._leaf_index()
+        assert index.dtype == np.int32
+        present = np.flatnonzero(np.bincount(vals, minlength=m.sigma))
+        depth, node, _ = m._leaf_of(present)
+        by_leaf = present[np.argsort(m._leaf_number(depth, node))]
+        want = [np.flatnonzero(vals == c) for c in by_leaf.tolist()]
+        assert np.array_equal(index, np.concatenate(want) if want else np.zeros(0))
+        n = [m.length] + [bv.n for bv in m._levels[1:]] + [0]
+        for d in range(1, m.width + 1):
+            p = np.arange(n[d], n[d - 1])
+            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 0)
+            walked = m._ascend(np.full(p.size, d), p)
+            assert np.array_equal(index[m.length - n[d - 1] + p - n[d]], walked)
+            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 10**9)
+            assert np.array_equal(m._ascend(np.full(p.size, d), p), walked)
+        # depth 0 (a lone symbol's root leaf) and absent lanes stay put
+        for whole in (0, 10**9):
+            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", whole)
+            q = np.arange(min(m.length, 5))
+            assert np.array_equal(m._ascend(np.zeros(q.size, dtype=np.int64), q), q)
+            assert np.array_equal(m._ascend(np.full(q.size, -1), q), q)
+
+
+def test_the_leaf_index_is_built_once_per_whole_batch_and_never_for_small_ones(monkeypatch):
+    g = CompressedGraph.from_dag(generate(3, 1 << 12, seed=4))
+    wt = g.targets
+    values = wt.to_array()
+    vs = np.arange(g.n + 1)
+    deg = g.degree_in_batch(vs)
+    iv = np.repeat(vs, deg)
+    ij = np.arange(iv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+    sel_c, sel_k, _ = _every_occurrence(values, np.random.default_rng(1))
+    built, leaf_index = [], WaveletTree._leaf_index
+
+    def spy(self):
+        built.append(self)
+        return leaf_index(self)
+
+    monkeypatch.setattr(WaveletTree, "_leaf_index", spy)
+    whole = [wt.to_array, lambda: wt.select_batch(sel_c, sel_k),
+             lambda: g.out_neighbour_batch(np.repeat(vs[1:], 3), np.tile([1, 2, 3], g.n)),
+             lambda: g.in_neighbour_batch(iv, ij)]
+    for call in whole:                   # once on the string, at most once on its map
+        built.clear()
+        call()
+        assert [m for m in built if m is wt] == [wt] and set(map(id, built)) <= {id(wt), id(wt._map)}
+        assert len(built) == len(set(map(id, built)))
+    built.clear()
+    rng = np.random.default_rng(2)
+    lanes = wt.length // 64              # a walk batch's share of the string at 2^18
+    v = rng.integers(1, g.n + 1, lanes)
+    hub = int(np.argmax(deg))
+    g.degree_in_batch(v)
+    g.out_neighbour_batch(v, rng.integers(1, 4, lanes))
+    g.in_neighbour_batch(iv[rng.integers(0, iv.size, lanes)], 1)
+    wt.access_batch(rng.integers(1, wt.length + 1, lanes))
+    wt.select_batch(sel_c[:lanes], sel_k[:lanes])
+    wt.rank_batch(v, rng.integers(0, wt.length + 1, lanes))
+    for c in (hub, int(values[0])):
+        wt.access(1), wt.rank(c, wt.length), wt.select(c, 1), wt.occ(c), wt.positions(c)
+        g.neighbours_in(c), g.neighbours_out(max(c, 1)), g.degree_in(c), g.in_neighbour(hub, 1)
+    assert built == []
+
+
+def test_routes_switch_at_their_measured_shares(monkeypatch):
+    # 960 elements: descents of 160 lanes (length / 6) and ascents of 80
+    # (length / 12) read the leaf index, one lane fewer walks; 2,352
+    # present symbols: the bounds of 49 distinct leaves (sigma_eff / 48)
+    # are gathered and those of 48 walked, lanes repeating a leaf and
+    # absent lanes counting for no leaf
+    rng = np.random.default_rng(3)
+    wt = WaveletTree(rng.permutation(np.repeat(np.arange(96), 10)), 97)
+    assert (wt.length, wt.sigma_eff) == (960, 96)
+    built, gathered = [], []
+    leaf_index, all_bounds = WaveletTree._leaf_index, WaveletTree._all_bounds
+
+    def spy_index(self):
+        built.append(self)
+        return leaf_index(self)
+
+    def spy_bounds(self):
+        gathered.append(self)
+        return all_bounds(self)
+
+    monkeypatch.setattr(WaveletTree, "_leaf_index", spy_index)
+    monkeypatch.setattr(WaveletTree, "_all_bounds", spy_bounds)
+    for lanes, index in ((160, True), (159, False)):
+        built.clear()
+        wt._down(rng.integers(0, wt.length, lanes))
+        assert built == [wt] * index
+    depth, _, pos = wt._down(np.arange(wt.length))
+    for lanes, index in ((80, True), (79, False)):
+        built.clear()
+        wt._ascend(depth[:lanes], pos[:lanes])
+        assert built == [wt] * index
+    wt = WaveletTree(rng.permutation(np.repeat(np.arange(2352), 2)), 2353)
+    assert wt.sigma_eff == 48 * 49
+    for leaves, gather in ((49, True), (48, False)):
+        cs = np.append(np.repeat(rng.choice(2352, leaves, replace=False), 2), 2352)
+        gathered.clear()
+        depth, node, _ = wt._leaf_of(cs)
+        s, e = wt._leaves(depth, node)
+        assert gathered == [wt] * gather
+        assert (e - s).tolist() == [2] * (cs.size - 1) + [0]
