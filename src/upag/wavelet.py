@@ -270,10 +270,10 @@ class WaveletTree:
     def _install(self, sigma: int, length: int, levels: list[BitVector], lookup) -> None:
         """Keep the parts; K_d and sigma_eff follow from the key counts of
         ``lookup``, the map (a matrix) or a map's key table.  A map also
-        keeps its leaf tables (see ``_leaf_of`` and ``_symbol_at``), each
-        in the narrowest type that holds it, so readers add them only to
-        int64 arrays or widen them first; ``ValueError`` where the levels
-        disagree with the code shape."""
+        keeps its leaf tables (see ``_symbol_leaves`` and ``_symbol_at``),
+        each in the narrowest type that holds it, so readers add them only
+        to int64 arrays or widen them first; ``ValueError`` where the
+        levels disagree with the code shape."""
         self.sigma = int(sigma)
         self.length = int(length)
         self._levels = levels
@@ -348,42 +348,35 @@ class WaveletTree:
         depth = (first + self._K).searchsorted(leaf, side="right") - 1
         return depth, leaf - first[depth]
 
-    def _distinct_leaves(self, depth: np.ndarray, node: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(depth, node) of each distinct leaf among the lanes, and each
-        lane's index among them; absent lanes (depth -1) share one entry of
-        depth -1.  More lanes than leaves are keyed by leaf number, which
-        ``_distinct`` marks instead of sorting (absent lanes by -1, which
-        ``_leaf_at`` puts at depth -1); fewer by (node, depth), which needs
-        no leaf numbering."""
-        if depth.size > self.sigma_eff:
-            u, inv = _distinct(np.where(depth >= 0, self._leaf_number(depth, node) + 1, 0),
-                               self.sigma_eff + 1)
-            return *self._leaf_at(u - 1), inv
-        u, inv = _distinct(node * 128 + depth + 1)
-        return u % 128 - 1, u // 128, inv
-
     def _counts(self) -> np.ndarray:
         """Occurrences of every symbol 0..sigma-1: the size of its leaf."""
         return self.occ_batch(np.arange(self.sigma))
 
     # -- symbols and leaves ---------------------------------------------------
 
-    def _leaf_of(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(depth, node, present?) of every symbol's leaf; an absent symbol
-        gets depth -1, and its answers are discarded by callers."""
-        if self._map is None:
-            key = self._table[cs].astype(np.int64)
-            return key - 1, self._nodes[cs].astype(np.int64), key > 0
-        # lanes often repeat a symbol: walk each distinct one down the map
-        # once; its map leaf is its key, and its place in that leaf is the
-        # occurrences of the key before it
-        m = self._map
+    def _symbol_leaves(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(depth, node) of the leaf of each distinct symbol among the lanes,
+        and each lane's index among them; an absent symbol gets depth -1.
+        Present symbols and leaves are one to one, so the present entries
+        are distinct leaves.  Lanes often repeat a symbol: the string walks
+        each distinct one down the map once; its map leaf is its key, and
+        its place in that leaf is the occurrences of the key before it."""
         u, inv = _distinct(cs, self.sigma)
+        if self._map is None:
+            key = self._table[u].astype(np.int64)
+            return key - 1, self._nodes[u].astype(np.int64), inv
+        m = self._map
         depth, node, pos = m._down(u)
         leaf = m._leaf_number(depth, node)
-        key = m._order[leaf].astype(np.int64)[inv]
-        node = self._K[np.maximum(key - 1, 0)] + (pos - m._bounds[0, leaf])[inv]
-        return key - 1, node, key > 0
+        key = m._order[leaf].astype(np.int64)
+        return key - 1, self._K[np.maximum(key - 1, 0)] + pos - m._bounds[0, leaf], inv
+
+    def _leaf_of(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(depth, node, present?) of every lane's leaf; an absent symbol
+        gets depth -1, and its answers are discarded by callers."""
+        depth, node, inv = self._symbol_leaves(cs)
+        depth = depth[inv]
+        return depth, node[inv], depth >= 0
 
     def _symbol_at(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
         """The symbol whose leaf is ``node`` at ``depth``: a map reads it
@@ -393,7 +386,10 @@ class WaveletTree:
             return self._order[self._leaf_number(depth, node)].astype(np.int64)
         # lanes often share a leaf: climb the map once for each distinct one
         m = self._map
-        depth, node, inv = self._distinct_leaves(depth, node)
+        leaf, inv = _distinct(self._leaf_number(depth, node), self.sigma_eff)
+        one = np.empty(leaf.size, dtype=np.intp)
+        one[inv] = np.arange(inv.size)              # a lane of each distinct leaf
+        depth, node = depth[one], node[one]
         md, mn, _ = m._leaf_of(depth + 1)
         p = m._bounds[0, m._leaf_number(md, mn)] + node - self._K[depth]
         return m._ascend(md, p)[inv]
@@ -512,20 +508,20 @@ class WaveletTree:
 
     def _leaves(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
         """[start, end) (rows 0 and 1) of each lane's leaf ``node`` at
-        ``depth``, [0, 0) for an absent lane (depth -1).  Each distinct leaf
-        is looked up once: when there are at least 1/``_BOUNDS_SHARE`` as
-        many as the present symbols, gathered from every leaf's bounds
-        (``_all_bounds``), otherwise both ends walked down its path."""
-        depth, node, inv = self._distinct_leaves(depth, node)
+        ``depth``, [0, 0) for an absent lane (depth -1); callers pass
+        distinct leaves (``_symbol_leaves``).  When there are at least
+        1/``_BOUNDS_SHARE`` as many present lanes as present symbols, they
+        are gathered from every leaf's bounds (``_all_bounds``), otherwise
+        both ends walk down each lane's path."""
         live = depth >= 0
         if np.count_nonzero(live) * _BOUNDS_SHARE >= self.sigma_eff:
             out = np.zeros((2, live.size), dtype=np.int64)
             out[:, live] = self._all_bounds()[:, self._leaf_number(depth[live], node[live])]
-        else:                               # an absent lane walks nowhere: [0, length)
-            ends = np.array([[0], [self.length]]).repeat(live.size, axis=1)
-            out = self._descend(depth, _path(self._K, depth, node), ends)
-            out[:, ~live] = 0
-        return out[:, inv]
+            return out
+        ends = np.array([[0], [self.length]]).repeat(live.size, axis=1)
+        out = self._descend(depth, _path(self._K, depth, node), ends)
+        out[:, ~live] = 0                   # an absent lane walks nowhere: [0, length)
+        return out
 
     def _count(self, cs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Occurrences of each lane's symbol among the 0-based positions
@@ -551,18 +547,19 @@ class WaveletTree:
         # k's bounds are per lane (the symbol's occurrences), checked below
         cs, ks = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
                                      checked(k, _I64.min, _I64.max, "occurrence number"))
-        depth, node, _ = self._leaf_of(cs)
-        s, e = self._leaves(depth, node)
+        depth, node, inv = self._symbol_leaves(cs)
+        s, e = self._leaves(depth, node)[:, inv]
         bad = (ks < 1) | (ks > e - s)
         if bad.any():
             k = int(np.argmax(bad))
             raise OutOfRangeError(f"symbol {int(cs[k])} has only {int(e[k] - s[k])} occurrences")
-        return self._ascend(depth, s + ks - 1) + 1
+        return self._ascend(depth[inv], s + ks - 1) + 1
 
     def occ_batch(self, c) -> np.ndarray:
         """Occurrences of each symbol: the size of its leaf (0 when absent)."""
-        s, e = self._leaves(*self._leaf_of(checked(c, 0, self.sigma - 1, "symbol"))[:2])
-        return e - s
+        depth, node, inv = self._symbol_leaves(checked(c, 0, self.sigma - 1, "symbol"))
+        s, e = self._leaves(depth, node)
+        return (e - s)[inv]
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:

@@ -400,13 +400,34 @@ def test_distinct_values_and_their_lanes(size):
 
 @pytest.mark.parametrize("size", [2, 29, 30, 100, 1000])
 def test_distinct_values_under_a_bound(size):
-    # values below a bound of at most the lane count are marked, not
-    # sorted; a larger bound sorts; the answers are the same
+    # values below a bound of at most twice the lane count are marked,
+    # not sorted; a larger bound sorts; the answers are the same
     a = np.random.default_rng(size).integers(0, 30, size)
     for bound in (30, 10**6):
         u, inv = _distinct(a, bound)
         assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
         assert inv.dtype == np.intp and inv.shape == a.shape
+
+
+class _SortSpy(np.ndarray):
+    """An array that records each ``argsort`` called on it."""
+    calls: list = []
+
+    def argsort(self, *args, **kwargs):
+        _SortSpy.calls.append(self.size)
+        return super().argsort(*args, **kwargs)
+
+
+@pytest.mark.parametrize("size", [2, 15, 64, 1000])
+def test_distinct_marks_up_to_twice_the_lanes(size):
+    # the measured crossover: a bound of at most twice the lanes marks,
+    # one more sorts; both give the same answers
+    a = np.random.default_rng(size).integers(0, size, size)
+    for bound, sorts in ((2 * size, False), (2 * size + 1, True), (0, True)):
+        _SortSpy.calls = []
+        u, inv = _distinct(a.view(_SortSpy), bound)
+        assert _SortSpy.calls == [size] * sorts
+        assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
 
 
 @pytest.mark.parametrize("form", FORMS)
