@@ -143,10 +143,14 @@ def peel_edges(nv: int, us, vs, m: int) -> tuple[Dag, np.ndarray]:
 
     The graph has vertices ``0..nv-1`` and one undirected edge ``us[k]``-
     ``vs[k]`` per row, parallel edges repeated.  The vertex labels need not
-    equal arrival order.  Vertices of residual
-    degree ``m`` are removed until only the seed pair remains; removal
-    order, reversed, is an arrival order consistent with the graph.  Ties
-    go to the lowest label.
+    equal arrival order.  Vertices of residual degree ``m`` are removed
+    until only the seed pair remains; removal order, reversed, is an
+    arrival order consistent with the graph.  Ties go to the lowest label.
+
+    Residual degrees only fall, one step per edge to a removed vertex, so a
+    vertex enters the ready heap at most once, on reaching m.  A removed
+    vertex had degree m and later steps keep it below m for good, so the
+    test ``deg == m`` at pop time alone turns away stale entries.
 
     Returns ``(dag, order)`` where ``order[k]`` is the original label of
     the vertex arriving k-th.  When several arrival orders exist, they all
@@ -157,50 +161,45 @@ def peel_edges(nv: int, us, vs, m: int) -> tuple[Dag, np.ndarray]:
         raise ModelError("need m >= 1")
     if nv == 0:
         raise ModelError("graph has no vertices")
-    if nv == 1:
-        return Dag(m, np.zeros((0, m), dtype=np.int64)), np.zeros(1, dtype=np.int64)
     us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    ends = np.concatenate([us, vs])
+    if ends.size and (ends.min() < 0 or ends.max() >= nv):
+        raise ModelError(f"vertex label out of range 0..{nv - 1}")
     if (us == vs).any():
         raise ModelError("self-loop in edge list")
-    keys, mult = np.unique(np.minimum(us, vs) * nv + np.maximum(us, vs), return_counts=True)
-    lo, hi = np.divmod(keys, nv)
-    # adjacency in both directions, grouped by vertex
-    rows = np.concatenate([lo, hi])
-    by = np.argsort(rows, kind="stable")
-    nbr = np.concatenate([hi, lo])[by].tolist()
-    cnt = np.concatenate([mult, mult])[by].tolist()
-    start = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))]).tolist()
-    deg = np.bincount(np.concatenate([us, vs]), minlength=nv).tolist()
-    alive = [True] * nv
+    if nv == 1:
+        return Dag(m, np.zeros((0, m), dtype=np.int64)), np.zeros(1, dtype=np.int64)
+    # neighbour lists grouped by vertex (in any order: the heap orders by
+    # label), from one sort of row * nv + neighbour over both edge directions
+    count = np.bincount(ends, minlength=nv)
+    nbr = (np.sort(np.concatenate([us * nv + vs, vs * nv + us])) % nv).tolist()
+    start = np.concatenate([[0], np.cumsum(count)]).tolist()
+    deg = count.tolist()
+    ready = np.flatnonzero(count == m).tolist()     # ascending, so a heap
     removed: list[int] = []
-    ready = [v for v in range(nv) if deg[v] == m]    # ascending, so a heap
     pop, push = heapq.heappop, heapq.heappush
     for _ in range(nv - 2):
-        v = -1
         while ready:
-            w = pop(ready)
-            if alive[w] and deg[w] == m:
-                v = w
+            v = pop(ready)
+            if deg[v] == m:
                 break
-        if v < 0:
+        else:
             raise ModelError("peeling stalled: graph was not grown by preferential attachment")
-        alive[v] = False
         removed.append(v)
-        for u, c in zip(nbr[start[v]:start[v + 1]], cnt[start[v]:start[v + 1]]):
-            if alive[u]:
-                deg[u] -= c
-                if deg[u] == m:
-                    push(ready, u)
+        for u in nbr[start[v]:start[v + 1]]:
+            deg[u] -= 1
+            if deg[u] == m:
+                push(ready, u)
+    u0, u1 = np.flatnonzero(np.bincount(removed, minlength=nv) == 0).tolist()
     # both residual degrees of the last two vertices count their joint edges
-    u0, u1 = (i for i, a in enumerate(alive) if a)
     if deg[u0] != m:
         raise ModelError("peeling left no m-fold seed pair; not an attachment graph")
     order = np.array([u0, u1] + removed[::-1], dtype=np.int64)
     place = np.empty(nv, dtype=np.int64)
     place[order] = np.arange(nv)
     # every edge runs from its later-arriving end to the earlier one
-    a, b = place[lo], place[hi]
-    arcs = np.sort(np.repeat(np.maximum(a, b) * nv + np.minimum(a, b), mult))
+    a, b = place[us], place[vs]
+    arcs = np.sort(np.maximum(a, b) * nv + np.minimum(a, b))
     return Dag(m, (arcs % nv).reshape(nv - 1, m)), order
 
 

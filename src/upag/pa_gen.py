@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .entropy import log2_fraction, multinomial
+from .errors import ModelError
 from .graph_model import Dag
 
 EXACT_CUTOFF = 64  # largest n for which probabilities default to exact rationals
@@ -35,9 +36,16 @@ def generate(m: int, n: int, seed=None, rng: np.random.Generator | None = None) 
     the stream exactly as one draw of m per step would; a draw that lands
     on a target slot points at an earlier draw, and those pointers are
     resolved by pointer jumping.
+
+    An instance whose target string would reach 2^32 symbols raises
+    ``ModelError`` before anything is allocated: no bitvector of the
+    structure can hold it.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
+    if n * m >= 1 << 32:
+        raise ModelError(f"n*m = {n * m} targets: a string of 2^32 or more is beyond the "
+                         "bitvector limit")
     if rng is None:
         rng = np.random.default_rng(seed)
     val = np.zeros(n * m, dtype=np.int64)    # draw k of vertex t at (t-1)*m + k

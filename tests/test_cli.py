@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -91,6 +92,21 @@ def test_generate_single_edge(tmp_path, capsys):
     assert code == 0
     assert "edges=1" in text
     assert out.read_text() == "# upag-el v1 M=1 n=1\n1 0\n"
+
+
+def test_generate_too_large_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "huge.el"
+    tracemalloc.start()
+    try:
+        code, text, err = run(capsys, "generate", "--m", "3", "--n", "1000000000000",
+                              "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and text == ""
+    assert err.startswith("error:") and "bitvector limit" in err and err.count("\n") == 1
+    assert not out.exists()
+    assert peak < 1 << 20
 
 
 def test_generate_same_seed_is_byte_identical(tmp_path, capsys):

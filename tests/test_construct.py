@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import time
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_reference import random_mout_dag
+from graph_reference import has_parallel_beyond_seed, random_mout_dag
 from ingest_reference import (
     bfs_deque,
     dag_edges,
@@ -16,6 +17,7 @@ from ingest_reference import (
     same_multigraph,
 )
 from lfc_reference import reduce_steps
+from upag import construct
 from upag.bptree import BPTree
 from upag.construct import (
     BuildResult,
@@ -534,3 +536,67 @@ def test_peel_edges_rejects_non_instances(nv, edges, m):
         peel_edges(nv, e[:, 0], e[:, 1], m)
     with pytest.raises(ModelError):
         peel_relabel_counter(multigraph(nv, edges), m)
+
+
+@pytest.mark.parametrize("bad", [-1, "nv", 10 ** 12])
+def test_peel_edges_rejects_labels_out_of_range(dag5, bad):
+    e = dag_edges(dag5).copy()
+    e[3, 1] = 6 if bad == "nv" else bad
+    with pytest.raises(ModelError, match=r"^vertex label out of range 0\.\.5$"):
+        peel_edges(6, e[:, 0], e[:, 1], 3)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_peel_edges_matches_counter_reference_with_parallel_edges(m):
+    # repeated targets beyond the seed block: a removal steps a neighbour
+    # down once per parallel edge
+    rng = np.random.default_rng(900 + m)
+    checked = 0
+    for n in (3, 10, 40, 200, 2000):
+        d = generate(m, n, seed=int(rng.integers(1 << 30)))
+        if not has_parallel_beyond_seed(d):
+            continue
+        checked += 1
+        pairs = _shuffled_pairs(d, rng)
+        want_d, want_order = peel_relabel_counter(multigraph(n + 1, pairs), m)
+        got_d, got_order = peel_edges(n + 1, pairs[:, 0], pairs[:, 1], m)
+        assert got_d == want_d
+        assert np.array_equal(got_order, want_order)
+    assert checked >= 4
+
+
+class _PushSpy:
+    """``heapq`` as ``construct`` looks it up, recording every push."""
+
+    def __init__(self):
+        self.pushed = []
+        self.heappop = heapq.heappop
+
+    def heappush(self, heap, item):
+        self.pushed.append(item)
+        heapq.heappush(heap, item)
+
+
+def test_peel_edges_residual_degree_skipping_m(monkeypatch):
+    # m = 2: removing vertex 0 takes vertex 1 from 3 through 2 to 1 over
+    # their two parallel edges, so 1 is pushed once and must be turned away
+    # at pop time; it can never peel, and the last pair is not 2-fold
+    spy = _PushSpy()
+    monkeypatch.setattr(construct, "heapq", spy)
+    edges = [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)]
+    e = np.array(edges, dtype=np.int64)
+    with pytest.raises(ModelError):
+        peel_edges(4, e[:, 0], e[:, 1], 2)
+    with pytest.raises(ModelError):
+        peel_relabel_counter(multigraph(4, edges), 2)
+    assert spy.pushed.count(1) == 1
+
+
+def test_peel_edges_pushes_each_vertex_at_most_once(monkeypatch):
+    spy = _PushSpy()
+    monkeypatch.setattr(construct, "heapq", spy)
+    rng = np.random.default_rng(12)
+    n = 2 ** 12
+    pairs = _shuffled_pairs(generate(3, n, seed=12), rng)
+    peel_edges(n + 1, pairs[:, 0], pairs[:, 1], 3)
+    assert spy.pushed and len(set(spy.pushed)) == len(spy.pushed)

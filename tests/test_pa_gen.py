@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import stats
 
 from ingest_reference import float_bits_steps, generate_steps, sample_targets
 from upag.entropy import degree_entropy
-from upag.graph_model import Dag, adjacency_string, in_degrees
+from upag.graph_model import Dag, ModelError, adjacency_string, in_degrees
 from upag.pa_gen import generate, log_prob
 
 
@@ -76,6 +77,21 @@ def test_generate_deterministic_by_seed():
     c = generate(2, 500, seed=8)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("m,n", [(3, 10 ** 12), (1, 2 ** 32), (2, 2 ** 31), (5, 2 ** 40)])
+def test_generate_rejects_a_string_beyond_the_bitvector_limit(m, n):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match="bitvector limit"):
+            generate(m, n, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rng.bit_generator.state == state     # no draw made
 
 
 def test_generate_rng_stream_continuation():
