@@ -15,7 +15,7 @@ occurrences themselves.
 
 Which route a call takes depends on its size, each choice a cost test on
 what the batch touches (every crossover was measured).  A fetch with at
-least 1/``_WHOLE_SHARE`` as many lanes as words takes the ones before every
+least 1/``_FETCH_SHARE`` as many lanes as words takes the ones before every
 block from one transient prefix over all words' popcounts, O(words); a
 smaller one adds the popcounts of the at most 15 words before each lane's
 block in its superblock to the superblock's sample, O(16 * lanes).  Select
@@ -57,7 +57,7 @@ _BLOCK_LOG = np.array(6)        # position >> 6 = block
 _SB_LOG = np.array(4)           # block >> 4 = superblock
 _SB_MASK = np.array(SB_BLOCKS - 1)
 _SB_BITS = BLOCK * SB_BLOCKS
-_WHOLE_SHARE = 24     # fetches of nwords / 24 lanes or more take the whole-prefix route (measured)
+_FETCH_SHARE = 24     # fetches of nwords / 24 lanes or more take the whole-prefix route (measured)
 _SELECT_SHARE = 2     # selects of nwords / 2 - _PREFIX_SHARE lanes or more unpack the vector (measured)
 _PREFIX_SHARE = 128   # selects of nwords / 128 lanes or more search one prefix over all words (measured)
 _COLS = np.arange(SB_BLOCKS)
@@ -149,7 +149,7 @@ class BitVector:
         """Ones before each lane's block, and the block's word (bit j is
         block bit j; bits past the end read 0)."""
         words = self._words
-        if blk.size * _WHOLE_SHARE >= words.size:
+        if blk.size * _FETCH_SHARE >= words.size:
             pop = popcount(words)
             pre = pop.cumsum(dtype=np.int64)[blk] - pop[blk]
         else:

@@ -38,11 +38,11 @@ each depth, and leaves take their symbols in symbol order (see
 
 Rank samples are rebuilt on load; only bits travel.  The writer is
 deterministic: the same structure always yields the same bytes.  The
-loader validates what it rebuilds (the LOUDS; per matrix, Kraft equality
-of the code lengths, every level's length against the code shape, and an
-occurrence for every symbol that has a code) and raises ``FormatError``
-on any inconsistency.  Versions 1-4 are refused with a hint to rebuild
-the file.
+loader validates what it rebuilds (the LOUDS; per matrix, at most 64
+levels, Kraft equality of the code lengths, every level's length against
+the code shape, and an occurrence for every symbol that has a code) and
+raises ``FormatError`` on any inconsistency.  Versions 1-4 are refused
+with a hint to rebuild the file.
 """
 
 from __future__ import annotations

@@ -23,30 +23,38 @@ z_d the zeros of level d, a position p of level d moves to
     p' = z_d + rank1(p)   if its bit is 1,   p' = rank0(p)   otherwise,
 
 one rank per level; the occurrences of a symbol keep their order down to
-its leaf interval.
+its leaf interval.  That rule and its inverse are written once, as
+``_fall`` and ``_rise``: every walk over the levels steps through them,
+and no other walk reads z_d.  A code has at most 64 bits (``_build`` packs
+it into one word, and a Huffman code over fewer than 2^32 elements is
+shorter still), so a matrix has at most 64 levels; loading more raises
+``ValueError``.
 
 Map.  A symbol's leaf comes from a second, small matrix of the same class
 over ``key[s]`` = 1 + the code length of s, or 0 when s is absent, so that
 a lone symbol is told from an absent one: s sits at depth key[s] - 1 as
 leaf number rank(key[s], s), and leaf i of depth d is the symbol
-select(d + 1, i + 1).  The map's alphabet is small (a code has fewer than
+select(d + 1, i + 1).  The map's alphabet is small (a code has at most
 64 bits), and it keeps the keys of its own symbols in a byte table.  K_d
 follows from the key counts (Kraft equality), so the levels, the map's
 levels and that table are all that is stored.
 
+Leaf numbers.  Both matrices keep the leaf number of each depth's node 0
+(``_first``, one entry per depth, in the narrowest integer type that holds
+it), so that leaf ``node`` at depth d is leaf ``first[d] + node``.
+
 The map's leaf tables.  Beside its key table the map keeps, from one pass
 over its leaf boundaries at install, a few arrays of about one entry per
 key (21 keys, 13 of them present, at n = 2^18): the [start, end) of every
-leaf, the leaf node of every key, the key at every leaf, and the leaf
-number of each depth's node 0, each in the narrowest integer type that
-holds it (150 bytes at n = 2^18).  So finding a symbol's leaf is one walk
-down the map, and a leaf's symbol one climb up it from the leaf of its
-key.  The string keeps no such table: at about sigma_eff x 16 bytes it
-would cost several bits per edge.  Only the descents read path rows
-(``_path``), derived once per query: rank's for its range ends, select's
-and ``positions``' for their leaves' bounds.  An ascent needs none: a
-position of depth d + 1 came from a 1 of level d exactly when it is at
-least z_d, so access, whose climb up the map is an ascent, derives none.
+leaf, the leaf node of every key and the key at every leaf, each in the
+narrowest integer type that holds it (150 bytes with ``_first`` at n =
+2^18).  So finding a symbol's leaf is one walk down the map, and a leaf's
+symbol one climb up it from the leaf of its key.  The string keeps no such
+table: at about sigma_eff x 16 bytes it would cost several bits per edge.
+Only the descents read path rows (``_path``), derived once per query:
+rank's for its range ends, select's and ``positions``' for their leaves'
+bounds.  An ascent needs none (``_rise`` tells a 1 from a 0 by position),
+so access, whose climb up the map is an ascent, derives none.
 
 Whole batches.  A batch that touches a large share of the string reads a
 transient leaf index instead of walking each lane: the level-0 position of
@@ -55,8 +63,8 @@ replaying the partition on positions (per level, the positions of its
 zeros, then of its ones, and one gather; each partitioned level's tail is
 its depth's leaves in node order).  With n_d the length of level d, a
 position p of depth D >= 1 sits at level 0 at index[length - n_{D-1} + p -
-n_D], so an ascent of at least length / (2 ``_WHOLE_SHARE``) lanes is one
-gather, and a descent of at least length / ``_WHOLE_SHARE`` lanes reads the
+n_D], so an ascent of at least length / (2 ``_INDEX_SHARE``) lanes is one
+gather, and a descent of at least length / ``_INDEX_SHARE`` lanes reads the
 index's inverse and every leaf's offsets (an ascent's climb selects each
 level twice, once per bit, where a descent ranks it once, hence the two
 thresholds).  The bounds of at least sigma_eff / ``_BOUNDS_SHARE`` distinct
@@ -65,8 +73,8 @@ level) instead of walking two ends per leaf.  Range counts, and with them
 rank and adjacency, stay walked: searching leaf-keyed positions was
 slower.  Every threshold is a measured crossover; scalar calls and the
 batches of a few thousand lanes that walkers send at n = 2^18 walk.
-Nothing here is kept: the file bytes and ``space_report()`` are those of
-the levels alone.
+The index is not kept: the file bytes and ``space_report()`` are those of
+the levels, K and the leaf tables above.
 
 The class keeps the name ``WaveletTree``: the names of the string index's
 public methods are what callers and the benchmark's tracer key on.
@@ -84,7 +92,7 @@ from .errors import OutOfRangeError, checked
 
 _I64 = np.iinfo(np.int64)
 _I32 = np.iinfo(np.int32)
-_WHOLE_SHARE = 6      # descents of length / 6 lanes, ascents of length / 12, read the leaf index (measured)
+_INDEX_SHARE = 6      # descents of length / 6 lanes, ascents of length / 12, read the leaf index (measured)
 _BOUNDS_SHARE = 48    # bounds of sigma_eff / 48 distinct leaves or more are gathered (measured)
 
 
@@ -211,12 +219,40 @@ def _path(K: np.ndarray, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
 
 
 def _deepest_first(depth: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lanes ordered by ``depth``, deepest first (a radix sort: depths fit
-    a byte), and for each of the first ``levels`` levels d the number of
-    lanes deeper than d, which lead that order."""
+    """Lanes ordered by ``depth``, deepest first (a radix sort: depths, at
+    most 64, fit a byte), and for each of the first ``levels`` levels d the
+    number of lanes deeper than d, which lead that order."""
     key = -depth.astype(np.int8)
     order = np.argsort(key, kind="stable")
     return order, key[order].searchsorted(-np.arange(levels, dtype=np.int8))
+
+
+def _fall(bv: BitVector, p: np.ndarray, bit=None) -> tuple[np.ndarray, np.ndarray]:
+    """One step down from level ``bv``: the place on the next level of each
+    0-based position ``p`` (0..n, any shape), z + rank1(p) where its bit is
+    1 and rank0(p) where it is 0, z being the level's zeros; and the bit.
+    A given ``bit`` broadcasts against ``p`` (one rank serves every bit);
+    otherwise the bit is read by the rank's own fetch."""
+    if bit is None:
+        r, bit = bv._rank_bit(p.ravel())
+        r, bit = r.reshape(p.shape), bit.reshape(p.shape)
+    else:
+        r = bv._rank1(p.ravel()).reshape(p.shape)
+    return np.where(bit, bv.n - bv.ones + r, p - r), bit
+
+
+def _rise(bv: BitVector, x: np.ndarray) -> np.ndarray:
+    """One step up to level ``bv``, the inverse of ``_fall``.  A 0-based
+    position x of the next level came from a 1 exactly when x >= z (the
+    partition puts the zeros first), so it goes up to select1(x - z + 1)
+    then and to select0(x + 1) otherwise.  ``x`` (1-D) is overwritten and
+    returned: a climb steps a prefix of its lanes' array in place."""
+    z = bv.n - bv.ones
+    one = x >= z
+    for b, lanes in ((1, one), (0, ~one)):
+        if lanes.any():
+            x[lanes] = bv._select(x[lanes] + (1 - b * z), b)
+    return x
 
 
 class WaveletTree:
@@ -272,12 +308,14 @@ class WaveletTree:
         ``lookup``, the map (a matrix) or a map's key table.  A map also
         keeps its leaf tables (see ``_symbol_leaves`` and ``_symbol_at``),
         each in the narrowest type that holds it, so readers add them only
-        to int64 arrays or widen them first; ``ValueError`` where the
-        levels disagree with the code shape."""
+        to int64 arrays or widen them first; both kinds keep each depth's
+        first leaf number.  ``ValueError`` where the levels disagree with
+        the code shape or are more than 64 (a code fits one word)."""
+        if len(levels) > 64:
+            raise ValueError(f"{len(levels)} levels: a code has at most 64 bits")
         self.sigma = int(sigma)
         self.length = int(length)
         self._levels = levels
-        self._zeros = [lvl.n - lvl.ones for lvl in levels]
         self.width = len(levels)
         small = isinstance(lookup, np.ndarray)
         self._table, self._map = (lookup, None) if small else (None, lookup)
@@ -286,8 +324,8 @@ class WaveletTree:
         self.sigma_eff = int(keys[1:].sum())
         if self.width != self._K.size - 1:
             raise ValueError("level count does not match the code lengths")
+        self._first = _narrow(_first_leaves(self._K))
         if small:
-            self._first = _narrow(_first_leaves(self._K))
             self._bounds = _narrow(self._leaf_bounds())
             self._nodes = _narrow(_leaf_nodes(lookup, self._K))
             present = np.flatnonzero(lookup)
@@ -321,11 +359,12 @@ class WaveletTree:
         if K[0] == 0:                       # the root is a leaf, or nothing is present
             return np.array([[0], [self.length]] if self.sigma_eff else [[], []], dtype=np.int64)
         bounds = np.array([0, self.length], dtype=np.int64)
-        for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+        sides = np.array([[False], [True]])                      # one rank for both children
+        for d, bv in enumerate(self._levels):
             if bv.n != bounds[-1]:
                 raise ValueError("level length does not match the code shape")
-            r = bv._rank1(bounds)
-            below = np.concatenate((bounds - r, z + r[1:]))       # 2 K_d nodes at depth d + 1
+            zero, one = _fall(bv, bounds, sides)[0]
+            below = np.concatenate((zero, one[1:]))               # 2 K_d nodes at depth d + 1
             ends = below[K[d + 1]:]
             leaves.append(np.stack((ends[:-1], ends[1:])))
             bounds = below[:K[d + 1] + 1]
@@ -337,16 +376,14 @@ class WaveletTree:
 
     def _leaf_number(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Number of leaf ``node`` at ``depth`` among all leaves, by depth,
-        then node (``_first_leaves``, which a map keeps)."""
-        first = _first_leaves(self._K) if self._map is not None else self._first
-        return first[depth] + node
+        then node (``_first``, kept from ``_first_leaves``)."""
+        return self._first[depth] + node
 
     def _leaf_at(self, leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(depth, node) of each leaf number: the inverse of ``_leaf_number``
         (a depth's leaves start at the leaf number of its node K_d)."""
-        first = _first_leaves(self._K)
-        depth = (first + self._K).searchsorted(leaf, side="right") - 1
-        return depth, leaf - first[depth]
+        depth = (self._first + self._K).searchsorted(leaf, side="right") - 1
+        return depth, leaf - self._first[depth]
 
     def _counts(self) -> np.ndarray:
         """Occurrences of every symbol 0..sigma-1: the size of its leaf."""
@@ -397,13 +434,13 @@ class WaveletTree:
     def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Walk 0-based level-0 positions down to their leaves: (depth,
         node, position in the leaf's depth).  A batch of at least
-        1/``_WHOLE_SHARE`` of the string reads each position's place in
+        1/``_INDEX_SHARE`` of the string reads each position's place in
         the leaf index (``_leaf_index``) off its inverse, and the leaf
         there and the place in it off every leaf's offsets; a smaller one
         walks, and a lane leaves the walk once its node is a leaf, so each
         level sees only the lanes still on it."""
         K = self._K
-        if p.size * _WHOLE_SHARE >= self.length:
+        if p.size * _INDEX_SHARE >= self.length:
             index = self._leaf_index()
             j = np.empty_like(index)
             j[index] = np.arange(index.size, dtype=index.dtype)
@@ -418,12 +455,11 @@ class WaveletTree:
         node = np.zeros(p.size, dtype=np.int64)
         pos = p.copy()
         lane, i, q = np.arange(p.size), node.copy(), p.copy()
-        for d, (bv, z) in enumerate(zip(self._levels, self._zeros)):
+        for d, bv in enumerate(self._levels):
             if not lane.size:
                 break
-            r, bit = bv._rank_bit(q)
+            q, bit = _fall(bv, q)
             i = np.where(bit, K[d] + i, i)
-            q = np.where(bit, z + r, q - r)
             end = i >= K[d + 1]
             if end.any():
                 at = lane[end]
@@ -441,10 +477,8 @@ class WaveletTree:
         that order, walked in place."""
         order, on = _deepest_first(depth, len(bits))
         q, bits = p[:, order], bits[:, order]
-        for d, (bv, z, c) in enumerate(zip(self._levels, self._zeros, on)):
-            x = q[:, :c]
-            r = bv._rank1(x.ravel()).reshape(x.shape)
-            x[:] = np.where(bits[d, :c], z + r, x - r)
+        for d, (bv, c) in enumerate(zip(self._levels, on)):
+            q[:, :c] = _fall(bv, q[:, :c], bits[d, :c])[0]
         out = np.empty_like(q)
         out[:, order] = q
         return out
@@ -452,17 +486,16 @@ class WaveletTree:
     def _ascend(self, depth: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
         position ``p`` in its lane's leaf at ``depth``.  A batch of at least
-        1/(2 ``_WHOLE_SHARE``) of the string (the climb selects twice per
+        1/(2 ``_INDEX_SHARE``) of the string (the climb selects twice per
         level) reads it off the leaf index: depth D's leaves fill the index
         from length - n_{D-1} on, where n_d is the length of level d, and
         its positions start at n_D, so p sits at ``index[length - n_{D-1} +
         p - n_D]``; depth 0 and absent lanes stay put.  A smaller batch
-        climbs, one select per level the lane passes: a position x of depth
-        d + 1 came from a 1 of level d exactly when x >= z_d (the partition
-        puts the zeros first), so the climb reads no path.  As in
+        climbs, one ``_rise`` (one select) per level the lane passes, which
+        tells a 1 from a 0 by position, so the climb reads no path.  As in
         ``_descend``, the lanes on level d are a prefix of one deepest-first
-        order, and each level splits that prefix by its bit."""
-        if 2 * p.size * _WHOLE_SHARE >= self.length:
+        order."""
+        if 2 * p.size * _INDEX_SHARE >= self.length:
             out = p.copy()
             deep = depth > 0
             d = depth[deep]
@@ -472,14 +505,7 @@ class WaveletTree:
         order, on = _deepest_first(depth, depth.max(initial=0))
         q = p[order]
         for d in range(on.size - 1, -1, -1):
-            bv, z, c = self._levels[d], self._zeros[d], on[d]
-            x = q[:c]
-            one = x >= z
-            zero = ~one
-            if one.any():
-                x[one] = bv._select(x[one] - z + 1, 1)
-            if zero.any():
-                x[zero] = bv._select(x[zero] + 1, 0)
+            _rise(self._levels[d], q[:on[d]])
         out = np.empty_like(q)
         out[order] = q
         return out
@@ -600,11 +626,12 @@ class WaveletTree:
 
     def space_report(self) -> dict:
         """Resident bits: the level bits as payload, the levels' samples and
-        padding plus K (and a map's leaf tables) as directory, and the whole
-        symbol map (or a map's key table) as presence."""
+        padding plus K and the first leaf numbers (and a map's leaf tables)
+        as directory, and the whole symbol map (or a map's key table) as
+        presence."""
         payload = sum(lvl.n for lvl in self._levels)
-        kept = [self._K] if self._map is not None else [self._K, self._first, self._bounds,
-                                                         self._nodes, self._order]
+        kept = [self._K, self._first] + ([] if self._map is not None else [
+            self._bounds, self._nodes, self._order])
         resident = (sum(lvl.space_report()["total_bits"] for lvl in self._levels)
                     + 8 * sum(a.nbytes for a in kept))
         lookup = (8 * self._table.nbytes if self._map is None

@@ -286,7 +286,7 @@ def test_fetch_route_switches_at_a_24th_of_the_words(lanes, monkeypatch):
     base, _ = bv._fetch(blk)
     assert counted == ([336] if lanes == 14 else [16 * lanes])
     counted.clear()
-    monkeypatch.setattr(bitvector, "_WHOLE_SHARE", 1 if lanes == 14 else 10 ** 6)
+    monkeypatch.setattr(bitvector, "_FETCH_SHARE", 1 if lanes == 14 else 10 ** 6)
     assert np.array_equal(bv._fetch(blk)[0], base)          # the other route agrees
     assert counted == ([16 * lanes] if lanes == 14 else [336])
 
@@ -662,7 +662,7 @@ def test_decode_sorts_large_steps(blen, monkeypatch):
     ks = rng.integers(1, ones.size + 1, 3000)
     answers = []
     for share in (1, 10 ** 9):
-        monkeypatch.setattr(bitvector, "_WHOLE_SHARE", share)
+        monkeypatch.setattr(bitvector, "_FETCH_SHARE", share)
         answers.append((bv.rank1_batch(pos), bv.select1_batch(ks)))
     for rank, sel in answers:
         assert np.array_equal(rank, np.concatenate([[0], np.cumsum(bits)])[pos])

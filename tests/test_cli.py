@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_serialize import deep_file
 
 from upag import cli
 from upag.cli import main, read_edge_list, write_edge_list
@@ -232,6 +233,29 @@ def test_query_in_neighbour_beyond_degree_fails(figure_files, capsys):
     code, _, err = run(capsys, "query", "--in", str(up), "inn", "5", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("levels", [65, 129, 140])
+def test_query_refuses_a_file_past_64_levels(tmp_path, capsys, levels):
+    up = tmp_path / "deep.upag"
+    up.write_bytes(deep_file(levels)[0])
+    for args in (("nbrs", str(levels)), ("inn", str(levels), "1")):
+        code, out, err = run(capsys, "query", "--in", str(up), *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "at most 64 bits" in err and len(err.splitlines()) == 1
+
+
+def test_query_answers_on_a_64_level_file(tmp_path, capsys):
+    blob, values = deep_file(64)
+    up = tmp_path / "deep.upag"
+    up.write_bytes(blob)
+    for v in (1, 63, 64):
+        at = np.flatnonzero(values == v)
+        code, out, _ = run(capsys, "query", "--in", str(up), "nbrs", str(v))
+        want = f"out={','.join(map(str, values[2 * v - 2:2 * v]))} in={','.join(map(str, at // 2 + 1))}"
+        assert (code, out.strip()) == (0, want)
+        code, out, _ = run(capsys, "query", "--in", str(up), "inn", str(v), str(at.size))
+        assert (code, out.strip()) == (0, str(at[-1] // 2 + 1))
 
 
 @pytest.mark.parametrize("args", [("deg", "99999999999999999999999"), ("outn", "1", "-" + "9" * 21),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graph_reference import parents_array
+from huffman_reference import matrix_codes, matrix_levels
 from test_ugraph import check_batches
 from test_wavelet import FORMS, reassembled
 from upag import serialize, wavelet
@@ -305,6 +306,52 @@ def test_reject_a_lone_symbol_marked_absent():
     g.targets._map = _small([0, 0, 0, 0])
     with pytest.raises(FormatError, match="no present symbol"):
         serialize.loads(serialize.dumps(g))
+
+
+def deep_file(levels: int) -> tuple[bytes, np.ndarray]:
+    """A sealed labelled file (m = 2) whose string has a caterpillar code of
+    ``levels`` bits, deeper than any Huffman code ``build`` makes: symbol
+    s < levels has s + 1 bits and symbol ``levels`` shares the deepest pair
+    of leaves; with the string it holds, every coded symbol occurring."""
+    n = levels + 3
+    lengths = {s: min(s + 1, levels) for s in range(levels + 1)}
+    rng = np.random.default_rng(levels)
+    values = rng.permutation(np.concatenate((np.arange(levels + 1),
+                                             rng.integers(0, levels + 1, 2 * n - levels - 1))))
+    bits, tails = matrix_levels(values.tolist(), matrix_codes(lengths))
+    assert len(bits) == levels and all(tails)
+    g = LabelledGraph(2, n, WaveletTree(values, n + 1))
+    keys = np.zeros(n + 1, dtype=np.int64)
+    keys[list(lengths)] = np.array(list(lengths.values())) + 1
+    g.targets._map = _small(keys)
+    g.targets._levels = [BitVector(np.array(b)) for b in bits]
+    g.targets.width = levels
+    return serialize.dumps(g), values
+
+
+@pytest.mark.parametrize("levels", [65, 129, 140])
+def test_reject_more_than_64_levels(levels):
+    # build packs a code into one 64-bit word, and the walks keep depths
+    # in a byte: a deeper file is refused before any query reads it
+    with pytest.raises(FormatError, match="at most 64 bits"):
+        serialize.loads(deep_file(levels)[0])
+
+
+def test_a_64_level_file_answers_like_a_naive_scan():
+    blob, values = deep_file(64)
+    g = serialize.loads(blob)
+    wt = g.targets
+    assert wt.width == 64 and wt._leaf_of(np.array([64]))[0].tolist() == [64]
+    assert np.array_equal(wt.to_array(), values)
+    assert [wt.access(i) for i in range(1, values.size + 1)] == values.tolist()
+    pos = np.argsort(values, kind="stable")
+    ks = np.arange(pos.size) - np.searchsorted(values[pos], values[pos]) + 1
+    assert np.array_equal(wt.select_batch(values[pos], ks), pos + 1)
+    for v in range(g.n + 1):
+        at = np.flatnonzero(values == v)
+        assert [wt.select(v, k) for k in range(1, at.size + 1)] == (at + 1).tolist()
+        assert wt.rank(v, values.size) == at.size
+        assert g.neighbours_in(v) == (at // 2 + 1).tolist()
 
 
 def test_reject_out_of_range_block_code():

@@ -473,7 +473,7 @@ def test_whole_graph_in_neighbour_batch_selects_on_whole_levels(monkeypatch):
     assert {id(bv) for bv, _ in calls} == {id(g.tree._bv)}
     assert [wt for wt in built if wt is g.targets] == [g.targets]
     calls.clear()
-    monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 0)          # the string's ascent walks
+    monkeypatch.setattr(wavelet, "_INDEX_SHARE", 0)          # the string's ascent walks
     assert np.array_equal(g.in_neighbour_batch(iv, ij), got)
     assert [whole for _, whole in calls] == [1] * len(calls)
     assert {id(bv) for bv, _ in calls} == {id(bv) for bv in [g.tree._bv, *g.targets._levels]}

@@ -11,7 +11,7 @@ from upag.bitvector import BitVector
 from upag.errors import FormatError, OutOfRangeError
 from upag.pa_gen import generate
 from upag.ugraph import CompressedGraph
-from upag.wavelet import WaveletTree, _code_lengths
+from upag.wavelet import WaveletTree, _code_lengths, _fall, _rise
 
 
 def reassembled(wt: WaveletTree) -> WaveletTree:
@@ -307,6 +307,14 @@ def test_block_and_superblock_edges(sigma, length):
     assert np.array_equal(wt.access_batch(edges), values[edges - 1])
 
 
+def first_one_falls(bv: BitVector) -> int:
+    """Where the first 1 of a level lands on the next level: by the step
+    rule, at the level's zero count."""
+    q, bit = _fall(bv, np.flatnonzero(bv.to_array())[:1])
+    assert bit.tolist() == [True]
+    return int(q[0])
+
+
 @pytest.mark.parametrize("zeros", [63, 64, 65, 1023, 1024, 1025])
 def test_zero_count_on_block_edges(zeros):
     # two symbols get one-bit codes, the lower one bit 0, so the higher
@@ -315,7 +323,35 @@ def test_zero_count_on_block_edges(zeros):
     rng = np.random.default_rng(zeros)
     values = rng.permutation(np.repeat([2, 5], [zeros, 2100 - zeros]))
     wt = check_against_reference(values, 8)
-    assert wt.width == 1 and wt._zeros[0] == zeros
+    assert wt.width == 1 and first_one_falls(wt._levels[0]) == zeros
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("sigma,length", [(5, 63), (9, 1024), (300, 1025), (7, 2049), (300, 3 * 1024 + 1)])
+def test_the_level_steps_invert_each_other_on_every_level(sigma, length, form):
+    # on every level of the string and of its map, every position falls
+    # and rises back, one lane at a time on block and superblock edges and
+    # around z as well; a given bit broadcasts and moves no answer
+    rng = np.random.default_rng(sigma * 10_000 + length)
+    values = rng.integers(0, sigma, size=length)
+    values[:min(sigma, length)] = np.arange(min(sigma, length))
+    wt = make(values, sigma, form)
+    for bv in wt._levels + wt._map._levels:
+        p = np.arange(bv.n)
+        q, bit = _fall(bv, p)
+        assert np.array_equal(bit, bv.to_array().astype(bool))
+        assert np.array_equal(_rise(bv, q.copy()), p)
+        z = bv.n - bv.ones
+        assert np.array_equal(q[bit], z + np.arange(bv.ones)) and np.array_equal(q[~bit], np.arange(z))
+        given, same = _fall(bv, p, bit)
+        assert np.array_equal(given, q) and given.dtype == q.dtype and same is bit
+        both = _fall(bv, np.stack((p, p[::-1])), [[False], [True]])[0]
+        assert both.shape == (2, bv.n)
+        assert np.array_equal(both[0], _fall(bv, p, False)[0])
+        assert np.array_equal(both[1], _fall(bv, p[::-1], True)[0])
+        edges = np.unique(np.clip([0, 63, 64, 65, 1023, 1024, 1025, z - 1, z, bv.n - 1], 0, bv.n - 1))
+        for e in edges.tolist():
+            assert _rise(bv, q[e:e + 1].copy()).tolist() == [e]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +429,7 @@ def test_levels_match_the_definition_and_endings_form_each_tail(kind):
         levels, tails = matrix_levels(values.tolist(), matrix_codes(lengths))
         assert all(tails)
         assert [bv.to_array().tolist() for bv in wt._levels] == levels
-        assert wt._zeros == [lvl.count(0) for lvl in levels]
+        assert [first_one_falls(bv) for bv in wt._levels] == [lvl.count(0) for lvl in levels]
 
 
 @pytest.mark.parametrize("sigma,length", [(2, 9), (5, 70), (8, 300), (13, 1100), (200, 2100)])
@@ -406,9 +442,9 @@ def test_levels_are_stable_partitions(sigma, length, rng):
     levels, tails = matrix_levels(values.tolist(), codes)
     assert all(tails)
     assert len(wt._levels) == wt.width == len(levels)
-    for lvl, (bv, z) in enumerate(zip(wt._levels, wt._zeros)):
+    for lvl, bv in enumerate(wt._levels):
         assert bv.to_array().tolist() == levels[lvl], lvl
-        assert z == levels[lvl].count(0)
+        assert first_one_falls(bv) == levels[lvl].count(0)
         if lvl:
             assert bv.n <= wt._levels[lvl - 1].n
 
@@ -749,7 +785,7 @@ def test_leaf_index_routes_agree_with_one_lane_walks(kind, form, monkeypatch):
         sel_c, sel_k, sel_pos = _every_occurrence(vals, rng)
         depth, node, present = m._leaf_of(cs)
         assert (~present).any() or m._map is None           # a map may use every key
-        monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 0)
+        monkeypatch.setattr(wavelet, "_INDEX_SHARE", 0)
         monkeypatch.setattr(wavelet, "_BOUNDS_SHARE", 0)
         probe = range(min(p.size, 120))
         down = [m._down(p[i:i + 1]) for i in probe]
@@ -757,7 +793,7 @@ def test_leaf_index_routes_agree_with_one_lane_walks(kind, form, monkeypatch):
         lanes = range(min(cs.size, 120))
         leaves = [m._leaves(depth[i:i + 1], node[i:i + 1]) for i in lanes]
         for whole, bounds in ROUTES:
-            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", whole)
+            monkeypatch.setattr(wavelet, "_INDEX_SHARE", whole)
             monkeypatch.setattr(wavelet, "_BOUNDS_SHARE", bounds)
             assert np.array_equal(m.access_batch(p + 1), vals[p])
             got = m._down(p)
@@ -797,14 +833,14 @@ def test_leaf_index_lists_each_leaf_in_order_and_the_ascent_reads_it(kind, form,
         n = [m.length] + [bv.n for bv in m._levels[1:]] + [0]
         for d in range(1, m.width + 1):
             p = np.arange(n[d], n[d - 1])
-            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 0)
+            monkeypatch.setattr(wavelet, "_INDEX_SHARE", 0)
             walked = m._ascend(np.full(p.size, d), p)
             assert np.array_equal(index[m.length - n[d - 1] + p - n[d]], walked)
-            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", 10**9)
+            monkeypatch.setattr(wavelet, "_INDEX_SHARE", 10**9)
             assert np.array_equal(m._ascend(np.full(p.size, d), p), walked)
         # depth 0 (a lone symbol's root leaf) and absent lanes stay put
         for whole in (0, 10**9):
-            monkeypatch.setattr(wavelet, "_WHOLE_SHARE", whole)
+            monkeypatch.setattr(wavelet, "_INDEX_SHARE", whole)
             q = np.arange(min(m.length, 5))
             assert np.array_equal(m._ascend(np.zeros(q.size, dtype=np.int64), q), q)
             assert np.array_equal(m._ascend(np.full(q.size, -1), q), q)
@@ -889,3 +925,32 @@ def test_routes_switch_at_their_measured_shares(monkeypatch):
         gathered.clear()
         assert wt.occ_batch(cs).tolist() == [2] * (cs.size - 1) + [0]
         assert gathered == [wt] * gather
+
+
+def test_leaves_are_numbered_from_install_alone(monkeypatch):
+    # both matrices keep each depth's first leaf number: only install
+    # derives it, once per matrix, and no query, scalar or batch, does
+    g = CompressedGraph.from_dag(generate(3, 1 << 12, seed=5))
+    derived, first_leaves = [], wavelet._first_leaves
+
+    def spy(K):
+        derived.append(K)
+        return first_leaves(K)
+
+    monkeypatch.setattr(wavelet, "_first_leaves", spy)
+    loaded = serialize.loads(serialize.dumps(g))
+    assert len(derived) == 2                             # the map, then the string
+    rng = np.random.default_rng(6)
+    for wt in (g.targets, loaded.targets):
+        values = wt.to_array()
+        derived.clear()
+        c = int(values[0])
+        assert wt.access(1) == c and wt.rank(c, wt.length) == np.count_nonzero(values == c)
+        assert wt.select(c, 1) == 1
+        i = rng.integers(1, wt.length + 1, 4096)
+        assert np.array_equal(wt.access_batch(i), values[i - 1])
+        cs = values[i - 1]
+        assert np.array_equal(wt.rank_batch(cs, i), [np.count_nonzero(values[:k] == v)
+                                                    for v, k in zip(cs.tolist(), i.tolist())])
+        assert np.array_equal(wt.select_batch(cs, 1), [np.argmax(values == v) + 1 for v in cs.tolist()])
+        assert derived == []
