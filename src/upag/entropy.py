@@ -1,4 +1,4 @@
-"""Zeroth-order entropy measures and carefully-rounded log2 helpers.
+"""Zeroth-order entropy measures and the bounds report of an instance.
 
 All figures are in bits.  ``h0_bits`` is the total code length ``sum_c
 n_c * lg(n / n_c)`` of a string under its empirical symbol distribution;
@@ -10,34 +10,26 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
 from .graph_model import Dag, adjacency_string
-
-
-def counts_of(seq) -> Counter:
-    """Symbol -> multiplicity for a string or iterable of hashable symbols."""
-    if isinstance(seq, np.ndarray):
-        vals, cnt = np.unique(seq, return_counts=True)
-        return Counter({v.item(): int(c) for v, c in zip(vals, cnt)})
-    return Counter(seq)
+from .pa_gen import log_prob
 
 
 def _count_values(seq_or_counts) -> np.ndarray:
-    if isinstance(seq_or_counts, Counter) or isinstance(seq_or_counts, dict):
-        vals = np.fromiter(seq_or_counts.values(), dtype=np.int64)
+    """The positive symbol multiplicities of a string, or of a symbol -> count map."""
+    if isinstance(seq_or_counts, dict):                 # a Counter too
+        vals = np.array(list(seq_or_counts.values()))
     elif isinstance(seq_or_counts, np.ndarray) and seq_or_counts.dtype.kind in "iu":
-        # treat as a string of symbols, not as counts
-        vals = np.bincount(seq_or_counts)
+        vals = np.bincount(seq_or_counts)               # a string of integer symbols
+    elif isinstance(seq_or_counts, np.ndarray):
+        vals = np.unique(seq_or_counts, return_counts=True)[1]
     else:
-        vals = np.fromiter(counts_of(seq_or_counts).values(), dtype=np.int64)
-    vals = vals[vals > 0]
-    if vals.size and vals.min() <= 0:
-        raise ValueError("counts must be positive")
-    return vals
+        vals = np.array(list(Counter(seq_or_counts).values()))
+    if vals.size and (vals.dtype.kind not in "iu" or vals.min() < 0):
+        raise ValueError("counts must be non-negative integers")
+    return vals[vals > 0].astype(np.int64)
 
 
 def h0_bits(seq_or_counts) -> float:
@@ -61,29 +53,6 @@ def h0_per_symbol(seq_or_counts) -> float:
     if n == 0:
         return 0.0
     return h0_bits(seq_or_counts) / n
-
-
-def log2_int(x: int) -> float:
-    """Correctly-rounded lg of a positive integer of any size."""
-    if x <= 0:
-        raise ValueError("log2_int needs a positive integer")
-    return math.log2(x)
-
-
-def log2_fraction(num, den=None) -> float:
-    """lg(num/den) for arbitrarily large integers, accurate to ~1 ulp per term.
-
-    Computed as lg(num) - lg(den) with integer-aware lg, so it never
-    overflows the float range the way ``num/den`` might.
-    """
-    if den is None:
-        if isinstance(num, Fraction):
-            num, den = num.numerator, num.denominator
-        else:
-            den = 1
-    if den <= 0 or num <= 0:
-        raise ValueError("log2_fraction needs positive numerator and denominator")
-    return log2_int(num) - log2_int(den)
 
 
 def degree_entropy(d: Dag) -> float:
@@ -115,8 +84,6 @@ def bounds_report(d: Dag) -> dict:
     for any order-oblivious encoding, which may go negative on tiny
     instances and is reported raw.
     """
-    from .pa_gen import log_prob  # deferred: pa_gen imports this module
-
     n, m = d.n, d.m
     h_deg = degree_entropy(d)
     lp = log_prob(d)
@@ -141,15 +108,3 @@ def worstcase_budget_bits(n: int, m: int) -> float:
     if n <= 0:
         return 0.0
     return (m - 1) * n * math.log2(n) + 2.0 * n
-
-
-def multinomial(total: int, counts: Iterable[int]) -> int:
-    """Exact multinomial coefficient total! / prod(c_i!)."""
-    out = 1
-    rest = total
-    for c in counts:
-        out *= math.comb(rest, c)
-        rest -= c
-    if rest != 0:
-        raise ValueError("counts do not sum to total")
-    return out

@@ -11,17 +11,16 @@ pick of a vertex.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .entropy import log2_fraction, multinomial
 from .errors import ModelError
 from .graph_model import Dag
 
 EXACT_CUTOFF = 64  # largest n for which probabilities default to exact rationals
+_EXACT_DRAWS = 4096  # and largest n*m
 
 
 def generate(m: int, n: int, seed=None, rng: np.random.Generator | None = None) -> Dag:
@@ -78,59 +77,49 @@ class LogProbResult:
 
 
 def log_prob(d: Dag, mode: str = "auto") -> LogProbResult:
-    """Surprisal of an instance.
+    """Surprisal of an instance, from one decomposition of its draws.
 
-    Each step contributes a multinomial factor over its block's target
-    multiset times the product of degree ratios at draw time.  ``mode`` is
-    ``"exact"`` (arbitrary-precision rational, replaying the degrees step
-    by step), ``"float"`` (all draws at once), or ``"auto"`` (exact up to
-    ``EXACT_CUTOFF`` steps).
+    Step t (t >= 2) draws m targets from a pool of 2(t-1)m endpoints, a
+    target weighing its degree before the step.  Grouping the draws into
+    (target, step) runs, a run of c equal draws at degree g contributes
+    g^c / c!, and each step m! / (2(t-1)m)^m:
+
+        P = m!^(n-1) * prod g^c / (prod c! * prod_{t=1}^{n-1} (2tm)^m).
+
+    ``mode`` is ``"exact"`` (that ratio as a ``Fraction``, and lg(1/P) from
+    its reduced terms), ``"float"`` (the same terms as a sum of logs), or
+    ``"auto"`` (exact up to ``EXACT_CUTOFF`` steps and 4,096 draws).
     """
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if d.n <= EXACT_CUTOFF else "float"
-    if mode == "float":
-        return LogProbResult(bits=_float_bits(d), probability=None, mode="float")
     n, m = d.n, d.m
-    deg = [0] * (n + 1)
-    if n >= 1:
-        deg[0] = m
-        deg[1] = m
-    pnum, pden = 1, 1
-    for t in range(2, n + 1):
-        counts = Counter(d.targets[t - 1].tolist())
-        step_num = multinomial(m, counts.values())
-        for v, c in counts.items():
-            step_num *= deg[v] ** c
-            deg[v] += c
-        pnum *= step_num
-        pden *= (2 * (t - 1) * m) ** m
-        deg[t] = m
-    prob = Fraction(pnum, pden)
-    bits = log2_fraction(prob.denominator, prob.numerator) if n >= 2 else 0.0
+    if mode == "auto":
+        mode = "exact" if n <= EXACT_CUTOFF and n * m <= _EXACT_DRAWS else "float"
+    steps = max(n - 1, 0)
+    # sorting the draws by (target, step) puts each run right after that
+    # target's earlier draws, which with its own m edges make up its degree
+    key = np.sort((d.targets[1:] * n + np.arange(n - 1)[:, None]).ravel())
+    run = np.flatnonzero(np.diff(key, prepend=-1))
+    c = np.diff(run, append=key.size)                       # multiplicity in its block
+    first = np.flatnonzero(np.diff(key[run] // n, prepend=-1))
+    deg = m + run - np.repeat(run[first], np.diff(first, append=run.size))
+    runs_of = np.bincount(c)                                # runs per multiplicity
+    mults = np.flatnonzero(runs_of)
+    if mode == "float":
+        bits = (m * (steps * math.log2(2 * m) + _lg_factorial(steps)) - steps * _lg_factorial(m)
+                + sum(int(runs_of[k]) * _lg_factorial(k) for k in mults.tolist())
+                - float((c * np.log2(deg)).sum()))
+        return LogProbResult(bits=bits, probability=None, mode="float")
+    # m!^(n-1) / prod c! is the product of the blocks' multinomials, an integer
+    mult = math.factorial(m) ** steps // math.prod(
+        math.factorial(k) ** int(runs_of[k]) for k in mults.tolist())
+    num = mult * math.prod(map(pow, deg.tolist(), c.tolist()))
+    den = (2 * m) ** (m * steps) * math.factorial(steps) ** m
+    prob = Fraction(num, den)
+    bits = math.log2(prob.denominator) - math.log2(prob.numerator)
     return LogProbResult(bits=bits, probability=prob, mode="exact")
 
 
-def _float_bits(d: Dag) -> float:
-    """lg(1/P) in floating point, over all draws at once.
-
-    A target's degree when step t draws it is m plus its occurrences at
-    steps 2..t-1.  Sorting the draws by (target, step) puts those earlier
-    occurrences right before each run of equal draws, and a run's length
-    is that target's multiplicity inside its block.
-    """
-    n, m = d.n, d.m
-    if n < 2:
-        return 0.0
-    key = np.sort((d.targets[1:] * n + np.arange(n - 1)[:, None]).ravel())
-    run = np.flatnonzero(np.diff(key, prepend=-1))          # (target, step) run starts
-    c = np.diff(run, append=key.size)                       # multiplicity in its block
-    tgt = key[run] // n
-    first = np.flatnonzero(np.diff(tgt, prepend=-1))        # first run of each target
-    earlier = run - np.repeat(run[first], np.diff(first, append=run.size))
-    lg_fact = np.array([math.log2(math.factorial(k)) for k in range(m + 1)])
-    pools = m * np.log2(2.0 * m * np.arange(1, n)).sum()
-    draws = (c * np.log2(m + earlier)).sum()
-    mult = (n - 1) * lg_fact[m] - lg_fact[c].sum()
-    return float(pools - draws - mult)
+def _lg_factorial(k: int) -> float:
+    """lg k!, from lgamma rather than a big-integer factorial."""
+    return math.lgamma(k + 1) / math.log(2)

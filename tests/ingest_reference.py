@@ -2,10 +2,10 @@
 
 These are the plain loops that the array code in ``pa_gen``, ``construct``
 and ``cli`` replaces: one draw per step for the generator, one step at a
-time for the float surprisal, an adjacency-counter multigraph for peeling
-an explicit stack for the preorder and a FIFO queue for the BFS order.  The
-tests compare the array code against them; nothing in the package imports
-this module.
+time for the exact and the float surprisal, an adjacency-counter multigraph
+for peeling, an explicit stack for the preorder and a FIFO queue for the BFS
+order.  The tests compare the array code against them; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, deque
+from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
-from upag.entropy import multinomial
 from upag.graph_model import Dag, ModelError
 
 
@@ -43,6 +44,40 @@ def generate_steps(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
         pool[fill + m:fill + 2 * m] = t
         fill += 2 * m
     return targets
+
+
+def multinomial(total: int, counts: Iterable[int]) -> int:
+    """Exact multinomial coefficient total! / prod(c_i!)."""
+    out = 1
+    rest = total
+    for c in counts:
+        out *= math.comb(rest, c)
+        rest -= c
+    if rest != 0:
+        raise ValueError("counts do not sum to total")
+    return out
+
+
+def exact_probability_steps(d: Dag) -> Fraction:
+    """P of an instance as a rational, replaying the degrees step by step:
+    each step's multinomial over its block's targets times their degree
+    ratios at draw time."""
+    n, m = d.n, d.m
+    deg = [0] * (n + 1)
+    if n >= 1:
+        deg[0] = m
+        deg[1] = m
+    pnum, pden = 1, 1
+    for t in range(2, n + 1):
+        counts = Counter(d.targets[t - 1].tolist())
+        step_num = multinomial(m, counts.values())
+        for v, c in counts.items():
+            step_num *= deg[v] ** c
+            deg[v] += c
+        pnum *= step_num
+        pden *= (2 * (t - 1) * m) ** m
+        deg[t] = m
+    return Fraction(pnum, pden)
 
 
 def float_bits_steps(d: Dag) -> float:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ingest_reference import float_bits_steps, generate_steps, sample_targets
+from ingest_reference import (exact_probability_steps, float_bits_steps, generate_steps,
+                              sample_targets)
 from upag.entropy import degree_entropy
 from upag.graph_model import Dag, ModelError, adjacency_string, in_degrees
 from upag.pa_gen import generate, log_prob
@@ -132,6 +135,51 @@ def test_float_log_prob_matches_step_reference(m):
                                                            rel=1e-12)
 
 
+# hand-made instances whose blocks repeat a target, some more than twice
+REPEATS = [
+    Dag(3, [[0, 0, 0], [1, 1, 0], [0, 0, 0], [2, 2, 2], [4, 1, 4], [1, 1, 1]]),
+    Dag(3, [[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 3]]),
+    Dag(4, [[0, 0, 0, 0], [1, 1, 1, 1], [2, 0, 2, 2], [3, 3, 1, 3], [0, 4, 0, 4]]),
+    Dag(5, [[0] * 5, [0] * 5, [2, 2, 2, 2, 1], [3, 0, 3, 0, 3]]),
+    Dag(1, [[0], [1], [1], [1]]),
+]
+
+
+def _check_against_replay(d):
+    want = exact_probability_steps(d)
+    exact = log_prob(d, mode="exact")
+    assert exact.probability == want
+    bits = math.log2(want.denominator) - math.log2(want.numerator)
+    assert exact.bits == pytest.approx(bits, rel=1e-12)
+    assert log_prob(d, mode="float").bits == pytest.approx(bits, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 33, 64])
+def test_exact_log_prob_matches_step_replay(m, n):
+    # P from the (target, step) runs equals the per-step rational replay,
+    # and both evaluations of the runs give its lg(1/P)
+    for seed in (1, 2, 3):
+        _check_against_replay(generate(m, n, seed=seed))
+
+
+@pytest.mark.parametrize("d", REPEATS, ids=range(len(REPEATS)))
+def test_repeated_targets_match_step_replay(d):
+    _check_against_replay(d)
+
+
+@pytest.mark.parametrize("m,n", [(20000, 70), (20000, 10)])
+def test_many_target_pricing_within_budget(m, n):
+    # lg k! once took a big-integer factorial for every k <= m (53.7 s at
+    # m = 20,000, n = 70), and n <= 64 alone picked the exact ratio (17.4 s
+    # at n = 10); both calls now take a few milliseconds
+    d = generate(m, n, seed=1)
+    start = time.perf_counter()
+    res = log_prob(d)
+    assert time.perf_counter() - start < 5.0
+    assert res.mode == "float" and res.bits > 0
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(2, 24))
 @settings(max_examples=60, deadline=None)
 def test_float_agrees_with_exact(seed, m, n):
@@ -147,6 +195,14 @@ def test_auto_mode_switches_at_cutoff():
     large = generate(2, 65, seed=1)
     assert log_prob(small).mode == "exact"
     assert log_prob(large).mode == "float"
+
+
+@pytest.mark.parametrize("m,n,mode", [(64, 64, "exact"), (65, 64, "float"), (4096, 1, "exact"),
+                                      (2049, 2, "float"), (200, 20, "exact"), (200, 30, "float")])
+def test_auto_mode_caps_the_draws_priced_exactly(m, n, mode):
+    # exact while n <= 64 and n*m <= 4,096, so every instance with m <= 64
+    # keeps the mode the step count alone gave it
+    assert log_prob(generate(m, n, seed=1)).mode == mode
 
 
 @pytest.mark.parametrize("t", [2, 10, 100])
