@@ -86,6 +86,15 @@ def run_side(src: Path, el: Path, out: Path) -> dict:
     return times
 
 
+def unpack_src(rev: str, dest: Path) -> Path:
+    """Unpack revision ``rev``'s ``src`` tree into ``dest`` by ``git archive``; return it."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
 def machine() -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -110,11 +119,7 @@ def main() -> int:
     sizes = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent, "src"],
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "parent", filter="data")
-        sides = {"parent": tmp / "parent" / "src", "change": ROOT / "src"}
+        sides = {"parent": unpack_src(parent, tmp / "parent"), "change": ROOT / "src"}
         for k in SIZES:
             el = tmp / f"shuffled_{k}.el"
             write_shuffled(el, 2 ** k)

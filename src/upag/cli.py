@@ -45,8 +45,11 @@ HEADER_RE = re.compile(r"^# upag-el v1 M=(\d+) n=(\d+)\s*$")
 def write_edge_list(path, d: Dag) -> None:
     """Write an instance as a text edge list in arrival/draw order."""
     pairs = np.stack((np.repeat(np.arange(1, d.n + 1), d.m), d.targets.ravel()), axis=1)
-    body = ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
-    Path(path).write_text(f"# upag-el v1 M={d.m} n={d.n}\n{body}")
+    with Path(path).open("w") as f:
+        f.write(f"# upag-el v1 M={d.m} n={d.n}\n")
+        # 2^16 pairs per format call: the text never holds every pair at once
+        for part in np.split(pairs, np.arange(1 << 16, len(pairs), 1 << 16)):
+            f.write(("%d %d\n" * len(part)) % tuple(part.ravel().tolist()))
 
 
 def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
@@ -232,8 +235,10 @@ def cmd_selfcheck(args) -> int:
     if inferred:
         _warn_inferred()
     ties = ("index", "first-target") if args.tie == "auto" else (args.tie,)
+    if g.tree is None:                   # without a scaffold, selfcheck ignores tie
+        ties = ties[:1]
     first_bad = None
-    for tie in ties:                     # without a scaffold, selfcheck ignores tie
+    for tie in ties:
         checked, bad = selfcheck(g, d, tie)
         if bad is None:
             if g.tree is not None:

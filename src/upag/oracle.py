@@ -1,7 +1,21 @@
-"""Plain-list reference implementations used to cross-check the compressed
-structures in tests and selfchecks.  Everything here is deliberately naive:
-O(n^2) memory is fine, cleverness is not; only ``selfcheck``, which the CLI
-runs on whole files, keeps to linear memory."""
+"""Reference answers that cross-check the compressed structures: the unit
+tests, acceptance criterion 5 and ``upag selfcheck`` all read them.
+
+``NaiveGraph`` derives every expected answer once, as arrays:
+
+* ``rows``: the n x m out-rows, vertex v's i-th target at ``rows[v-1, i-1]``;
+* ``indeg`` and ``in_start``: each vertex's in-degree and where its in-edges
+  start in ``in_src``;
+* ``in_src``: every in-edge's source grouped by target, tree children first
+  and then string occurrences, each group in source order (the order the
+  compressed form reports), from one stable sort;
+* the sorted undirected edge codes, for multiplicity and adjacency.
+
+The per-vertex lists ``out_lists`` and ``in_lists`` and the (n+1)^2
+``mult`` matrix are derived from these on first use, for small test
+instances.  ``selfcheck``, which the CLI runs on whole files, reads the
+arrays by index arithmetic and builds no per-vertex list, so it keeps to
+linear memory."""
 
 from __future__ import annotations
 
@@ -14,44 +28,47 @@ from .errors import OutOfRangeError
 from .graph_model import Dag
 
 
-def _grouped(src: np.ndarray, dst: np.ndarray, nv: int) -> list[list[int]]:
-    """src values grouped per dst value, original order preserved inside."""
-    counts = np.bincount(dst, minlength=nv)
-    order = np.argsort(dst, kind="stable")
-    return [g.tolist() for g in np.split(src[order], np.cumsum(counts)[:-1])]
+def _entries(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex repeated ``counts`` times, beside its 1-based running index."""
+    v = np.repeat(verts, counts)
+    return v, np.arange(v.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
 
 
 class NaiveGraph:
-    """Adjacency lists + matrix for a graph given as scaffold-tree parents
-    plus the leftover target string, or, with ``tree_parents=None``, as the
-    whole target string (the form without a scaffold)."""
+    """Expected answers for a graph given as scaffold-tree parents plus the
+    leftover target string, or, with ``tree_parents=None``, as the whole
+    target string (the form without a scaffold)."""
 
     def __init__(self, m: int, n: int, tree_parents, string):
         self.m = m
         self.n = n
         nv = n + 1
-        src = np.arange(1, nv)
-        w = m if tree_parents is None else m - 1
-        rest = np.asarray(string, dtype=np.int64).reshape(n, w)
-        if tree_parents is None:
-            rows = rest
-            kid_groups = [[] for _ in range(nv)]
-        else:
+        rows = np.asarray(string, dtype=np.int64).reshape(n, m if tree_parents is None else m - 1)
+        if tree_parents is not None:
             par = np.asarray(tree_parents, dtype=np.int64)
-            rows = np.column_stack([par[1:, None], rest])
-            kid_groups = _grouped(src, par[1:], nv)
-        self.out_lists: list[list[int]] = [[]] + [r.tolist() for r in rows]
-        # in-lists: tree children (ascending) first, then string occurrences
-        # in position order — same order the compressed form reports
-        s_groups = _grouped(np.repeat(src, w), rest.ravel(), nv)
-        self.in_lists = [kg + sg for kg, sg in zip(kid_groups, s_groups)]
-        a, b = self._ends = np.repeat(src, m), rows.ravel()
-        self._codes = np.sort(np.minimum(a, b) * nv + np.maximum(a, b))
+            rows = np.column_stack([par[1:, None], rows])
+        self.rows = rows
+        src, dst = np.repeat(np.arange(1, nv), m), rows.ravel()
+        # with a scaffold, each row's first column is the tree edge
+        in_tree = (np.arange(dst.size) % m == 0) & (tree_parents is not None)
+        self.in_src = src[np.lexsort((~in_tree, dst))]
+        self.indeg = np.bincount(dst, minlength=nv)
+        self.in_start = np.cumsum(self.indeg) - self.indeg
+        self._codes = np.sort(np.minimum(src, dst) * nv + np.maximum(src, dst))
+
+    @cached_property
+    def out_lists(self) -> list[list[int]]:
+        return [[]] + self.rows.tolist()
+
+    @cached_property
+    def in_lists(self) -> list[list[int]]:
+        flat = self.in_src.tolist()
+        return [flat[a:a + k] for a, k in zip(self.in_start.tolist(), self.indeg.tolist())]
 
     @cached_property
     def mult(self) -> np.ndarray:
         """(n+1, n+1) matrix of edge multiplicities."""
-        a, b = self._ends
+        a, b = np.repeat(np.arange(1, self.n + 1), self.m), self.rows.ravel()
         mult = np.zeros((self.n + 1, self.n + 1), dtype=np.int64)
         np.add.at(mult, (a, b), 1)
         np.add.at(mult, (b, a), 1)
@@ -62,13 +79,23 @@ class NaiveGraph:
         return self.mult > 0
 
     def degree_in(self, v: int) -> int:
-        return len(self.in_lists[v])
+        return int(self.indeg[v])
 
     def degree_out(self, v: int) -> int:
-        return len(self.out_lists[v])
+        return self.m if v > 0 else 0
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.matrix[u, v]) and u != v
+
+    def out_edges(self, verts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vertex, 1-based index and target of every out-edge of ``verts``."""
+        v, i = _entries(verts, np.where(verts > 0, self.m, 0))
+        return v, i, self.rows[v - 1, i - 1]
+
+    def in_edges(self, verts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vertex, 1-based index and source of every in-edge of ``verts``."""
+        v, i = _entries(verts, self.indeg[verts])
+        return v, i, self.in_src[self.in_start[v] + i - 1]
 
     def multiplicity_batch(self, us, vs) -> np.ndarray:
         """Edges joining each pair, from the sorted edge codes (no matrix)."""
@@ -76,15 +103,6 @@ class NaiveGraph:
         key = np.minimum(us, vs) * (self.n + 1) + np.maximum(us, vs)
         cnt = np.searchsorted(self._codes, key, "right") - np.searchsorted(self._codes, key)
         return np.where(us == vs, 0, cnt)
-
-
-def _flat(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Owner index, 1-based index and value of every entry of ``lists``."""
-    counts = np.array([len(x) for x in lists], dtype=np.int64)
-    owner = np.repeat(np.arange(counts.size), counts)
-    idx = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    vals = np.array([x for lst in lists for x in lst], dtype=np.int64)
-    return owner, idx, vals
 
 
 def selfcheck(g, d: Dag, tie="index", rng: np.random.Generator | None = None
@@ -95,8 +113,9 @@ def selfcheck(g, d: Dag, tie="index", rng: np.random.Generator | None = None
     ``tie``; without one it stores ``d`` as is.  Four batch calls check
     the in-degrees of a vertex sample (every vertex up to 2,001 of them),
     every out-edge and every in-edge of the sample, then adjacency over all
-    pairs (up to 301 vertices) or 10,000 random pairs.  Returns the number
-    of answers verified and the first mismatch, or None.
+    pairs (up to 301 vertices) or 10,000 random pairs.  The expected
+    answers are read off ``NaiveGraph``'s arrays.  Returns the number of
+    answers verified and the first mismatch, or None.
     """
     if (g.m, g.n) != (d.m, d.n):
         return 0, f"MISMATCH shape m/n got={(g.m, g.n)} want={(d.m, d.n)}"
@@ -112,12 +131,10 @@ def selfcheck(g, d: Dag, tie="index", rng: np.random.Generator | None = None
         us, ws = (a.ravel() for a in np.meshgrid(np.arange(nv), np.arange(nv), indexing="ij"))
     else:
         us, ws = rng.integers(0, nv, 10000), rng.integers(0, nv, 10000)
-    ov, oi, o_want = _flat([ref.out_lists[v] for v in verts])
-    iv, ii, i_want = _flat([ref.in_lists[v] for v in verts])
-    ov, iv = verts[ov], verts[iv]
+    ov, oi, o_want = ref.out_edges(verts)
+    iv, ii, i_want = ref.in_edges(verts)
     suite = [
-        ("degree_in", "v", g.degree_in_batch, (verts,),
-         np.array([ref.degree_in(v) for v in verts], dtype=np.int64)),
+        ("degree_in", "v", g.degree_in_batch, (verts,), ref.indeg[verts]),
         ("out_neighbour", "vi", g.out_neighbour_batch, (ov, oi), o_want),
         ("in_neighbour", "vi", g.in_neighbour_batch, (iv, ii), i_want),
         ("adjacent", "uv", g.adjacent_batch, (us, ws), ref.multiplicity_batch(us, ws) > 0),

@@ -27,7 +27,7 @@ from upag.graph_model import (
     adjacency_string,
     in_degrees,
 )
-from upag.oracle import selfcheck
+from upag.oracle import NaiveGraph, selfcheck
 from upag.pa_gen import generate, log_prob
 from upag.serialize import load, save
 from upag.ugraph import CompressedGraph, LabelledGraph
@@ -151,82 +151,34 @@ def test_criterion_04_reduction_property_suite():
 # 5. oracle equivalence sweep
 # ---------------------------------------------------------------------------
 
-def _light_reference(built):
-    """Flat out rows, flattened in-lists, and an undirected edge code set.
-
-    Same answers a plain adjacency-list oracle gives, laid out as arrays so
-    half a million reference lookups stay cheap; no n^2 matrix.
-    """
-    m, n = built.m, built.n
-    nv = n + 1
-    rest = built.nontree.reshape(n, m - 1) if m > 1 else np.zeros((n, 0), np.int64)
-    rows = np.column_stack([built.tree_parents[1:, None], rest])
-    # in-lists: tree children ascending, then string occurrences in position
-    # order — concatenated per destination vertex
-    kid_src = np.arange(1, nv)
-    kid_ord = np.argsort(built.tree_parents[1:], kind="stable")
-    str_src = np.repeat(np.arange(1, nv), m - 1)
-    str_ord = np.argsort(rest.ravel(), kind="stable")
-    kid_counts = np.bincount(built.tree_parents[1:], minlength=nv)
-    str_counts = np.bincount(rest.ravel(), minlength=nv) if m > 1 else np.zeros(nv, np.int64)
-    deg_in = kid_counts + str_counts
-    starts = np.concatenate([[0], np.cumsum(deg_in)[:-1]])
-    flat_in = np.empty(int(deg_in.sum()), dtype=np.int64)
-    kid_pos = np.repeat(starts, kid_counts) + _ranks_within(built.tree_parents[1:][kid_ord])
-    flat_in[kid_pos] = kid_src[kid_ord]
-    if m > 1:
-        syms = rest.ravel()[str_ord]
-        str_pos = np.repeat(starts + kid_counts, str_counts) + _ranks_within(syms)
-        flat_in[str_pos] = str_src[str_ord]
-    pairs = np.column_stack([np.repeat(np.arange(1, nv), m), rows.ravel()])
-    codes = np.unique(pairs.min(axis=1) * nv + pairs.max(axis=1))
-    return rows, deg_in, starts, flat_in, codes
-
-
-def _ranks_within(sorted_keys: np.ndarray) -> np.ndarray:
-    """Position of each element inside its run of equal keys (keys sorted)."""
-    if not sorted_keys.size:
-        return np.zeros(0, dtype=np.int64)
-    idx = np.arange(sorted_keys.size)
-    run_start = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
-    return idx - np.repeat(run_start, np.diff(np.concatenate([run_start, [sorted_keys.size]])))
-
-
-def _check_exhaustive(g, built, nv, m):
-    rows, deg_in_ref, starts, flat_in, codes = _light_reference(built)
+def _check_exhaustive(g, ref):
+    nv, m = ref.n + 1, ref.m
     vs = np.arange(nv)
-    assert np.array_equal(g.degree_in_batch(vs), deg_in_ref)
+    assert np.array_equal(g.degree_in_batch(vs), ref.indeg)
     assert [g.degree_out(int(v)) for v in vs] == [0] + [m] * (nv - 1)
-    qv = np.repeat(np.arange(1, nv), m)
-    qi = np.tile(np.arange(1, m + 1), nv - 1)
-    assert np.array_equal(g.out_neighbour_batch(qv, qi), rows.ravel())
-    iv = np.repeat(vs, deg_in_ref)
-    total = int(deg_in_ref.sum())
-    ij = np.arange(total) - np.repeat(starts, deg_in_ref) + 1
-    assert np.array_equal(g.in_neighbour_batch(iv, ij), flat_in)
-    us, ws = np.meshgrid(vs, vs, indexing="ij")
-    us, ws = us.ravel(), ws.ravel()
-    want_adj = (us != ws) & np.isin(np.minimum(us, ws) * nv + np.maximum(us, ws), codes)
-    assert np.array_equal(g.adjacent_batch(us, ws), want_adj)
-    return nv + (nv - 1) * m + total + nv * nv + (nv - 1) * m
+    ov, oi, o_want = ref.out_edges(vs)
+    assert np.array_equal(g.out_neighbour_batch(ov, oi), o_want)
+    iv, ii, i_want = ref.in_edges(vs)
+    assert np.array_equal(g.in_neighbour_batch(iv, ii), i_want)
+    us, ws = (a.ravel() for a in np.meshgrid(vs, vs, indexing="ij"))
+    assert np.array_equal(g.adjacent_batch(us, ws), ref.multiplicity_batch(us, ws) > 0)
+    return nv + (nv - 1) * m + i_want.size + nv * nv + (nv - 1) * m
 
 
-def _check_sampled(g, built, rng, per_family):
-    rows, deg_in_ref, starts, flat_in, codes = _light_reference(built)
-    nv = built.n + 1
+def _check_sampled(g, ref, rng, per_family):
+    nv = ref.n + 1
     vs = rng.integers(0, nv, per_family)
-    assert np.array_equal(g.degree_in_batch(vs), deg_in_ref[vs])
+    assert np.array_equal(g.degree_in_batch(vs), ref.indeg[vs])
     qv = rng.integers(1, nv, per_family)
-    qi = rng.integers(1, built.m + 1, per_family)
-    assert np.array_equal(g.out_neighbour_batch(qv, qi), rows[qv - 1, qi - 1])
-    pool = np.flatnonzero(deg_in_ref > 0)
+    qi = rng.integers(1, ref.m + 1, per_family)
+    assert np.array_equal(g.out_neighbour_batch(qv, qi), ref.rows[qv - 1, qi - 1])
+    pool = np.flatnonzero(ref.indeg > 0)
     iv = pool[rng.integers(0, pool.size, per_family)]
-    ij = 1 + (rng.integers(0, 1 << 30, per_family) % deg_in_ref[iv])
-    assert np.array_equal(g.in_neighbour_batch(iv, ij), flat_in[starts[iv] + ij - 1])
+    ij = 1 + (rng.integers(0, 1 << 30, per_family) % ref.indeg[iv])
+    assert np.array_equal(g.in_neighbour_batch(iv, ij), ref.in_src[ref.in_start[iv] + ij - 1])
     us = rng.integers(0, nv, per_family)
     ws = rng.integers(0, nv, per_family)
-    want_adj = (us != ws) & np.isin(np.minimum(us, ws) * nv + np.maximum(us, ws), codes)
-    assert np.array_equal(g.adjacent_batch(us, ws), want_adj)
+    assert np.array_equal(g.adjacent_batch(us, ws), ref.multiplicity_batch(us, ws) > 0)
     return 4 * per_family
 
 
@@ -241,13 +193,14 @@ def test_criterion_05_oracle_equivalence_sweep():
                 d = generate(m, n, seed=seed)
                 built = build(d)
                 g = CompressedGraph.from_build(built)
+                ref = NaiveGraph(m, n, built.tree_parents, built.nontree)
                 if n <= 200:
-                    queries += _check_exhaustive(g, built, n + 1, m)
+                    queries += _check_exhaustive(g, ref)
                 else:
                     rng = np.random.default_rng(seed)
                     # 400 per family x 250 instances = 1e5 sampled queries
                     # per query family across the n=5000 tier
-                    queries += _check_sampled(g, built, rng, per_family=400)
+                    queries += _check_sampled(g, ref, rng, per_family=400)
                 instances += 1
     elapsed = time.perf_counter() - t0
     assert instances == 750

@@ -486,6 +486,26 @@ def test_selfcheck_flags_a_mismatched_pair(tmp_path, capsys):
     assert "MISMATCH" in text
 
 
+def test_selfcheck_checks_a_labelled_file_once(tmp_path, capsys, monkeypatch):
+    # without a scaffold the tie-break is ignored, so --tie auto has one
+    # check to make, failing or not
+    a, b = tmp_path / "a.el", tmp_path / "b.el"
+    run(capsys, "generate", "--m", "2", "--n", "30", "--seed", "1", "--out", str(a))
+    run(capsys, "generate", "--m", "2", "--n", "30", "--seed", "2", "--out", str(b))
+    up = tmp_path / "a.upag"
+    run(capsys, "build", "--in", str(a), "--out", str(up), "--mode", "labelled")
+    honest, ties = cli.selfcheck, []
+
+    def spy(g, d, tie):
+        ties.append(tie)
+        return honest(g, d, tie)
+
+    monkeypatch.setattr(cli, "selfcheck", spy)
+    code, text, _ = run(capsys, "selfcheck", "--in", str(up), "--against", str(b))
+    assert code == 1 and ties == ["index"]
+    assert text.startswith("MISMATCH ") and len(text.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

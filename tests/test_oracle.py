@@ -87,6 +87,49 @@ def test_naive_structures_are_symmetric(rng):
     assert np.array_equal(ref.matrix, ref.mult > 0)
 
 
+def _per_edge_lists(m, n, tree_parents, string):
+    """Out- and in-lists from one plain loop over the edges: the tree edges
+    in source order, then the string in position order."""
+    outs, ins = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+    if tree_parents is not None:
+        for v in range(1, n + 1):
+            outs[v].append(int(tree_parents[v]))
+            ins[int(tree_parents[v])].append(v)
+    width = m if tree_parents is None else m - 1
+    for pos, t in enumerate(np.ravel(string).tolist()):
+        outs[1 + pos // width].append(t)
+        ins[t].append(1 + pos // width)
+    return outs, ins
+
+
+def _per_edge_cases():
+    for m in (1, 2, 3, 5):
+        for n in (0, 1, 2, 3, 10, 57):
+            for seed in range(4):
+                yield generate(m, n, seed=seed)
+    # blocks that repeat a target, under both tie-breaks
+    yield Dag(3, [[0, 0, 0], [1, 1, 0], [2, 1, 2], [3, 3, 3], [1, 4, 1]])
+    yield Dag(2, [[0, 0], [1, 1], [1, 1], [3, 2], [4, 4], [5, 3]])
+
+
+def test_naive_arrays_match_a_per_edge_loop():
+    # the one derivation every check reads, pinned against the plainest one;
+    # m = 1 with a scaffold leaves an empty string
+    for d in _per_edge_cases():
+        forms = [(None, d.targets)] + [(b.tree_parents, b.nontree)
+                                       for b in (build(d), build(d, tie="first-target"))]
+        for parents, string in forms:
+            ref = NaiveGraph(d.m, d.n, parents, string)
+            outs, ins = _per_edge_lists(d.m, d.n, parents, string)
+            assert ref.rows.tolist() == outs[1:]
+            assert ref.indeg.tolist() == [len(x) for x in ins]
+            assert ref.in_start.tolist() == np.cumsum([0] + [len(x) for x in ins[:-1]]).tolist()
+            assert ref.in_src.tolist() == [s for x in ins for s in x]
+            assert ref.out_lists == outs and ref.in_lists == ins
+            assert [ref.degree_in(v) for v in range(d.n + 1)] == [len(x) for x in ins]
+            assert [ref.degree_out(v) for v in range(d.n + 1)] == [len(x) for x in outs]
+
+
 def test_scaffold_naive_agrees_with_dag_naive(dag5):
     # the scaffold split (tree parents + leftover string) must describe the
     # same multigraph as the raw blocks once the BFS relabelling is
@@ -134,8 +177,11 @@ def test_selfcheck_counts_every_answer(form):
 @pytest.mark.parametrize("form", [CompressedGraph.from_dag, LabelledGraph.from_dag],
                          ids=["compressed", "labelled"])
 def test_selfcheck_samples_a_large_graph(form, monkeypatch):
-    # linear memory: the oracle's (n+1)^2 multiplicity matrix is never built
+    # linear memory: neither the oracle's (n+1)^2 multiplicity matrix nor
+    # its per-vertex lists are ever built
     monkeypatch.setattr(NaiveGraph, "mult", property(lambda self: pytest.fail("matrix built")))
+    for name in ("out_lists", "in_lists"):
+        monkeypatch.setattr(NaiveGraph, name, property(lambda self: pytest.fail("lists built")))
     d = generate(2, 2500, seed=3)
     checked, bad = selfcheck(form(d), d, "index", np.random.default_rng(0))
     assert bad is None and checked > 2000 + 10000
