@@ -76,7 +76,7 @@ def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     if m < 1:
         raise ModelError("header M must be at least 1")
     pairs = np.zeros((0, 2), dtype=np.int64)
-    if body.strip():
+    if body and not body.isspace():
         try:
             pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
         except (ValueError, OverflowError) as e:
@@ -96,13 +96,18 @@ def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     return d, True, order
 
 
-def _warn_inferred() -> None:
-    print(
-        "warning: arrival order inferred from structure; any consistent "
-        "order is equally likely for inputs without repeated targets "
-        "beyond the seed block",
-        file=sys.stderr,
-    )
+def _read_warned(path) -> tuple[Dag, np.ndarray | None]:
+    """``read_edge_list``, warning on stderr when the arrival order was
+    inferred; returns the dag and the order."""
+    d, inferred, order = read_edge_list(path)
+    if inferred:
+        print(
+            "warning: arrival order inferred from structure; any consistent "
+            "order is equally likely for inputs without repeated targets "
+            "beyond the seed block",
+            file=sys.stderr,
+        )
+    return d, order
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +135,7 @@ def _relabel_text(n: int, order: np.ndarray | None, to_stored: np.ndarray | None
 
 
 def cmd_build(args) -> int:
-    d, inferred, order = read_edge_list(args.infile)
-    if inferred:
-        _warn_inferred()
+    d, order = _read_warned(args.infile)
     to_stored = None
     if args.mode == "labelled":
         g = LabelledGraph.from_dag(d)
@@ -156,33 +159,24 @@ def _fmt_list(values) -> str:
     return ",".join(str(int(v)) for v in values)
 
 
+QUERY_OPS = {           # op -> (argument count, answer line from the graph and arguments)
+    "outn": (2, lambda g, a: g.out_neighbour(a[0], a[1])),
+    "inn": (2, lambda g, a: g.in_neighbour(a[0], a[1])),
+    "deg": (1, lambda g, a: f"in={g.degree_in(a[0])} out={g.degree_out(a[0])} "
+                            f"total={g.degree_total(a[0])}"),
+    "adj": (2, lambda g, a: "true" if g.adjacent(a[0], a[1]) else "false"),
+    "nbrs": (1, lambda g, a: f"out={_fmt_list(g.neighbours_out(a[0]))} "
+                             f"in={_fmt_list(g.neighbours_in(a[0]))}"),
+}
+
+
 def cmd_query(args) -> int:
     g = load(args.infile)
-    op, rest = args.op, [int(x) for x in args.args]
-
-    def need(k: int) -> None:
-        if len(rest) != k:
-            raise ModelError(f"operation {op!r} takes {k} argument(s)")
-
-    if op == "outn":
-        need(2)
-        print(g.out_neighbour(rest[0], rest[1]))
-    elif op == "inn":
-        need(2)
-        print(g.in_neighbour(rest[0], rest[1]))
-    elif op == "deg":
-        need(1)
-        v = rest[0]
-        print(f"in={g.degree_in(v)} out={g.degree_out(v)} total={g.degree_total(v)}")
-    elif op == "adj":
-        need(2)
-        print("true" if g.adjacent(rest[0], rest[1]) else "false")
-    elif op == "nbrs":
-        need(1)
-        v = rest[0]
-        print(f"out={_fmt_list(g.neighbours_out(v))} in={_fmt_list(g.neighbours_in(v))}")
-    else:
-        raise ModelError(f"unknown query operation {op!r}")
+    rest = [int(x) for x in args.args]
+    count, answer = QUERY_OPS[args.op]
+    if len(rest) != count:
+        raise ModelError(f"operation {args.op!r} takes {count} argument(s)")
+    print(answer(g, rest))
     return 0
 
 
@@ -190,9 +184,7 @@ STATS_LINES = (3, 5, 2, 6, 2, 1)    # fields per line of the key=value output
 
 
 def cmd_stats(args) -> int:
-    d, inferred, _ = read_edge_list(args.infile)
-    if inferred:
-        _warn_inferred()
+    d, _ = _read_warned(args.infile)
     rep = bounds_report(d)
     g = CompressedGraph.from_dag(d)
     sp = g.space_report()
@@ -231,9 +223,7 @@ def cmd_stats(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     g = load(args.infile)
-    d, inferred, _ = read_edge_list(args.against)
-    if inferred:
-        _warn_inferred()
+    d, _ = _read_warned(args.against)
     ties = ("index", "first-target") if args.tie == "auto" else (args.tie,)
     if g.tree is None:                   # without a scaffold, selfcheck ignores tie
         ties = ties[:1]
@@ -413,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("query", help="answer one navigation query on a .upag file")
     q.add_argument("--in", dest="infile", required=True, help=".upag file")
-    q.add_argument("op", choices=("outn", "inn", "deg", "adj", "nbrs"))
+    q.add_argument("op", choices=QUERY_OPS)
     q.add_argument("args", nargs="*", help="vertex / index arguments")
     q.set_defaults(func=cmd_query)
 
@@ -452,7 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, FormatError, OutOfRangeError, OSError, ValueError) as e:
+    except (ModelError, FormatError, OutOfRangeError, OSError, ValueError,
+            MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

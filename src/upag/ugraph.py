@@ -190,10 +190,7 @@ class CompressedGraph:
 
     def target_entropy_bits(self) -> float:
         """H0 of the stored target string, from occurrence counts."""
-        if self.targets.length == 0:
-            return 0.0
-        counts = self.targets.symbol_counts()
-        return h0_bits(counts)
+        return h0_bits(self.targets.symbol_counts())
 
     def space_report(self) -> dict:
         t = (self.tree.space_report() if self.tree is not None

@@ -637,6 +637,16 @@ def test_bench_labelled_prints_batch_rows_and_no_tree_rows(tmp_path, capsys):
     ]
 
 
+def test_bench_with_an_unallocatable_query_count_fails_cleanly(tmp_path, capsys):
+    # 10^15 queries ask numpy for petabytes: the allocation fails at once
+    el, up = tmp_path / "b.el", tmp_path / "b.upag"
+    run(capsys, "generate", "--m", "2", "--n", "30", "--seed", "5", "--out", str(el))
+    run(capsys, "build", "--in", str(el), "--out", str(up))
+    code, out, err = run(capsys, "bench", "--in", str(up), "--queries", "1000000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # lfc
 # ---------------------------------------------------------------------------
@@ -864,6 +874,14 @@ def test_empty_instance_round_trips(tmp_path, capsys):
     assert d.n == 0 and d.m == 2 and not inferred and order is None
     assert run(capsys, "build", "--in", str(el), "--out", str(tmp_path / "z.upag"))[0] == 0
     assert run(capsys, "stats", "--in", str(el))[0] == 0
+
+
+@pytest.mark.parametrize("body", ["\n", " \n\t\n"])
+def test_a_blank_body_reads_as_no_edges(tmp_path, body):
+    el = tmp_path / "blank.el"
+    el.write_text("# upag-el v1 M=2 n=0\n" + body)
+    d, inferred, order = read_edge_list(el)
+    assert d.n == 0 and d.m == 2 and not inferred and order is None
 
 
 # ---------------------------------------------------------------------------

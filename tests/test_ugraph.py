@@ -77,6 +77,13 @@ def test_target_entropy_matches_direct(g5, dag5):
     assert g5.target_entropy_bits() == pytest.approx(h0_bits(b.nontree), abs=1e-9)
 
 
+def test_target_entropy_is_zero_without_a_string():
+    # m = 1 leaves the compressed form no string; n = 0 leaves neither form one
+    assert CompressedGraph.from_dag(generate(1, 20, seed=3)).target_entropy_bits() == 0.0
+    for cls in (CompressedGraph, LabelledGraph):
+        assert cls.from_dag(generate(3, 0, seed=3)).target_entropy_bits() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # full query cross-check against the naive oracle
 # ---------------------------------------------------------------------------
