@@ -12,20 +12,12 @@ import numpy as np
 U64 = np.uint64
 
 
-def _distinct(a: np.ndarray, bound: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of ``a``, and the index of each lane's value
-    (an input of at most one lane is its own answer: scalar queries pass
-    one lane).  Values known to lie in [0, ``bound``), where ``bound`` is
-    at most twice the lanes, are marked in ``bound`` flags instead of
-    sorted: marking took 0.17-0.80 of a sort's time at that share and
-    0.93-1.51 at four times the lanes, for 1,024-65,536 random lanes (and
-    0.8-1.0 at up to 16 times for 16 lanes, where fixed costs rule)."""
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``a``, and the index of each lane's value,
+    from one sort (an input of at most one lane is its own answer: scalar
+    queries pass one lane)."""
     if a.size <= 1:
         return a, np.zeros(a.size, dtype=np.intp)
-    if 0 < bound <= 2 * a.size:
-        seen = np.zeros(bound, dtype=bool)
-        seen[a] = True
-        return np.flatnonzero(seen), (seen.cumsum() - 1)[a]
     order = a.argsort()
     s = a[order]
     head = np.empty(s.size, dtype=bool)

@@ -107,14 +107,15 @@ class BitVector:
         b = np.asarray(bits if bits is not None else [], dtype=np.uint8)
         if b.ndim != 1 or (b.size and b.max() > 1):
             raise ValueError("bits must be a flat 0/1 sequence")
-        if b.size >= 1 << 32:
-            raise ValueError("bitvectors beyond 2^32 bits are not supported")
         self._install(b.size, pack_bits(b))
 
     def _install(self, n: int, words: np.ndarray) -> None:
         """Keep ``words`` (ceil(n/64) of them, bits past n zero) and sample
         the ones before every superblock; an empty vector keeps one zero
-        word so that a fetch never reads an empty array."""
+        word so that a fetch never reads an empty array; ``ValueError`` at
+        2^32 bits or more, past what the uint32 samples count."""
+        if n >= 1 << 32:
+            raise ValueError("bitvectors beyond 2^32 bits are not supported")
         self.n = int(n)
         self._words = words if words.size else np.zeros(1, dtype=U64)
         pop = popcount(self._words)
@@ -131,8 +132,6 @@ class BitVector:
         words = np.array(words, dtype=U64)
         if words.ndim != 1 or words.size != (n + 63) // 64:
             raise ValueError("a bitvector needs exactly ceil(n/64) words")
-        if n >= 1 << 32:
-            raise ValueError("bitvectors beyond 2^32 bits are not supported")
         if n % 64:
             words[-1] &= (U64(1) << U64(n % 64)) - U64(1)
         self = cls.__new__(cls)

@@ -65,7 +65,7 @@ class BPTree:
     def _spans(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First child label and degree of every node in ``arr``, from one
         select0 over Z(v) and Z(v+1) of the distinct nodes."""
-        k, inv = _distinct(arr, self.n_nodes)
+        k, inv = _distinct(arr)
         both = np.concatenate([k, k + 1])
         z = np.where(both > 0, self._bv.select0_batch(np.maximum(both, 1)) - 1, 0)
         zv, zn = z[:k.size], z[k.size:]

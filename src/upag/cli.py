@@ -15,7 +15,6 @@ regular output is ``key=value`` tokens, one logical record per line;
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import re
 import sys
@@ -52,6 +51,25 @@ def write_edge_list(path, d: Dag) -> None:
             f.write(("%d %d\n" * len(part)) % tuple(part.ravel().tolist()))
 
 
+def _read_pairs(f) -> np.ndarray:
+    """The (src, dst) rows of an edge list's body, parsed from the open file
+    ``f`` past its header.  A body of blank lines is no rows: loadtxt, which
+    would warn on it, never sees it."""
+    body = f.tell()
+    if all(line.isspace() for line in iter(f.readline, "")):
+        return np.zeros((0, 2), dtype=np.int64)
+    f.seek(body)
+    try:
+        pairs = np.loadtxt(f, dtype=np.int64, ndmin=2, comments=None)
+    except UnicodeDecodeError:
+        raise
+    except (ValueError, OverflowError) as e:
+        raise ModelError(f"malformed edge line: {str(e).split(';')[0]}") from None
+    if pairs.shape[1] != 2:
+        raise ModelError("malformed edge line: expected 'src dst'")
+    return pairs
+
+
 def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     """Parse an edge-list file.
 
@@ -63,26 +81,19 @@ def read_edge_list(path) -> tuple[Dag, bool, np.ndarray | None]:
     arriving k-th.
     """
     try:
-        text = Path(path).read_text()
+        with Path(path).open(encoding="utf-8") as f:
+            first = f.readline()
+            if not first:
+                raise ModelError("empty edge-list file")
+            head = HEADER_RE.match(first)
+            if not head:
+                raise ModelError("missing or malformed header (expected '# upag-el v1 M=<M> n=<n>')")
+            m, n = int(head.group(1)), int(head.group(2))
+            if m < 1:
+                raise ModelError("header M must be at least 1")
+            pairs = _read_pairs(f)
     except UnicodeDecodeError:
         raise ModelError("not a text edge list: the file is not UTF-8 text") from None
-    if not text:
-        raise ModelError("empty edge-list file")
-    first, _, body = text.partition("\n")
-    head = HEADER_RE.match(first)
-    if not head:
-        raise ModelError("missing or malformed header (expected '# upag-el v1 M=<M> n=<n>')")
-    m, n = int(head.group(1)), int(head.group(2))
-    if m < 1:
-        raise ModelError("header M must be at least 1")
-    pairs = np.zeros((0, 2), dtype=np.int64)
-    if body and not body.isspace():
-        try:
-            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-        except (ValueError, OverflowError) as e:
-            raise ModelError(f"malformed edge line: {str(e).split(';')[0]}") from None
-        if pairs.shape[1] != 2:
-            raise ModelError("malformed edge line: expected 'src dst'")
     if len(pairs) != n * m:
         raise ModelError(f"expected {n * m} edge lines, found {len(pairs)}")
     if n == 0:
@@ -275,6 +286,8 @@ def _time_batch(name: str, fn, *cols: np.ndarray) -> dict | None:
 
 
 def cmd_bench(args) -> int:
+    if args.queries < 0:
+        raise ModelError(f"--queries must be at least 0, got {args.queries}")
     g = load(args.infile)
     rng = np.random.default_rng(args.seed)
     n, m = g.n, g.m

@@ -56,25 +56,24 @@ rank's for its range ends, select's and ``positions``' for their leaves'
 bounds.  An ascent needs none (``_rise`` tells a 1 from a 0 by position),
 so access, whose climb up the map is an ascent, derives none.
 
-Whole batches.  A batch that touches a large share of the string reads a
-transient leaf index instead of walking each lane: the level-0 position of
-every element in leaf-number order, ascending within each leaf, built by
-replaying the partition on positions (per level, the positions of its
-zeros, then of its ones, and one gather; each partitioned level's tail is
-its depth's leaves in node order).  With n_d the length of level d, a
-position p of depth D >= 1 sits at level 0 at index[length - n_{D-1} + p -
-n_D], so an ascent of at least length / (2 ``_INDEX_SHARE``) lanes is one
-gather, and a descent of at least length / ``_INDEX_SHARE`` lanes reads the
-index's inverse and every leaf's offsets (an ascent's climb selects each
-level twice, once per bit, where a descent ranks it once, hence the two
-thresholds).  The bounds of at least sigma_eff / ``_BOUNDS_SHARE`` distinct
-leaves are gathered from every leaf's (``_leaf_bounds``: K_d + 1 ranks per
-level) instead of walking two ends per leaf.  Range counts, and with them
-rank and adjacency, stay walked: searching leaf-keyed positions was
-slower.  Every threshold is a measured crossover; scalar calls and the
-batches of a few thousand lanes that walkers send at n = 2^18 walk.
-The index is not kept: the file bytes and ``space_report()`` are those of
-the levels, K and the leaf tables above.
+Whole batches.  A descent of at least length / ``_INDEX_SHARE`` lanes
+reads a transient leaf index instead of walking each lane: the level-0
+position of every element in leaf-number order, ascending within each
+leaf, built by replaying the partition on positions (per level, the
+positions of its zeros, then of its ones, and one gather; each partitioned
+level's tail is its depth's leaves in node order).  The descent reads each
+position's place in it off its inverse, and the leaf there off every
+leaf's offsets.  An ascent always climbs, one ``_rise`` per level: at
+whole-batch sizes its selects take ``BitVector._select``'s whole-vector
+route, and reading the index instead did not pay end to end.  The bounds
+of at least sigma_eff / ``_BOUNDS_SHARE`` distinct leaves are gathered
+from every leaf's (``_leaf_bounds``: K_d + 1 ranks per level) instead of
+walking two ends per leaf.  Range counts, and with them rank and
+adjacency, stay walked: searching leaf-keyed positions was slower.  Every
+threshold is a measured crossover; scalar calls and the batches of a few
+thousand lanes that walkers send at n = 2^18 walk.  The index is not kept:
+the file bytes and ``space_report()`` are those of the levels, K and the
+leaf tables above.
 
 The class keeps the name ``WaveletTree``: the names of the string index's
 public methods are what callers and the benchmark's tracer key on.
@@ -92,7 +91,7 @@ from .errors import OutOfRangeError, checked
 
 _I64 = np.iinfo(np.int64)
 _I32 = np.iinfo(np.int32)
-_INDEX_SHARE = 6      # descents of length / 6 lanes, ascents of length / 12, read the leaf index (measured)
+_INDEX_SHARE = 6      # descents of length / 6 lanes or more read the leaf index (measured)
 _BOUNDS_SHARE = 48    # bounds of sigma_eff / 48 distinct leaves or more are gathered (measured)
 
 
@@ -354,21 +353,27 @@ class WaveletTree:
         """[start, end) of every leaf (rows 0 and 1) in the positions of its
         depth, by depth, then node, from one pass over the node boundaries
         of each depth (K_d + 1 rank lanes at level d); ``ValueError`` where
-        a level's length disagrees with the shape."""
-        K, leaves = self._K, []
+        a level's length disagrees with the shape.  The children's bounds of
+        every level go into one buffer, and each depth's leaves straight
+        into the answer: a level allocates only its step's arrays."""
+        K = self._K
         if K[0] == 0:                       # the root is a leaf, or nothing is present
             return np.array([[0], [self.length]] if self.sigma_eff else [[], []], dtype=np.int64)
-        bounds = np.array([0, self.length], dtype=np.int64)
+        out = np.empty((2, self.sigma_eff), dtype=np.int64)       # a leaf per present symbol
+        below = np.empty(2 * int(K.max()) + 1, dtype=np.int64)    # bounds of depth d + 1's 2 K_d nodes
+        bounds, at = np.array([0, self.length], dtype=np.int64), 0
         sides = np.array([[False], [True]])                      # one rank for both children
         for d, bv in enumerate(self._levels):
+            k = int(K[d])
             if bv.n != bounds[-1]:
                 raise ValueError("level length does not match the code shape")
-            zero, one = _fall(bv, bounds, sides)[0]
-            below = np.concatenate((zero, one[1:]))               # 2 K_d nodes at depth d + 1
-            ends = below[K[d + 1]:]
-            leaves.append(np.stack((ends[:-1], ends[1:])))
+            zero, one = _fall(bv, bounds, sides)[0]               # read before ``below`` is refilled
+            below[:k + 1], below[k + 1:2 * k + 1] = zero, one[1:]
+            ends, leaves = below[K[d + 1]:2 * k + 1], 2 * k - int(K[d + 1])
+            out[0, at:at + leaves], out[1, at:at + leaves] = ends[:-1], ends[1:]
+            at += leaves
             bounds = below[:K[d + 1] + 1]
-        return np.concatenate(leaves, axis=1)
+        return out
 
     def _all_bounds(self) -> np.ndarray:
         """Every leaf's [start, end): a map keeps them, a string walks them."""
@@ -398,7 +403,7 @@ class WaveletTree:
         are distinct leaves.  Lanes often repeat a symbol: the string walks
         each distinct one down the map once; its map leaf is its key, and
         its place in that leaf is the occurrences of the key before it."""
-        u, inv = _distinct(cs, self.sigma)
+        u, inv = _distinct(cs)
         if self._map is None:
             key = self._table[u].astype(np.int64)
             return key - 1, self._nodes[u].astype(np.int64), inv
@@ -423,7 +428,7 @@ class WaveletTree:
             return self._order[self._leaf_number(depth, node)].astype(np.int64)
         # lanes often share a leaf: climb the map once for each distinct one
         m = self._map
-        leaf, inv = _distinct(self._leaf_number(depth, node), self.sigma_eff)
+        leaf, inv = _distinct(self._leaf_number(depth, node))
         one = np.empty(leaf.size, dtype=np.intp)
         one[inv] = np.arange(inv.size)              # a lane of each distinct leaf
         depth, node = depth[one], node[one]
@@ -485,23 +490,11 @@ class WaveletTree:
 
     def _ascend(self, depth: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Inverse of ``_descend``: the level-0 position of each 0-based
-        position ``p`` in its lane's leaf at ``depth``.  A batch of at least
-        1/(2 ``_INDEX_SHARE``) of the string (the climb selects twice per
-        level) reads it off the leaf index: depth D's leaves fill the index
-        from length - n_{D-1} on, where n_d is the length of level d, and
-        its positions start at n_D, so p sits at ``index[length - n_{D-1} +
-        p - n_D]``; depth 0 and absent lanes stay put.  A smaller batch
-        climbs, one ``_rise`` (one select) per level the lane passes, which
-        tells a 1 from a 0 by position, so the climb reads no path.  As in
-        ``_descend``, the lanes on level d are a prefix of one deepest-first
-        order."""
-        if 2 * p.size * _INDEX_SHARE >= self.length:
-            out = p.copy()
-            deep = depth > 0
-            d = depth[deep]
-            n = np.array([bv.n for bv in self._levels] + [0], dtype=np.int64)
-            out[deep] = self._leaf_index()[self.length - n[d - 1] + p[deep] - n[d]]
-            return out
+        position ``p`` in its lane's leaf at ``depth``, by one ``_rise`` (one
+        select) per level the lane passes, which tells a 1 from a 0 by
+        position, so the climb reads no path; depth 0 and absent lanes stay
+        put.  As in ``_descend``, the lanes on level d are a prefix of one
+        deepest-first order."""
         order, on = _deepest_first(depth, depth.max(initial=0))
         q = p[order]
         for d in range(on.size - 1, -1, -1):

@@ -170,6 +170,26 @@ def test_from_parts_validation():
     assert bv.ones == 10 and bv.rank1(10) == 10 and bv.select0_batch([]).size == 0
 
 
+def test_both_constructors_check_the_length_in_install(monkeypatch):
+    # 2^32 bits or more is refused in one place, which both constructors
+    # pass through; 2^32 - 1 is the longest vector kept
+    bv = BitVector.__new__(BitVector)
+    with pytest.raises(ValueError, match=r"beyond 2\^32 bits are not supported"):
+        bv._install(1 << 32, np.zeros(1, np.uint64))
+    bv._install((1 << 32) - 1, np.zeros(1, np.uint64))
+    assert bv.n == (1 << 32) - 1
+    lengths, install = [], BitVector._install
+
+    def spy(self, n, words):
+        lengths.append(n)
+        return install(self, n, words)
+
+    monkeypatch.setattr(BitVector, "_install", spy)
+    BitVector([1, 0, 1])
+    BitVector.from_parts(70, np.zeros(2, np.uint64))
+    assert lengths == [3, 70]
+
+
 def test_batch_equals_scalar(rng):
     bits = (rng.random(2500) < 0.5).astype(np.uint8)
     bv = BitVector(bits)
@@ -387,28 +407,6 @@ def test_one_lane_select_on_a_small_vector_unpacks_it(words, monkeypatch):
     assert in_word == []
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 100])
-def test_distinct_values_and_their_lanes(size):
-    # sorted distinct values, and each lane's index among them; an input
-    # of at most one lane comes back as it is
-    a = np.random.default_rng(size).integers(0, 30, size)
-    u, inv = _distinct(a)
-    assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
-    assert inv.dtype == np.intp and inv.shape == a.shape
-    assert (u is a) == (size <= 1)
-
-
-@pytest.mark.parametrize("size", [2, 29, 30, 100, 1000])
-def test_distinct_values_under_a_bound(size):
-    # values below a bound of at most twice the lane count are marked,
-    # not sorted; a larger bound sorts; the answers are the same
-    a = np.random.default_rng(size).integers(0, 30, size)
-    for bound in (30, 10**6):
-        u, inv = _distinct(a, bound)
-        assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
-        assert inv.dtype == np.intp and inv.shape == a.shape
-
-
 class _SortSpy(np.ndarray):
     """An array that records each ``argsort`` called on it."""
     calls: list = []
@@ -418,16 +416,31 @@ class _SortSpy(np.ndarray):
         return super().argsort(*args, **kwargs)
 
 
-@pytest.mark.parametrize("size", [2, 15, 64, 1000])
-def test_distinct_marks_up_to_twice_the_lanes(size):
-    # the measured crossover: a bound of at most twice the lanes marks,
-    # one more sorts; both give the same answers
-    a = np.random.default_rng(size).integers(0, size, size)
-    for bound, sorts in ((2 * size, False), (2 * size + 1, True), (0, True)):
-        _SortSpy.calls = []
-        u, inv = _distinct(a.view(_SortSpy), bound)
-        assert _SortSpy.calls == [size] * sorts
+@pytest.mark.parametrize("size", [0, 1, 2, 15, 64, 100, 1000])
+def test_distinct_values_and_their_lanes(size):
+    # sorted distinct values, and each lane's index among them, from one
+    # sort of two lanes or more, few or many values repeating; an input of
+    # at most one lane comes back as it is, unsorted
+    for a in (np.random.default_rng(size).integers(0, 30, size), np.arange(size)[::-1]):
+        _SortSpy.calls, spied = [], a.view(_SortSpy)
+        u, inv = _distinct(spied)
+        assert _SortSpy.calls == [size] * (size > 1) and (u is spied) == (size <= 1)
         assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
+        assert inv.dtype == np.intp and inv.shape == a.shape
+
+
+@pytest.mark.parametrize("size", [2, 29, 30, 100, 1000])
+def test_distinct_values_under_a_bound(size):
+    # values below a bound under, near and far above the lane count are
+    # all found by one sort, with the same answers as np.unique
+    rng = np.random.default_rng(size)
+    for bound in (2, 30, 10**6):
+        a = rng.integers(0, bound, size)
+        _SortSpy.calls = []
+        u, inv = _distinct(a.view(_SortSpy))
+        assert _SortSpy.calls == [size]
+        assert np.array_equal(u, np.unique(a)) and np.array_equal(u[inv], a)
+        assert inv.dtype == np.intp and inv.shape == a.shape
 
 
 @pytest.mark.parametrize("form", FORMS)

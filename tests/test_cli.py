@@ -647,6 +647,16 @@ def test_bench_with_an_unallocatable_query_count_fails_cleanly(tmp_path, capsys)
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("queries", ["-1", "-3"])
+def test_bench_with_a_negative_query_count_names_the_option(tmp_path, capsys, queries):
+    el, up = tmp_path / "b.el", tmp_path / "b.upag"
+    run(capsys, "generate", "--m", "2", "--n", "30", "--seed", "5", "--out", str(el))
+    run(capsys, "build", "--in", str(el), "--out", str(up))
+    code, out, err = run(capsys, "bench", "--in", str(up), "--queries", queries)
+    assert (code, out) == (2, "")
+    assert err == f"error: --queries must be at least 0, got {queries}\n"
+
+
 # ---------------------------------------------------------------------------
 # lfc
 # ---------------------------------------------------------------------------

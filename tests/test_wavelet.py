@@ -817,11 +817,11 @@ def test_leaf_index_routes_agree_with_one_lane_walks(kind, form, monkeypatch):
 
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("kind", ["random", "zipf", "fibonacci", "equal", "one", "empty"])
-def test_leaf_index_lists_each_leaf_in_order_and_the_ascent_reads_it(kind, form, monkeypatch):
+def test_leaf_index_lists_each_leaf_in_order_and_the_ascent_reads_it(kind, form):
     # the index lists every leaf by depth, then node, each leaf's
     # occurrences ascending; at every depth D >= 1 the positions of depth D
     # ([n_D, n_{D-1}) with n_d the length of level d) climb, walked, to
-    # index[length - n_{D-1} + p - n_D], and the index route reads exactly that
+    # index[length - n_{D-1} + p - n_D]: the index is the ascent's answer
     for m, vals in _with_map(kind, form):
         index = m._leaf_index()
         assert index.dtype == np.int32
@@ -833,17 +833,12 @@ def test_leaf_index_lists_each_leaf_in_order_and_the_ascent_reads_it(kind, form,
         n = [m.length] + [bv.n for bv in m._levels[1:]] + [0]
         for d in range(1, m.width + 1):
             p = np.arange(n[d], n[d - 1])
-            monkeypatch.setattr(wavelet, "_INDEX_SHARE", 0)
             walked = m._ascend(np.full(p.size, d), p)
             assert np.array_equal(index[m.length - n[d - 1] + p - n[d]], walked)
-            monkeypatch.setattr(wavelet, "_INDEX_SHARE", 10**9)
-            assert np.array_equal(m._ascend(np.full(p.size, d), p), walked)
         # depth 0 (a lone symbol's root leaf) and absent lanes stay put
-        for whole in (0, 10**9):
-            monkeypatch.setattr(wavelet, "_INDEX_SHARE", whole)
-            q = np.arange(min(m.length, 5))
-            assert np.array_equal(m._ascend(np.zeros(q.size, dtype=np.int64), q), q)
-            assert np.array_equal(m._ascend(np.full(q.size, -1), q), q)
+        q = np.arange(min(m.length, 5))
+        assert np.array_equal(m._ascend(np.zeros(q.size, dtype=np.int64), q), q)
+        assert np.array_equal(m._ascend(np.full(q.size, -1), q), q)
 
 
 def test_the_leaf_index_is_built_once_per_whole_batch_and_never_for_small_ones(monkeypatch):
@@ -862,9 +857,8 @@ def test_the_leaf_index_is_built_once_per_whole_batch_and_never_for_small_ones(m
         return leaf_index(self)
 
     monkeypatch.setattr(WaveletTree, "_leaf_index", spy)
-    whole = [wt.to_array, lambda: wt.select_batch(sel_c, sel_k),
-             lambda: g.out_neighbour_batch(np.repeat(vs[1:], 3), np.tile([1, 2, 3], g.n)),
-             lambda: g.in_neighbour_batch(iv, ij)]
+    whole = [wt.to_array,                # whole descents: access of every position
+             lambda: g.out_neighbour_batch(np.repeat(vs[1:], 3), np.tile([1, 2, 3], g.n))]
     for call in whole:                   # once on the string, at most once on its map
         built.clear()
         call()
@@ -887,12 +881,38 @@ def test_the_leaf_index_is_built_once_per_whole_batch_and_never_for_small_ones(m
     assert built == []
 
 
+def test_whole_batch_ascents_build_no_leaf_index(monkeypatch):
+    # select over every occurrence, every in-edge of a graph in one batch
+    # and the positions of a symbol that holds most of its string climb
+    # level by level: none builds the leaf index
+    g = CompressedGraph.from_dag(generate(3, 1 << 12, seed=4))
+    wt, rng = g.targets, np.random.default_rng(6)
+    values = wt.to_array()
+    vs = np.arange(g.n + 1)
+    deg = g.degree_in_batch(vs)
+    iv = np.repeat(vs, deg)
+    ij = np.arange(iv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+    sel_c, sel_k, sel_pos = _every_occurrence(values, rng)
+    skewed = rng.permutation(np.concatenate((np.zeros(3000, np.int64), rng.integers(1, 40, 1000))))
+    heavy = WaveletTree(skewed, 40)
+    built, leaf_index = [], WaveletTree._leaf_index
+
+    def spy(self):
+        built.append(self)
+        return leaf_index(self)
+
+    monkeypatch.setattr(WaveletTree, "_leaf_index", spy)
+    assert np.array_equal(wt.select_batch(sel_c, sel_k), sel_pos + 1)
+    g.in_neighbour_batch(iv, ij)        # its answers: test_ugraph's whole-graph batch
+    assert np.array_equal(heavy.positions(0), np.flatnonzero(skewed == 0) + 1)
+    assert not [m for m in built if m is wt or m is heavy]      # a map may descend on its own
+
+
 def test_routes_switch_at_their_measured_shares(monkeypatch):
-    # 960 elements: descents of 160 lanes (length / 6) and ascents of 80
-    # (length / 12) read the leaf index, one lane fewer walks; 2,352
-    # present symbols: the bounds of 49 distinct leaves (sigma_eff / 48)
-    # are gathered and those of 48 walked, lanes repeating a leaf and
-    # absent lanes counting for no leaf
+    # 960 elements: descents of 160 lanes (length / 6) read the leaf
+    # index, one lane fewer walks; 2,352 present symbols: the bounds of 49
+    # distinct leaves (sigma_eff / 48) are gathered and those of 48
+    # walked, lanes repeating a leaf and absent lanes counting for no leaf
     rng = np.random.default_rng(3)
     wt = WaveletTree(rng.permutation(np.repeat(np.arange(96), 10)), 97)
     assert (wt.length, wt.sigma_eff) == (960, 96)
@@ -912,11 +932,6 @@ def test_routes_switch_at_their_measured_shares(monkeypatch):
     for lanes, index in ((160, True), (159, False)):
         built.clear()
         wt._down(rng.integers(0, wt.length, lanes))
-        assert built == [wt] * index
-    depth, _, pos = wt._down(np.arange(wt.length))
-    for lanes, index in ((80, True), (79, False)):
-        built.clear()
-        wt._ascend(depth[:lanes], pos[:lanes])
         assert built == [wt] * index
     wt = WaveletTree(rng.permutation(np.repeat(np.arange(2352), 2)), 2353)
     assert wt.sigma_eff == 48 * 49
