@@ -12,22 +12,6 @@ import numpy as np
 U64 = np.uint64
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of ``a``, and the index of each lane's value,
-    from one sort (an input of at most one lane is its own answer: scalar
-    queries pass one lane)."""
-    if a.size <= 1:
-        return a, np.zeros(a.size, dtype=np.intp)
-    order = a.argsort()
-    s = a[order]
-    head = np.empty(s.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(s[1:], s[:-1], out=head[1:])
-    inv = np.empty(s.size, dtype=np.intp)
-    inv[order] = head.cumsum() - 1
-    return s[head], inv
-
-
 def pack_bits(bits) -> np.ndarray:
     """Pack a 0/1 sequence into LSB-first uint64 words (zero padded)."""
     b = np.asarray(bits, dtype=np.uint8)

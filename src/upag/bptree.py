@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import _distinct, unpack_bits
+from .bits import unpack_bits
 from .bitvector import BitVector
 from .errors import OutOfRangeError, checked
 
@@ -64,12 +64,12 @@ class BPTree:
 
     def _spans(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First child label and degree of every node in ``arr``, from one
-        select0 over Z(v) and Z(v+1) of the distinct nodes."""
-        k, inv = _distinct(arr)
-        both = np.concatenate([k, k + 1])
-        z = np.where(both > 0, self._bv.select0_batch(np.maximum(both, 1)) - 1, 0)
-        zv, zn = z[:k.size], z[k.size:]
-        return (zv - k + 1)[inv], (zn - zv - 1)[inv]
+        select0 over Z(v) and Z(v+1) of every lane (a select0 pair per lane
+        costs less than sorting out repeated nodes)."""
+        z = self._bv.select0_batch(np.concatenate([np.maximum(arr, 1), arr + 1])) - 1
+        zv, zn = z[:arr.size], z[arr.size:]
+        zv[arr == 0] = 0                    # Z(0) = 0, the root's one
+        return zv - arr + 1, zn - zv - 1
 
     def parent(self, v: int) -> int:
         """Parent label, or -1 for the root."""

@@ -41,7 +41,10 @@ levels and that table are all that is stored.
 
 Leaf numbers.  Both matrices keep the leaf number of each depth's node 0
 (``_first``, one entry per depth, in the narrowest integer type that holds
-it), so that leaf ``node`` at depth d is leaf ``first[d] + node``.
+it), so that leaf ``node`` at depth d is leaf ``first[d] + node``.  A
+descent (``_down``) names the leaf it reaches by that number alone; only
+access turns it back into (depth, node) (``_leaf_at``), once per distinct
+leaf, to climb the map.
 
 The map's leaf tables.  Beside its key table the map keeps, from one pass
 over its leaf boundaries at install, a few arrays of about one entry per
@@ -66,14 +69,19 @@ position's place in it off its inverse, and the leaf there off every
 leaf's offsets.  An ascent always climbs, one ``_rise`` per level: at
 whole-batch sizes its selects take ``BitVector._select``'s whole-vector
 route, and reading the index instead did not pay end to end.  The bounds
-of at least sigma_eff / ``_BOUNDS_SHARE`` distinct leaves are gathered
-from every leaf's (``_leaf_bounds``: K_d + 1 ranks per level) instead of
-walking two ends per leaf.  Range counts, and with them rank and
-adjacency, stay walked: searching leaf-keyed positions was slower.  Every
-threshold is a measured crossover; scalar calls and the batches of a few
-thousand lanes that walkers send at n = 2^18 walk.  The index is not kept:
-the file bytes and ``space_report()`` are those of the levels, K and the
-leaf tables above.
+of at least sigma_eff / ``_BOUNDS_SHARE`` leaves are gathered from every
+leaf's (``_leaf_bounds``: K_d + 1 ranks per level) instead of walking two
+ends per leaf; select counts its distinct symbols there, ``occ_batch`` its
+lanes.  Range counts, and with them rank and adjacency, stay walked:
+searching leaf-keyed positions was slower.  Every threshold is a measured
+crossover; scalar calls and the batches of a few thousand lanes that
+walkers send at n = 2^18 walk.  The index is not kept: the file bytes and
+``space_report()`` are those of the levels, K and the leaf tables above.
+
+Repeated lanes.  Only select (its symbols) and access (its leaves) remove
+repeats, by one sort (``_distinct``), because there each distinct value
+costs a walk of the map.  Every other batch works on every lane: its
+per-lane work costs less than the sort.
 
 The class keeps the name ``WaveletTree``: the names of the string index's
 public methods are what callers and the benchmark's tracer key on.
@@ -85,14 +93,31 @@ from collections import deque
 
 import numpy as np
 
-from .bits import U64, _distinct
+from .bits import U64
 from .bitvector import BitVector
 from .errors import OutOfRangeError, checked
 
 _I64 = np.iinfo(np.int64)
 _I32 = np.iinfo(np.int32)
 _INDEX_SHARE = 6      # descents of length / 6 lanes or more read the leaf index (measured)
-_BOUNDS_SHARE = 48    # bounds of sigma_eff / 48 distinct leaves or more are gathered (measured)
+_BOUNDS_SHARE = 48    # bounds of sigma_eff / 48 leaves or more are gathered (measured)
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``a``, and the index of each lane's value,
+    from one sort (an input of at most one lane is its own answer: scalar
+    queries pass one lane).  Used only where each distinct value costs a
+    walk of the map: select's symbols and access's leaves."""
+    if a.size <= 1:
+        return a, np.zeros(a.size, dtype=np.intp)
+    order = a.argsort()
+    s = a[order]
+    head = np.empty(s.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    inv = np.empty(s.size, dtype=np.intp)
+    inv[order] = head.cumsum() - 1
+    return s[head], inv
 
 
 def _code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -305,7 +330,7 @@ class WaveletTree:
     def _install(self, sigma: int, length: int, levels: list[BitVector], lookup) -> None:
         """Keep the parts; K_d and sigma_eff follow from the key counts of
         ``lookup``, the map (a matrix) or a map's key table.  A map also
-        keeps its leaf tables (see ``_symbol_leaves`` and ``_symbol_at``),
+        keeps its leaf tables (see ``_leaf_of`` and ``_symbol_at``),
         each in the narrowest type that holds it, so readers add them only
         to int64 arrays or widen them first; both kinds keep each depth's
         first leaf number.  ``ValueError`` where the levels disagree with
@@ -396,49 +421,37 @@ class WaveletTree:
 
     # -- symbols and leaves ---------------------------------------------------
 
-    def _symbol_leaves(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(depth, node) of the leaf of each distinct symbol among the lanes,
-        and each lane's index among them; an absent symbol gets depth -1.
-        Present symbols and leaves are one to one, so the present entries
-        are distinct leaves.  Lanes often repeat a symbol: the string walks
-        each distinct one down the map once; its map leaf is its key, and
-        its place in that leaf is the occurrences of the key before it."""
-        u, inv = _distinct(cs)
-        if self._map is None:
-            key = self._table[u].astype(np.int64)
-            return key - 1, self._nodes[u].astype(np.int64), inv
-        m = self._map
-        depth, node, pos = m._down(u)
-        leaf = m._leaf_number(depth, node)
-        key = m._order[leaf].astype(np.int64)
-        return key - 1, self._K[np.maximum(key - 1, 0)] + pos - m._bounds[0, leaf], inv
-
     def _leaf_of(self, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(depth, node, present?) of every lane's leaf; an absent symbol
-        gets depth -1, and its answers are discarded by callers."""
-        depth, node, inv = self._symbol_leaves(cs)
-        depth = depth[inv]
-        return depth, node[inv], depth >= 0
-
-    def _symbol_at(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
-        """The symbol whose leaf is ``node`` at ``depth``: a map reads it
-        from its leaf order, the string climbs the map from the leaf of key
-        depth + 1, at the leaf's rank among the leaves of its depth."""
+        gets depth -1, and its answers are discarded by callers.  A map
+        reads its key table; the string walks each lane down the map, whose
+        leaf there is its key, and its place in that leaf is the
+        occurrences of the key before it."""
         if self._map is None:
-            return self._order[self._leaf_number(depth, node)].astype(np.int64)
+            key = self._table[cs].astype(np.int64)
+            return key - 1, self._nodes[cs].astype(np.int64), key > 0
+        m = self._map
+        leaf, pos = m._down(cs)
+        key = m._order[leaf].astype(np.int64)
+        return key - 1, self._K[np.maximum(key - 1, 0)] + pos - m._bounds[0, leaf], key > 0
+
+    def _symbol_at(self, leaf: np.ndarray) -> np.ndarray:
+        """The symbol of each leaf number: a map reads it from its leaf
+        order, the string climbs the map from the leaf of key depth + 1,
+        at the leaf's rank among the leaves of its depth."""
+        if self._map is None:
+            return self._order[leaf].astype(np.int64)
         # lanes often share a leaf: climb the map once for each distinct one
         m = self._map
-        leaf, inv = _distinct(self._leaf_number(depth, node))
-        one = np.empty(leaf.size, dtype=np.intp)
-        one[inv] = np.arange(inv.size)              # a lane of each distinct leaf
-        depth, node = depth[one], node[one]
+        leaf, inv = _distinct(leaf)
+        depth, node = self._leaf_at(leaf)
         md, mn, _ = m._leaf_of(depth + 1)
         p = m._bounds[0, m._leaf_number(md, mn)] + node - self._K[depth]
         return m._ascend(md, p)[inv]
 
-    def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Walk 0-based level-0 positions down to their leaves: (depth,
-        node, position in the leaf's depth).  A batch of at least
+    def _down(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Walk 0-based level-0 positions down to their leaves: (leaf
+        number, position in the leaf's depth).  A batch of at least
         1/``_INDEX_SHARE`` of the string reads each position's place in
         the leaf index (``_leaf_index``) off its inverse, and the leaf
         there and the place in it off every leaf's offsets; a smaller one
@@ -454,12 +467,10 @@ class WaveletTree:
             size = (end - start).astype(np.int64)
             leaf = np.repeat(np.arange(size.size), size)[j]
             at = size.cumsum() - size                   # each leaf's first place in the index
-            depth, node = self._leaf_at(np.arange(size.size))
-            return depth[leaf], node[leaf], (start - at)[leaf] + j
-        depth = np.zeros(p.size, dtype=np.int64)
-        node = np.zeros(p.size, dtype=np.int64)
+            return leaf, (start - at)[leaf] + j
+        leaf = np.zeros(p.size, dtype=np.int64)         # a lone symbol's root is leaf 0
         pos = p.copy()
-        lane, i, q = np.arange(p.size), node.copy(), p.copy()
+        lane, i, q = np.arange(p.size), leaf.copy(), p.copy()
         for d, bv in enumerate(self._levels):
             if not lane.size:
                 break
@@ -468,10 +479,10 @@ class WaveletTree:
             end = i >= K[d + 1]
             if end.any():
                 at = lane[end]
-                depth[at], node[at], pos[at] = d + 1, i[end], q[end]
+                leaf[at], pos[at] = self._first[d + 1] + i[end], q[end]
                 keep = ~end
                 lane, i, q = lane[keep], i[keep], q[keep]
-        return depth, node, pos
+        return leaf, pos
 
     def _descend(self, depth: np.ndarray, bits: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Follow level-0 positions ``p`` (0-based, 0..length; one row per
@@ -527,10 +538,10 @@ class WaveletTree:
 
     def _leaves(self, depth: np.ndarray, node: np.ndarray) -> np.ndarray:
         """[start, end) (rows 0 and 1) of each lane's leaf ``node`` at
-        ``depth``, [0, 0) for an absent lane (depth -1); callers pass
-        distinct leaves (``_symbol_leaves``).  When there are at least
-        1/``_BOUNDS_SHARE`` as many present lanes as present symbols, they
-        are gathered from every leaf's bounds (``_all_bounds``), otherwise
+        ``depth``, [0, 0) for an absent lane (depth -1).  When there are at
+        least 1/``_BOUNDS_SHARE`` as many present lanes as present symbols
+        (select passes distinct leaves, ``occ_batch`` its lanes), they are
+        gathered from every leaf's bounds (``_all_bounds``), otherwise
         both ends walk down each lane's path."""
         live = depth >= 0
         if np.count_nonzero(live) * _BOUNDS_SHARE >= self.sigma_eff:
@@ -554,8 +565,7 @@ class WaveletTree:
 
     def access_batch(self, i) -> np.ndarray:
         pos = checked(i, 1, self.length, "position")
-        depth, node, _ = self._down(pos - 1)
-        return self._symbol_at(depth, node)
+        return self._symbol_at(self._down(pos - 1)[0])
 
     def rank_batch(self, c, i) -> np.ndarray:
         cs, prefix = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
@@ -566,7 +576,9 @@ class WaveletTree:
         # k's bounds are per lane (the symbol's occurrences), checked below
         cs, ks = np.broadcast_arrays(checked(c, 0, self.sigma - 1, "symbol"),
                                      checked(k, _I64.min, _I64.max, "occurrence number"))
-        depth, node, inv = self._symbol_leaves(cs)
+        # each distinct symbol costs a walk down the map and its bounds
+        u, inv = _distinct(cs)
+        depth, node, _ = self._leaf_of(u)
         s, e = self._leaves(depth, node)[:, inv]
         bad = (ks < 1) | (ks > e - s)
         if bad.any():
@@ -576,9 +588,9 @@ class WaveletTree:
 
     def occ_batch(self, c) -> np.ndarray:
         """Occurrences of each symbol: the size of its leaf (0 when absent)."""
-        depth, node, inv = self._symbol_leaves(checked(c, 0, self.sigma - 1, "symbol"))
+        depth, node, _ = self._leaf_of(checked(c, 0, self.sigma - 1, "symbol"))
         s, e = self._leaves(depth, node)
-        return (e - s)[inv]
+        return e - s
 
     def positions(self, c: int) -> np.ndarray:
         """1-based positions of every occurrence of symbol ``c``, ascending:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upag import bitvector
-from upag.bits import _distinct, popcount
+from upag.bits import popcount
 from upag.bitvector import BitVector
 from upag.errors import OutOfRangeError
-from upag.wavelet import WaveletTree
+from upag.wavelet import WaveletTree, _distinct
 
 # Each case runs on a vector as built from its bits ("rrr") and on one
 # reassembled from copies of its stored words ("plain"), the way the loader

@@ -99,6 +99,23 @@ def check_batches(g, ref):
         assert batch(qv, qi).tolist() == [t for x in lists for t in x]
 
 
+def check_repeated_lanes(g, ref):
+    """The batch queries over shuffled lanes that ask for the hub 1,000
+    times beside vertex 0, vertex n and a few others: repeated lanes get
+    each lane's own answer, whichever route their share of the graph takes."""
+    rng = np.random.default_rng(g.n)
+    hub = int(np.argmax(ref.indeg))
+    vs = rng.permutation(np.concatenate((np.full(1000, hub), [0, g.n], rng.integers(0, g.n + 1, 50))))
+    assert np.array_equal(g.degree_in_batch(vs), ref.indeg[vs])
+    for edges, batch in ((ref.in_edges, g.in_neighbour_batch), (ref.out_edges, g.out_neighbour_batch)):
+        v, i, want = edges(vs)
+        lanes = rng.permutation(v.size)
+        assert np.array_equal(batch(v[lanes], i[lanes]), want[lanes])
+    us = rng.permutation(vs)
+    assert np.array_equal(g.multiplicity_batch(vs, us), ref.multiplicity_batch(vs, us))
+    assert np.array_equal(g.adjacent_batch(us, vs), ref.multiplicity_batch(us, vs) > 0)
+
+
 def exhaustive_check(g, ref):
     nv = g.n + 1
     for v in range(nv):
@@ -111,6 +128,7 @@ def exhaustive_check(g, ref):
         for i, s in enumerate(ref.in_lists[v], start=1):
             assert g.in_neighbour(v, i) == s
     check_batches(g, ref)
+    check_repeated_lanes(g, ref)
     # adjacency and multiplicity over every ordered pair
     us, vs = np.meshgrid(np.arange(nv), np.arange(nv))
     us, vs = us.ravel(), vs.ravel()

@@ -6,7 +6,7 @@ from huffman_reference import huffman_cost, matrix_codes, matrix_levels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upag import serialize, wavelet
+from upag import bptree, serialize, wavelet
 from upag.bitvector import BitVector
 from upag.errors import FormatError, OutOfRangeError
 from upag.pa_gen import generate
@@ -789,18 +789,21 @@ def test_leaf_index_routes_agree_with_one_lane_walks(kind, form, monkeypatch):
         monkeypatch.setattr(wavelet, "_BOUNDS_SHARE", 0)
         probe = range(min(p.size, 120))
         down = [m._down(p[i:i + 1]) for i in probe]
-        up = [m._ascend(d, q) for d, _, q in down]
+        up = [m._ascend(m._leaf_at(leaf)[0], q) for leaf, q in down]
         lanes = range(min(cs.size, 120))
         leaves = [m._leaves(depth[i:i + 1], node[i:i + 1]) for i in lanes]
         for whole, bounds in ROUTES:
             monkeypatch.setattr(wavelet, "_INDEX_SHARE", whole)
             monkeypatch.setattr(wavelet, "_BOUNDS_SHARE", bounds)
             assert np.array_equal(m.access_batch(p + 1), vals[p])
-            got = m._down(p)
+            leaf, q = m._down(p)              # each lane's leaf number is its symbol's
+            held = m._leaf_of(vals[p])
+            assert np.array_equal(leaf, m._leaf_number(held[0], held[1]))
+            at = m._leaf_at(leaf)[0]
             for i in probe:
-                assert [int(a[i]) for a in got] == [int(a[0]) for a in down[i]]
-                assert int(m._ascend(got[0][i:i + 1], got[2][i:i + 1])[0]) == int(up[i][0])
-            assert np.array_equal(m._ascend(got[0], got[2]), p)
+                assert [int(leaf[i]), int(q[i])] == [int(a[0]) for a in down[i]]
+                assert int(m._ascend(at[i:i + 1], q[i:i + 1])[0]) == int(up[i][0])
+            assert np.array_equal(m._ascend(at, q), p)
             s, e = m._leaves(depth, node)
             assert np.array_equal(e - s, counts[cs]) and not s[~present].any()
             for i in lanes:
@@ -908,11 +911,53 @@ def test_whole_batch_ascents_build_no_leaf_index(monkeypatch):
     assert not [m for m in built if m is wt or m is heavy]      # a map may descend on its own
 
 
+def test_only_select_and_access_sort_out_repeated_lanes(monkeypatch):
+    # each distinct symbol of a select and each distinct leaf of an access
+    # costs a walk of the map, so those two remove repeats, once per call;
+    # every other batch, the tree's spans and the map's key reads work on
+    # every lane, at whole-graph size too
+    g = CompressedGraph.from_dag(generate(3, 1 << 12, seed=4))
+    wt, rng = g.targets, np.random.default_rng(8)
+    values = wt.to_array()
+    vs = np.arange(g.n + 1)
+    deg = g.degree_in_batch(vs)
+    iv = np.repeat(vs, deg)
+    ij = np.arange(iv.size) - np.repeat(np.cumsum(deg) - deg, deg) + 1
+    sel_c, sel_k, sel_pos = _every_occurrence(values, rng)
+    sorts, distinct = [], wavelet._distinct
+
+    def spy(a):
+        sorts.append(a.size)
+        return distinct(a)
+
+    monkeypatch.setattr(wavelet, "_distinct", spy)
+    once = [(lambda: wt.access_batch(np.arange(1, wt.length + 1)), values),
+            (lambda: wt.select_batch(sel_c, sel_k), sel_pos + 1),
+            (lambda: g.out_neighbour_batch(np.repeat(vs[1:], 3), np.tile([1, 2, 3], g.n)), None),
+            (lambda: g.in_neighbour_batch(iv, ij), None)]
+    for call, want in once:
+        sorts.clear()
+        got = call()
+        assert want is None or np.array_equal(got, want)
+        assert len(sorts) == 1
+    sorts.clear()
+    pairs = rng.integers(0, g.n + 1, (2, 3 * g.n))
+    keys = rng.integers(0, wt._map.sigma, 3 * wt._map.sigma)
+    assert np.array_equal(wt.occ_batch(vs), np.bincount(values, minlength=wt.sigma))
+    assert np.array_equal(g.degree_in_batch(np.repeat(vs, 3)), np.repeat(deg, 3))
+    wt.rank_batch(values, rng.integers(0, wt.length + 1, values.size))
+    g.multiplicity_batch(*pairs), g.adjacent_batch(*pairs)
+    g.tree._spans(iv), wt._leaf_of(values), wt._map._leaf_of(keys)
+    assert sorts == []
+    assert not hasattr(bptree, "_distinct")
+
+
 def test_routes_switch_at_their_measured_shares(monkeypatch):
     # 960 elements: descents of 160 lanes (length / 6) read the leaf
     # index, one lane fewer walks; 2,352 present symbols: the bounds of 49
-    # distinct leaves (sigma_eff / 48) are gathered and those of 48
-    # walked, lanes repeating a leaf and absent lanes counting for no leaf
+    # present lanes (sigma_eff / 48) are gathered and those of 48 walked,
+    # absent lanes counting for none.  occ_batch counts its lanes, select
+    # its distinct symbols, so 48 symbols asked twice each still walk there
     rng = np.random.default_rng(3)
     wt = WaveletTree(rng.permutation(np.repeat(np.arange(96), 10)), 97)
     assert (wt.length, wt.sigma_eff) == (960, 96)
@@ -933,12 +978,18 @@ def test_routes_switch_at_their_measured_shares(monkeypatch):
         built.clear()
         wt._down(rng.integers(0, wt.length, lanes))
         assert built == [wt] * index
-    wt = WaveletTree(rng.permutation(np.repeat(np.arange(2352), 2)), 2353)
+    vals = rng.permutation(np.repeat(np.arange(2352), 2))
+    wt = WaveletTree(vals, 2353)
     assert wt.sigma_eff == 48 * 49
     for leaves, gather in ((49, True), (48, False)):
-        cs = np.append(np.repeat(rng.choice(2352, leaves, replace=False), 2), 2352)
+        cs = np.append(rng.choice(2352, leaves, replace=False), 2352)
         gathered.clear()
-        assert wt.occ_batch(cs).tolist() == [2] * (cs.size - 1) + [0]
+        assert wt.occ_batch(cs).tolist() == [2] * leaves + [0]
+        assert gathered == [wt] * gather
+        twice, ks = np.repeat(cs[:-1], 2), np.tile([1, 2], leaves)
+        want = [np.flatnonzero(vals == c)[k - 1] + 1 for c, k in zip(twice, ks)]
+        gathered.clear()
+        assert wt.select_batch(twice, ks).tolist() == want
         assert gathered == [wt] * gather
 
 
