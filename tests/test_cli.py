@@ -373,12 +373,12 @@ def test_query_out_of_range_block_code_fails_cleanly(figure_files, tmp_path, cap
 
 def test_query_code_beyond_alphabet_fails_cleanly(figure_files, tmp_path, capsys):
     # the string's alphabet (its sigma field, after the 24-byte header and
-    # the 16-byte tree) cut from 6 to 5 symbols: the code-length map's
-    # levels still hold a key for 6 symbols, one of them beyond the
-    # alphabet, and disagree with the map's length
+    # the 16-byte tree) cut from 6 to 5 symbols: the code-length map still
+    # holds a key for 6 symbols, one of them beyond the alphabet, so its
+    # stored length no longer meets the string's sigma
     _, up = figure_files
     bad = _resealed(up, tmp_path, 40, struct.pack("<Q", 6), struct.pack("<Q", 5))
-    _query_fails_cleanly(capsys, bad, "level length does not match the code shape")
+    _query_fails_cleanly(capsys, bad, "code-length map does not span the alphabet")
 
 
 def test_query_code_without_occurrence_fails_cleanly(tmp_path, capsys, monkeypatch):

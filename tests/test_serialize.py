@@ -308,6 +308,27 @@ def test_reject_a_lone_symbol_marked_absent():
         serialize.loads(serialize.dumps(g))
 
 
+@pytest.mark.parametrize("g, message", [
+    # an empty string (m = 1): its map has no level, so the span check alone
+    # sees the forged length
+    (CompressedGraph.from_dag(generate(1, 40, seed=1)), "does not span the alphabet"),
+    # the map's level no longer fits the forged length
+    (five_vertex_graph(), "level length does not match the code shape"),
+], ids=["map_without_levels", "map_with_a_level"])
+def test_reject_a_forged_map_length(g, message):
+    # the map's length field follows the header, the tree, the string's
+    # matrix blob and the map's sigma; it must equal the string's sigma, so
+    # each graph has exactly one valid file
+    at = (serialize._HEAD.size + len(serialize._bitvector(g.tree._bv))
+          + len(serialize._matrix(g.targets)) + 8)
+    blob = serialize.dumps(g)
+    assert blob[at:at + 8] == struct.pack("<Q", g.targets.sigma)
+    for length in (g.targets.sigma - 1, g.targets.sigma + 1, 123_456_789):
+        body = blob[:at] + struct.pack("<Q", length) + blob[at + 8:-4]
+        with pytest.raises(FormatError, match=message):
+            serialize.loads(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def deep_file(levels: int) -> tuple[bytes, np.ndarray]:
     """A sealed labelled file (m = 2) whose string has a caterpillar code of
     ``levels`` bits, deeper than any Huffman code ``build`` makes: symbol

@@ -20,7 +20,7 @@ def reassembled(wt: WaveletTree) -> WaveletTree:
     def copies(m):
         return [BitVector.from_parts(**bv.to_parts()) for bv in m._levels]
 
-    keys = WaveletTree.from_levels(wt._map.sigma, wt.sigma, copies(wt._map), wt._map._table.copy())
+    keys = WaveletTree.from_levels(wt._map.sigma, wt._map.length, copies(wt._map), wt._map._table.copy())
     return WaveletTree.from_levels(wt.sigma, wt.length, copies(wt), keys)
 
 
@@ -494,9 +494,7 @@ def test_queries_match_a_naive_scan(data):
     # (beside a key table), as built and as the loader reassembles them
     counts = np.bincount(values, minlength=sigma)
     key_counts = np.bincount(_code_lengths(counts) + 1, minlength=wt._map.sigma)
-    w = serialize._Writer()
-    w.wavelet(wt)
-    for m in (wt, serialize._Reader(w.buf.getvalue()).wavelet()):
+    for m in (wt, serialize._Reader(serialize._wavelet(wt)).wavelet()):
         assert np.array_equal(m._counts(), counts)
         assert np.array_equal(m._map._counts(), key_counts)
 
